@@ -54,6 +54,11 @@ log = logging.getLogger("vitac")
 DEFAULT_SEED = 0
 
 
+def _seed(args) -> int:
+    """--seed if given, else DEFAULT_SEED; simulate instead falls back to the scene's seed."""
+    return DEFAULT_SEED if args.seed is None else args.seed
+
+
 def _require_file(path: str) -> Path:
     p = Path(path)
     if not p.is_file():
@@ -135,21 +140,23 @@ def cmd_decode(args) -> dict:
     return report
 
 
-def _read_tactile_jsonl(path) -> dict:
-    """stream_id -> sorted samples from a decode-format jsonl file."""
-    streams = {}
+def _jsonl(path):
+    """Yield the parsed object of every nonblank line of a JSON-lines file."""
     with open(path) as fh:
         for line in fh:
-            if not line.strip():
-                continue
-            d = json.loads(line)
-            frame = TactileFrame(
-                d["pad_id"], d["timestamp_us"], np.asarray(d["readings"]), normalized=False
-            )
-            sid = tactile_stream(frame.pad_id)
-            streams.setdefault(sid, []).append(TimedSample(sid, frame.timestamp_us, frame))
-    for samples in streams.values():
-        samples.sort(key=lambda s: s.timestamp_us)
+            if line.strip():
+                yield json.loads(line)
+
+
+def _read_tactile_jsonl(path) -> dict:
+    """stream_id -> samples from a decode-format jsonl file."""
+    streams = {}
+    for d in _jsonl(path):
+        frame = TactileFrame(
+            d["pad_id"], d["timestamp_us"], np.asarray(d["readings"]), normalized=False
+        )
+        sid = tactile_stream(frame.pad_id)
+        streams.setdefault(sid, []).append(TimedSample(sid, frame.timestamp_us, frame))
     return streams
 
 
@@ -170,23 +177,14 @@ def _read_cloud_dir(path) -> dict:
             )
         sid = camera_stream(cam_id)
         streams.setdefault(sid, []).append(TimedSample(sid, ts, read_cloud_ply(ply)))
-    for samples in streams.values():
-        samples.sort(key=lambda s: s.timestamp_us)
     return streams
 
 
 def _read_joints_jsonl(path) -> dict:
     samples = []
-    with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            d = json.loads(line)
-            ts = int(d["timestamp_us"])
-            samples.append(
-                TimedSample(JOINTS_STREAM, ts, JointState(np.asarray(d["positions"]), ts))
-            )
-    samples.sort(key=lambda s: s.timestamp_us)
+    for d in _jsonl(path):
+        ts = int(d["timestamp_us"])
+        samples.append(TimedSample(JOINTS_STREAM, ts, JointState(np.asarray(d["positions"]), ts)))
     return {JOINTS_STREAM: samples}
 
 
@@ -200,6 +198,8 @@ def cmd_sync(args) -> dict:
         streams.update(_read_joints_jsonl(_require_file(args.joints)))
     if not streams:
         raise InvalidInputError("no input streams given")
+    for samples in streams.values():
+        samples.sort(key=lambda s: s.timestamp_us)
     tolerance_us = int(args.tol_ms * 1000)
     tuples, report = align(streams, rate_hz=args.rate, tolerance_us=tolerance_us)
     episode = Episode(
@@ -246,8 +246,9 @@ def cmd_fuse(args) -> dict:
     out_tuples = []
     for tup in episode.tuples:
         clouds = [c for _, c in sorted(tup.clouds().items())]
-        visual = crop_aabb(merge(clouds), box)
-        visual = fps_downsample(visual, args.nvis, seed=args.seed)
+        visual = crop_aabb(merge(clouds) if clouds else CloudXYZF.empty(BASE_FRAME), box)
+        if len(visual):
+            visual = fps_downsample(visual, args.nvis, seed=_seed(args))
         joints = tup.joint_state()
         if joints is None:
             raise InvalidInputError("episode has no joint stream; cannot place tactile points")
@@ -287,7 +288,7 @@ def cmd_track(args) -> dict:
         prior_center=prior_center,
         translation_half_extent=float(prior.get("translation_half_extent", 0.03)),
         rotation_half_angle=float(np.deg2rad(prior.get("rotation_half_angle_deg", 20.0))),
-        seed=args.seed,
+        seed=_seed(args),
     )
     n_steps = 0
     with open(args.out, "w") as fout:
@@ -320,14 +321,7 @@ def cmd_track(args) -> dict:
 
 
 def _read_poses_jsonl(path) -> dict:
-    poses = {}
-    with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            d = json.loads(line)
-            poses[int(d["t_us"])] = PoseSE3.from_dict(d["pose"])
-    return poses
+    return {int(d["t_us"]): PoseSE3.from_dict(d["pose"]) for d in _jsonl(path)}
 
 
 def cmd_eval(args) -> dict:
@@ -373,7 +367,9 @@ def cmd_stats(args) -> dict:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="vitac", description=__doc__)
     parser.add_argument("--version", action="version", version=f"vitac {__version__}")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="rng seed (default 0)")
+    parser.add_argument(
+        "--seed", type=int, help="rng seed (default 0; simulate defaults to the scene's seed)"
+    )
     parser.add_argument("--log-level", default="warning", help="debug|info|warning|error")
     parser.add_argument("--json", action="store_true", help="machine-readable report on stdout")
     sub = parser.add_subparsers(dest="command", required=True)

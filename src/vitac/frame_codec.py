@@ -18,7 +18,9 @@ two magic bytes before the scan resumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import binascii
+import struct
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,23 +36,13 @@ READING_BITS = 10
 MAX_READING = (1 << READING_BITS) - 1
 
 
-def _make_crc_table() -> list[int]:
-    table = []
-    for byte in range(256):
-        crc = byte << 8
-        for _ in range(8):
-            crc = ((crc << 1) ^ 0x1021) & 0xFFFF if crc & 0x8000 else (crc << 1) & 0xFFFF
-        table.append(crc)
-    return table
-
-
-_CRC_TABLE = _make_crc_table()
+# magic, version, pad_id, seq, timestamp_us: bytes [0, HEADER_LEN)
+_HEADER = struct.Struct("<2sBBIQ")
 
 
 def crc16_ccitt_false(data: bytes, crc: int = 0xFFFF) -> int:
-    for byte in data:
-        crc = ((crc << 8) & 0xFFFF) ^ _CRC_TABLE[(crc >> 8) ^ byte]
-    return crc
+    """CRC-16/CCITT-FALSE: polynomial 0x1021, MSB-first, no final xor."""
+    return binascii.crc_hqx(data, crc)
 
 
 class FrameDecodeError(VitacError):
@@ -115,23 +107,15 @@ def encode_frame(frame: TactileFrame, seq: int) -> bytes:
     """Serialize a raw frame; decode_frame inverts this exactly."""
     if frame.normalized:
         raise InvalidInputError("only raw frames can be encoded")
-    if np.any(frame.readings > MAX_READING):
-        raise InvalidInputError(f"readings exceed {READING_BITS}-bit range")
     if not (0 <= seq < 1 << 32):
         raise InvalidInputError(f"seq {seq} does not fit in u32")
     if not (0 <= frame.pad_id < 256):
         raise InvalidInputError(f"pad_id {frame.pad_id} does not fit in one byte")
     if not (0 <= frame.timestamp_us < 1 << 64):
         raise InvalidInputError("timestamp_us does not fit in u64")
-    head = (
-        MAGIC
-        + bytes([VERSION, frame.pad_id])
-        + seq.to_bytes(4, "little")
-        + frame.timestamp_us.to_bytes(8, "little")
-    )
-    body = head + pack_readings(frame.readings)
-    crc = crc16_ccitt_false(body)
-    return body + crc.to_bytes(2, "big")
+    body = _HEADER.pack(MAGIC, VERSION, frame.pad_id, seq, frame.timestamp_us)
+    body += pack_readings(frame.readings)
+    return body + crc16_ccitt_false(body).to_bytes(2, "big")
 
 
 def decode_frame(data: bytes) -> WireFrame:
@@ -139,19 +123,16 @@ def decode_frame(data: bytes) -> WireFrame:
     if len(data) < FRAME_LEN:
         raise NeedMoreDataError(f"need {FRAME_LEN} bytes, got {len(data)}")
     data = bytes(data[:FRAME_LEN])
-    if data[:2] != MAGIC:
+    magic, version, pad_id, seq, timestamp_us = _HEADER.unpack_from(data)
+    if magic != MAGIC:
         raise BadMagicError("candidate does not start with magic bytes")
     stored = int.from_bytes(data[336:338], "big")
     if crc16_ccitt_false(data[:336]) != stored:
         raise CrcMismatchError("CRC mismatch")
-    if data[2] != VERSION:
-        raise BadVersionError(f"unsupported version {data[2]}")
-    return WireFrame(
-        pad_id=data[3],
-        seq=int.from_bytes(data[4:8], "little"),
-        timestamp_us=int.from_bytes(data[8:16], "little"),
-        readings=unpack_readings(data[HEADER_LEN : HEADER_LEN + PAYLOAD_LEN]),
-    )
+    if version != VERSION:
+        raise BadVersionError(f"unsupported version {version}")
+    readings = unpack_readings(data[HEADER_LEN : HEADER_LEN + PAYLOAD_LEN])
+    return WireFrame(pad_id, seq, timestamp_us, readings)
 
 
 @dataclass

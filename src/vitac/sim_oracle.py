@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .kinematics import (
-    FIXED,
     PRISMATIC,
     JointState,
     KinematicChain,

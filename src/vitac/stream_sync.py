@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     ChecksumError,
+    EpisodeLoadError,
     EpisodeVersionError,
     InvalidInputError,
     StreamStarvedError,
@@ -56,21 +57,20 @@ class SyncedTuple:
     tick_time_us: int
     members: dict
 
+    def _payloads(self, prefix: str) -> dict:
+        return {
+            int(sid[len(prefix) :]): sample.payload
+            for sid, sample in self.members.items()
+            if sid.startswith(prefix)
+        }
+
     def tactile_frames(self) -> dict:
         """pad_id -> TactileFrame for every tactile member."""
-        out = {}
-        for sid, sample in self.members.items():
-            if sid.startswith("tactile/"):
-                out[int(sid.split("/", 1)[1])] = sample.payload
-        return out
+        return self._payloads("tactile/")
 
     def clouds(self) -> dict:
         """cam_id -> CloudXYZF for every camera member."""
-        out = {}
-        for sid, sample in self.members.items():
-            if sid.startswith("camera/"):
-                out[int(sid.split("/", 1)[1])] = sample.payload
-        return out
+        return self._payloads("camera/")
 
     def joint_state(self):
         sample = self.members.get(JOINTS_STREAM)
@@ -177,7 +177,6 @@ class Episode:
     tolerance_us: int
     streams: list
     tuples: list
-    calibration_ref: str = ""
     metadata: dict = field(default_factory=dict)
 
 
@@ -234,16 +233,10 @@ def _encode_payload(payload) -> bytes:
         if payload.normalized:
             return head + payload.readings.astype("<f8").tobytes()
         return head + payload.readings.astype("<u2").tobytes()
-    if isinstance(payload, CloudXYZF):
+    if isinstance(payload, (CloudXYZF, FusedCloud)):
+        tag = _TAG_CLOUD if isinstance(payload, CloudXYZF) else _TAG_FUSED
         return (
-            struct.pack("<B", _TAG_CLOUD)
-            + _pack_str(payload.frame)
-            + struct.pack("<I", len(payload))
-            + payload.points.astype("<f8").tobytes()
-        )
-    if isinstance(payload, FusedCloud):
-        return (
-            struct.pack("<B", _TAG_FUSED)
+            struct.pack("<B", tag)
             + _pack_str(payload.frame)
             + struct.pack("<I", len(payload))
             + payload.points.astype("<f8").tobytes()
@@ -257,6 +250,8 @@ def _encode_payload(payload) -> bytes:
 
 
 class _Reader:
+    """Bounds-checked cursor over a byte buffer; reading past its end is a TruncatedFileError."""
+
     def __init__(self, buf: bytes, context: str):
         self.buf = buf
         self.pos = 0
@@ -264,7 +259,7 @@ class _Reader:
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.buf):
-            raise TruncatedFileError(f"{self.context}: record ends early")
+            raise TruncatedFileError(f"{self.context}: truncated")
         out = self.buf[self.pos : self.pos + n]
         self.pos += n
         return out
@@ -297,7 +292,7 @@ def _decode_payload(r: _Reader):
         ts, n = r.unpack("<qH")
         positions = np.frombuffer(r.take(n * 8), dtype="<f8")
         return JointState(positions, ts)
-    raise ChecksumError(f"{r.context}: unknown payload tag {tag}")
+    raise EpisodeLoadError(f"{r.context}: unknown payload tag {tag}")
 
 
 def _encode_tuple(tup: SyncedTuple) -> bytes:
@@ -327,7 +322,6 @@ def write_episode(episode: Episode, path) -> None:
             "rate_hz": episode.rate_hz,
             "tolerance_us": episode.tolerance_us,
             "streams": list(episode.streams),
-            "calibration_ref": episode.calibration_ref,
             "metadata": episode.metadata,
             "tuple_count": len(episode.tuples),
         }
@@ -338,7 +332,12 @@ def write_episode(episode: Episode, path) -> None:
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
         for tup in episode.tuples:
-            payload = _encode_tuple(tup)
+            try:
+                payload = _encode_tuple(tup)
+            except struct.error as exc:
+                raise InvalidInputError(
+                    f"tick {tup.tick_time_us}: a value does not fit the episode format ({exc})"
+                ) from None
             fh.write(struct.pack("<I", len(payload)))
             fh.write(payload)
             fh.write(struct.pack("<I", zlib.crc32(payload)))
@@ -349,38 +348,25 @@ def read_episode(path) -> Episode:
         data = fh.read()
     if data[:4] != EPISODE_MAGIC:
         raise EpisodeVersionError(f"{path}: bad magic, not an episode file")
-    if len(data) < 10:
-        raise TruncatedFileError(f"{path}: header incomplete")
-    (version,) = struct.unpack_from("<H", data, 4)
+    r = _Reader(data, f"{path} header")
+    r.take(len(EPISODE_MAGIC))
+    version, header_len = r.unpack("<HI")
     if version != EPISODE_VERSION:
         raise EpisodeVersionError(f"{path}: unsupported version {version}")
-    (header_len,) = struct.unpack_from("<I", data, 6)
-    pos = 10
-    if pos + header_len > len(data):
-        raise TruncatedFileError(f"{path}: header incomplete")
-    header = json.loads(data[pos : pos + header_len].decode("utf-8"))
-    pos += header_len
+    header = json.loads(r.take(header_len).decode("utf-8"))
     tuples = []
     for i in range(int(header.get("tuple_count", 0))):
-        ctx = f"{path} record {i}"
-        if pos + 4 > len(data):
-            raise TruncatedFileError(f"{ctx}: length prefix missing")
-        (n,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        if pos + n + 4 > len(data):
-            raise TruncatedFileError(f"{ctx}: payload or CRC missing")
-        payload = data[pos : pos + n]
-        pos += n
-        (stored,) = struct.unpack_from("<I", data, pos)
-        pos += 4
+        r.context = f"{path} record {i}"
+        (n,) = r.unpack("<I")
+        payload = r.take(n)
+        (stored,) = r.unpack("<I")
         if zlib.crc32(payload) != stored:
-            raise ChecksumError(f"{ctx}: CRC32 mismatch")
-        tuples.append(_decode_tuple(payload, ctx))
+            raise ChecksumError(f"{r.context}: CRC32 mismatch")
+        tuples.append(_decode_tuple(payload, r.context))
     return Episode(
         rate_hz=float(header["rate_hz"]),
         tolerance_us=int(header["tolerance_us"]),
         streams=list(header["streams"]),
         tuples=tuples,
-        calibration_ref=str(header.get("calibration_ref", "")),
         metadata=dict(header.get("metadata", {})),
     )

@@ -10,7 +10,7 @@ from vitac.pointcloud import CloudXYZF, write_cloud_ply
 from vitac.se3 import PoseSE3, matrix_to_quat
 from vitac.sensor_model import TactileFrame
 from vitac.sim_oracle import Primitive, SceneSpec
-from vitac.stream_sync import read_episode
+from vitac.stream_sync import Episode, SyncedTuple, read_episode, write_episode
 
 GRIP_ROT = np.array([[0.0, 0, -1], [0, 1, 0], [1, 0, 0]])
 
@@ -195,6 +195,60 @@ def test_full_pipeline_simulate_fuse_track_eval(tmp_path, capsys):
     report = run_json(capsys, ["stats", "--episode", str(ep_path)])
     assert report["tuples"] == 10
     assert report["dropped_ticks"] == 0
+
+
+def test_simulate_seed_defaults_to_scene(tmp_path, capsys):
+    scene_path = tmp_path / "scene.json"
+    write_scene(scene_path, seed=5)
+    base = ["simulate", "--scene", str(scene_path), "--dur", "0.2", "--out", str(tmp_path / "s.vtep")]
+    assert run_json(capsys, base)["seed"] == 5
+    assert run_json(capsys, ["--seed", "7"] + base)["seed"] == 7
+
+
+@pytest.mark.parametrize("case", ["box-excludes-camera", "no-camera-stream"])
+def test_fuse_without_visual_points(tmp_path, capsys, case):
+    scene_path = tmp_path / "scene.json"
+    scene = write_scene(scene_path)
+    ep_path = tmp_path / "ep.vtep"
+    run_json(capsys, ["simulate", "--scene", str(scene_path), "--dur", "0.3", "--out", str(ep_path)])
+    if case == "box-excludes-camera":
+        box = {"min": [0.5, 0.5, 0.5], "max": [0.6, 0.6, 0.6]}
+    else:
+        box = {"min": [-0.2, -0.2, -0.2], "max": [0.2, 0.2, 0.2]}
+        ep = read_episode(ep_path)
+        tuples = [
+            SyncedTuple(t.tick_time_us, {k: v for k, v in t.members.items() if k != "camera/0"})
+            for t in ep.tuples
+        ]
+        streams = [s for s in ep.streams if s != "camera/0"]
+        write_episode(Episode(ep.rate_hz, ep.tolerance_us, streams, tuples), ep_path)
+    box_path = tmp_path / "box.json"
+    box_path.write_text(json.dumps(box))
+    chain_path = tmp_path / "chain.json"
+    save_chain_file(chain_path, *scene.chain_and_mounts())
+    fused_path = tmp_path / "fused.vtep"
+    report = run_json(
+        capsys,
+        ["fuse", "--episode", str(ep_path), "--chain", str(chain_path),
+         "--box", str(box_path), "--out", str(fused_path)],
+    )
+    assert report["tuples"] == 3
+    for tup in read_episode(fused_path).tuples:
+        fused = tup.members["fused"].payload
+        assert fused.n_visual == 0
+        assert fused.n_tactile == 512
+
+
+def test_sync_timestamp_beyond_episode_range_is_domain_error(tmp_path, capsys):
+    joints_path = tmp_path / "joints.jsonl"
+    joints_path.write_text(
+        "".join(json.dumps({"timestamp_us": 2**63 + i * 100_000, "positions": [0.0]}) + "\n"
+                for i in range(2))
+    )
+    code = main(["sync", "--joints", str(joints_path), "--out", str(tmp_path / "ep.vtep")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_missing_file_is_usage_error(tmp_path, capsys):

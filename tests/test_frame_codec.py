@@ -26,9 +26,49 @@ def random_frame(rng, pad_id=None):
     )
 
 
+def _crc16_bitwise(data: bytes, crc: int = 0xFFFF) -> int:
+    # reference: polynomial 0x1021 shifted in one bit at a time, MSB-first
+    for byte in data:
+        crc ^= byte << 8
+        for _ in range(8):
+            crc = ((crc << 1) ^ 0x1021) & 0xFFFF if crc & 0x8000 else (crc << 1) & 0xFFFF
+    return crc
+
+
 def test_crc_check_value():
     # CRC-16/CCITT-FALSE reference check value
     assert crc16_ccitt_false(b"123456789") == 0x29B1
+    assert _crc16_bitwise(b"123456789") == 0x29B1
+
+
+def test_crc_matches_bitwise_reference():
+    rng = np.random.default_rng(10)
+    for _ in range(300):
+        data = rng.integers(0, 256, size=int(rng.integers(0, 400)), dtype=np.uint8).tobytes()
+        init = int(rng.integers(0, 1 << 16))
+        assert crc16_ccitt_false(data, init) == _crc16_bitwise(data, init)
+
+
+def test_encode_frame_known_answer():
+    # expected bytes built field by field, independently of the codec's packing
+    readings = (np.arange(256).reshape(16, 16) * 37) % 1024
+    bits = "".join(format(int(r), "010b") for r in readings.ravel())
+    payload = np.packbits([int(b) for b in bits]).tobytes()
+    body = (
+        b"\xa5\x5a"
+        + (1).to_bytes(1, "little")
+        + (0x7E).to_bytes(1, "little")
+        + (0xA1B2C3D4).to_bytes(4, "little")
+        + (0x0102030405060708).to_bytes(8, "little")
+        + payload
+    )
+    expected = body + _crc16_bitwise(body).to_bytes(2, "big")
+    assert len(expected) == FRAME_LEN
+    frame = TactileFrame(0x7E, 0x0102030405060708, readings)
+    assert encode_frame(frame, seq=0xA1B2C3D4) == expected
+    wire = decode_frame(expected)
+    assert (wire.pad_id, wire.seq, wire.timestamp_us) == (0x7E, 0xA1B2C3D4, 0x0102030405060708)
+    assert np.array_equal(wire.readings, readings)
 
 
 def test_payload_size():

@@ -1,8 +1,13 @@
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
 from vitac.errors import (
     ChecksumError,
+    EpisodeLoadError,
     EpisodeVersionError,
     InvalidInputError,
     StreamStarvedError,
@@ -239,6 +244,84 @@ def test_episode_bad_magic_and_version(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(EpisodeVersionError):
         read_episode(path)
+
+
+def _record(tick, sid, ts, payload_bytes):
+    """One single-member .vtep record: length prefix, tuple bytes, CRC32."""
+    body = struct.pack("<qHH", tick, 1, len(sid)) + sid.encode() + struct.pack("<q", ts) + payload_bytes
+    return struct.pack("<I", len(body)) + body + struct.pack("<I", zlib.crc32(body))
+
+
+def _episode_bytes(header: dict, records: bytes) -> bytes:
+    raw = json.dumps(header).encode()
+    return b"VTEP" + struct.pack("<HI", 1, len(raw)) + raw + records
+
+
+_RAW = np.arange(256, dtype=np.uint16).reshape(16, 16) * 4
+_NORM = np.linspace(0.0, 1.0, 256).reshape(16, 16)
+_XYZF = np.array([[0.1, -0.2, 0.3, 0.0], [1.5, 2.5, -3.5, 0.25]])
+_FUSED = np.array([[0.1, -0.2, 0.3, 0.0, 1.0, 0.0], [1.5, 2.5, -3.5, 0.75, 0.0, 1.0]])
+_Q = np.array([0.01, -0.02, 0.5])
+
+# payload object -> its expected bytes, one case per payload tag
+PAYLOAD_CASES = {
+    "tactile-raw": (
+        TactileFrame(3, 777, _RAW),
+        struct.pack("<BHBq", 1, 3, 0, 777) + struct.pack("<256H", *_RAW.ravel().tolist()),
+    ),
+    "tactile-normalized": (
+        TactileFrame(3, 777, _NORM, normalized=True),
+        struct.pack("<BHBq", 1, 3, 1, 777) + struct.pack("<256d", *_NORM.ravel()),
+    ),
+    "cloud": (
+        CloudXYZF(_XYZF, "base"),
+        struct.pack("<BH", 2, 4) + b"base" + struct.pack("<I", 2) + struct.pack("<8d", *_XYZF.ravel()),
+    ),
+    "fused": (
+        FusedCloud(_FUSED, "base"),
+        struct.pack("<BH", 4, 4) + b"base" + struct.pack("<I", 2) + struct.pack("<12d", *_FUSED.ravel()),
+    ),
+    "joints": (
+        JointState(_Q, 777),
+        struct.pack("<BqH", 3, 777, 3) + struct.pack("<3d", *_Q),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PAYLOAD_CASES))
+def test_episode_record_known_answer(tmp_path, kind):
+    payload, payload_bytes = PAYLOAD_CASES[kind]
+    member = TimedSample("s", 100_123, payload)
+    ep = Episode(10.0, 50_000, ["s"], [SyncedTuple(100_000, {"s": member})])
+    path = tmp_path / "k.vtep"
+    write_episode(ep, path)
+    header = {"rate_hz": 10.0, "tolerance_us": 50_000, "streams": ["s"], "metadata": {}, "tuple_count": 1}
+    assert path.read_bytes() == _episode_bytes(header, _record(100_000, "s", 100_123, payload_bytes))
+
+
+def test_episode_header_with_calibration_ref_reads(tmp_path):
+    header = {"rate_hz": 10.0, "tolerance_us": 0, "streams": ["s"], "calibration_ref": "",
+              "metadata": {}, "tuple_count": 1}
+    path = tmp_path / "old.vtep"
+    path.write_bytes(_episode_bytes(header, _record(0, "s", 0, PAYLOAD_CASES["joints"][1])))
+    joints = read_episode(path).tuples[0].members["s"].payload
+    assert np.array_equal(joints.positions, _Q)
+
+
+def test_episode_unknown_payload_tag_is_load_error(tmp_path):
+    header = {"rate_hz": 10.0, "tolerance_us": 0, "streams": ["s"], "metadata": {}, "tuple_count": 1}
+    path = tmp_path / "u.vtep"
+    path.write_bytes(_episode_bytes(header, _record(0, "s", 0, b"\x09")))
+    with pytest.raises(EpisodeLoadError, match="unknown payload tag 9") as exc:
+        read_episode(path)
+    assert not isinstance(exc.value, ChecksumError)
+
+
+def test_write_episode_timestamp_out_of_range(tmp_path):
+    member = TimedSample(JOINTS_STREAM, 0, JointState([0.0], 2**63))
+    ep = Episode(10.0, 0, [JOINTS_STREAM], [SyncedTuple(0, {JOINTS_STREAM: member})])
+    with pytest.raises(InvalidInputError, match="tick 0"):
+        write_episode(ep, tmp_path / "big.vtep")
 
 
 def test_episode_stats_aligned():
