@@ -140,21 +140,36 @@ def cmd_decode(args) -> dict:
     return report
 
 
-def _jsonl(path):
-    """Yield the parsed object of every nonblank line of a JSON-lines file."""
-    with open(path) as fh:
-        for line in fh:
-            if line.strip():
-                yield json.loads(line)
+def _jsonl(path, parse) -> list:
+    """parse(obj) for the object on every nonblank line of a JSON-lines file.
+
+    A line that is not UTF-8 JSON, or whose object lacks a key that parse reads
+    or holds a value of the wrong type, raises InvalidInputError naming path:line.
+    """
+    out = []
+    with open(path, "rb") as fh:  # json.loads decodes each line, so a bad byte names its line
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                out.append(parse(json.loads(line)))
+            except json.JSONDecodeError as exc:
+                raise InvalidInputError(f"{path}:{lineno}: not a JSON line ({exc.msg})") from None
+            except KeyError as exc:
+                raise InvalidInputError(f"{path}:{lineno}: missing key {exc}") from None
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InvalidInputError(f"{path}:{lineno}: {exc}") from None
+    return out
 
 
 def _read_tactile_jsonl(path) -> dict:
     """stream_id -> samples from a decode-format jsonl file."""
     streams = {}
-    for d in _jsonl(path):
-        frame = TactileFrame(
-            d["pad_id"], d["timestamp_us"], np.asarray(d["readings"]), normalized=False
-        )
+
+    def parse(d):
+        return TactileFrame(d["pad_id"], d["timestamp_us"], np.asarray(d["readings"]))
+
+    for frame in _jsonl(path, parse):
         sid = tactile_stream(frame.pad_id)
         streams.setdefault(sid, []).append(TimedSample(sid, frame.timestamp_us, frame))
     return streams
@@ -181,11 +196,11 @@ def _read_cloud_dir(path) -> dict:
 
 
 def _read_joints_jsonl(path) -> dict:
-    samples = []
-    for d in _jsonl(path):
+    def parse(d):
         ts = int(d["timestamp_us"])
-        samples.append(TimedSample(JOINTS_STREAM, ts, JointState(np.asarray(d["positions"]), ts)))
-    return {JOINTS_STREAM: samples}
+        return TimedSample(JOINTS_STREAM, ts, JointState(np.asarray(d["positions"]), ts))
+
+    return {JOINTS_STREAM: _jsonl(path, parse)}
 
 
 def cmd_sync(args) -> dict:
@@ -321,7 +336,7 @@ def cmd_track(args) -> dict:
 
 
 def _read_poses_jsonl(path) -> dict:
-    return {int(d["t_us"]): PoseSE3.from_dict(d["pose"]) for d in _jsonl(path)}
+    return dict(_jsonl(path, lambda d: (int(d["t_us"]), PoseSE3.from_dict(d["pose"]))))
 
 
 def cmd_eval(args) -> dict:

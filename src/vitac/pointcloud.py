@@ -7,6 +7,7 @@ normalized reading. Fusion appends two one-hot flags marking modality.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,16 +135,8 @@ def crop_aabb(cloud: CloudXYZF, box: AABB) -> CloudXYZF:
     return CloudXYZF(cloud.points[mask], cloud.frame)
 
 
-def _sqdist_to(xyz: np.ndarray, p: np.ndarray) -> np.ndarray:
-    # coordinatewise form keeps the arithmetic identical to the brute-force oracle
-    dx = xyz[:, 0] - p[0]
-    dy = xyz[:, 1] - p[1]
-    dz = xyz[:, 2] - p[2]
-    return dx * dx + dy * dy + dz * dz
-
-
 def fps_indices(xyz: np.ndarray, k: int, seed: int, start: int | None = None) -> np.ndarray:
-    """Greedy farthest-point selection over xyz rows.
+    """Greedy farthest-point selection over finite xyz rows.
 
     The start index is a seeded uniform pick unless forced. Each later pick
     maximizes the minimum squared distance to the selected set; ties break
@@ -155,20 +148,48 @@ def fps_indices(xyz: np.ndarray, k: int, seed: int, start: int | None = None) ->
         raise InvalidInputError(f"k must be >= 1, got {k}")
     if n == 0:
         raise InvalidInputError("cannot sample from an empty cloud")
+    if not np.all(np.isfinite(xyz)):
+        raise InvalidInputError("cannot sample from a cloud with non-finite coordinates")
     if start is None:
         start = int(np.random.default_rng(seed).integers(n))
     elif not (0 <= start < n):
         raise InvalidInputError(f"start index {start} out of range")
     count = min(k, n)
+    # The points are sorted along their widest axis, and each pick updates
+    # only the slab |key - key[p]| <= r, r = sqrt(m) padded so that r*r > m
+    # despite rounding, m the largest dmin left. The searchsorted sides put
+    # every point left out strictly beyond kp -+ r, so its rounded dx*dx is
+    # already >= m >= dmin; adding nonnegative squares cannot lower a rounded
+    # sum, so updating every point would leave those unchanged: the picks are
+    # those of the full update.
+    axis = int(np.argmax(np.ptp(xyz, axis=0)))
+    order = np.argsort(xyz[:, axis], kind="stable")
+    cols = np.ascontiguousarray(xyz[order].T)
+    key = cols[axis]
+    dmin = np.full(n, np.inf)
+    sq = np.empty((3, n))
     selected = np.empty(count, dtype=np.int64)
-    selected[0] = start
-    dmin = _sqdist_to(xyz, xyz[start])
-    dmin[start] = -1.0  # sentinel: never re-select
-    for i in range(1, count):
-        nxt = int(np.argmax(dmin))
-        selected[i] = nxt
-        dmin = np.minimum(dmin, _sqdist_to(xyz, xyz[nxt]))
-        dmin[nxt] = -1.0
+    p, lo, hi = int(np.flatnonzero(order == start)[0]), 0, n
+    for i in range(count):
+        if i:
+            m = dmin.max()
+            ties = np.flatnonzero(dmin == m)
+            p = int(ties[0])
+            if ties.size > 1:  # equal distances go to the lowest input index
+                p = int(ties[np.argmin(order[ties])])
+            r = math.sqrt(m) * (1.0 + 1e-12)
+            kp = float(key[p])
+            lo = int(key.searchsorted(kp - r, "left"))
+            hi = int(key.searchsorted(kp + r, "right"))
+        selected[i] = order[p]
+        # (dx*dx + dy*dy) + dz*dz, the arithmetic of the brute-force oracle
+        d = sq[:, lo:hi]
+        np.subtract(cols[:, lo:hi], cols[:, p : p + 1], out=d)
+        np.multiply(d, d, out=d)
+        np.add(d[0], d[1], out=d[0])
+        np.add(d[0], d[2], out=d[0])
+        np.minimum(dmin[lo:hi], d[0], out=dmin[lo:hi])
+        dmin[p] = -1.0  # sentinel: never re-select
     return selected
 
 

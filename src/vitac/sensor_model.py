@@ -173,11 +173,12 @@ class TactileFrame:
             if not np.all(np.isfinite(r)) or np.any(r < 0) or np.any(r > 1):
                 raise InvalidInputError("normalized readings must lie in [0, 1]")
         else:
-            if not np.all(np.isfinite(np.asarray(r, dtype=np.float64))):
+            values = np.asarray(r, dtype=np.float64)
+            if not np.all(np.isfinite(values)):
                 raise InvalidInputError("raw readings must be finite")
-            if np.any(np.asarray(r, dtype=np.float64) % 1 != 0) or np.any(r < 0):
-                raise InvalidInputError("raw readings must be nonnegative integers")
-            r = r.astype(np.uint16)
+            if np.any(values % 1 != 0) or values.min() < 0 or values.max() > 65535:
+                raise InvalidInputError("raw readings must be integers in [0, 65535]")
+            r = values.astype(np.uint16)
         r.setflags(write=False)
         object.__setattr__(self, "readings", r)
         object.__setattr__(self, "pad_id", int(self.pad_id))

@@ -353,9 +353,19 @@ def read_episode(path) -> Episode:
     version, header_len = r.unpack("<HI")
     if version != EPISODE_VERSION:
         raise EpisodeVersionError(f"{path}: unsupported version {version}")
-    header = json.loads(r.take(header_len).decode("utf-8"))
+    try:
+        header = json.loads(r.take(header_len).decode("utf-8"))
+        rate_hz, tolerance_us = float(header["rate_hz"]), int(header["tolerance_us"])
+        streams, metadata = list(header["streams"]), dict(header.get("metadata", {}))
+        tuple_count = int(header.get("tuple_count", 0))
+    except KeyError as exc:
+        raise EpisodeLoadError(f"{path}: header lacks {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise EpisodeLoadError(f"{path}: bad header ({exc})") from None
+    if not rate_hz > 0:
+        raise EpisodeLoadError(f"{path}: header rate_hz must be positive, got {rate_hz}")
     tuples = []
-    for i in range(int(header.get("tuple_count", 0))):
+    for i in range(tuple_count):
         r.context = f"{path} record {i}"
         (n,) = r.unpack("<I")
         payload = r.take(n)
@@ -363,10 +373,4 @@ def read_episode(path) -> Episode:
         if zlib.crc32(payload) != stored:
             raise ChecksumError(f"{r.context}: CRC32 mismatch")
         tuples.append(_decode_tuple(payload, r.context))
-    return Episode(
-        rate_hz=float(header["rate_hz"]),
-        tolerance_us=int(header["tolerance_us"]),
-        streams=list(header["streams"]),
-        tuples=tuples,
-        metadata=dict(header.get("metadata", {})),
-    )
+    return Episode(rate_hz, tolerance_us, streams, tuples, metadata)

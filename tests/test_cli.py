@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -249,6 +250,61 @@ def test_sync_timestamp_beyond_episode_range_is_domain_error(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_READINGS = np.zeros((16, 16), dtype=int).tolist()
+_FRAME = {"pad_id": 0, "seq": 0, "timestamp_us": 0, "readings": _READINGS}
+_POSE = {"q": [1.0, 0.0, 0.0, 0.0], "t": [0.0, 0.0, 0.0]}
+# (input flag, bad line, text the error names); the file puts a good line and a blank
+# one before the bad line, so the error must name line 3
+BAD_JSON_LINES = {
+    "joints-unclosed": ("--joints", '{"timestamp_us": 1, "positions": [0.0]', "not a JSON line"),
+    "joints-no-positions": ("--joints", '{"timestamp_us": 1}', "'positions'"),
+    "joints-timestamp-string": ("--joints", '{"timestamp_us": "x", "positions": [0.0]}', "'x'"),
+    "tactile-no-readings": ("--tactile", '{"pad_id": 0, "timestamp_us": 5}', "'readings'"),
+    "tactile-ragged": ("--tactile", json.dumps({**_FRAME, "readings": [[1, 2], [3]]}), ""),
+    "tactile-65541": ("--tactile", json.dumps({**_FRAME, "readings": [[65541] * 16] * 16}),
+                      "65535"),
+    "poses-no-pose": ("--poses", '{"t_us": 0}', "'pose'"),
+    "poses-not-object": ("--poses", "[0, 1]", "list indices"),
+    "poses-not-utf8": ("--poses", b'{"t_us": 0, "pose": "\xff"}', "utf-8"),
+}
+_GOOD_LINE = {
+    "--joints": json.dumps({"timestamp_us": 0, "positions": [0.0]}),
+    "--tactile": json.dumps(_FRAME),
+    "--poses": json.dumps({"t_us": 0, "pose": _POSE}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_JSON_LINES))
+def test_bad_json_line_is_one_error_line(tmp_path, capsys, kind):
+    flag, line, names = BAD_JSON_LINES[kind]
+    path = tmp_path / "in.jsonl"
+    bad = line if isinstance(line, bytes) else line.encode()
+    path.write_bytes(_GOOD_LINE[flag].encode() + b"\n\n" + bad + b"\n")
+    if flag == "--poses":
+        truth = tmp_path / "truth.jsonl"
+        truth.write_text(json.dumps({"t_us": 0, "pose": _POSE}) + "\n")
+        argv = ["eval", "--poses", str(path), "--truth", str(truth)]
+    else:
+        argv = ["sync", flag, str(path), "--out", str(tmp_path / "ep.vtep")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:3: ") and err.count("\n") == 1, err
+    assert names in err
+
+
+@pytest.mark.parametrize(
+    "header",
+    [b'{"rate_hz": 10.0', b'{"tolerance_us": 0, "streams": []}',
+     b'{"rate_hz": 0, "tolerance_us": 0, "streams": []}'],
+)
+def test_stats_bad_header_is_one_error_line(tmp_path, capsys, header):
+    path = tmp_path / "h.vtep"
+    path.write_bytes(b"VTEP" + struct.pack("<HI", 1, len(header)) + header)
+    assert main(["stats", "--episode", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "header" in err and err.count("\n") == 1
 
 
 def test_missing_file_is_usage_error(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vitac.errors import InvalidInputError
 from vitac.pointcloud import (
@@ -49,6 +51,35 @@ def fps_bruteforce(xyz, k, start):
                 best_idx = i
         selected.append(best_idx)
     return np.array(selected)
+
+
+def fps_full_update(xyz, k, start):
+    """The plain greedy loop: every pick updates the minimum distance of every point."""
+    xyz = np.asarray(xyz, dtype=np.float64)
+
+    def sqdist_to(p):
+        dx = xyz[:, 0] - p[0]
+        dy = xyz[:, 1] - p[1]
+        dz = xyz[:, 2] - p[2]
+        return dx * dx + dy * dy + dz * dz
+
+    selected = np.empty(min(k, xyz.shape[0]), dtype=np.int64)
+    selected[0] = start
+    dmin = sqdist_to(xyz[start])
+    dmin[start] = -1.0
+    for i in range(1, len(selected)):
+        nxt = int(np.argmax(dmin))
+        selected[i] = nxt
+        dmin = np.minimum(dmin, sqdist_to(xyz[nxt]))
+        dmin[nxt] = -1.0
+    return selected
+
+
+def assert_fps_matches_oracles(xyz, k, start):
+    fast = fps_indices(xyz, k, seed=0, start=start)
+    assert np.array_equal(fast, fps_full_update(xyz, k, start))
+    if xyz.shape[0] <= 40:
+        assert np.array_equal(fast, fps_bruteforce(xyz, k, start))
 
 
 def test_merge_basics():
@@ -118,6 +149,77 @@ def test_fps_with_duplicate_points():
     xyz = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 0, 0], [1.0, 0, 0]])
     idx = fps_indices(xyz, 4, seed=0, start=0)
     assert len(set(idx.tolist())) == 4  # a true subset even with duplicates
+
+
+def test_fps_quantized_clouds_match_oracles():
+    # coordinates on a 1 mm grid: many exactly equal distances, also at slab edges
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        n = int(rng.integers(2, 40 if trial % 2 else 1500))
+        extent = rng.uniform(0.002, 0.05, size=3)
+        xyz = np.round(rng.uniform(0.0, 1.0, size=(n, 3)) * extent, 3)
+        k = int(rng.integers(1, min(n, 64) + 1))
+        assert_fps_matches_oracles(xyz, k, int(rng.integers(n)))
+
+
+def test_fps_flat_and_identical_clouds_match_oracles():
+    rng = np.random.default_rng(12)
+    for n in (5, 33, 700):
+        for flat_axes in ((0,), (1,), (2,), (0, 1), (1, 2), (0, 2), (0, 1, 2)):
+            xyz = rng.normal(size=(n, 3))
+            xyz[:, list(flat_axes)] = 0.25
+            assert_fps_matches_oracles(xyz, min(n, 30), int(rng.integers(n)))
+            assert_fps_matches_oracles(np.round(xyz, 1), min(n, 30), 0)
+
+
+def test_fps_two_points_and_k_beyond_n():
+    two = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    assert list(fps_indices(two, 2, seed=0, start=1)) == [1, 0]
+    assert list(fps_indices(two, 5, seed=0, start=0)) == [0, 1]
+    assert list(fps_indices(np.zeros((2, 3)), 2, seed=0, start=1)) == [1, 0]
+    rng = np.random.default_rng(13)
+    for n in (1, 2, 3, 17):
+        xyz = np.round(rng.normal(size=(n, 3)), 1)
+        for k in (n, n + 1, 10 * n):
+            idx = fps_indices(xyz, k, seed=3)
+            assert sorted(idx.tolist()) == list(range(n))
+            assert_fps_matches_oracles(xyz, k, int(idx[0]))
+
+
+def test_fps_dense_clouds_match_full_update():
+    # the size the fuse command meets: 16k camera points down to 512
+    rng = np.random.default_rng(14)
+    gaussian = rng.normal(size=(16_000, 3)) * [0.02, 0.02, 0.04]
+    box_grid = np.round(rng.uniform(size=(16_000, 3)) * [0.04, 0.04, 0.07], 3)
+    slab = rng.uniform(size=(16_000, 3)) * [0.08, 0.08, 0.0]
+    for xyz in (gaussian, box_grid, slab):
+        start = int(rng.integers(len(xyz)))
+        fast = fps_indices(xyz, 512, seed=0, start=start)
+        assert np.array_equal(fast, fps_full_update(xyz, 512, start))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    grid=st.lists(st.tuples(*[st.integers(-4, 4)] * 3), min_size=1, max_size=60),
+    scale=st.sampled_from([1e-3, 0.37, 1.0, 1e3]),
+    offset=st.sampled_from([0.0, -2.5, 1e3]),
+    k=st.integers(1, 70),
+    start=st.integers(0, 59),
+)
+def test_fps_property_matches_full_update(grid, scale, offset, k, start):
+    xyz = np.asarray(grid, dtype=np.float64) * scale + offset
+    start %= len(xyz)
+    idx = fps_indices(xyz, k, seed=0, start=start)
+    assert len(idx) == min(k, len(xyz)) and len(set(idx.tolist())) == len(idx)
+    assert np.array_equal(idx, fps_full_update(xyz, k, start))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fps_rejects_non_finite_points(bad):
+    xyz = np.zeros((4, 3))
+    xyz[2, 1] = bad
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        fps_indices(xyz, 2, seed=0)
 
 
 def test_fps_deterministic_and_subset():

@@ -137,6 +137,15 @@ def test_frame_validation():
     assert f.readings.dtype == np.uint16
 
 
+def test_raw_reading_beyond_uint16_rejected():
+    grid = np.zeros((16, 16), dtype=np.int64)
+    grid[4, 7] = 65541  # would wrap to 5 as uint16
+    with pytest.raises(InvalidInputError, match="65535"):
+        TactileFrame(0, 0, grid)
+    grid[4, 7] = 65535
+    assert TactileFrame(0, 0, grid).readings[4, 7] == 65535
+
+
 def test_normalize_full_scale():
     calib = PadCalibration(pad_id=0)
     frame = TactileFrame(0, 0, np.full((16, 16), 1023))

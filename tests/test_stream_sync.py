@@ -317,6 +317,29 @@ def test_episode_unknown_payload_tag_is_load_error(tmp_path):
     assert not isinstance(exc.value, ChecksumError)
 
 
+_HEADER = {"rate_hz": 10.0, "tolerance_us": 0, "streams": ["s"], "metadata": {}, "tuple_count": 0}
+BAD_HEADERS = {
+    "unclosed-json": json.dumps(_HEADER)[:-1].encode(),
+    "not-utf8": b"\xff" + json.dumps(_HEADER).encode(),
+    "not-an-object": b"[10.0, 0]",
+    "rate_hz-string": json.dumps({**_HEADER, "rate_hz": "fast"}).encode(),
+    "rate_hz-zero": json.dumps({**_HEADER, "rate_hz": 0}).encode(),
+    **{
+        f"no-{key}": json.dumps({k: v for k, v in _HEADER.items() if k != key}).encode()
+        for key in ("rate_hz", "tolerance_us", "streams")
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_HEADERS))
+def test_episode_bad_header_is_load_error(tmp_path, kind):
+    raw = BAD_HEADERS[kind]
+    path = tmp_path / "h.vtep"
+    path.write_bytes(b"VTEP" + struct.pack("<HI", 1, len(raw)) + raw)
+    with pytest.raises(EpisodeLoadError, match="header"):
+        read_episode(path)
+
+
 def test_write_episode_timestamp_out_of_range(tmp_path):
     member = TimedSample(JOINTS_STREAM, 0, JointState([0.0], 2**63))
     ep = Episode(10.0, 0, [JOINTS_STREAM], [SyncedTuple(0, {JOINTS_STREAM: member})])
