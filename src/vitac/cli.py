@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, jsonio
 from .errors import InvalidInputError, VitacError
 from .frame_codec import StreamDecoder
 from .kinematics import JointState, load_chain_file, tactile_point_cloud
@@ -74,21 +74,22 @@ def _require_dir(path: str) -> Path:
 
 
 def _load_calibrations(paths) -> dict:
-    calibs = {}
-    for path in paths or []:
-        c = PadCalibration.load(_require_file(path))
-        calibs[c.pad_id] = c
-    return calibs
+    calibs = [PadCalibration.load(_require_file(path)) for path in paths or []]
+    return {c.pad_id: c for c in calibs}
 
 
-def _normalize_frames(frames: dict, calibs: dict) -> dict:
+def _tactile_cloud(tup: SyncedTuple, chain, mounts, calibs: dict) -> CloudXYZF:
+    """The tuple's tactile frames, normalized by their pad calibrations, placed at their taxels."""
     from .sensor_model import normalize_frame
 
-    out = {}
-    for pad_id, frame in frames.items():
-        calib = calibs.get(pad_id, PadCalibration(pad_id=pad_id))
-        out[pad_id] = normalize_frame(calib, frame)
-    return out
+    joints = tup.joint_state()
+    if joints is None:
+        raise InvalidInputError("episode has no joint stream; cannot place tactile points")
+    frames = {
+        pad_id: normalize_frame(calibs.get(pad_id) or PadCalibration(pad_id=pad_id), frame)
+        for pad_id, frame in tup.tactile_frames().items()
+    }
+    return tactile_point_cloud(frames, chain, joints, mounts)
 
 
 def cmd_calibrate(args) -> dict:
@@ -116,50 +117,21 @@ def cmd_calibrate(args) -> dict:
 
 def cmd_decode(args) -> dict:
     decoder = StreamDecoder()
-    n = 0
-    with open(_require_file(args.infile), "rb") as fin, open(args.out, "w") as fout:
-        while True:
-            chunk = fin.read(65536)
-            if not chunk:
-                break
-            for frame in decoder.feed(chunk):
-                fout.write(
-                    json.dumps(
-                        {
-                            "pad_id": frame.pad_id,
-                            "seq": frame.seq,
-                            "timestamp_us": frame.timestamp_us,
-                            "readings": frame.readings.tolist(),
-                        }
-                    )
-                    + "\n"
-                )
-                n += 1
+    with open(_require_file(args.infile), "rb") as fin:
+        frames = (
+            {
+                "pad_id": frame.pad_id,
+                "seq": frame.seq,
+                "timestamp_us": frame.timestamp_us,
+                "readings": frame.readings.tolist(),
+            }
+            for chunk in iter(lambda: fin.read(65536), b"")
+            for frame in decoder.feed(chunk)
+        )
+        n = jsonio.write_jsonl(args.out, frames)
     report = {"out": args.out, "frames": n}
     report.update(decoder.diagnostics.to_dict())
     return report
-
-
-def _jsonl(path, parse) -> list:
-    """parse(obj) for the object on every nonblank line of a JSON-lines file.
-
-    A line that is not UTF-8 JSON, or whose object lacks a key that parse reads
-    or holds a value of the wrong type, raises InvalidInputError naming path:line.
-    """
-    out = []
-    with open(path, "rb") as fh:  # json.loads decodes each line, so a bad byte names its line
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                out.append(parse(json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise InvalidInputError(f"{path}:{lineno}: not a JSON line ({exc.msg})") from None
-            except KeyError as exc:
-                raise InvalidInputError(f"{path}:{lineno}: missing key {exc}") from None
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise InvalidInputError(f"{path}:{lineno}: {exc}") from None
-    return out
 
 
 def _read_tactile_jsonl(path) -> dict:
@@ -169,7 +141,7 @@ def _read_tactile_jsonl(path) -> dict:
     def parse(d):
         return TactileFrame(d["pad_id"], d["timestamp_us"], np.asarray(d["readings"]))
 
-    for frame in _jsonl(path, parse):
+    for frame in jsonio.read_jsonl(path, parse):
         sid = tactile_stream(frame.pad_id)
         streams.setdefault(sid, []).append(TimedSample(sid, frame.timestamp_us, frame))
     return streams
@@ -200,7 +172,7 @@ def _read_joints_jsonl(path) -> dict:
         ts = int(d["timestamp_us"])
         return TimedSample(JOINTS_STREAM, ts, JointState(np.asarray(d["positions"]), ts))
 
-    return {JOINTS_STREAM: _jsonl(path, parse)}
+    return {JOINTS_STREAM: jsonio.read_jsonl(path, parse)}
 
 
 def cmd_sync(args) -> dict:
@@ -255,8 +227,7 @@ def cmd_simulate(args) -> dict:
 def cmd_fuse(args) -> dict:
     episode = read_episode(_require_file(args.episode))
     chain, mounts = load_chain_file(_require_file(args.chain))
-    with open(_require_file(args.box)) as fh:
-        box = AABB.from_dict(json.load(fh))
+    box = jsonio.read_json(_require_file(args.box), AABB.from_dict)
     calibs = _load_calibrations(args.calib)
     out_tuples = []
     for tup in episode.tuples:
@@ -264,12 +235,7 @@ def cmd_fuse(args) -> dict:
         visual = crop_aabb(merge(clouds) if clouds else CloudXYZF.empty(BASE_FRAME), box)
         if len(visual):
             visual = fps_downsample(visual, args.nvis, seed=_seed(args))
-        joints = tup.joint_state()
-        if joints is None:
-            raise InvalidInputError("episode has no joint stream; cannot place tactile points")
-        frames = _normalize_frames(tup.tactile_frames(), calibs)
-        tactile = tactile_point_cloud(frames, chain, joints, mounts)
-        fused = fuse(visual, tactile)
+        fused = fuse(visual, _tactile_cloud(tup, chain, mounts, calibs))
         out_tuples.append(
             SyncedTuple(tup.tick_time_us, {"fused": TimedSample("fused", tup.tick_time_us, fused)})
         )
@@ -285,58 +251,50 @@ def cmd_fuse(args) -> dict:
     return {"out": args.out, "tuples": len(out_tuples), "last_fused_points": n_last}
 
 
+def _tracker_setup(doc: dict) -> tuple:
+    """TrackerConfig and the Tracker prior arguments from a tracker config document."""
+    prior = doc.get("prior", {})
+    center = PoseSE3.from_dict(prior["center"]) if "center" in prior else PoseSE3.identity()
+    return TrackerConfig.from_dict(doc), {
+        "prior_center": center,
+        "translation_half_extent": float(prior.get("translation_half_extent", 0.03)),
+        "rotation_half_angle": float(np.deg2rad(prior.get("rotation_half_angle_deg", 20.0))),
+    }
+
+
 def cmd_track(args) -> dict:
     episode = read_episode(_require_file(args.episode))
     obj_cloud = read_cloud_ply(_require_file(args.object))
     chain, mounts = load_chain_file(_require_file(args.chain))
     calibs = _load_calibrations(args.calib)
-    cfg_doc = {}
     if args.config:
-        with open(_require_file(args.config)) as fh:
-            cfg_doc = json.load(fh)
-    config = TrackerConfig.from_dict(cfg_doc)
-    prior = cfg_doc.get("prior", {})
-    prior_center = PoseSE3.from_dict(prior["center"]) if "center" in prior else PoseSE3.identity()
-    tracker = Tracker(
-        obj=ObjectModel(obj_cloud.xyz),
-        config=config,
-        prior_center=prior_center,
-        translation_half_extent=float(prior.get("translation_half_extent", 0.03)),
-        rotation_half_angle=float(np.deg2rad(prior.get("rotation_half_angle_deg", 20.0))),
-        seed=_seed(args),
-    )
-    n_steps = 0
-    with open(args.out, "w") as fout:
+        config, prior = jsonio.read_json(_require_file(args.config), _tracker_setup)
+    else:
+        config, prior = _tracker_setup({})
+    tracker = Tracker(obj=ObjectModel(obj_cloud.xyz), config=config, seed=_seed(args), **prior)
+
+    def steps():
         for tup in episode.tuples:
-            joints = tup.joint_state()
-            if joints is None:
-                raise InvalidInputError("episode has no joint stream; cannot place tactile points")
-            frames = _normalize_frames(tup.tactile_frames(), calibs)
-            cloud = tactile_point_cloud(frames, chain, joints, mounts)
-            contacts = ContactSet.from_tactile_cloud(cloud, config.activation_threshold)
-            report = tracker.step(contacts)
+            cloud = _tactile_cloud(tup, chain, mounts, calibs)
+            report = tracker.step(ContactSet.from_tactile_cloud(cloud, config.activation_threshold))
             pose, diag = tracker.estimate()
-            fout.write(
-                json.dumps(
-                    {
-                        "t_us": tup.tick_time_us,
-                        "pose": pose.to_dict(),
-                        "ess": report.ess,
-                        "n_contacts": report.n_contacts,
-                        "resampled": report.resampled,
-                        "min_g": report.min_g,
-                        "translation_cov_trace": diag.translation_cov_trace,
-                        "rotation_spread_rad": diag.rotation_spread_rad,
-                    }
-                )
-                + "\n"
-            )
-            n_steps += 1
+            yield {
+                "t_us": tup.tick_time_us,
+                "pose": pose.to_dict(),
+                "ess": report.ess,
+                "n_contacts": report.n_contacts,
+                "resampled": report.resampled,
+                "min_g": report.min_g,
+                "translation_cov_trace": diag.translation_cov_trace,
+                "rotation_spread_rad": diag.rotation_spread_rad,
+            }
+
+    n_steps = jsonio.write_jsonl(args.out, steps())
     return {"out": args.out, "steps": n_steps, "particles": config.particle_count}
 
 
 def _read_poses_jsonl(path) -> dict:
-    return dict(_jsonl(path, lambda d: (int(d["t_us"]), PoseSE3.from_dict(d["pose"]))))
+    return dict(jsonio.read_jsonl(path, lambda d: (int(d["t_us"]), PoseSE3.from_dict(d["pose"]))))
 
 
 def cmd_eval(args) -> dict:
@@ -467,7 +425,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level.upper(), logging.WARNING))
     try:
         report = args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a path that cannot be opened: missing, a directory, no permission
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VitacError as exc:

@@ -8,11 +8,11 @@ order of a tactile frame.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import jsonio
 from .errors import InvalidInputError
 from .pointcloud import BASE_FRAME, CloudXYZF
 from .se3 import PoseSE3
@@ -86,6 +86,15 @@ class TaxelGrid:
     @property
     def count(self) -> int:
         return self.rows * self.cols
+
+    def to_dict(self) -> dict:
+        return {"rows": self.rows, "cols": self.cols, "pitch": self.pitch}
+
+    @staticmethod
+    def from_dict(d: dict) -> "TaxelGrid":
+        """Missing keys take their defaults; each value is converted to its default's type."""
+        fs = fields(TaxelGrid)
+        return TaxelGrid(**{f.name: type(f.default)(d.get(f.name, f.default)) for f in fs})
 
 
 @dataclass(frozen=True)
@@ -165,12 +174,7 @@ def _link_to_dict(link: Link) -> dict:
 
 
 def _link_from_dict(d: dict) -> Link:
-    axis = d.get("axis")
-    return Link(
-        fixed=PoseSE3.from_dict(d["fixed"]),
-        joint=d.get("joint", FIXED),
-        axis=None if axis is None else np.asarray(axis, dtype=np.float64),
-    )
+    return Link(PoseSE3.from_dict(d["fixed"]), joint=d.get("joint", FIXED), axis=d.get("axis"))
 
 
 def _mount_to_dict(mount: PadMount) -> dict:
@@ -178,35 +182,29 @@ def _mount_to_dict(mount: PadMount) -> dict:
         "pad_id": mount.pad_id,
         "link": mount.link_index,
         "transform": mount.mount_transform.to_dict(),
-        "grid": {"rows": mount.grid.rows, "cols": mount.grid.cols, "pitch": mount.grid.pitch},
+        "grid": mount.grid.to_dict(),
     }
 
 
 def _mount_from_dict(d: dict) -> PadMount:
-    g = d.get("grid", {})
     return PadMount(
         pad_id=int(d["pad_id"]),
         link_index=int(d["link"]),
         mount_transform=PoseSE3.from_dict(d["transform"]),
-        grid=TaxelGrid(
-            rows=int(g.get("rows", 16)), cols=int(g.get("cols", 16)), pitch=float(g.get("pitch", 1.75e-3))
-        ),
+        grid=TaxelGrid.from_dict(d.get("grid", {})),
     )
 
 
+def _chain_from_dict(doc: dict) -> tuple[KinematicChain, list[PadMount]]:
+    chain = KinematicChain(tuple(_link_from_dict(d) for d in doc["links"]))
+    return chain, [_mount_from_dict(d) for d in doc.get("mounts", [])]
+
+
 def save_chain_file(path, chain: KinematicChain, mounts) -> None:
-    doc = {
-        "links": [_link_to_dict(link) for link in chain.links],
-        "mounts": [_mount_to_dict(m) for m in mounts],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
+    links = [_link_to_dict(link) for link in chain.links]
+    jsonio.write_json(path, {"links": links, "mounts": [_mount_to_dict(m) for m in mounts]})
 
 
 def load_chain_file(path) -> tuple[KinematicChain, list[PadMount]]:
     """Read the chain + mounts JSON consumed by the fuse/track commands."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    chain = KinematicChain(tuple(_link_from_dict(d) for d in doc["links"]))
-    mounts = [_mount_from_dict(d) for d in doc.get("mounts", [])]
-    return chain, mounts
+    return jsonio.read_json(path, _chain_from_dict)

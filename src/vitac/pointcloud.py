@@ -239,32 +239,36 @@ def write_cloud_ply(cloud: CloudXYZF, path) -> None:
 
 
 def read_cloud_ply(path) -> CloudXYZF:
-    with open(path) as fh:
-        if fh.readline().strip() != "ply":
-            raise InvalidInputError(f"{path}: not a PLY file")
-        frame = ""
-        n = None
-        props = []
-        for line in fh:
-            line = line.strip()
-            if line == "end_header":
-                break
-            parts = line.split()
-            if parts[:2] == ["comment", "frame"]:
-                frame = parts[2] if len(parts) > 2 else ""
-            elif parts[:2] == ["element", "vertex"]:
-                n = int(parts[2])
-            elif parts[0] == "property":
-                props.append(parts[2])
-        else:
-            raise InvalidInputError(f"{path}: missing end_header")
-        if n is None:
-            raise InvalidInputError(f"{path}: missing vertex element")
-        if props[:3] != ["x", "y", "z"]:
-            raise InvalidInputError(f"{path}: expected x,y,z properties, got {props}")
-        rows = np.loadtxt(fh, dtype=np.float64, max_rows=n, ndmin=2) if n else np.zeros((0, 4))
-        if rows.shape[0] != n:
-            raise InvalidInputError(f"{path}: expected {n} vertices, got {rows.shape[0]}")
+    try:
+        with open(path) as fh:
+            if fh.readline().strip() != "ply":
+                raise ValueError("not a PLY file")
+            frame = ""
+            n = None
+            props = []
+            for line in fh:
+                parts = line.split()
+                if parts == ["end_header"]:
+                    break
+                if not parts:
+                    raise ValueError("blank header line")
+                if parts[:2] == ["comment", "frame"]:
+                    frame = parts[2] if len(parts) > 2 else ""
+                elif parts[:2] == ["element", "vertex"]:
+                    n = int(parts[2])
+                elif parts[0] == "property":
+                    props.append(parts[2])
+            else:
+                raise ValueError("missing end_header")
+            if n is None:
+                raise ValueError("missing vertex element")
+            if props[:3] != ["x", "y", "z"]:
+                raise ValueError(f"expected x,y,z properties, got {props}")
+            rows = np.loadtxt(fh, dtype=np.float64, max_rows=n, ndmin=2) if n else np.zeros((0, 4))
+            if rows.shape[0] != n:
+                raise ValueError(f"expected {n} vertices, got {rows.shape[0]}")
+    except (IndexError, ValueError) as exc:  # UnicodeDecodeError is a ValueError too
+        raise InvalidInputError(f"{path}: {exc}") from None
     if rows.shape[0] and rows.shape[1] < 4:
         rows = np.column_stack([rows[:, :3], np.zeros(rows.shape[0])])
     return CloudXYZF(rows[:, :4] if rows.shape[0] else np.zeros((0, 4)), frame)

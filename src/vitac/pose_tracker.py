@@ -10,7 +10,7 @@ weights are left untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -94,15 +94,10 @@ class TrackerConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "TrackerConfig":
-        defaults = TrackerConfig()
-        return TrackerConfig(
-            particle_count=int(d.get("particle_count", defaults.particle_count)),
-            sigma_translation=float(d.get("sigma_translation", defaults.sigma_translation)),
-            sigma_rotation=float(d.get("sigma_rotation", defaults.sigma_rotation)),
-            temperature=float(d.get("temperature", defaults.temperature)),
-            activation_threshold=float(d.get("activation_threshold", defaults.activation_threshold)),
-            ess_fraction=float(d.get("ess_fraction", defaults.ess_fraction)),
-        )
+        """Missing keys take their defaults, each value converted to its default's type;
+        other keys (the CLI's ``prior``) are ignored."""
+        fs = fields(TrackerConfig)
+        return TrackerConfig(**{f.name: type(f.default)(d.get(f.name, f.default)) for f in fs})
 
 
 @dataclass(frozen=True, eq=False)

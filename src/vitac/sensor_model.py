@@ -8,11 +8,11 @@ the ADC range ``[0, r_max]``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import jsonio
 from .errors import (
     CalibrationMismatchError,
     DegenerateFitError,
@@ -231,13 +231,11 @@ class PadCalibration:
         )
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
+        jsonio.write_json(path, self.to_dict())
 
     @staticmethod
     def load(path) -> "PadCalibration":
-        with open(path) as fh:
-            return PadCalibration.from_dict(json.load(fh))
+        return jsonio.read_json(path, PadCalibration.from_dict)
 
 
 def normalize_frame(calib: PadCalibration, frame: TactileFrame) -> TactileFrame:

@@ -10,11 +10,11 @@ quantity is deterministic given the scene seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import jsonio
 from .errors import InvalidInputError
 from .kinematics import (
     PRISMATIC,
@@ -267,7 +267,7 @@ class SceneSpec:
             "object_trajectory": [{"t": t, "pose": p.to_dict()} for t, p in self.object_trajectory],
             "aperture_trajectory": [{"t": t, "gap": g} for t, g in self.aperture_trajectory],
             "gripper_pose": self.gripper_pose.to_dict(),
-            "grid": {"rows": self.grid.rows, "cols": self.grid.cols, "pitch": self.grid.pitch},
+            "grid": self.grid.to_dict(),
             "stiffness": self.stiffness,
             "noise_sigma": self.noise_sigma,
             "sensor": self.sensor.to_dict(),
@@ -277,7 +277,6 @@ class SceneSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "SceneSpec":
-        g = d.get("grid", {})
         return SceneSpec(
             obj=Primitive.from_dict(d["object"]),
             object_trajectory=tuple(
@@ -285,11 +284,7 @@ class SceneSpec:
             ),
             aperture_trajectory=tuple((k["t"], k["gap"]) for k in d["aperture_trajectory"]),
             gripper_pose=PoseSE3.from_dict(d.get("gripper_pose", PoseSE3.identity().to_dict())),
-            grid=TaxelGrid(
-                rows=int(g.get("rows", 16)),
-                cols=int(g.get("cols", 16)),
-                pitch=float(g.get("pitch", 1.75e-3)),
-            ),
+            grid=TaxelGrid.from_dict(d.get("grid", {})),
             stiffness=float(d.get("stiffness", 2000.0)),
             noise_sigma=float(d.get("noise_sigma", 0.0)),
             sensor=TaxelResponseModel.from_dict(d.get("sensor", TaxelResponseModel().to_dict())),
@@ -298,13 +293,11 @@ class SceneSpec:
         )
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
+        jsonio.write_json(path, self.to_dict())
 
     @staticmethod
     def load(path) -> "SceneSpec":
-        with open(path) as fh:
-            return SceneSpec.from_dict(json.load(fh))
+        return jsonio.read_json(path, SceneSpec.from_dict)
 
 
 def _check_span(keys, t: float, what: str) -> None:
@@ -388,6 +381,23 @@ class GroundTruthTick:
     pose: PoseSE3
     forces: dict
 
+    def to_dict(self) -> dict:
+        return {
+            "t_us": self.t_us,
+            "pose": self.pose.to_dict(),
+            "forces": {str(k): v.tolist() for k, v in self.forces.items()},
+        }
+
+    @staticmethod
+    def from_dict(d: dict) -> "GroundTruthTick":
+        return GroundTruthTick(
+            t_us=int(d["t_us"]),
+            pose=PoseSE3.from_dict(d["pose"]),
+            forces={
+                int(k): np.asarray(v, dtype=np.float64) for k, v in d.get("forces", {}).items()
+            },
+        )
+
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -397,38 +407,11 @@ class GroundTruth:
         return [(tick.t_us, tick.pose) for tick in self.ticks]
 
     def save_jsonl(self, path) -> None:
-        with open(path, "w") as fh:
-            for tick in self.ticks:
-                fh.write(
-                    json.dumps(
-                        {
-                            "t_us": tick.t_us,
-                            "pose": tick.pose.to_dict(),
-                            "forces": {str(k): v.tolist() for k, v in tick.forces.items()},
-                        }
-                    )
-                    + "\n"
-                )
+        jsonio.write_jsonl(path, (tick.to_dict() for tick in self.ticks))
 
     @staticmethod
     def load_jsonl(path) -> "GroundTruth":
-        ticks = []
-        with open(path) as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                d = json.loads(line)
-                ticks.append(
-                    GroundTruthTick(
-                        t_us=int(d["t_us"]),
-                        pose=PoseSE3.from_dict(d["pose"]),
-                        forces={
-                            int(k): np.asarray(v, dtype=np.float64)
-                            for k, v in d.get("forces", {}).items()
-                        },
-                    )
-                )
-        return GroundTruth(tuple(ticks))
+        return GroundTruth(tuple(jsonio.read_jsonl(path, GroundTruthTick.from_dict)))
 
 
 def render_episode(scene: SceneSpec, rate_hz: float, duration_s: float):
@@ -442,14 +425,10 @@ def render_episode(scene: SceneSpec, rate_hz: float, duration_s: float):
     if rate_hz <= 0 or duration_s <= 0:
         raise InvalidInputError("rate and duration must be positive")
     n_ticks = int(np.floor(duration_s * rate_hz + 1e-9))
-    lo, hi = scene.time_span()
     tuples = []
     truth = []
     for k in range(n_ticks):
-        t = k / rate_hz
-        if not (lo <= t <= hi):
-            raise InvalidInputError(f"tick t={t} outside scene span [{lo}, {hi}]")
-        snap = simulate_contact(scene, t)
+        snap = simulate_contact(scene, k / rate_hz)
         cam_seed = int(np.random.default_rng([scene.seed, 7, k]).integers(2**63))
         local = sample_object_cloud(scene.obj, scene.n_camera_points, cam_seed)
         world = snap.object_pose.apply(local)

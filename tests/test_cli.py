@@ -9,7 +9,7 @@ from vitac.frame_codec import encode_frame
 from vitac.kinematics import TaxelGrid, save_chain_file
 from vitac.pointcloud import CloudXYZF, write_cloud_ply
 from vitac.se3 import PoseSE3, matrix_to_quat
-from vitac.sensor_model import TactileFrame
+from vitac.sensor_model import PadCalibration, TactileFrame
 from vitac.sim_oracle import Primitive, SceneSpec
 from vitac.stream_sync import Episode, SyncedTuple, read_episode, write_episode
 
@@ -292,6 +292,102 @@ def test_bad_json_line_is_one_error_line(tmp_path, capsys, kind):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}:3: ") and err.count("\n") == 1, err
     assert names in err
+
+
+@pytest.fixture(scope="module")
+def good_inputs(tmp_path_factory):
+    """flag -> a valid file for it: a short simulated episode and every file around it."""
+    d = tmp_path_factory.mktemp("good")
+    scene = write_scene(d / "scene.json")
+    paths = {flag: d / name for flag, name in [
+        ("--scene", "scene.json"), ("--episode", "ep.vtep"), ("--truth", "truth.jsonl"),
+        ("--object", "obj.ply"), ("--chain", "chain.json"), ("--box", "box.json"),
+        ("--config", "tracker.json"), ("--calib", "calib.json"), ("--poses", "poses.jsonl"),
+    ]}
+    assert main(["simulate", "--scene", str(paths["--scene"]), "--dur", "0.2",
+                 "--out", str(paths["--episode"]), "--truth", str(paths["--truth"]),
+                 "--object-out", str(paths["--object"]), "--object-points", "64"]) == 0
+    save_chain_file(paths["--chain"], *scene.chain_and_mounts())
+    paths["--box"].write_text(json.dumps({"min": [-0.2] * 3, "max": [0.2] * 3}))
+    paths["--config"].write_text(json.dumps({"particle_count": 16}))
+    PadCalibration(pad_id=0).save(paths["--calib"])
+    paths["--poses"].write_text(json.dumps({"t_us": 0, "pose": _POSE}) + "\n")
+    return paths
+
+
+# the command that reads each flag's file, every other file given valid
+_READS = {
+    "--scene": ["simulate", "--dur", "0.2", "--out", "{out}"],
+    "--box": ["fuse", "--episode", "--chain", "--calib", "--out", "{out}"],
+    "--chain": ["fuse", "--episode", "--box", "--out", "{out}"],
+    "--calib": ["fuse", "--episode", "--chain", "--box", "--out", "{out}"],
+    "--config": ["track", "--episode", "--object", "--chain", "--calib", "--out", "{out}"],
+    "--object": ["track", "--episode", "--chain", "--out", "{out}"],
+    "--truth": ["eval", "--poses"],
+}
+
+
+def _argv(good, flag, path, out):
+    words = []
+    for word in _READS[flag]:
+        words += [word, str(good[word])] if word in good else [word.format(out=out)]
+    return words + [flag, str(path)]
+
+
+_CENTER_NO_T = {"prior": {"center": {"q": [1.0, 0.0, 0.0, 0.0]}}}
+# (input flag, bad file content, text the error names); truth is JSON lines, so its
+# errors also name line 1
+BAD_JSON_DOCS = {
+    "box-no-max": ("--box", '{"min": [0, 0, 0]}', "missing key 'max'"),
+    "box-unclosed": ("--box", '{"min": [0, 0, 0], "max": [1, 1, 1]', "not a JSON document"),
+    "box-list": ("--box", "[[0, 0, 0], [1, 1, 1]]", "list indices"),
+    "config-unclosed": ("--config", '{"particle_count": 16', "not a JSON document"),
+    "config-count-many": ("--config", '{"particle_count": "many"}', "'many'"),
+    "config-list": ("--config", "[16]", "'list' object"),
+    "config-center-no-t": ("--config", json.dumps(_CENTER_NO_T), "missing key 't'"),
+    "config-extent-string": ("--config", '{"prior": {"translation_half_extent": "wide"}}',
+                             "'wide'"),
+    "chain-link-no-fixed": ("--chain", '{"links": [{"joint": "fixed"}]}', "missing key 'fixed'"),
+    "chain-link-one": ("--chain", json.dumps(
+        {"links": [], "mounts": [{"pad_id": 0, "link": "one", "transform": _POSE}]}), "'one'"),
+    "chain-unclosed": ("--chain", '{"links": [', "not a JSON document"),
+    "scene-no-object": ("--scene", '{"seed": 1}', "missing key 'object'"),
+    "scene-unclosed": ("--scene", '{"object": {"kind": "sphere", "radius": 0.1}',
+                       "not a JSON document"),
+    "calib-unclosed": ("--calib", '{"pad_id": 0', "not a JSON document"),
+    "calib-no-gain": ("--calib", '{"pad_id": 0, "offset": [], "model": {"a": 1, "b": 0}}',
+                      "missing key 'gain'"),
+    "truth-unclosed": ("--truth", '{"t_us": 0, "pose": ', "not a JSON line"),
+    "truth-no-pose": ("--truth", '{"t_us": 0}', "missing key 'pose'"),
+}
+_PLY_HEAD = "ply\nformat ascii 1.0\nelement vertex 1\nproperty double x\nproperty double y\n"
+BAD_PLY_FILES = {
+    "ply-blank-header-line": ("--object", _PLY_HEAD + "\nproperty double z\nend_header\n0 0 0\n",
+                              "blank header line"),
+    "ply-vertex-many": ("--object", _PLY_HEAD.replace("vertex 1", "vertex many")
+                        + "property double z\nend_header\n0 0 0\n", "'many'"),
+    "ply-row-zero": ("--object", _PLY_HEAD + "property double z\nend_header\n0 zero 0\n", "zero"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_JSON_DOCS) + sorted(BAD_PLY_FILES))
+def test_bad_input_file_is_one_error_line(tmp_path, capsys, good_inputs, kind):
+    flag, content, names = {**BAD_JSON_DOCS, **BAD_PLY_FILES}[kind]
+    path = tmp_path / "bad"
+    path.write_text(content)
+    assert main(_argv(good_inputs, flag, path, tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    where = f"{path}:1" if flag == "--truth" else f"{path}"
+    assert err.startswith(f"error: {where}: ") and err.count("\n") == 1, err
+    assert names in err, err
+
+
+@pytest.mark.parametrize("flag", ["--scene", "--object"])
+def test_out_that_cannot_be_opened_is_usage_error(tmp_path, capsys, good_inputs, flag):
+    # --scene runs simulate, --object runs track; both write to --out, here a directory
+    assert main(_argv(good_inputs, flag, good_inputs[flag], tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize(
