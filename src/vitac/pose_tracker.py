@@ -11,7 +11,6 @@ weights are left untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -27,83 +26,6 @@ from .se3 import (
 )
 
 _WEIGHT_SUM_TOL = 1e-9
-_CELL_BUDGET = 1 << 17  # cells in an object model's lookup grid, at most
-_CELL_CAP = 24  # candidates a grid cell may hold (< 128); fuller cells are left to the KD-tree
-_QUERY_BLOCK = 1 << 15  # contact points per block of particle_distances, to bound temporaries
-
-
-class _CellGrid:
-    """Exact nearest-model-point distances near the model, without a tree walk.
-
-    The grid covers the model's bounding box, grown by four cells, with
-    cells about one point spacing wide. Every query in a cell B has its
-    nearest point within u = min_p maxdist(p, B), so only points with
-    mindist(p, B) <= u can be nearest: those are B's candidates, found
-    among the points nearest B's centre. A query is scored against its
-    cell's candidates in the KD-tree's arithmetic,
-    sqrt(min((dx*dx + dy*dy) + dz*dz)), so the distances are bit-identical
-    to ``cKDTree.query``; queries outside the grid or in a full cell go to
-    the tree. Each cell is grown by 1e-6 of its width and u by a relative
-    1e-9, which covers rounding in a query's cell index and in the
-    distances.
-    """
-
-    def __init__(self, tree: cKDTree):
-        pts = tree.data
-        h = max(float(np.mean(tree.query(pts, k=2)[0][:, 1])), 1e-12)
-        while np.prod(np.ceil(np.ptp(pts, axis=0) / h) + 8) > _CELL_BUDGET:
-            h *= 1.25
-        self.h, self.lo = h, pts.min(axis=0) - 4 * h
-        self.shape = (np.ceil(np.ptp(pts, axis=0) / h) + 8).astype(np.intp)
-        self.xyz = np.ascontiguousarray(pts.T)
-        n_cells = int(np.prod(self.shape))
-        self.table = np.empty((_CELL_CAP, n_cells), np.min_scalar_type(-len(pts)))
-        self.count = np.empty(n_cells, np.int8)
-        e = 1e-6 * h
-        for s in range(0, n_cells, 4096):
-            ijk = np.unravel_index(np.arange(s, min(s + 4096, n_cells)), self.shape)
-            lo = (self.lo + np.stack(ijk, axis=1) * h - e)[:, None, :]
-            hi = lo + (h + 2 * e)
-            d, idx = tree.query(lo[:, 0] + (h / 2 + e), k=_CELL_CAP + 1, workers=-1)
-            idx = np.minimum(idx, len(pts) - 1)  # the tree pads short lists with n (at inf)
-            near2, far2 = np.zeros(idx.shape), np.zeros(idx.shape)
-            for a in range(3):  # squared min and max distances from each point to the cell
-                below, above = lo[:, :, a] - self.xyz[a][idx], self.xyz[a][idx] - hi[:, :, a]
-                near2 += np.maximum(np.maximum(below, above), 0.0) ** 2
-                far2 += np.minimum(below, above) ** 2
-            u2 = np.min(far2, axis=1) * (1 + 1e-9)
-            keep = (near2 <= u2[:, None]) & np.isfinite(d)
-            keep[:, -1] = False  # the last point only shows whether the list is complete:
-            # it and every point past it lie at least `reach` from the cell
-            reach = np.maximum(d[:, -1] - np.sqrt(3) * (h / 2 + e), 0.0)
-            self.count[s : s + 4096] = np.where(reach * reach > u2, keep.sum(axis=1), 0)
-            order = np.argsort(~keep, axis=1, kind="stable")
-            self.table[:, s : s + 4096] = np.take_along_axis(idx, order, axis=1)[:, :-1].T
-        grid = self.count.reshape(self.shape)
-        grid[[0, -1]] = grid[:, [0, -1]] = grid[:, :, [0, -1]] = 0
-
-    def distances(self, q: np.ndarray, tree: cKDTree) -> np.ndarray:
-        # queries outside the grid clip onto its outer layer, whose cells are empty
-        f = np.clip((q - self.lo) / self.h, 0, self.shape - 1)
-        cell = np.ravel_multi_index(f.astype(np.intp).T, self.shape, mode="clip")
-        order = np.argsort(-self.count[cell], kind="stable")  # fullest cells first
-        neg = -self.count[cell[order]]  # so the queries a rank applies to are a prefix
-        near, rest = np.split(order, [np.searchsorted(neg, 0)])
-        cell, (qx, qy, qz) = cell[near], q.T[:, near]
-        best, buf = np.full(len(near), np.inf), np.empty((2, len(near)))
-        x, y, z = self.xyz
-        for r in range(-int(neg[0]) if len(near) else 0):
-            k = np.searchsorted(neg, -r)
-            c = self.table[r].take(cell[:k])
-            s = np.square(x.take(c) - qx[:k], out=buf[0, :k])
-            s += np.square(y.take(c) - qy[:k], out=buf[1, :k])
-            s += np.square(z.take(c) - qz[:k], out=buf[1, :k])
-            np.minimum(best[:k], s, out=best[:k])
-        d = np.empty(len(q))
-        d[near] = np.sqrt(best)
-        if len(rest):
-            d[rest] = tree.query(q[rest], workers=-1)[0]
-        return d
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,11 +48,6 @@ class ObjectModel:
 
     def __len__(self):
         return self.points.shape[0]
-
-    @cached_property
-    def _cells(self) -> _CellGrid:
-        # built on the first tracker step, so models that are never tracked skip it
-        return _CellGrid(self._tree)
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,27 +268,22 @@ def estimate(particles: ParticleSet) -> tuple[PoseSE3, EstimateDiagnostics]:
 
 
 def particle_distances(particles: ParticleSet, contacts: ContactSet, obj: ObjectModel) -> np.ndarray:
-    """Per-particle g, evaluated against the object model's prebuilt lookups.
+    """Per-particle g, evaluated against the prebuilt object-frame KD-tree.
 
     Contacts are pulled into each particle's object frame, which leaves
     nearest-neighbor distances unchanged and avoids rebuilding a tree per
     particle; agrees with weight_distance(observe_model(...)) to rigid
-    floating-point accuracy. The distances are the object-frame KD-tree's,
-    bit for bit (see _CellGrid).
+    floating-point accuracy.
     """
     if len(contacts) == 0:
         return np.zeros(len(particles))
     rot = quat_to_matrix(particles.quats)  # (K, 3, 3)
-    g = np.empty(len(particles))
-    step = max(1, _QUERY_BLOCK // len(contacts))
-    for s in range(0, len(particles), step):
-        r = rot[s : s + step]
-        # (c - t) @ R applies R^T rowwise; distribute to avoid the (K, M, 3) diff temp
-        local = np.matmul(contacts.points[None, :, :], r)
-        local -= np.matmul(particles.trans[s : s + step, None, :], r)
-        d = obj._cells.distances(local.reshape(-1, 3), obj._tree).reshape(len(r), -1)
-        g[s : s + step] = np.sum(d * d, axis=1)
-    return g
+    # (c - t) @ R applies R^T rowwise; distribute to avoid the (K, M, 3) diff temp
+    local = np.matmul(contacts.points[None, :, :], rot)
+    local -= np.matmul(particles.trans[:, None, :], rot)
+    d, _ = obj._tree.query(local.reshape(-1, 3), workers=-1)
+    d = d.reshape(len(particles), len(contacts))
+    return np.sum(d * d, axis=1)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from scipy.spatial import cKDTree
 
 from vitac.errors import DegenerateWeightsError, InvalidInputError
 from vitac.pointcloud import CloudXYZF
@@ -24,8 +21,7 @@ from vitac.pose_tracker import (
     weight_distance,
     weight_distance_bruteforce,
 )
-from vitac.se3 import PoseSE3, quat_normalize, quat_to_matrix
-from vitac.sim_oracle import Primitive, sample_object_cloud
+from vitac.se3 import PoseSE3, quat_normalize
 
 
 def random_pose(rng, t_scale=1.0):
@@ -267,102 +263,6 @@ def test_particle_distances_matches_literal_composition():
     for i in range(len(particles)):
         literal = weight_distance(contacts, observe_model(obj, particles.pose(i)))
         assert fast[i] == pytest.approx(literal, rel=1e-9)
-
-
-def _kdtree_likelihood(particles, contacts, obj):
-    """The likelihood as one KD-tree query over every particle's contacts."""
-    rot = quat_to_matrix(particles.quats)
-    local = np.matmul(contacts.points[None, :, :], rot)
-    local -= np.matmul(particles.trans[:, None, :], rot)
-    d, _ = cKDTree(obj.points).query(local.reshape(-1, 3))
-    d = d.reshape(len(particles), len(contacts))
-    return np.sum(d * d, axis=1)
-
-
-def _squared_distances(obj, q):
-    """Squared distance from each row of q to the model, through particle_distances:
-    one unrotated particle at -q_i per point and a single contact at the origin."""
-    particles = ParticleSet.uniform(np.tile([1.0, 0, 0, 0], (len(q), 1)), -q)
-    return particle_distances(particles, ContactSet(np.zeros((1, 3))), obj)
-
-
-@pytest.fixture(scope="module")
-def box_model():
-    return ObjectModel(sample_object_cloud(Primitive.box(0.04, 0.04, 0.08), 2048, seed=42))
-
-
-@pytest.mark.parametrize("extent, angle_deg", [(0.03, 20.0), (0.005, 3.0), (0.001, 0.5)])
-def test_particle_distances_bit_identical_to_kdtree_on_a_grasp(box_model, extent, angle_deg):
-    # two 16x16 pads of 3 mm taxels on the box's x faces, particles from the
-    # wide prior of criterion 6 down to a converged cloud
-    u, v = np.meshgrid(np.arange(16) * 3e-3 - 22.5e-3, np.arange(16) * 3e-3 - 22.5e-3)
-    pad = np.column_stack([np.full(256, 0.02), u.ravel(), v.ravel()])
-    contacts = ContactSet(np.vstack([pad, pad * [-1.0, 1.0, 1.0]]))
-    rng = np.random.default_rng(31)
-    particles = init_particles(PoseSE3.identity(), extent, np.deg2rad(angle_deg), 512, rng)
-    fast = particle_distances(particles, contacts, box_model)
-    assert np.array_equal(fast, _kdtree_likelihood(particles, contacts, box_model))
-
-
-def test_particle_distances_bit_identical_with_more_contacts_than_a_block(box_model):
-    rng = np.random.default_rng(32)
-    contacts = ContactSet(rng.uniform(-0.06, 0.06, size=(70_000, 3)))
-    particles = init_particles(PoseSE3.identity(), 0.01, 0.2, 3, rng)
-    fast = particle_distances(particles, contacts, box_model)
-    assert np.array_equal(fast, _kdtree_likelihood(particles, contacts, box_model))
-
-
-AWKWARD_MODELS = {
-    "three points": lambda rng: rng.normal(size=(3, 3)),
-    "one point thrice": lambda rng: np.ones((3, 3)),
-    "plane": lambda rng: np.column_stack([rng.uniform(size=(400, 2)), np.zeros(400)]),
-    "line": lambda rng: np.column_stack([rng.uniform(size=400), np.zeros((400, 2))]),
-    "duplicates": lambda rng: np.repeat(rng.normal(size=(60, 3)), 3, axis=0),
-    "lattice": lambda rng: np.indices((8, 8, 8)).reshape(3, -1).T * 1e-3,
-    "cluster and outliers": lambda rng: np.vstack(
-        [rng.normal(size=(500, 3)) * 1e-4, rng.normal(size=(40, 3)) * 0.1]
-    ),
-    "tiny far away": lambda rng: rng.normal(size=(300, 3)) * 1e-7 + 5.0,
-    "spread": lambda rng: rng.normal(size=(5000, 3)) * 10.0,
-}
-
-
-@pytest.mark.parametrize("kind", sorted(AWKWARD_MODELS))
-def test_particle_distances_bit_identical_to_kdtree_on_awkward_models(kind):
-    rng = np.random.default_rng(33)
-    pts = AWKWARD_MODELS[kind](rng)
-    obj = ObjectModel(pts)
-    extent = float(np.ptp(pts, axis=0).max()) or 1.0
-    queries = [pts] + [pts + rng.normal(size=pts.shape) * extent * s for s in (1e-3, 1e-2, 0.1, 1.0)]
-    # points on the lookup grid's cell faces, edges and corners, where rounding picks the cell
-    cells = obj._cells
-    queries.append(cells.lo + rng.integers(0, cells.shape, size=(3000, 3)) * cells.h)
-    queries.append(cells.lo + (rng.integers(0, cells.shape, size=(3000, 3)) + [0.0, 0.5, 0.5]) * cells.h)
-    queries.append(cells.lo + rng.uniform(0, 1, size=(20_000, 3)) * cells.shape * cells.h)
-    q = np.vstack(queries)
-    d, _ = cKDTree(pts).query(q)
-    assert np.array_equal(_squared_distances(obj, q), d * d)
-
-
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(
-    grid=st.lists(st.tuples(*[st.integers(-4, 4)] * 3), min_size=3, max_size=60),
-    scale=st.sampled_from([1e-3, 0.37, 1.0, 1e3]),
-    offset=st.sampled_from([0.0, -2.5, 1e3]),
-    seed=st.integers(0, 2**16),
-)
-def test_particle_distances_property_bit_identical_to_kdtree(grid, scale, offset, seed):
-    pts = np.asarray(grid, dtype=np.float64) * scale + offset
-    rng = np.random.default_rng(seed)
-    q = np.vstack(
-        [
-            pts + rng.normal(size=pts.shape) * scale * 0.3,
-            offset + rng.uniform(-6, 6, size=(200, 3)) * scale,
-            offset + rng.integers(-6, 7, size=(200, 3)) * scale * 0.5,
-        ]
-    )
-    d, _ = cKDTree(pts).query(q)
-    assert np.array_equal(_squared_distances(ObjectModel(pts), q), d * d)
 
 
 def test_update_empty_contacts_is_predict_only():
