@@ -6,11 +6,11 @@ InvalidInputError naming the file (and, for JSON lines, the line).
 """
 
 import json
+from dataclasses import fields
 
 from .errors import InvalidInputError
 
-# raised by json.loads (ValueErrors) and by parse; AttributeError is a list where a dict belongs
-_BAD_DOC = (KeyError, AttributeError, IndexError, TypeError, ValueError, OverflowError)
+_BAD_DOC = (KeyError, TypeError, ValueError, OverflowError)  # json.loads raises ValueErrors
 
 
 def _error(where: str, what: str, exc: Exception) -> InvalidInputError:
@@ -22,10 +22,13 @@ def _error(where: str, what: str, exc: Exception) -> InvalidInputError:
 
 
 def read_json(path, parse):
-    """parse(doc) for the one JSON document in the file at path."""
+    """parse(doc) for the one JSON object in the file at path."""
     with open(path, "rb") as fh:
         try:
-            return parse(json.loads(fh.read()))
+            doc = json.loads(fh.read())
+            if not isinstance(doc, dict):
+                raise TypeError("expected a JSON object")
+            return parse(doc)
         except _BAD_DOC as exc:
             raise _error(str(path), "document", exc) from None
 
@@ -56,3 +59,9 @@ def write_jsonl(path, docs) -> int:
         for n, doc in enumerate(docs, 1):
             fh.write(json.dumps(doc) + "\n")
     return n
+
+
+def fields_from(cls, d: dict):
+    """A dataclass from d: each field's value converted to its default's type, missing
+    keys taking the default, other keys ignored."""
+    return cls(**{f.name: type(f.default)(d.get(f.name, f.default)) for f in fields(cls)})

@@ -8,7 +8,7 @@ order of a tactile frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -92,9 +92,7 @@ class TaxelGrid:
 
     @staticmethod
     def from_dict(d: dict) -> "TaxelGrid":
-        """Missing keys take their defaults; each value is converted to its default's type."""
-        fs = fields(TaxelGrid)
-        return TaxelGrid(**{f.name: type(f.default)(d.get(f.name, f.default)) for f in fs})
+        return jsonio.fields_from(TaxelGrid, d)
 
 
 @dataclass(frozen=True)

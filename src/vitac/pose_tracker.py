@@ -10,11 +10,12 @@ weights are left untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
 
+from . import jsonio
 from .errors import DegenerateWeightsError, InvalidInputError
 from .pointcloud import CloudXYZF
 from .se3 import (
@@ -94,10 +95,8 @@ class TrackerConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "TrackerConfig":
-        """Missing keys take their defaults, each value converted to its default's type;
-        other keys (the CLI's ``prior``) are ignored."""
-        fs = fields(TrackerConfig)
-        return TrackerConfig(**{f.name: type(f.default)(d.get(f.name, f.default)) for f in fs})
+        """Other keys, such as the CLI's ``prior``, are ignored."""
+        return jsonio.fields_from(TrackerConfig, d)
 
 
 @dataclass(frozen=True, eq=False)

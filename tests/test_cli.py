@@ -340,10 +340,10 @@ _CENTER_NO_T = {"prior": {"center": {"q": [1.0, 0.0, 0.0, 0.0]}}}
 BAD_JSON_DOCS = {
     "box-no-max": ("--box", '{"min": [0, 0, 0]}', "missing key 'max'"),
     "box-unclosed": ("--box", '{"min": [0, 0, 0], "max": [1, 1, 1]', "not a JSON document"),
-    "box-list": ("--box", "[[0, 0, 0], [1, 1, 1]]", "list indices"),
+    "box-list": ("--box", "[[0, 0, 0], [1, 1, 1]]", "expected a JSON object"),
     "config-unclosed": ("--config", '{"particle_count": 16', "not a JSON document"),
     "config-count-many": ("--config", '{"particle_count": "many"}', "'many'"),
-    "config-list": ("--config", "[16]", "'list' object"),
+    "config-list": ("--config", "[16]", "expected a JSON object"),
     "config-center-no-t": ("--config", json.dumps(_CENTER_NO_T), "missing key 't'"),
     "config-extent-string": ("--config", '{"prior": {"translation_half_extent": "wide"}}',
                              "'wide'"),
