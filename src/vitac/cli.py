@@ -254,11 +254,17 @@ def cmd_fuse(args) -> dict:
 def _tracker_setup(doc: dict) -> tuple:
     """TrackerConfig and the Tracker prior arguments from a tracker config document."""
     prior = doc.get("prior", {})
+    if not isinstance(prior, dict):
+        raise TypeError(f"prior must be a JSON object, got {type(prior).__name__}")
     center = PoseSE3.from_dict(prior["center"]) if "center" in prior else PoseSE3.identity()
+    extent = float(prior.get("translation_half_extent", 0.03))
+    angle = float(prior.get("rotation_half_angle_deg", 20.0))
+    if not (0 <= extent < np.inf and 0 <= angle < np.inf):  # written so that NaN fails it
+        raise InvalidInputError("prior extents must be finite and nonnegative")
     return TrackerConfig.from_dict(doc), {
         "prior_center": center,
-        "translation_half_extent": float(prior.get("translation_half_extent", 0.03)),
-        "rotation_half_angle": float(np.deg2rad(prior.get("rotation_half_angle_deg", 20.0))),
+        "translation_half_extent": extent,
+        "rotation_half_angle": float(np.deg2rad(angle)),
     }
 
 

@@ -1,16 +1,29 @@
 """Reading and writing the toolkit's JSON and JSON-lines files, with one error policy.
 
-Readers build their value with parse(doc). A document that is not UTF-8 JSON, lacks a
-key that parse reads, or holds a value of the wrong type or shape raises
-InvalidInputError naming the file (and, for JSON lines, the line).
+Readers build their value with parse(doc). A document that is not UTF-8 JSON, holds a
+number that is not finite (NaN, Infinity, or one too large for a float), lacks a key that
+parse reads, or holds a value of the wrong type or shape raises InvalidInputError naming
+the file (and, for JSON lines, the line).
 """
 
 import json
+import math
 from dataclasses import fields
 
 from .errors import InvalidInputError
 
 _BAD_DOC = (KeyError, TypeError, ValueError, OverflowError)  # json.loads raises ValueErrors
+
+
+def _finite(token: str) -> float:
+    x = float(token)
+    if not math.isfinite(x):
+        raise ValueError(f"number {token} is not finite")
+    return x
+
+
+def _loads(text):
+    return json.loads(text, parse_float=_finite, parse_constant=_finite)
 
 
 def _error(where: str, what: str, exc: Exception) -> InvalidInputError:
@@ -25,7 +38,7 @@ def read_json(path, parse):
     """parse(doc) for the one JSON object in the file at path."""
     with open(path, "rb") as fh:
         try:
-            doc = json.loads(fh.read())
+            doc = _loads(fh.read())
             if not isinstance(doc, dict):
                 raise TypeError("expected a JSON object")
             return parse(doc)
@@ -41,7 +54,7 @@ def read_jsonl(path, parse) -> list:
         try:
             for lineno, line in enumerate(fh, 1):
                 if line.strip():
-                    out.append(parse(json.loads(line)))
+                    out.append(parse(_loads(line)))
         except _BAD_DOC as exc:
             raise _error(f"{path}:{lineno}", "line", exc) from None
     return out
@@ -64,4 +77,6 @@ def write_jsonl(path, docs) -> int:
 def fields_from(cls, d: dict):
     """A dataclass from d: each field's value converted to its default's type, missing
     keys taking the default, other keys ignored."""
+    if not isinstance(d, dict):
+        raise TypeError(f"expected a JSON object for {cls.__name__}, got {type(d).__name__}")
     return cls(**{f.name: type(f.default)(d.get(f.name, f.default)) for f in fields(cls)})

@@ -11,6 +11,7 @@ weights are left untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -27,6 +28,101 @@ from .se3 import (
 )
 
 _WEIGHT_SUM_TOL = 1e-9
+_CELL_BUDGET = 1 << 17  # cells in an object model's lookup grid, at most
+_CELL_CAP = 24  # candidates a grid cell may hold (< 128); cells that need more are left to the KD-tree
+_DOMINATORS = 2  # the points nearest a cell's centre, tried as beating each other candidate
+_QUERY_BLOCK = 1 << 15  # contact points per block of particle_distances, to bound temporaries
+_BUILD_BLOCK = 1 << 10  # cells per block of the grid build: its temporaries stay near 6 MB
+
+
+def _sum3(v: np.ndarray) -> np.ndarray:
+    return (v[0] + v[1]) + v[2]
+
+
+class _CellGrid:
+    """Exact nearest-model-point distances near the model, without a tree walk.
+
+    The grid covers the model's bounding box, grown by four cells, with
+    cells about one point spacing wide. Every query in a cell B has its
+    nearest point within u = min_p maxdist(p, B), so only points with
+    mindist(p, B) <= u can be nearest. Of those, a point is dropped when one
+    of the points nearest B's centre is closer to all of B: the difference
+    of the two squared distances is linear, so its least value over B is
+    found axis by axis at B's faces. The rest are B's candidates. A query is
+    scored against its cell's candidates in the KD-tree's arithmetic,
+    sqrt(min((dx*dx + dy*dy) + dz*dz)), so the distances are bit-identical
+    to ``cKDTree.query``. Queries outside the grid, on its outer layer, or
+    in a cell whose list may be incomplete go to the tree. The cells are
+    laid out from the grid's corner ``lo``, so their rounding scales with
+    the grid, not with the coordinates. Each cell is grown by 1e-6 of its
+    width, and u and the margin a point is dropped by are grown by a
+    relative 1e-9: this covers rounding in a query's cell index and in the
+    distances.
+    """
+
+    def __init__(self, tree: cKDTree):
+        self.tree, pts = tree, tree.data
+        ext = np.ptp(pts, axis=0)
+        h = max(float(np.mean(tree.query(pts, k=2)[0][:, 1])), 1e-12)
+        while np.prod(np.ceil(ext / h) + 8) > _CELL_BUDGET:
+            h *= 1.25
+        self.h, self.lo = h, pts.min(axis=0) - 4 * h
+        self.shape = (np.ceil(ext / h) + 8).astype(np.intp)
+        self.xyz = np.ascontiguousarray(pts.T)
+        local = np.ascontiguousarray((pts - self.lo).T)
+        local_tree = cKDTree(local.T)
+        n_cells = int(np.prod(self.shape))
+        self.table = np.empty((_CELL_CAP, n_cells), np.min_scalar_type(-len(pts)))
+        self.count = np.empty(n_cells, np.int8)
+        e = 1e-6 * h
+        for s in range(0, n_cells, _BUILD_BLOCK):
+            ijk = np.unravel_index(np.arange(s, min(s + _BUILD_BLOCK, n_cells)), self.shape)
+            lo = np.stack(ijk) * h - e  # (3, cells): each cell's lower corner, grown by e
+            d, idx = local_tree.query((lo + (h / 2 + e)).T, k=_CELL_CAP + 1, workers=-1)
+            idx = np.minimum(idx, len(pts) - 1)  # the tree pads short lists with n (at inf)
+            x = local[:, idx]  # (3, cells, points)
+            below = lo[:, :, None] - x  # how far each point lies past the cell's lower
+            above = x - (lo[:, :, None] + (h + 2 * e))  # and upper face, per axis
+            near2 = _sum3(np.square(np.maximum(np.maximum(below, above), 0.0)))
+            below, above = np.square(below), np.square(above)
+            far2 = _sum3(np.maximum(below, above))
+            u2 = np.min(far2, axis=1) * (1 + 1e-9)
+            keep = (near2 <= u2[:, None]) & np.isfinite(d)
+            keep[:, -1] = False  # the last point only shows whether the list is complete:
+            # it and every point past it lie at least `reach` from the cell
+            reach = np.maximum(d[:, -1] - np.sqrt(3) * (h / 2 + e), 0.0)
+            for j in range(_DOMINATORS):  # drop the points that point j beats all over the cell
+                gain = _sum3(np.minimum(below - below[:, :, j, None], above - above[:, :, j, None]))
+                keep &= gain <= 1e-9 * far2
+            self.count[s : s + _BUILD_BLOCK] = np.where(reach * reach > u2, keep.sum(axis=1), 0)
+            order = np.argsort(~keep, axis=1, kind="stable")
+            self.table[:, s : s + _BUILD_BLOCK] = np.take_along_axis(idx, order, axis=1)[:, :-1].T
+        grid = self.count.reshape(self.shape)
+        grid[[0, -1]] = grid[:, [0, -1]] = grid[:, :, [0, -1]] = 0
+
+    def distances(self, q: np.ndarray) -> np.ndarray:
+        # queries outside the grid clip onto its outer layer, whose cells are empty
+        f = np.clip((q - self.lo) / self.h, 0, self.shape - 1)
+        cell = np.ravel_multi_index(f.astype(np.intp).T, self.shape)
+        neg = -self.count[cell]
+        order = np.argsort(neg, kind="stable")  # fullest cells first, so that the queries
+        neg = neg[order]  # whose cell holds more than r candidates are the first ends[r]
+        ends = np.searchsorted(neg, -np.arange(-int(neg[0])))
+        near, rest = np.split(order, [np.count_nonzero(neg)])
+        cell, (qx, qy, qz) = cell[near], q.T[:, near]
+        best, buf = np.full(len(near), np.inf), np.empty((2, len(near)))
+        x, y, z = self.xyz
+        for r, k in enumerate(ends):
+            c = self.table[r].take(cell[:k])
+            s = np.square(x.take(c) - qx[:k], out=buf[0, :k])
+            s += np.square(y.take(c) - qy[:k], out=buf[1, :k])
+            s += np.square(z.take(c) - qz[:k], out=buf[1, :k])
+            np.minimum(best[:k], s, out=best[:k])
+        d = np.empty(len(q))
+        d[near] = np.sqrt(best)
+        if len(rest):  # on one thread: per block, starting worker threads cost more than they saved
+            d[rest] = self.tree.query(q[rest])[0]
+        return d
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,6 +145,11 @@ class ObjectModel:
 
     def __len__(self):
         return self.points.shape[0]
+
+    @cached_property
+    def _cells(self) -> _CellGrid:
+        # built on the first tracker step, so models that are never tracked skip it
+        return _CellGrid(self._tree)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,10 +186,12 @@ class TrackerConfig:
     def __post_init__(self):
         if self.particle_count < 1:
             raise InvalidInputError("particle_count must be >= 1")
-        for name in ("sigma_translation", "sigma_rotation", "temperature", "activation_threshold"):
-            if getattr(self, name) < 0:
-                raise InvalidInputError(f"{name} must be nonnegative")
-        if self.temperature <= 0:
+        for name in ("sigma_translation", "sigma_rotation"):  # written so that NaN fails them
+            if not (0 <= getattr(self, name) < np.inf):
+                raise InvalidInputError(f"{name} must be finite and nonnegative")
+        if not (self.activation_threshold >= 0):
+            raise InvalidInputError("activation_threshold must be nonnegative")
+        if not (self.temperature > 0):
             raise InvalidInputError("temperature must be positive")
         if not (0 < self.ess_fraction <= 1):
             raise InvalidInputError("ess_fraction must lie in (0, 1]")
@@ -267,22 +370,27 @@ def estimate(particles: ParticleSet) -> tuple[PoseSE3, EstimateDiagnostics]:
 
 
 def particle_distances(particles: ParticleSet, contacts: ContactSet, obj: ObjectModel) -> np.ndarray:
-    """Per-particle g, evaluated against the prebuilt object-frame KD-tree.
+    """Per-particle g, evaluated against the object model's prebuilt lookups.
 
     Contacts are pulled into each particle's object frame, which leaves
     nearest-neighbor distances unchanged and avoids rebuilding a tree per
     particle; agrees with weight_distance(observe_model(...)) to rigid
-    floating-point accuracy.
+    floating-point accuracy. The distances are the object-frame KD-tree's,
+    bit for bit (see _CellGrid).
     """
     if len(contacts) == 0:
         return np.zeros(len(particles))
     rot = quat_to_matrix(particles.quats)  # (K, 3, 3)
-    # (c - t) @ R applies R^T rowwise; distribute to avoid the (K, M, 3) diff temp
-    local = np.matmul(contacts.points[None, :, :], rot)
-    local -= np.matmul(particles.trans[:, None, :], rot)
-    d, _ = obj._tree.query(local.reshape(-1, 3), workers=-1)
-    d = d.reshape(len(particles), len(contacts))
-    return np.sum(d * d, axis=1)
+    g = np.empty(len(particles))
+    step = max(1, _QUERY_BLOCK // len(contacts))
+    for s in range(0, len(particles), step):
+        r = rot[s : s + step]
+        # (c - t) @ R applies R^T rowwise; distribute to avoid the (K, M, 3) diff temp
+        local = np.matmul(contacts.points[None, :, :], r)
+        local -= np.matmul(particles.trans[s : s + step, None, :], r)
+        d = obj._cells.distances(local.reshape(-1, 3)).reshape(len(r), -1)
+        g[s : s + step] = np.sum(d * d, axis=1)
+    return g
 
 
 @dataclass(frozen=True)

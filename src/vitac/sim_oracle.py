@@ -233,11 +233,11 @@ class SceneSpec:
         for keys in (traj, apert):
             if any(b[0] < a[0] for a, b in zip(keys, keys[1:])):
                 raise InvalidInputError("trajectory keys must be time-sorted")
-        if any(g < 0 for _, g in apert):
+        if not all(g >= 0 for _, g in apert):  # written so that NaN fails these checks
             raise InvalidInputError("aperture must be nonnegative")
-        if self.stiffness <= 0:
+        if not (self.stiffness > 0):
             raise InvalidInputError("stiffness must be positive")
-        if self.noise_sigma < 0:
+        if not (self.noise_sigma >= 0):
             raise InvalidInputError("noise sigma must be nonnegative")
         object.__setattr__(self, "object_trajectory", traj)
         object.__setattr__(self, "aperture_trajectory", apert)

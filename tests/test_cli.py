@@ -335,6 +335,11 @@ def _argv(good, flag, path, out):
 
 
 _CENTER_NO_T = {"prior": {"center": {"q": [1.0, 0.0, 0.0, 0.0]}}}
+_NAN_GAP_SCENE = {"object": {"kind": "box", "size": [0.04, 0.04, 0.08]},
+                  "object_trajectory": [{"t": 0.0, "pose": _POSE}],
+                  "aperture_trajectory": [{"t": 0.0, "gap": float("nan")}]}
+_GRID_LIST_CHAIN = {"links": [{"joint": "fixed", "fixed": _POSE}],
+                    "mounts": [{"pad_id": 0, "link": 0, "transform": _POSE, "grid": []}]}
 # (input flag, bad file content, text the error names); truth is JSON lines, so its
 # errors also name line 1
 BAD_JSON_DOCS = {
@@ -347,10 +352,19 @@ BAD_JSON_DOCS = {
     "config-center-no-t": ("--config", json.dumps(_CENTER_NO_T), "missing key 't'"),
     "config-extent-string": ("--config", '{"prior": {"translation_half_extent": "wide"}}',
                              "'wide'"),
+    "config-infinity": ("--config", '{"prior": {"translation_half_extent": Infinity}}',
+                        "number Infinity is not finite"),
+    "config-nan": ("--config", '{"sigma_translation": NaN}', "number NaN is not finite"),
+    "config-overflow": ("--config", '{"sigma_rotation": 1e400}', "number 1e400 is not finite"),
+    "config-prior-list": ("--config", '{"prior": []}', "prior must be a JSON object"),
+    "config-extent-negative": ("--config", '{"prior": {"rotation_half_angle_deg": -5}}',
+                               "prior extents must be finite and nonnegative"),
     "chain-link-no-fixed": ("--chain", '{"links": [{"joint": "fixed"}]}', "missing key 'fixed'"),
     "chain-link-one": ("--chain", json.dumps(
         {"links": [], "mounts": [{"pad_id": 0, "link": "one", "transform": _POSE}]}), "'one'"),
     "chain-unclosed": ("--chain", '{"links": [', "not a JSON document"),
+    "chain-grid-list": ("--chain", json.dumps(_GRID_LIST_CHAIN), "expected a JSON object for TaxelGrid"),
+    "scene-gap-nan": ("--scene", json.dumps(_NAN_GAP_SCENE), "number NaN is not finite"),
     "scene-no-object": ("--scene", '{"seed": 1}', "missing key 'object'"),
     "scene-unclosed": ("--scene", '{"object": {"kind": "sphere", "radius": 0.1}',
                        "not a JSON document"),

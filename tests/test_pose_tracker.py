@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
+from test_acceptance import _episode_contacts, _grasp_scene
 
 from vitac.errors import DegenerateWeightsError, InvalidInputError
 from vitac.pointcloud import CloudXYZF
@@ -21,7 +25,8 @@ from vitac.pose_tracker import (
     weight_distance,
     weight_distance_bruteforce,
 )
-from vitac.se3 import PoseSE3, quat_normalize
+from vitac.se3 import PoseSE3, quat_normalize, quat_to_matrix
+from vitac.sim_oracle import Primitive, sample_object_cloud
 
 
 def random_pose(rng, t_scale=1.0):
@@ -128,6 +133,14 @@ def test_scale_weights_extreme_ratios_underflow_gracefully():
     w = scale_weights([0.0, 1e9], 1e-6)
     assert w[0] == 1.0 and w[1] == 0.0
     assert abs(w.sum() - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("field, value", [("sigma_translation", np.nan), ("sigma_translation", np.inf),
+                                          ("sigma_rotation", np.nan), ("temperature", np.nan),
+                                          ("activation_threshold", np.nan)])
+def test_tracker_config_rejects_non_finite(field, value):
+    with pytest.raises(InvalidInputError):
+        TrackerConfig(**{field: value})
 
 
 def test_scale_weights_degenerate():
@@ -263,6 +276,178 @@ def test_particle_distances_matches_literal_composition():
     for i in range(len(particles)):
         literal = weight_distance(contacts, observe_model(obj, particles.pose(i)))
         assert fast[i] == pytest.approx(literal, rel=1e-9)
+
+
+def _kdtree_particle_distances(particles, contacts, obj):
+    """particle_distances as it was before the cell grid: one KD-tree query over every
+    particle's contacts. The oracle the grid must match bit for bit."""
+    rot = quat_to_matrix(particles.quats)
+    local = np.matmul(contacts.points[None, :, :], rot)
+    local -= np.matmul(particles.trans[:, None, :], rot)
+    d, _ = cKDTree(obj.points).query(local.reshape(-1, 3))
+    d = d.reshape(len(particles), len(contacts))
+    return np.sum(d * d, axis=1)
+
+
+def _squared_distances(obj, q):
+    """Squared distance from each row of q to the model, through particle_distances:
+    one unrotated particle at -q_i per point and a single contact at the origin."""
+    particles = ParticleSet.uniform(np.tile([1.0, 0, 0, 0], (len(q), 1)), -q)
+    return particle_distances(particles, ContactSet(np.zeros((1, 3))), obj)
+
+
+def _assert_kdtree_distances(obj, q):
+    d, _ = cKDTree(obj.points).query(q)
+    assert np.array_equal(_squared_distances(obj, q), d * d)
+
+
+@pytest.fixture(scope="module")
+def box_model():
+    return ObjectModel(sample_object_cloud(Primitive.box(0.04, 0.04, 0.08), 2048, seed=42))
+
+
+@pytest.fixture(scope="module")
+def grasp_contacts():
+    contacts, _ = _episode_contacts(_grasp_scene(((0.0, PoseSE3.identity()),)), 1)[0]
+    return contacts
+
+
+@pytest.mark.parametrize("extent, angle_deg", [(0.03, 20.0), (0.005, 3.0), (0.001, 0.5)])
+def test_particle_distances_bit_identical_to_kdtree_on_the_criterion_6_grasp(
+    box_model, grasp_contacts, extent, angle_deg
+):
+    # from criterion 6's wide prior down to a converged particle cloud
+    rng = np.random.default_rng(31)
+    particles = init_particles(PoseSE3.identity(), extent, np.deg2rad(angle_deg), 512, rng)
+    fast = particle_distances(particles, grasp_contacts, box_model)
+    assert np.array_equal(fast, _kdtree_particle_distances(particles, grasp_contacts, box_model))
+
+
+def test_particle_distances_bit_identical_to_kdtree_on_tracked_particles(box_model, grasp_contacts):
+    tracker = Tracker(box_model, TrackerConfig(particle_count=256), PoseSE3.identity(), 0.03,
+                      np.deg2rad(20.0), seed=3)
+    for _ in range(12):
+        tracker.step(grasp_contacts)
+    particles = tracker.particles
+    fast = particle_distances(particles, grasp_contacts, box_model)
+    assert np.array_equal(fast, _kdtree_particle_distances(particles, grasp_contacts, box_model))
+
+
+def test_particle_distances_bit_identical_with_more_contacts_than_a_block(box_model):
+    rng = np.random.default_rng(32)
+    contacts = ContactSet(rng.uniform(-0.06, 0.06, size=(70_000, 3)))
+    particles = init_particles(PoseSE3.identity(), 0.01, 0.2, 3, rng)
+    fast = particle_distances(particles, contacts, box_model)
+    assert np.array_equal(fast, _kdtree_particle_distances(particles, contacts, box_model))
+
+
+def _nudged(pts, rng):
+    """pts with a copy one float step away in each coordinate, up or down, and one two
+    steps up: near ties that rounding decides."""
+    once = np.nextafter(pts, pts + rng.choice([-1.0, 1.0], size=pts.shape))
+    return np.vstack([pts, once, np.nextafter(np.nextafter(pts, np.inf), np.inf)])
+
+
+AWKWARD_MODELS = {
+    "three points": lambda rng: rng.normal(size=(3, 3)),
+    "one point thrice": lambda rng: np.ones((3, 3)),
+    "plane": lambda rng: np.column_stack([rng.uniform(size=(400, 2)), np.zeros(400)]),
+    "line": lambda rng: np.column_stack([rng.uniform(size=400), np.zeros((400, 2))]),
+    "duplicates": lambda rng: np.repeat(rng.normal(size=(60, 3)), 3, axis=0),
+    "near duplicates": lambda rng: _nudged(rng.normal(size=(200, 3)), rng),
+    "lattice": lambda rng: np.indices((8, 8, 8)).reshape(3, -1).T * 1e-3,
+    "ball": lambda rng: rng.normal(size=(3000, 3)),
+    "cluster and outliers": lambda rng: np.vstack(
+        [rng.normal(size=(500, 3)) * 1e-4, rng.normal(size=(40, 3)) * 0.1]
+    ),
+    "tiny far away": lambda rng: rng.normal(size=(300, 3)) * 1e-7 + 5.0,
+    "two far clusters": lambda rng: np.vstack(
+        [rng.normal(size=(12, 3)) * 1e-3, rng.normal(size=(12, 3)) * 1e-3 + [10.0, 0, 0]]
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(AWKWARD_MODELS))
+def test_particle_distances_bit_identical_to_kdtree_on_awkward_models(kind):
+    rng = np.random.default_rng(33)
+    pts = AWKWARD_MODELS[kind](rng)
+    obj = ObjectModel(pts)
+    extent = float(np.ptp(pts, axis=0).max()) or 1.0
+    queries = [pts] + [pts + rng.normal(size=pts.shape) * extent * s for s in (1e-3, 1e-2, 0.1, 1.0)]
+    # points on the lookup grid's cell faces, edges and corners, where rounding picks the
+    # cell, everywhere inside it, and far outside it
+    cells = obj._cells
+    for offset in ([0.0, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.5, 0.5]):
+        queries.append(cells.lo + (rng.integers(0, cells.shape + 1, size=(3000, 3)) + offset) * cells.h)
+    queries.append(cells.lo + rng.uniform(0, 1, size=(20_000, 3)) * cells.shape * cells.h)
+    queries.append(cells.lo + rng.normal(size=(300, 3)) * cells.shape * cells.h * 1e3)
+    _assert_kdtree_distances(obj, np.vstack(queries))
+
+
+def test_a_point_at_the_candidate_bound_stays_a_candidate():
+    # queries just inside the corner c of a cell B, with a model point p* at B's centre:
+    # |q - p*| is u, the bound on B's candidates. Just past c lies p, a hair nearer to c, so
+    # mindist(p, B) = u * (1 - 1e-12) and p is the queries' nearest point. Only the margins
+    # of the candidate test keep p on B's list.
+    base = np.random.default_rng(35).uniform(0.0, 10.0, size=(2000, 3))
+    base = base[np.linalg.norm(base - 5.0, axis=1) > 3.0]
+    lo, h = np.zeros(3), 1.0
+    for _ in range(20):  # the grid depends on the points placed on it: iterate to a fixed point
+        corner = lo + (np.floor((5.0 - lo) / h) + 1.0) * h
+        pts = np.vstack([base, corner - h / 2, corner + h / 2 * (1 - 1e-12)])
+        obj = ObjectModel(pts)
+        if obj._cells.h == h and np.array_equal(obj._cells.lo, lo):
+            break
+        lo, h = obj._cells.lo, obj._cells.h
+    q = corner - np.array([1e-14, 3e-14, 1e-13, 2e-13])[:, None] * h
+    assert np.all(cKDTree(pts).query(q)[1] == len(pts) - 1)
+    assert np.all(np.floor((q - lo) / h) == np.floor((corner - h / 2 - lo) / h))
+    _assert_kdtree_distances(obj, q)
+
+
+def test_a_wide_model_widens_the_cells_to_the_cell_budget():
+    pts = AWKWARD_MODELS["two far clusters"](np.random.default_rng(33))
+    cells = ObjectModel(pts)._cells
+    spacing = np.mean(cKDTree(pts).query(pts, k=2)[0][:, 1])
+    assert cells.h > 2 * spacing and np.prod(cells.shape) <= 1 << 17
+    assert np.count_nonzero(cells.count) > 0  # cells near the clusters still answer
+
+
+def test_the_grid_answers_most_queries_near_the_model(box_model, grasp_contacts):
+    # a cell list that is never used would leave every query to the tree: still exact, no faster
+    rng = np.random.default_rng(34)
+    particles = init_particles(PoseSE3.identity(), 0.001, 0.01, 64, rng)
+    rot = quat_to_matrix(particles.quats)
+    q = (np.matmul(grasp_contacts.points[None], rot) - np.matmul(particles.trans[:, None], rot))
+    cells = box_model._cells
+    idx = np.floor((q.reshape(-1, 3) - cells.lo) / cells.h).astype(np.intp)
+    assert np.mean(cells.count[np.ravel_multi_index(idx.T, cells.shape)] > 0) > 0.9
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    grid=st.lists(st.tuples(*[st.integers(-4, 4)] * 3), min_size=3, max_size=60),
+    scale=st.sampled_from([1e-3, 0.37, 1.0, 1e3]),
+    offset=st.sampled_from([0.0, -2.5, 1e3]),
+    seed=st.integers(0, 2**16),
+)
+def test_particle_distances_property_bit_identical_to_kdtree(grid, scale, offset, seed):
+    pts = np.asarray(grid, dtype=np.float64) * scale + offset
+    rng = np.random.default_rng(seed)
+    q = np.vstack(
+        [
+            pts + rng.normal(size=pts.shape) * scale * 0.3,
+            offset + rng.uniform(-6, 6, size=(200, 3)) * scale,
+            offset + rng.integers(-6, 7, size=(200, 3)) * scale * 0.5,
+        ]
+    )
+    _assert_kdtree_distances(ObjectModel(pts), q)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_contact_set_rejects_non_finite_points(bad):
+    with pytest.raises(InvalidInputError):
+        ContactSet(np.array([[0.0, 0.0, 0.0], [0.0, bad, 0.0]]))
 
 
 def test_update_empty_contacts_is_predict_only():

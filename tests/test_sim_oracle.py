@@ -120,6 +120,15 @@ def test_primitive_validation():
         Primitive("wedge")
 
 
+@pytest.mark.parametrize("field, value", [("aperture_trajectory", ((0.0, float("nan")),)),
+                                          ("stiffness", float("nan")), ("noise_sigma", float("nan"))])
+def test_scene_spec_rejects_nan(field, value):
+    spec = {"obj": Primitive.sphere(0.1), "object_trajectory": ((0.0, PoseSE3.identity()),),
+            "aperture_trajectory": ((0.0, 0.05),), field: value}
+    with pytest.raises(InvalidInputError):
+        SceneSpec(**spec)
+
+
 # --- gripper model --------------------------------------------------------------
 
 
