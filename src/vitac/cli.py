@@ -176,6 +176,8 @@ def _read_joints_jsonl(path) -> dict:
 
 
 def cmd_sync(args) -> dict:
+    if not np.isfinite(args.tol_ms):
+        raise InvalidInputError(f"--tol-ms must be finite, got {args.tol_ms}")
     streams = {}
     for path in args.tactile or []:
         streams.update(_read_tactile_jsonl(_require_file(path)))

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, VitacError
-from .sensor_model import PAD_SHAPE, TactileFrame
+from .frozen import freeze
+from .sensor_model import PAD_SHAPE, TactileFrame, check_raw_readings
 
 MAGIC = b"\xa5\x5a"
 VERSION = 1
@@ -77,19 +78,15 @@ class WireFrame:
     readings: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.readings, dtype=np.uint16).reshape(PAD_SHAPE)
-        r.setflags(write=False)
-        object.__setattr__(self, "readings", r)
-
-    def to_tactile_frame(self) -> TactileFrame:
-        return TactileFrame(self.pad_id, self.timestamp_us, self.readings, normalized=False)
+        check_raw_readings(np.asarray(self.readings), MAX_READING)
+        freeze(self, "readings", PAD_SHAPE, np.uint16)
 
 
 def pack_readings(readings: np.ndarray) -> bytes:
     """Pack 256 10-bit readings MSB-first into 320 bytes."""
-    flat = np.asarray(readings, dtype=np.uint16).reshape(256)
-    if np.any(flat > MAX_READING):
-        raise InvalidInputError(f"readings exceed {READING_BITS}-bit range")
+    flat = np.asarray(readings).reshape(256)
+    check_raw_readings(flat, MAX_READING)
+    flat = flat.astype(np.uint16)
     shifts = np.arange(READING_BITS - 1, -1, -1)
     bits = ((flat[:, None] >> shifts) & 1).astype(np.uint8).ravel()
     return np.packbits(bits).tobytes()

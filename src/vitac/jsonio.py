@@ -22,7 +22,8 @@ def _finite(token: str) -> float:
     return x
 
 
-def _loads(text):
+def loads(text):
+    """json.loads, with ValueError for a number that is not finite."""
     return json.loads(text, parse_float=_finite, parse_constant=_finite)
 
 
@@ -38,7 +39,7 @@ def read_json(path, parse):
     """parse(doc) for the one JSON object in the file at path."""
     with open(path, "rb") as fh:
         try:
-            doc = _loads(fh.read())
+            doc = loads(fh.read())
             if not isinstance(doc, dict):
                 raise TypeError("expected a JSON object")
             return parse(doc)
@@ -54,7 +55,7 @@ def read_jsonl(path, parse) -> list:
         try:
             for lineno, line in enumerate(fh, 1):
                 if line.strip():
-                    out.append(parse(_loads(line)))
+                    out.append(parse(loads(line)))
         except _BAD_DOC as exc:
             raise _error(f"{path}:{lineno}", "line", exc) from None
     return out

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import jsonio
 from .errors import InvalidInputError
+from .frozen import freeze
 from .pointcloud import BASE_FRAME, CloudXYZF
 from .se3 import PoseSE3
 
@@ -37,12 +38,9 @@ class Link:
             return
         if self.axis is None:
             raise InvalidInputError(f"{self.joint} joint requires an axis")
-        axis = np.asarray(self.axis, dtype=np.float64).reshape(3)
-        norm = float(np.linalg.norm(axis))
+        norm = float(np.linalg.norm(freeze(self, "axis", 3)))
         if abs(norm - 1.0) > 1e-9:
             raise InvalidInputError(f"joint axis must be unit norm, got |axis|={norm}")
-        axis.setflags(write=False)
-        object.__setattr__(self, "axis", axis)
 
 
 @dataclass(frozen=True)
@@ -63,11 +61,7 @@ class JointState:
     timestamp_us: int = 0
 
     def __post_init__(self):
-        p = np.asarray(self.positions, dtype=np.float64).reshape(-1)
-        if not np.all(np.isfinite(p)):
-            raise InvalidInputError("joint positions must be finite")
-        p.setflags(write=False)
-        object.__setattr__(self, "positions", p)
+        freeze(self, "positions", -1, finite="joint positions must be finite")
         object.__setattr__(self, "timestamp_us", int(self.timestamp_us))
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
+from .frozen import freeze
 from .se3 import PoseSE3
 
 BASE_FRAME = "base"
@@ -26,11 +27,7 @@ class CloudXYZF:
     frame: str
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 4)
-        if not np.all(np.isfinite(pts)):
-            raise InvalidInputError("cloud contains non-finite values")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        freeze(self, "points", (-1, 4), finite="cloud contains non-finite values")
         object.__setattr__(self, "frame", str(self.frame))
 
     @staticmethod
@@ -63,16 +60,10 @@ class AABB:
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=np.float64).reshape(3)
-        hi = np.asarray(self.hi, dtype=np.float64).reshape(3)
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise InvalidInputError("box corners must be finite")
+        lo = freeze(self, "lo", 3, finite="box corners must be finite")
+        hi = freeze(self, "hi", 3, finite="box corners must be finite")
         if np.any(lo > hi):
             raise InvalidInputError("box min corner exceeds max corner")
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
 
     def to_dict(self) -> dict:
         return {"min": self.lo.tolist(), "max": self.hi.tolist()}
@@ -90,9 +81,7 @@ class FusedCloud:
     frame: str
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 6)
-        if not np.all(np.isfinite(pts)):
-            raise InvalidInputError("fused cloud contains non-finite values")
+        pts = freeze(self, "points", (-1, 6), finite="fused cloud contains non-finite values")
         flags = pts[:, 4:6]
         if not np.all(np.isin(flags, (0.0, 1.0))):
             raise InvalidInputError("one-hot channels must be 0 or 1")
@@ -100,8 +89,6 @@ class FusedCloud:
             raise InvalidInputError("one-hot channels must sum to 1 per point")
         if np.any(pts[flags[:, 0] == 1.0, 3] != 0.0):
             raise InvalidInputError("visual points must carry a zero value channel")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
         object.__setattr__(self, "frame", str(self.frame))
 
     def __len__(self):

@@ -18,6 +18,7 @@ from scipy.spatial import cKDTree
 
 from . import jsonio
 from .errors import DegenerateWeightsError, InvalidInputError
+from .frozen import freeze
 from .pointcloud import CloudXYZF
 from .se3 import (
     PoseSE3,
@@ -133,13 +134,11 @@ class ObjectModel:
     _tree: cKDTree = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
+        pts = freeze(self, "points", (-1, 3))
         if pts.shape[0] < 3:
             raise InvalidInputError(f"object model needs >= 3 points, got {pts.shape[0]}")
         if not np.all(np.isfinite(pts)):
             raise InvalidInputError("object model contains non-finite points")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
         # small leaves measurably speed the clustered bulk queries in update()
         object.__setattr__(self, "_tree", cKDTree(pts, leafsize=8))
 
@@ -159,11 +158,7 @@ class ContactSet:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
-        if not np.all(np.isfinite(pts)):
-            raise InvalidInputError("contact points must be finite")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        freeze(self, "points", (-1, 3), finite="contact points must be finite")
 
     def __len__(self):
         return self.points.shape[0]
@@ -211,18 +206,13 @@ class ParticleSet:
     weights: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.quats, dtype=np.float64).reshape(-1, 4)
-        t = np.asarray(self.trans, dtype=np.float64).reshape(-1, 3)
-        w = np.asarray(self.weights, dtype=np.float64).reshape(-1)
+        q = freeze(self, "quats", (-1, 4))
+        t = freeze(self, "trans", (-1, 3))
+        w = freeze(self, "weights", -1)
         if not (q.shape[0] == t.shape[0] == w.shape[0]):
             raise InvalidInputError("quats, trans, weights must share the leading dimension")
         if q.shape[0] == 0:
             raise InvalidInputError("particle set cannot be empty")
-        for arr in (q, t, w):
-            arr.setflags(write=False)
-        object.__setattr__(self, "quats", q)
-        object.__setattr__(self, "trans", t)
-        object.__setattr__(self, "weights", w)
 
     def __len__(self):
         return self.quats.shape[0]

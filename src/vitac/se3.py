@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
+from .frozen import freeze
 
 _UNIT_TOL = 1e-9
 
@@ -145,19 +146,14 @@ class PoseSE3:
     t: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=np.float64).reshape(4)
-        t = np.asarray(self.t, dtype=np.float64).reshape(3)
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(t))):
-            raise InvalidInputError("pose components must be finite")
+        q = freeze(self, "q", 4, finite="pose components must be finite")
+        freeze(self, "t", 3, finite="pose components must be finite")
         norm = float(np.linalg.norm(q))
         if norm == 0.0:
             raise InvalidInputError("zero quaternion is not a rotation")
         if abs(norm - 1.0) > _UNIT_TOL:
-            q = q / norm
-        q.setflags(write=False)
-        t.setflags(write=False)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "t", t)
+            object.__setattr__(self, "q", q / norm)
+            freeze(self, "q", 4)
 
     @staticmethod
     def identity() -> "PoseSE3":
@@ -166,15 +162,6 @@ class PoseSE3:
     @staticmethod
     def from_rotvec(rotvec, translation=(0.0, 0.0, 0.0)) -> "PoseSE3":
         return PoseSE3(rotvec_to_quat(np.asarray(rotvec, dtype=np.float64)), np.asarray(translation))
-
-    @staticmethod
-    def from_matrix(m: np.ndarray) -> "PoseSE3":
-        m = np.asarray(m, dtype=np.float64)
-        if m.shape == (4, 4):
-            return PoseSE3(matrix_to_quat(m[:3, :3]), m[:3, 3])
-        if m.shape == (3, 3):
-            return PoseSE3(matrix_to_quat(m), np.zeros(3))
-        raise InvalidInputError(f"expected 3x3 or 4x4 matrix, got {m.shape}")
 
     def matrix(self) -> np.ndarray:
         """Homogeneous 4x4 matrix."""

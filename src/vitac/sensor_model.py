@@ -20,6 +20,7 @@ from .errors import (
     InvalidInputError,
     SaturatedReadingError,
 )
+from .frozen import freeze
 
 PAD_ROWS = 16
 PAD_COLS = 16
@@ -155,6 +156,20 @@ def fit_response(
     return FitResult(model=model, r_squared=r_squared, n_used=len(usable))
 
 
+def check_raw_readings(readings: np.ndarray, bound: int) -> None:
+    """InvalidInputError unless every reading is an integer in [0, bound]."""
+    kind = readings.dtype.kind
+    if kind in "iu":  # an integer array can only leave the range
+        bad = readings.max() > bound or (kind == "i" and readings.min() < 0)
+    else:
+        values = np.asarray(readings, dtype=np.float64)
+        if not np.all(np.isfinite(values)):
+            raise InvalidInputError("raw readings must be finite")
+        bad = np.any(values % 1 != 0) or values.min() < 0 or values.max() > bound
+    if bad:
+        raise InvalidInputError(f"raw readings must be integers in [0, {bound}]")
+
+
 @dataclass(frozen=True, eq=False)
 class TactileFrame:
     """One timestamped 16x16 reading grid from one sensor pad."""
@@ -169,18 +184,12 @@ class TactileFrame:
         if r.shape != PAD_SHAPE:
             raise InvalidInputError(f"readings must be {PAD_SHAPE}, got {r.shape}")
         if self.normalized:
-            r = r.astype(np.float64)
+            r = freeze(self, "readings", PAD_SHAPE)
             if not np.all(np.isfinite(r)) or np.any(r < 0) or np.any(r > 1):
                 raise InvalidInputError("normalized readings must lie in [0, 1]")
         else:
-            values = np.asarray(r, dtype=np.float64)
-            if not np.all(np.isfinite(values)):
-                raise InvalidInputError("raw readings must be finite")
-            if np.any(values % 1 != 0) or values.min() < 0 or values.max() > 65535:
-                raise InvalidInputError("raw readings must be integers in [0, 65535]")
-            r = values.astype(np.uint16)
-        r.setflags(write=False)
-        object.__setattr__(self, "readings", r)
+            check_raw_readings(r, 65535)
+            freeze(self, "readings", PAD_SHAPE, np.uint16)
         object.__setattr__(self, "pad_id", int(self.pad_id))
         object.__setattr__(self, "timestamp_us", int(self.timestamp_us))
 
@@ -199,18 +208,11 @@ class PadCalibration:
     model: TaxelResponseModel = field(default_factory=TaxelResponseModel)
 
     def __post_init__(self):
-        gain = np.asarray(self.gain, dtype=np.float64)
-        offset = np.asarray(self.offset, dtype=np.float64)
-        if gain.shape != PAD_SHAPE or offset.shape != PAD_SHAPE:
+        if np.shape(self.gain) != PAD_SHAPE or np.shape(self.offset) != PAD_SHAPE:
             raise InvalidInputError(f"gain/offset must be {PAD_SHAPE}")
-        if not np.all(gain > 0):
+        if not np.all(freeze(self, "gain", PAD_SHAPE) > 0):
             raise InvalidInputError("all gains must be positive")
-        if not np.all(np.isfinite(offset)):
-            raise InvalidInputError("offsets must be finite")
-        gain.setflags(write=False)
-        offset.setflags(write=False)
-        object.__setattr__(self, "gain", gain)
-        object.__setattr__(self, "offset", offset)
+        freeze(self, "offset", PAD_SHAPE, finite="offsets must be finite")
         object.__setattr__(self, "pad_id", int(self.pad_id))
 
     def to_dict(self) -> dict:
@@ -260,6 +262,9 @@ class ConsistencyReport:
     std: float
     outlier_count: int
 
+    def __post_init__(self):
+        freeze(self, "block_sums", (8, 8))
+
     @property
     def coefficient_of_variation(self) -> float:
         return self.std / self.mean if self.mean != 0 else float("inf")
@@ -280,7 +285,6 @@ def consistency_stats(frame: TactileFrame, outlier_sigma: float = 3.0) -> Consis
     keep = np.abs(flat - mean1) <= outlier_sigma * std1
     outlier_count = int(np.count_nonzero(~keep))
     kept = flat[keep] if outlier_count else flat
-    sums.setflags(write=False)
     return ConsistencyReport(
         block_sums=sums,
         mean=float(kept.mean()),

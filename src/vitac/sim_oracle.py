@@ -16,6 +16,7 @@ import numpy as np
 
 from . import jsonio
 from .errors import InvalidInputError
+from .frozen import freeze
 from .kinematics import (
     PRISMATIC,
     JointState,
@@ -60,11 +61,9 @@ class Primitive:
             if self.radius <= 0:
                 raise InvalidInputError("sphere needs a positive radius")
         elif self.kind == "mesh":
-            pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
+            pts = freeze(self, "points", (-1, 3))
             if pts.shape[0] < 1 or not np.all(np.isfinite(pts)):
                 raise InvalidInputError("mesh needs at least one finite vertex")
-            pts.setflags(write=False)
-            object.__setattr__(self, "points", pts)
         else:
             raise InvalidInputError(f"unknown primitive kind {self.kind!r}")
 
@@ -422,8 +421,8 @@ def render_episode(scene: SceneSpec, rate_hz: float, duration_s: float):
     and the joint state matching the aperture. Bit-identical under the
     same scene seed.
     """
-    if rate_hz <= 0 or duration_s <= 0:
-        raise InvalidInputError("rate and duration must be positive")
+    if not (0 < rate_hz < np.inf and 0 < duration_s < np.inf):  # written so that NaN fails it
+        raise InvalidInputError("rate and duration must be positive and finite")
     n_ticks = int(np.floor(duration_s * rate_hz + 1e-9))
     tuples = []
     truth = []

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import jsonio
 from .errors import (
     ChecksumError,
     EpisodeLoadError,
@@ -94,10 +95,6 @@ class DropReport:
     dropped: list = field(default_factory=list)
     per_stream: dict = field(default_factory=dict)
 
-    @property
-    def ticks_emitted(self) -> int:
-        return self.ticks_total - len(self.dropped)
-
     def to_metadata(self) -> dict:
         return {
             "ticks_total": self.ticks_total,
@@ -117,8 +114,8 @@ def align(streams, rate_hz: float = 10.0, tolerance_us: int = 50_000):
     has a sample within the tolerance; otherwise the tick lands in the
     drop report with the offending streams named.
     """
-    if rate_hz <= 0:
-        raise InvalidInputError(f"rate must be positive, got {rate_hz}")
+    if not (0 < rate_hz < np.inf):  # written so that NaN fails it
+        raise InvalidInputError(f"rate must be positive and finite, got {rate_hz}")
     if tolerance_us < 0:
         raise InvalidInputError("tolerance must be nonnegative")
     if not streams:
@@ -354,7 +351,7 @@ def read_episode(path) -> Episode:
     if version != EPISODE_VERSION:
         raise EpisodeVersionError(f"{path}: unsupported version {version}")
     try:
-        header = json.loads(r.take(header_len).decode("utf-8"))
+        header = jsonio.loads(r.take(header_len).decode("utf-8"))
         rate_hz, tolerance_us = float(header["rate_hz"]), int(header["tolerance_us"])
         streams, metadata = list(header["streams"]), dict(header.get("metadata", {}))
         tuple_count = int(header.get("tuple_count", 0))
@@ -362,8 +359,10 @@ def read_episode(path) -> Episode:
         raise EpisodeLoadError(f"{path}: header lacks {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise EpisodeLoadError(f"{path}: bad header ({exc})") from None
-    if not rate_hz > 0:
-        raise EpisodeLoadError(f"{path}: header rate_hz must be positive, got {rate_hz}")
+    if not (0 < rate_hz < np.inf):  # a string such as "inf" gets past the JSON reader
+        raise EpisodeLoadError(f"{path}: header rate_hz must be positive and finite, got {rate_hz}")
+    if tuple_count < 0:
+        raise EpisodeLoadError(f"{path}: header tuple_count must be nonnegative, got {tuple_count}")
     tuples = []
     for i in range(tuple_count):
         r.context = f"{path} record {i}"

@@ -303,6 +303,7 @@ def good_inputs(tmp_path_factory):
         ("--scene", "scene.json"), ("--episode", "ep.vtep"), ("--truth", "truth.jsonl"),
         ("--object", "obj.ply"), ("--chain", "chain.json"), ("--box", "box.json"),
         ("--config", "tracker.json"), ("--calib", "calib.json"), ("--poses", "poses.jsonl"),
+        ("--joints", "joints.jsonl"),
     ]}
     assert main(["simulate", "--scene", str(paths["--scene"]), "--dur", "0.2",
                  "--out", str(paths["--episode"]), "--truth", str(paths["--truth"]),
@@ -312,6 +313,7 @@ def good_inputs(tmp_path_factory):
     paths["--config"].write_text(json.dumps({"particle_count": 16}))
     PadCalibration(pad_id=0).save(paths["--calib"])
     paths["--poses"].write_text(json.dumps({"t_us": 0, "pose": _POSE}) + "\n")
+    paths["--joints"].write_text(_GOOD_LINE["--joints"] + "\n")
     return paths
 
 
@@ -324,6 +326,7 @@ _READS = {
     "--config": ["track", "--episode", "--object", "--chain", "--calib", "--out", "{out}"],
     "--object": ["track", "--episode", "--chain", "--out", "{out}"],
     "--truth": ["eval", "--poses"],
+    "--joints": ["sync", "--out", "{out}"],
 }
 
 
@@ -394,6 +397,27 @@ def test_bad_input_file_is_one_error_line(tmp_path, capsys, good_inputs, kind):
     where = f"{path}:1" if flag == "--truth" else f"{path}"
     assert err.startswith(f"error: {where}: ") and err.count("\n") == 1, err
     assert names in err, err
+
+
+# (input flag of the command, numeric flag, its value, text the error names)
+BAD_NUMBER_FLAGS = {
+    "sync-rate-nan": ("--joints", "--rate", "nan", "rate must be positive and finite"),
+    "sync-rate-inf": ("--joints", "--rate", "inf", "rate must be positive and finite"),
+    "sync-tol-nan": ("--joints", "--tol-ms", "nan", "--tol-ms must be finite"),
+    "sync-tol-inf": ("--joints", "--tol-ms", "inf", "--tol-ms must be finite"),
+    "simulate-rate-nan": ("--scene", "--rate", "nan", "rate and duration must be positive"),
+    "simulate-dur-nan": ("--scene", "--dur", "nan", "rate and duration must be positive"),
+    "simulate-dur-inf": ("--scene", "--dur", "inf", "rate and duration must be positive"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_NUMBER_FLAGS))
+def test_bad_number_flag_is_one_error_line(tmp_path, capsys, good_inputs, kind):
+    reads, flag, value, names = BAD_NUMBER_FLAGS[kind]
+    argv = _argv(good_inputs, reads, good_inputs[reads], tmp_path / "out") + [flag, value]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and names in err, err
 
 
 @pytest.mark.parametrize("flag", ["--scene", "--object"])

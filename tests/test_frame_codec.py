@@ -9,6 +9,7 @@ from vitac.frame_codec import (
     CrcMismatchError,
     NeedMoreDataError,
     StreamDecoder,
+    WireFrame,
     crc16_ccitt_false,
     decode_frame,
     encode_frame,
@@ -116,6 +117,16 @@ def test_encode_rejects_out_of_range():
     frame = TactileFrame(0, 0, np.zeros((16, 16), dtype=int))
     with pytest.raises(InvalidInputError):
         encode_frame(frame, seq=2**32)
+
+
+@pytest.mark.parametrize(
+    "value", [65541, 70000, -1, 1.7, 1024, np.uint16(1024), np.nan], ids=repr
+)
+def test_readings_outside_10_bits_are_rejected(value):
+    with pytest.raises(InvalidInputError, match="raw readings must be"):
+        WireFrame(0, 0, 0, np.full(256, value))
+    with pytest.raises(InvalidInputError, match="raw readings must be"):
+        pack_readings(np.full(256, value))
 
 
 def test_decode_flipped_byte_is_crc_mismatch():

@@ -1,0 +1,80 @@
+"""Every array a value type holds is read-only and shared with no writable caller array."""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+from test_stream_sync import PAYLOAD_CASES
+
+import vitac
+from vitac.frame_codec import WireFrame
+from vitac.kinematics import JointState, Link
+from vitac.pointcloud import AABB, CloudXYZF, FusedCloud
+from vitac.pose_tracker import ContactSet, ObjectModel, ParticleSet
+from vitac.se3 import PoseSE3
+from vitac.sensor_model import ConsistencyReport, PadCalibration, TactileFrame
+from vitac.sim_oracle import Primitive
+from vitac.stream_sync import Episode, SyncedTuple, TimedSample, read_episode, write_episode
+
+_PTS = np.arange(12.0).reshape(4, 3) / 10
+_GRID = np.arange(256.0).reshape(16, 16)
+_FUSED = np.array([[0.1, 0.2, 0.3, 0.0, 1.0, 0.0], [0.4, 0.5, 0.6, 0.7, 0.0, 1.0]])
+
+# type -> (constructor from the array fields, {field: valid value})
+CASES = {
+    "PoseSE3": (lambda a: PoseSE3(**a), {"q": [0.6, 0.0, 0.8, 0.0], "t": [0.1, 0.2, 0.3]}),
+    "TactileFrame-raw": (lambda a: TactileFrame(0, 0, **a), {"readings": _GRID.astype(np.uint16)}),
+    "TactileFrame-normalized": (lambda a: TactileFrame(0, 0, normalized=True, **a),
+                                {"readings": _GRID / 255}),
+    "PadCalibration": (lambda a: PadCalibration(0, **a), {"gain": _GRID + 1, "offset": _GRID}),
+    "WireFrame": (lambda a: WireFrame(0, 0, 0, **a), {"readings": _GRID.astype(np.uint16)}),
+    "Link": (lambda a: Link(PoseSE3(), "revolute", **a), {"axis": [0.0, 0.0, 1.0]}),
+    "JointState": (lambda a: JointState(**a), {"positions": [0.01, -0.02]}),
+    "CloudXYZF": (lambda a: CloudXYZF(frame="base", **a), {"points": _GRID.reshape(-1, 4)}),
+    "AABB": (lambda a: AABB(**a), {"lo": [-1.0, -1.0, -1.0], "hi": [1.0, 2.0, 3.0]}),
+    "FusedCloud": (lambda a: FusedCloud(frame="base", **a), {"points": _FUSED}),
+    "ObjectModel": (lambda a: ObjectModel(**a), {"points": _PTS}),
+    "ContactSet": (lambda a: ContactSet(**a), {"points": _PTS}),
+    "ParticleSet": (lambda a: ParticleSet(**a), {"quats": [[1.0, 0.0, 0.0, 0.0]] * 2,
+                                                  "trans": _PTS[:2], "weights": [0.5, 0.5]}),
+    "Primitive-mesh": (lambda a: Primitive("mesh", **a), {"points": _PTS}),
+    "ConsistencyReport": (lambda a: ConsistencyReport(mean=1.0, std=0.0, outlier_count=0, **a),
+                          {"block_sums": _GRID[:8, :8]}),
+}
+
+
+def _read_only(value, dtype):
+    a = np.asarray(value, dtype=dtype)
+    return np.frombuffer(a.tobytes(), dtype=dtype).reshape(a.shape)
+
+
+@pytest.mark.parametrize("kind", sorted(CASES))
+def test_array_fields_are_frozen_copies(kind):
+    build, values = CASES[kind]
+    given = {name: np.array(v) for name, v in values.items()}
+    obj = build(given)
+    for name, arr in given.items():
+        stored = getattr(obj, name)
+        assert not stored.flags.writeable, name
+        before = stored.copy()
+        arr.flat[0] += 1
+        assert np.array_equal(stored, before), f"{name} changed with the caller's array"
+    # an input that is already read-only is stored as it is
+    read_only = {name: _read_only(v, getattr(obj, name).dtype) for name, v in values.items()}
+    obj = build(read_only)
+    for name, arr in read_only.items():
+        assert np.shares_memory(getattr(obj, name), arr), f"{name} was copied"
+
+
+@pytest.mark.parametrize("kind", sorted(PAYLOAD_CASES))
+def test_episode_payloads_are_not_copied(tmp_path, kind):
+    member = TimedSample("s", 0, PAYLOAD_CASES[kind][0])
+    write_episode(Episode(10.0, 0, ["s"], [SyncedTuple(0, {"s": member})]), tmp_path / "e.vtep")
+    payload = read_episode(tmp_path / "e.vtep").tuples[0].members["s"].payload
+    (arr,) = [getattr(payload, f) for f in ("readings", "points", "positions") if hasattr(payload, f)]
+    assert not arr.flags.writeable and not arr.flags.owndata  # a view of the file's bytes
+
+
+def test_only_freeze_sets_arrays_read_only():
+    src = Path(vitac.__file__).parent
+    assert sorted(p.name for p in src.glob("*.py") if "setflags(" in p.read_text()) == ["frozen.py"]

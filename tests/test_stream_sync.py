@@ -324,6 +324,10 @@ BAD_HEADERS = {
     "not-an-object": b"[10.0, 0]",
     "rate_hz-string": json.dumps({**_HEADER, "rate_hz": "fast"}).encode(),
     "rate_hz-zero": json.dumps({**_HEADER, "rate_hz": 0}).encode(),
+    "rate_hz-infinity": json.dumps({**_HEADER, "rate_hz": float("inf")}).encode(),
+    "rate_hz-1e400": json.dumps(_HEADER).replace("10.0", "1e400").encode(),
+    "rate_hz-string-inf": json.dumps({**_HEADER, "rate_hz": "inf"}).encode(),
+    "tuple_count-negative": json.dumps({**_HEADER, "tuple_count": -5}).encode(),
     **{
         f"no-{key}": json.dumps({k: v for k, v in _HEADER.items() if k != key}).encode()
         for key in ("rate_hz", "tolerance_us", "streams")
