@@ -1,24 +1,41 @@
-"""Storing the array fields of the toolkit's frozen value types."""
+"""Storing the array and mapping fields of the toolkit's frozen value types."""
+
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import InvalidInputError
 
 
-def freeze(obj, name: str, shape, dtype=np.float64, finite: str | None = None) -> np.ndarray:
-    """Store obj.<name> as a read-only array of the given shape and dtype, and return it.
+def read_only(value, dtype=np.float64, shape=None) -> np.ndarray:
+    """value as a read-only array of the given dtype, reshaped when shape is given.
 
     The value is copied unless it is already a read-only ndarray (such as a view of the
-    bytes of an episode file), so no caller keeps a writable alias of what obj holds.
+    bytes of an episode file), so no caller keeps a writable alias of the result.
+    """
+    if isinstance(value, np.ndarray) and not value.flags.writeable:
+        arr = np.asarray(value, dtype=dtype)
+    else:
+        arr = np.array(value, dtype=dtype)
+    if shape is not None:
+        arr = arr.reshape(shape)
+    arr.setflags(write=False)
+    return arr
+
+
+def freeze(obj, name: str, shape, dtype=np.float64, finite: str | None = None) -> np.ndarray:
+    """Store obj.<name> as read_only(obj.<name>, dtype, shape), and return it.
+
     With finite given, a value that is not all finite raises InvalidInputError(finite).
     """
-    value = getattr(obj, name)
-    if isinstance(value, np.ndarray) and not value.flags.writeable:
-        arr = np.asarray(value, dtype=dtype).reshape(shape)
-    else:
-        arr = np.array(value, dtype=dtype).reshape(shape)
+    arr = read_only(getattr(obj, name), dtype, shape)
     if finite is not None and not np.all(np.isfinite(arr)):
         raise InvalidInputError(finite)
-    arr.setflags(write=False)
     object.__setattr__(obj, name, arr)
     return arr
+
+
+def freeze_mapping(obj, name: str, value=None) -> None:
+    """Store obj.<name> as a read-only mapping of a copy of its items, each passed through value."""
+    items = getattr(obj, name).items()
+    object.__setattr__(obj, name, MappingProxyType({k: value(v) if value else v for k, v in items}))

@@ -103,8 +103,7 @@ class _CellGrid:
 
     def distances(self, q: np.ndarray) -> np.ndarray:
         # queries outside the grid clip onto its outer layer, whose cells are empty
-        f = np.clip((q - self.lo) / self.h, 0, self.shape - 1)
-        cell = np.ravel_multi_index(f.astype(np.intp).T, self.shape)
+        cell = np.ravel_multi_index(((q - self.lo) / self.h).astype(np.intp).T, self.shape, mode="clip")
         neg = -self.count[cell]
         order = np.argsort(neg, kind="stable")  # fullest cells first, so that the queries
         neg = neg[order]  # whose cell holds more than r candidates are the first ends[r]

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import jsonio
 from .errors import InvalidInputError
-from .frozen import freeze
+from .frozen import freeze_mapping, read_only
 from .kinematics import (
     PRISMATIC,
     JointState,
@@ -37,6 +37,7 @@ from .stream_sync import (
     TimedSample,
     camera_stream,
     tactile_stream,
+    tick_grid,
 )
 
 
@@ -48,7 +49,6 @@ class Primitive:
     size: tuple = ()  # box: (lx, ly, lz)
     radius: float = 0.0
     height: float = 0.0
-    points: np.ndarray | None = None  # mesh vertices
 
     def __post_init__(self):
         if self.kind == "box":
@@ -60,10 +60,6 @@ class Primitive:
         elif self.kind == "sphere":
             if self.radius <= 0:
                 raise InvalidInputError("sphere needs a positive radius")
-        elif self.kind == "mesh":
-            pts = freeze(self, "points", (-1, 3))
-            if pts.shape[0] < 1 or not np.all(np.isfinite(pts)):
-                raise InvalidInputError("mesh needs at least one finite vertex")
         else:
             raise InvalidInputError(f"unknown primitive kind {self.kind!r}")
 
@@ -79,10 +75,6 @@ class Primitive:
     def sphere(radius: float) -> "Primitive":
         return Primitive("sphere", radius=float(radius))
 
-    @staticmethod
-    def mesh(points: np.ndarray) -> "Primitive":
-        return Primitive("mesh", points=np.asarray(points, dtype=np.float64))
-
     def sdf(self, pts: np.ndarray) -> np.ndarray:
         """Signed distance to the surface, negative inside."""
         pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
@@ -94,25 +86,19 @@ class Primitive:
             outside = np.linalg.norm(np.maximum(q, 0.0), axis=1)
             inside = np.minimum(np.max(q, axis=1), 0.0)
             return outside + inside
-        if self.kind == "cylinder":
-            radial = np.linalg.norm(pts[:, :2], axis=1) - self.radius
-            axial = np.abs(pts[:, 2]) - self.height / 2.0
-            d = np.column_stack([radial, axial])
-            outside = np.linalg.norm(np.maximum(d, 0.0), axis=1)
-            inside = np.minimum(np.max(d, axis=1), 0.0)
-            return outside + inside
-        raise InvalidInputError(
-            "mesh primitives have no inside test (vertices only); contact needs an analytic shape"
-        )
+        radial = np.linalg.norm(pts[:, :2], axis=1) - self.radius  # cylinder
+        axial = np.abs(pts[:, 2]) - self.height / 2.0
+        d = np.column_stack([radial, axial])
+        outside = np.linalg.norm(np.maximum(d, 0.0), axis=1)
+        inside = np.minimum(np.max(d, axis=1), 0.0)
+        return outside + inside
 
     def to_dict(self) -> dict:
         if self.kind == "box":
             return {"kind": "box", "size": list(self.size)}
         if self.kind == "cylinder":
             return {"kind": "cylinder", "radius": self.radius, "height": self.height}
-        if self.kind == "sphere":
-            return {"kind": "sphere", "radius": self.radius}
-        return {"kind": "mesh", "points": self.points.tolist()}
+        return {"kind": "sphere", "radius": self.radius}
 
     @staticmethod
     def from_dict(d: dict) -> "Primitive":
@@ -123,13 +109,11 @@ class Primitive:
             return Primitive.cylinder(d["radius"], d["height"])
         if kind == "sphere":
             return Primitive.sphere(d["radius"])
-        if kind == "mesh":
-            return Primitive.mesh(np.asarray(d["points"], dtype=np.float64))
         raise InvalidInputError(f"unknown primitive kind {kind!r}")
 
 
 def sample_object_cloud(primitive: Primitive, n: int, seed: int) -> np.ndarray:
-    """n surface points, uniform by area for analytic shapes; deterministic by seed."""
+    """n surface points, uniform by area; deterministic by seed."""
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
@@ -155,27 +139,23 @@ def sample_object_cloud(primitive: Primitive, n: int, seed: int) -> np.ndarray:
             pts[mask, others[0]] = u[mask, 0] * (2 * half[others[0]])
             pts[mask, others[1]] = u[mask, 1] * (2 * half[others[1]])
         return pts
-    if primitive.kind == "cylinder":
-        r, h = primitive.radius, primitive.height
-        lateral = 2 * np.pi * r * h
-        cap = np.pi * r * r
-        region = rng.choice(3, size=n, p=np.array([lateral, cap, cap]) / (lateral + 2 * cap))
-        theta = rng.uniform(0.0, 2 * np.pi, size=n)
-        pts = np.empty((n, 3))
-        side = region == 0
-        pts[side, 0] = r * np.cos(theta[side])
-        pts[side, 1] = r * np.sin(theta[side])
-        pts[side, 2] = rng.uniform(-h / 2, h / 2, size=int(side.sum()))
-        for reg, sign in ((1, -1.0), (2, 1.0)):
-            mask = region == reg
-            rho = r * np.sqrt(rng.uniform(size=int(mask.sum())))
-            pts[mask, 0] = rho * np.cos(theta[mask])
-            pts[mask, 1] = rho * np.sin(theta[mask])
-            pts[mask, 2] = sign * h / 2
-        return pts
-    # mesh: resample the given vertices (no area weighting available)
-    idx = rng.integers(len(primitive.points), size=n)
-    return primitive.points[idx].copy()
+    r, h = primitive.radius, primitive.height  # cylinder
+    lateral = 2 * np.pi * r * h
+    cap = np.pi * r * r
+    region = rng.choice(3, size=n, p=np.array([lateral, cap, cap]) / (lateral + 2 * cap))
+    theta = rng.uniform(0.0, 2 * np.pi, size=n)
+    pts = np.empty((n, 3))
+    side = region == 0
+    pts[side, 0] = r * np.cos(theta[side])
+    pts[side, 1] = r * np.sin(theta[side])
+    pts[side, 2] = rng.uniform(-h / 2, h / 2, size=int(side.sum()))
+    for reg, sign in ((1, -1.0), (2, 1.0)):
+        mask = region == reg
+        rho = r * np.sqrt(rng.uniform(size=int(mask.sum())))
+        pts[mask, 0] = rho * np.cos(theta[mask])
+        pts[mask, 1] = rho * np.sin(theta[mask])
+        pts[mask, 2] = sign * h / 2
+    return pts
 
 
 # Pad frames for a two-finger gripper closing along the gripper x axis.
@@ -244,21 +224,11 @@ class SceneSpec:
     def chain_and_mounts(self):
         return two_finger_gripper(self.gripper_pose, self.grid)
 
-    def time_span(self) -> tuple[float, float]:
-        """Intersection of the two trajectory spans; single keys mean static."""
-        spans = []
-        for keys in (self.object_trajectory, self.aperture_trajectory):
-            if len(keys) > 1:
-                spans.append((keys[0][0], keys[-1][0]))
-        if not spans:
-            return (-np.inf, np.inf)
-        return (max(s[0] for s in spans), min(s[1] for s in spans))
-
     def object_pose_at(self, t: float) -> PoseSE3:
-        return _interp_pose(self.object_trajectory, t)
+        return _interp(self.object_trajectory, t, "object trajectory", _blend_poses)
 
     def aperture_at(self, t: float) -> float:
-        return _interp_scalar(self.aperture_trajectory, t)
+        return _interp(self.aperture_trajectory, t, "aperture trajectory", _blend_scalars)
 
     def to_dict(self) -> dict:
         return {
@@ -299,36 +269,23 @@ class SceneSpec:
         return jsonio.read_json(path, SceneSpec.from_dict)
 
 
-def _check_span(keys, t: float, what: str) -> None:
-    if len(keys) > 1 and not (keys[0][0] <= t <= keys[-1][0]):
-        raise InvalidInputError(
-            f"t={t} outside {what} span [{keys[0][0]}, {keys[-1][0]}]"
-        )
-
-
-def _segment(keys, t: float):
+def _interp(keys, t: float, what: str, blend):
+    """The value of time-sorted (t, value) keys at t; a single key holds for all time."""
+    lo, hi = (keys[0][0], keys[-1][0]) if len(keys) > 1 else (-np.inf, np.inf)
+    if not (lo <= t <= hi):  # written so that NaN fails it
+        raise InvalidInputError(f"t={t} outside {what} span [{lo}, {hi}]")
+    if len(keys) == 1:
+        return keys[0][1]
     for (t0, v0), (t1, v1) in zip(keys, keys[1:]):
         if t <= t1:
-            alpha = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-            return v0, v1, alpha
-    last = keys[-1][1]
-    return last, last, 0.0
+            return blend(v0, v1, 0.0 if t1 == t0 else (t - t0) / (t1 - t0))
 
 
-def _interp_pose(keys, t: float) -> PoseSE3:
-    _check_span(keys, t, "object trajectory")
-    if len(keys) == 1:
-        return keys[0][1]
-    p0, p1, alpha = _segment(keys, t)
-    q = quat_slerp(p0.q, p1.q, alpha)
-    return PoseSE3(q, (1.0 - alpha) * p0.t + alpha * p1.t)
+def _blend_poses(p0: PoseSE3, p1: PoseSE3, alpha: float) -> PoseSE3:
+    return PoseSE3(quat_slerp(p0.q, p1.q, alpha), (1.0 - alpha) * p0.t + alpha * p1.t)
 
 
-def _interp_scalar(keys, t: float) -> float:
-    _check_span(keys, t, "aperture trajectory")
-    if len(keys) == 1:
-        return keys[0][1]
-    v0, v1, alpha = _segment(keys, t)
+def _blend_scalars(v0: float, v1: float, alpha: float) -> float:
     return (1.0 - alpha) * v0 + alpha * v1
 
 
@@ -343,15 +300,16 @@ class ContactSnapshot:
     forces: dict  # pad_id -> (rows, cols) float Newtons
     frames: dict  # pad_id -> raw TactileFrame
 
+    def __post_init__(self):
+        freeze_mapping(self, "forces", read_only)
+        freeze_mapping(self, "frames")
+
 
 def simulate_contact(scene: SceneSpec, t: float) -> ContactSnapshot:
     """Penetration-spring contact at time t: forces and noisy ADC frames."""
-    lo, hi = scene.time_span()
-    if not (lo <= t <= hi):
-        raise InvalidInputError(f"t={t} outside scene span [{lo}, {hi}]")
-    t_us = int(round(t * 1e6))
     pose_obj = scene.object_pose_at(t)
     gap = scene.aperture_at(t)
+    t_us = int(round(t * 1e6))
     joints = joints_for_aperture(gap, t_us)
     chain, mounts = scene.chain_and_mounts()
     link_poses = forward_kinematics(chain, joints)
@@ -378,7 +336,10 @@ def simulate_contact(scene: SceneSpec, t: float) -> ContactSnapshot:
 class GroundTruthTick:
     t_us: int
     pose: PoseSE3
-    forces: dict
+    forces: dict  # pad_id -> (rows, cols) float Newtons
+
+    def __post_init__(self):
+        freeze_mapping(self, "forces", read_only)
 
     def to_dict(self) -> dict:
         return {
@@ -392,9 +353,7 @@ class GroundTruthTick:
         return GroundTruthTick(
             t_us=int(d["t_us"]),
             pose=PoseSE3.from_dict(d["pose"]),
-            forces={
-                int(k): np.asarray(v, dtype=np.float64) for k, v in d.get("forces", {}).items()
-            },
+            forces={int(k): v for k, v in d.get("forces", {}).items()},
         )
 
 
@@ -419,15 +378,16 @@ def render_episode(scene: SceneSpec, rate_hz: float, duration_s: float):
     Each tick carries two tactile frames, one camera-like cloud freshly
     sampled from the object surface (whole surface; no occlusion model),
     and the joint state matching the aperture. Bit-identical under the
-    same scene seed.
+    same scene seed. Ticks sit on the tick_grid of rate_hz from 0, one for
+    each whole period that fits in duration_s.
     """
     if not (0 < rate_hz < np.inf and 0 < duration_s < np.inf):  # written so that NaN fails it
         raise InvalidInputError("rate and duration must be positive and finite")
-    n_ticks = int(np.floor(duration_s * rate_hz + 1e-9))
     tuples = []
     truth = []
-    for k in range(n_ticks):
-        snap = simulate_contact(scene, k / rate_hz)
+    # the grid's last point in [0, duration] ends the last whole period, so it is no tick
+    for k, tick in enumerate(tick_grid(rate_hz, 0, round(duration_s * 1e6))[:-1]):
+        snap = simulate_contact(scene, tick / 1e6)
         cam_seed = int(np.random.default_rng([scene.seed, 7, k]).integers(2**63))
         local = sample_object_cloud(scene.obj, scene.n_camera_points, cam_seed)
         world = snap.object_pose.apply(local)

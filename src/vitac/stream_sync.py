@@ -105,17 +105,30 @@ class DropReport:
         }
 
 
+def tick_grid(rate_hz: float, start_us: int, end_us: int) -> range:
+    """The ticks of the rate_hz grid in [start_us, end_us], in microseconds.
+
+    This is the one place where a rate becomes ticks: they sit on the
+    multiples of a period of round(1e6 / rate_hz) whole microseconds. A rate
+    whose period rounds to 0 (2 MHz and above) or overflows has no grid.
+    """
+    if not (0 < rate_hz < np.inf):  # written so that NaN fails it
+        raise InvalidInputError(f"rate must be positive and finite, got {rate_hz}")
+    if not (0.5 < 1e6 / rate_hz < np.inf):  # round() gives 0 for the one and fails on the other
+        raise InvalidInputError(f"rate {rate_hz} Hz has no finite tick period of 1 us or more")
+    period_us = round(1e6 / rate_hz)
+    return range(-(-start_us // period_us) * period_us, end_us + 1, period_us)
+
+
 def align(streams, rate_hz: float = 10.0, tolerance_us: int = 50_000):
     """Match samples to a fixed tick grid; returns (tuples, drop_report).
 
     streams: mapping stream_id -> time-sorted sequence of TimedSample.
-    Ticks sit on integer multiples of the period, covering the interval
-    where every stream has data. A tick is emitted only when every stream
-    has a sample within the tolerance; otherwise the tick lands in the
-    drop report with the offending streams named.
+    Ticks are those of tick_grid over the interval where every stream has
+    data. A tick is emitted only when every stream has a sample within the
+    tolerance; otherwise the tick lands in the drop report with the
+    offending streams named.
     """
-    if not (0 < rate_hz < np.inf):  # written so that NaN fails it
-        raise InvalidInputError(f"rate must be positive and finite, got {rate_hz}")
     if tolerance_us < 0:
         raise InvalidInputError("tolerance must be nonnegative")
     if not streams:
@@ -128,15 +141,11 @@ def align(streams, rate_hz: float = 10.0, tolerance_us: int = 50_000):
         if any(b < a for a, b in zip(ts, ts[1:])):
             raise InvalidInputError(f"stream {sid!r} timestamps are not sorted")
         times[sid] = ts
-    period_us = max(1, round(1e6 / rate_hz))
     window_start = max(ts[0] for ts in times.values())
     window_end = min(ts[-1] for ts in times.values())
-    first_tick = -(-window_start // period_us) * period_us
-
     tuples = []
     report = DropReport(per_stream={sid: 0 for sid in streams})
-    tick = first_tick
-    while tick <= window_end:
+    for tick in tick_grid(rate_hz, window_start, window_end):
         members = {}
         missing = []
         for sid, samples in streams.items():
@@ -153,7 +162,6 @@ def align(streams, rate_hz: float = 10.0, tolerance_us: int = 50_000):
                 report.per_stream[sid] += 1
         else:
             tuples.append(SyncedTuple(tick, members))
-        tick += period_us
     return tuples, report
 
 
@@ -194,20 +202,15 @@ class EpisodeStats:
 def episode_stats(episode: Episode) -> EpisodeStats:
     """Duration, drop counts inferred from the tick grid, and max member skew."""
     tuples = episode.tuples
-    period_us = max(1, round(1e6 / episode.rate_hz))
-    if tuples:
-        first, last = tuples[0].tick_time_us, tuples[-1].tick_time_us
-        duration_s = (last - first) / 1e6
-        expected = (last - first) // period_us + 1
-    else:
-        duration_s, expected = 0.0, 0
+    first, last = (tuples[0].tick_time_us, tuples[-1].tick_time_us) if tuples else (0, -1)
+    expected = len(tick_grid(episode.rate_hz, first, last))
     max_skew = max((t.max_skew_us() for t in tuples), default=0)
     drops_meta = episode.metadata.get("drop_report", {})
     return EpisodeStats(
-        duration_s=duration_s,
+        duration_s=(last - first) / 1e6 if tuples else 0.0,
         tuple_count=len(tuples),
-        expected_ticks=int(expected),
-        dropped_ticks=int(expected) - len(tuples),
+        expected_ticks=expected,
+        dropped_ticks=expected - len(tuples),
         max_skew_us=int(max_skew),
         drops_by_stream=dict(drops_meta.get("drops_by_stream", {})),
     )

@@ -399,22 +399,26 @@ def test_bad_input_file_is_one_error_line(tmp_path, capsys, good_inputs, kind):
     assert names in err, err
 
 
-# (input flag of the command, numeric flag, its value, text the error names)
+# (input flag of the command, numeric flags and their values, text the error names)
 BAD_NUMBER_FLAGS = {
-    "sync-rate-nan": ("--joints", "--rate", "nan", "rate must be positive and finite"),
-    "sync-rate-inf": ("--joints", "--rate", "inf", "rate must be positive and finite"),
-    "sync-tol-nan": ("--joints", "--tol-ms", "nan", "--tol-ms must be finite"),
-    "sync-tol-inf": ("--joints", "--tol-ms", "inf", "--tol-ms must be finite"),
-    "simulate-rate-nan": ("--scene", "--rate", "nan", "rate and duration must be positive"),
-    "simulate-dur-nan": ("--scene", "--dur", "nan", "rate and duration must be positive"),
-    "simulate-dur-inf": ("--scene", "--dur", "inf", "rate and duration must be positive"),
+    "sync-rate-nan": ("--joints", ["--rate", "nan"], "rate must be positive and finite"),
+    "sync-rate-inf": ("--joints", ["--rate", "inf"], "rate must be positive and finite"),
+    "sync-rate-3mhz": ("--joints", ["--rate", "3e6"], "no finite tick period of 1 us or more"),
+    "sync-rate-denormal": ("--joints", ["--rate", "1e-320"], "no finite tick period"),
+    "sync-tol-nan": ("--joints", ["--tol-ms", "nan"], "--tol-ms must be finite"),
+    "sync-tol-inf": ("--joints", ["--tol-ms", "inf"], "--tol-ms must be finite"),
+    "simulate-rate-nan": ("--scene", ["--rate", "nan"], "rate and duration must be positive"),
+    "simulate-rate-3mhz": ("--scene", ["--rate", "3e6", "--dur", "1e-5"],
+                           "no finite tick period of 1 us or more"),
+    "simulate-dur-nan": ("--scene", ["--dur", "nan"], "rate and duration must be positive"),
+    "simulate-dur-inf": ("--scene", ["--dur", "inf"], "rate and duration must be positive"),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(BAD_NUMBER_FLAGS))
 def test_bad_number_flag_is_one_error_line(tmp_path, capsys, good_inputs, kind):
-    reads, flag, value, names = BAD_NUMBER_FLAGS[kind]
-    argv = _argv(good_inputs, reads, good_inputs[reads], tmp_path / "out") + [flag, value]
+    reads, flags, names = BAD_NUMBER_FLAGS[kind]
+    argv = _argv(good_inputs, reads, good_inputs[reads], tmp_path / "out") + flags
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and names in err, err
@@ -439,6 +443,15 @@ def test_stats_bad_header_is_one_error_line(tmp_path, capsys, header):
     assert main(["stats", "--episode", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "header" in err and err.count("\n") == 1
+
+
+def test_stats_rate_without_tick_grid_is_one_error_line(tmp_path, capsys, good_inputs):
+    episode = read_episode(good_inputs["--episode"])
+    path = tmp_path / "slow.vtep"
+    write_episode(Episode(1e-320, 0, episode.streams, episode.tuples), path)
+    assert main(["stats", "--episode", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no finite tick period" in err and err.count("\n") == 1
 
 
 def test_missing_file_is_usage_error(tmp_path, capsys):

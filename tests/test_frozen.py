@@ -1,4 +1,4 @@
-"""Every array a value type holds is read-only and shared with no writable caller array."""
+"""Every array or mapping a value type holds is read-only and shared with no writable caller value."""
 
 from pathlib import Path
 
@@ -13,7 +13,7 @@ from vitac.pointcloud import AABB, CloudXYZF, FusedCloud
 from vitac.pose_tracker import ContactSet, ObjectModel, ParticleSet
 from vitac.se3 import PoseSE3
 from vitac.sensor_model import ConsistencyReport, PadCalibration, TactileFrame
-from vitac.sim_oracle import Primitive
+from vitac.sim_oracle import ContactSnapshot, GroundTruthTick
 from vitac.stream_sync import Episode, SyncedTuple, TimedSample, read_episode, write_episode
 
 _PTS = np.arange(12.0).reshape(4, 3) / 10
@@ -37,7 +37,6 @@ CASES = {
     "ContactSet": (lambda a: ContactSet(**a), {"points": _PTS}),
     "ParticleSet": (lambda a: ParticleSet(**a), {"quats": [[1.0, 0.0, 0.0, 0.0]] * 2,
                                                   "trans": _PTS[:2], "weights": [0.5, 0.5]}),
-    "Primitive-mesh": (lambda a: Primitive("mesh", **a), {"points": _PTS}),
     "ConsistencyReport": (lambda a: ConsistencyReport(mean=1.0, std=0.0, outlier_count=0, **a),
                           {"block_sums": _GRID[:8, :8]}),
 }
@@ -78,3 +77,34 @@ def test_episode_payloads_are_not_copied(tmp_path, kind):
 def test_only_freeze_sets_arrays_read_only():
     src = Path(vitac.__file__).parent
     assert sorted(p.name for p in src.glob("*.py") if "setflags(" in p.read_text()) == ["frozen.py"]
+
+
+def test_only_tick_grid_turns_a_rate_into_a_period():
+    src = Path(vitac.__file__).parent
+    text = (src / "stream_sync.py").read_text()
+    start = text.index("def tick_grid(")
+    body = text[start : text.index("\ndef ", start)]
+    users = sorted(p.name for p in src.glob("*.py") if "round(1e6 /" in p.read_text())
+    assert users == ["stream_sync.py"] and text.count("round(1e6 /") == body.count("round(1e6 /")
+
+
+def test_truth_forces_are_read_only():
+    tick = GroundTruthTick.from_dict({"t_us": 0, "pose": PoseSE3().to_dict(),
+                                      "forces": {"0": _GRID[:2, :3].tolist()}})
+    with pytest.raises(ValueError):
+        tick.forces[0][0, 0] = 5.0
+    with pytest.raises(TypeError):
+        tick.forces[1] = None
+
+
+def test_snapshot_mappings_are_read_only_copies():
+    forces, frames = {0: _GRID[:2, :3].copy()}, {0: TactileFrame(0, 0, _GRID.astype(np.uint16))}
+    snap = ContactSnapshot(0, PoseSE3(), 0.05, JointState([0.025, -0.05]), forces, frames)
+    with pytest.raises(ValueError):
+        snap.forces[0][0, 0] = 5.0
+    for mapping in (snap.forces, snap.frames):
+        with pytest.raises(TypeError):
+            mapping[1] = None
+    forces[0][0, 0] = 5.0
+    forces[1] = frames[1] = None
+    assert snap.forces[0][0, 0] == 0.0 and 1 not in snap.forces and 1 not in snap.frames

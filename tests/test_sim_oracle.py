@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from vitac.sim_oracle import (
     simulate_contact,
     two_finger_gripper,
 )
-from vitac.stream_sync import read_episode, write_episode
+from vitac.stream_sync import episode_stats, read_episode, write_episode
 
 # gripper closing along world z so pads land on the box end faces
 GRIP_ROT = np.array([[0.0, 0, -1], [0, 1, 0], [1, 0, 0]])
@@ -83,16 +85,6 @@ def test_sampling_deterministic():
     assert not np.array_equal(a, c)
 
 
-def test_mesh_sampling_and_contact_rejected():
-    verts = np.random.default_rng(0).normal(size=(50, 3))
-    mesh = Primitive.mesh(verts)
-    pts = sample_object_cloud(mesh, 200, seed=0)
-    rows = {tuple(v) for v in verts}
-    assert all(tuple(p) in rows for p in pts)
-    with pytest.raises(InvalidInputError):
-        mesh.sdf(np.zeros((1, 3)))
-
-
 def test_sdf_box_values():
     box = Primitive.box(2.0, 2.0, 2.0)
     assert box.sdf([[0, 0, 0]])[0] == pytest.approx(-1.0)
@@ -116,8 +108,9 @@ def test_primitive_validation():
         Primitive.box(1, -1, 1)
     with pytest.raises(InvalidInputError):
         Primitive.sphere(0)
-    with pytest.raises(InvalidInputError):
-        Primitive("wedge")
+    for kind in ("wedge", "mesh"):
+        with pytest.raises(InvalidInputError, match="unknown primitive kind"):
+            Primitive(kind)
 
 
 @pytest.mark.parametrize("field, value", [("aperture_trajectory", ((0.0, float("nan")),)),
@@ -245,6 +238,17 @@ def test_render_episode_counts_and_roundtrip(tmp_path):
     write_episode(episode, path)
     back = read_episode(path)
     assert len(back.tuples) == 50
+
+
+@pytest.mark.parametrize("rate_hz, duration_s, period_us", [(6000.0, 0.05, 167), (30000.0, 0.01, 33)])
+def test_render_episode_ticks_on_the_stats_grid(rate_hz, duration_s, period_us):
+    # a period that is not a whole number of microseconds is rounded, as sync and stats round it
+    scene = dataclasses.replace(grip_scene(), n_camera_points=1)
+    episode, truth = render_episode(scene, rate_hz=rate_hz, duration_s=duration_s)
+    ticks = [t.tick_time_us for t in episode.tuples]
+    assert ticks == list(range(0, int(duration_s * 1e6) - period_us + 1, period_us))
+    assert [t.t_us for t in truth.ticks] == ticks
+    assert episode_stats(episode).dropped_ticks == 0
 
 
 def test_render_episode_bit_identical_by_seed(tmp_path):

@@ -26,6 +26,7 @@ from vitac.stream_sync import (
     episode_stats,
     read_episode,
     tactile_stream,
+    tick_grid,
     write_episode,
 )
 
@@ -77,6 +78,15 @@ def test_align_silent_camera_drops_attributed():
         assert d.missing == (cam,)
     assert report.per_stream[cam] == 10
     assert len(tuples) == 20
+
+
+def test_tick_grid_is_whole_microsecond_multiples():
+    assert tick_grid(10.0, 150_000, 400_000) == range(200_000, 400_001, 100_000)
+    assert tick_grid(30_000.0, 0, 99) == range(0, 100, 33)
+    assert tick_grid(6_000.0, 1, 0) == range(167, 1, 167)  # empty
+    for rate in (0.0, -1.0, float("nan"), float("inf"), 2e6, 3e6, 1e-320):
+        with pytest.raises(InvalidInputError, match="rate"):
+            tick_grid(rate, 0, 10)
 
 
 def test_align_starved_stream():
