@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import jsonio
 from .errors import DegenerateWeightsError, InvalidInputError
@@ -27,6 +27,9 @@ from .se3 import (
     quat_to_matrix,
     rotvec_to_quat,
 )
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 _WEIGHT_SUM_TOL = 1e-9
 _CELL_BUDGET = 1 << 17  # cells in an object model's lookup grid, at most
@@ -71,7 +74,7 @@ class _CellGrid:
         self.shape = (np.ceil(ext / h) + 8).astype(np.intp)
         self.xyz = np.ascontiguousarray(pts.T)
         local = np.ascontiguousarray((pts - self.lo).T)
-        local_tree = cKDTree(local.T)
+        local_tree = type(tree)(local.T)
         n_cells = int(np.prod(self.shape))
         self.table = np.empty((_CELL_CAP, n_cells), np.min_scalar_type(-len(pts)))
         self.count = np.empty(n_cells, np.int8)
@@ -138,6 +141,8 @@ class ObjectModel:
             raise InvalidInputError(f"object model needs >= 3 points, got {pts.shape[0]}")
         if not np.all(np.isfinite(pts)):
             raise InvalidInputError("object model contains non-finite points")
+        from scipy.spatial import cKDTree  # here, so that commands which never track skip scipy
+
         # small leaves measurably speed the clustered bulk queries in update()
         object.__setattr__(self, "_tree", cKDTree(pts, leafsize=8))
 
@@ -260,6 +265,8 @@ def weight_distance(contacts: ContactSet, observed: np.ndarray) -> float:
         raise InvalidInputError("observed point set must be nonempty")
     if len(contacts) == 0:
         return 0.0
+    from scipy.spatial import cKDTree
+
     d, _ = cKDTree(observed).query(contacts.points)
     return float(np.sum(d * d))
 

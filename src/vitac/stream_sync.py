@@ -58,24 +58,34 @@ class SyncedTuple:
     tick_time_us: int
     members: dict
 
-    def _payloads(self, prefix: str) -> dict:
-        return {
-            int(sid[len(prefix) :]): sample.payload
-            for sid, sample in self.members.items()
-            if sid.startswith(prefix)
-        }
+    def _payload(self, sid: str, kind: type):
+        payload = self.members[sid].payload
+        if not isinstance(payload, kind):
+            name = type(payload).__name__
+            raise InvalidInputError(f"stream {sid!r} holds a {name}, not a {kind.__name__}")
+        return payload
+
+    def _payloads(self, prefix: str, kind: type) -> dict:
+        out = {}
+        for sid in self.members:
+            if sid.startswith(prefix):
+                try:
+                    key = int(sid[len(prefix) :])
+                except ValueError:
+                    raise InvalidInputError(f"stream {sid!r}: expected {prefix}<integer>") from None
+                out[key] = self._payload(sid, kind)
+        return out
 
     def tactile_frames(self) -> dict:
         """pad_id -> TactileFrame for every tactile member."""
-        return self._payloads("tactile/")
+        return self._payloads("tactile/", TactileFrame)
 
     def clouds(self) -> dict:
         """cam_id -> CloudXYZF for every camera member."""
-        return self._payloads("camera/")
+        return self._payloads("camera/", CloudXYZF)
 
     def joint_state(self):
-        sample = self.members.get(JOINTS_STREAM)
-        return None if sample is None else sample.payload
+        return self._payload(JOINTS_STREAM, JointState) if JOINTS_STREAM in self.members else None
 
     def max_skew_us(self) -> int:
         if not self.members:
@@ -250,14 +260,18 @@ def _encode_payload(payload) -> bytes:
 
 
 class _Reader:
-    """Bounds-checked cursor over a byte buffer; reading past its end is a TruncatedFileError."""
+    """Bounds-checked cursor over a byte buffer; reading past its end is a TruncatedFileError.
+
+    take returns views of the buffer, not copies, so the payload arrays decoded from
+    an episode file are read-only views of the one bytes object it was read into.
+    """
 
     def __init__(self, buf: bytes, context: str):
-        self.buf = buf
+        self.buf = memoryview(buf)
         self.pos = 0
         self.context = context
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.buf):
             raise TruncatedFileError(f"{self.context}: truncated")
         out = self.buf[self.pos : self.pos + n]
@@ -269,7 +283,10 @@ class _Reader:
 
     def read_str(self) -> str:
         (n,) = self.unpack("<H")
-        return self.take(n).decode("utf-8")
+        try:
+            return str(self.take(n), "utf-8")
+        except UnicodeDecodeError:
+            raise EpisodeLoadError(f"{self.context}: a stream id or frame name is not UTF-8") from None
 
 
 def _decode_payload(r: _Reader):
@@ -305,7 +322,7 @@ def _encode_tuple(tup: SyncedTuple) -> bytes:
     return b"".join(parts)
 
 
-def _decode_tuple(buf: bytes, context: str) -> SyncedTuple:
+def _decode_tuple(buf: memoryview, context: str) -> SyncedTuple:
     r = _Reader(buf, context)
     tick, n_members = r.unpack("<qH")
     members = {}
@@ -354,16 +371,15 @@ def read_episode(path) -> Episode:
     if version != EPISODE_VERSION:
         raise EpisodeVersionError(f"{path}: unsupported version {version}")
     try:
-        header = jsonio.loads(r.take(header_len).decode("utf-8"))
+        header = jsonio.loads(str(r.take(header_len), "utf-8"))
         rate_hz, tolerance_us = float(header["rate_hz"]), int(header["tolerance_us"])
         streams, metadata = list(header["streams"]), dict(header.get("metadata", {}))
         tuple_count = int(header.get("tuple_count", 0))
+        tick_grid(rate_hz, 0, -1)  # refuses a rate with no tick grid, such as "inf" (a string)
     except KeyError as exc:
         raise EpisodeLoadError(f"{path}: header lacks {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # InvalidInputError is a ValueError
         raise EpisodeLoadError(f"{path}: bad header ({exc})") from None
-    if not (0 < rate_hz < np.inf):  # a string such as "inf" gets past the JSON reader
-        raise EpisodeLoadError(f"{path}: header rate_hz must be positive and finite, got {rate_hz}")
     if tuple_count < 0:
         raise EpisodeLoadError(f"{path}: header tuple_count must be nonnegative, got {tuple_count}")
     tuples = []

@@ -1,17 +1,23 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vitac
 from vitac.cli import main
 from vitac.frame_codec import encode_frame
-from vitac.kinematics import TaxelGrid, save_chain_file
+from vitac.kinematics import JointState, TaxelGrid, save_chain_file
 from vitac.pointcloud import CloudXYZF, write_cloud_ply
 from vitac.se3 import PoseSE3, matrix_to_quat
 from vitac.sensor_model import PadCalibration, TactileFrame
 from vitac.sim_oracle import Primitive, SceneSpec
-from vitac.stream_sync import Episode, SyncedTuple, read_episode, write_episode
+from vitac.stream_sync import Episode, SyncedTuple, TimedSample, read_episode, write_episode
 
 GRIP_ROT = np.array([[0.0, 0, -1], [0, 1, 0], [1, 0, 0]])
 
@@ -452,6 +458,80 @@ def test_stats_rate_without_tick_grid_is_one_error_line(tmp_path, capsys, good_i
     assert main(["stats", "--episode", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "no finite tick period" in err and err.count("\n") == 1
+    assert str(path) in err
+
+
+def _patched_record(path, sid, payload, old, new):
+    """A one-tuple episode whose record has the bytes old replaced by new, under a valid CRC."""
+    write_episode(Episode(10.0, 0, [sid], [SyncedTuple(0, {sid: TimedSample(sid, 0, payload)})]), path)
+    data = path.read_bytes()
+    start = 14 + struct.unpack("<I", data[6:10])[0]  # magic, version, header length, header, record length
+    body = data[start:-4].replace(old, new, 1)
+    path.write_bytes(data[:start] + body + struct.pack("<I", zlib.crc32(body)))
+
+
+# a record with a string that is not UTF-8: (stream id, payload); "ab" becomes b"\xff\xfe"
+NOT_UTF8_RECORDS = {
+    "stream-id": ("ab", JointState([0.0], 0)),
+    "cloud-frame": ("camera/0", CloudXYZF(np.zeros((1, 4)), "ab")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_UTF8_RECORDS))
+def test_stats_string_not_utf8_is_one_error_line(tmp_path, capsys, kind):
+    path = tmp_path / "s.vtep"
+    _patched_record(path, *NOT_UTF8_RECORDS[kind], b"\x02\x00ab", b"\x02\x00\xff\xfe")
+    assert main(["stats", "--episode", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} record 0: ") and err.count("\n") == 1, err
+
+
+# the good episode with one member moved: tactile/0 to tactile/x, or the cloud of
+# camera/0 or the joint state replaced by tactile/0's frame
+@pytest.mark.parametrize("sid", ["tactile/x", "camera/0", "joints"])
+def test_fuse_member_that_does_not_fit_its_stream_is_one_error_line(tmp_path, capsys, good_inputs, sid):
+    episode = read_episode(good_inputs["--episode"])
+    tuples = []
+    for tup in episode.tuples:
+        members = dict(tup.members)
+        frame = members.pop("tactile/0").payload
+        members[sid] = TimedSample(sid, tup.tick_time_us, frame)
+        tuples.append(SyncedTuple(tup.tick_time_us, members))
+    path = tmp_path / "moved.vtep"
+    write_episode(Episode(episode.rate_hz, 0, sorted(tuples[0].members), tuples), path)
+    assert main(["fuse", "--episode", str(path), "--chain", str(good_inputs["--chain"]),
+                 "--box", str(good_inputs["--box"]), "--out", str(tmp_path / "f.vtep")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and sid in err and err.count("\n") == 1, err
+
+
+def test_only_track_loads_scipy(tmp_path, good_inputs):
+    """A fresh interpreter: decode, sync, stats and fuse leave scipy unloaded; track loads it."""
+    raw, frames, ep = tmp_path / "raw.bin", tmp_path / "frames.jsonl", tmp_path / "ep.vtep"
+    raw.write_bytes(b"".join(encode_frame(TactileFrame(0, 1000 * i, np.zeros((16, 16), int)), i)
+                             for i in range(4)))
+    g = {k: str(v) for k, v in good_inputs.items()}
+    commands = [
+        ["decode", "--in", str(raw), "--out", str(frames)],
+        ["sync", "--tactile", str(frames), "--rate", "1000", "--out", str(ep)],
+        ["stats", "--episode", g["--episode"]],
+        ["fuse", "--episode", g["--episode"], "--chain", g["--chain"], "--box", g["--box"],
+         "--out", str(tmp_path / "fused.vtep")],
+        ["track", "--episode", g["--episode"], "--object", g["--object"], "--chain", g["--chain"],
+         "--config", g["--config"], "--out", str(tmp_path / "poses.jsonl")],
+    ]
+    script = (
+        "import sys\nfrom vitac.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "    print(argv[0], 'scipy' in sys.modules, file=sys.stderr)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(vitac.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines() == [
+        "decode False", "sync False", "stats False", "fuse False", "track True"
+    ]
 
 
 def test_missing_file_is_usage_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,6 +250,24 @@ def test_render_episode_ticks_on_the_stats_grid(rate_hz, duration_s, period_us):
     assert ticks == list(range(0, int(duration_s * 1e6) - period_us + 1, period_us))
     assert [t.t_us for t in truth.ticks] == ticks
     assert episode_stats(episode).dropped_ticks == 0
+
+
+def test_read_episode_holds_the_file_once(tmp_path):
+    # payloads are views of the one buffer the file is read into, not per-record copies
+    scene = dataclasses.replace(grip_scene(), n_camera_points=20_000)
+    episode, _ = render_episode(scene, rate_hz=10.0, duration_s=0.4)
+    path = tmp_path / "big.vtep"
+    write_episode(episode, path)
+    size = path.stat().st_size
+    assert size >= 2 << 20
+    tracemalloc.start()
+    try:
+        back = read_episode(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(back.tuples) == 4
+    assert peak < 1.25 * size, peak / size
 
 
 def test_render_episode_bit_identical_by_seed(tmp_path):

@@ -257,8 +257,9 @@ def test_episode_bad_magic_and_version(tmp_path):
 
 
 def _record(tick, sid, ts, payload_bytes):
-    """One single-member .vtep record: length prefix, tuple bytes, CRC32."""
-    body = struct.pack("<qHH", tick, 1, len(sid)) + sid.encode() + struct.pack("<q", ts) + payload_bytes
+    """One single-member .vtep record: length prefix, tuple bytes, CRC32; sid is str or bytes."""
+    sid = sid.encode() if isinstance(sid, str) else sid
+    body = struct.pack("<qHH", tick, 1, len(sid)) + sid + struct.pack("<q", ts) + payload_bytes
     return struct.pack("<I", len(body)) + body + struct.pack("<I", zlib.crc32(body))
 
 
@@ -337,6 +338,8 @@ BAD_HEADERS = {
     "rate_hz-infinity": json.dumps({**_HEADER, "rate_hz": float("inf")}).encode(),
     "rate_hz-1e400": json.dumps(_HEADER).replace("10.0", "1e400").encode(),
     "rate_hz-string-inf": json.dumps({**_HEADER, "rate_hz": "inf"}).encode(),
+    "rate_hz-1e-320": json.dumps({**_HEADER, "rate_hz": 1e-320}).encode(),
+    "rate_hz-3e6": json.dumps({**_HEADER, "rate_hz": 3e6}).encode(),
     "tuple_count-negative": json.dumps({**_HEADER, "tuple_count": -5}).encode(),
     **{
         f"no-{key}": json.dumps({k: v for k, v in _HEADER.items() if k != key}).encode()
@@ -352,6 +355,38 @@ def test_episode_bad_header_is_load_error(tmp_path, kind):
     path.write_bytes(b"VTEP" + struct.pack("<HI", 1, len(raw)) + raw)
     with pytest.raises(EpisodeLoadError, match="header"):
         read_episode(path)
+
+
+# records under a valid CRC whose strings are not UTF-8
+BAD_STRING_RECORDS = {
+    "stream-id": _record(0, b"\xff\xfe", 0, PAYLOAD_CASES["joints"][1]),
+    "cloud-frame": _record(0, "camera/0", 0, struct.pack("<BH", 2, 2) + b"\xff\xfe" + struct.pack("<I", 0)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_STRING_RECORDS))
+def test_episode_string_not_utf8_is_load_error(tmp_path, kind):
+    path = tmp_path / "s.vtep"
+    path.write_bytes(_episode_bytes({**_HEADER, "tuple_count": 1}, BAD_STRING_RECORDS[kind]))
+    with pytest.raises(EpisodeLoadError, match="record 0: .*not UTF-8") as exc:
+        read_episode(path)
+    assert not isinstance(exc.value, ChecksumError)
+
+
+# members whose stream id does not fit their accessor: (stream id, payload, accessor)
+BAD_MEMBERS = {
+    "tactile-id-not-a-number": ("tactile/x", PAYLOAD_CASES["tactile-raw"][0], "tactile_frames"),
+    "tactile-frame-under-camera": ("camera/0", PAYLOAD_CASES["tactile-raw"][0], "clouds"),
+    "tactile-frame-under-joints": (JOINTS_STREAM, PAYLOAD_CASES["tactile-raw"][0], "joint_state"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_MEMBERS))
+def test_member_that_does_not_fit_its_stream_is_invalid(kind):
+    sid, payload, accessor = BAD_MEMBERS[kind]
+    members = {sid: TimedSample(sid, 0, payload), "s": TimedSample("s", 0, PAYLOAD_CASES["cloud"][0])}
+    with pytest.raises(InvalidInputError, match=sid):
+        getattr(SyncedTuple(0, members), accessor)()
 
 
 def test_write_episode_timestamp_out_of_range(tmp_path):
