@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from .pointcloud import (
 )
 from .pose_tracker import ContactSet, ObjectModel, Tracker, TrackerConfig
 from .se3 import PoseSE3, quat_geodesic_angle
-from .sensor_model import PadCalibration, TactileFrame, fit_response
+from .sensor_model import PadCalibration, TactileFrame, TaxelResponseModel, fit_response
 from .sim_oracle import GroundTruth, SceneSpec, render_episode, sample_object_cloud
 from .stream_sync import (
     JOINTS_STREAM,
@@ -56,6 +57,8 @@ DEFAULT_SEED = 0
 
 def _seed(args) -> int:
     """--seed if given, else DEFAULT_SEED; simulate instead falls back to the scene's seed."""
+    if args.seed is not None and args.seed < 0:
+        raise InvalidInputError(f"--seed must be nonnegative, got {args.seed}")
     return DEFAULT_SEED if args.seed is None else args.seed
 
 
@@ -94,14 +97,15 @@ def _tactile_cloud(tup: SyncedTuple, chain, mounts, calibs: dict) -> CloudXYZF:
 
 def cmd_calibrate(args) -> dict:
     samples = []
-    with open(_require_file(args.samples)) as fh:
-        for row in csv.reader(fh):
-            if len(row) < 2:
-                continue
-            try:
-                samples.append((float(row[0]), float(row[1])))
-            except ValueError:
-                continue  # header or comment line
+    try:
+        with open(_require_file(args.samples), encoding="utf-8") as fh:
+            for row in csv.reader(fh):
+                try:
+                    samples.append((float(row[0]), float(row[1])))
+                except (IndexError, ValueError):
+                    continue  # header, comment or short line
+    except (UnicodeDecodeError, csv.Error) as exc:  # not UTF-8, or a field over csv's size limit
+        raise InvalidInputError(f"{args.samples}: {exc}") from None
     result = fit_response(samples, f_min=args.f_min, f_sat=args.f_sat, r_max=args.r_max)
     calib = PadCalibration(pad_id=args.pad_id, model=result.model)
     calib.save(args.out)
@@ -212,7 +216,7 @@ def cmd_sync(args) -> dict:
 def cmd_simulate(args) -> dict:
     scene = SceneSpec.load(_require_file(args.scene))
     if args.seed is not None and args.seed != scene.seed:
-        scene = SceneSpec.from_dict({**scene.to_dict(), "seed": args.seed})
+        scene = replace(scene, seed=_seed(args))
     episode, truth = render_episode(scene, rate_hz=args.rate, duration_s=args.dur)
     write_episode(episode, args.out)
     report = {"out": args.out, "tuples": len(episode.tuples), "seed": scene.seed}
@@ -359,9 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", required=True, help="CSV with force_newton,reading_counts rows")
     p.add_argument("--out", required=True, help="calibration JSON to write")
     p.add_argument("--pad-id", type=int, default=0)
-    p.add_argument("--f-min", type=float, default=1.0)
-    p.add_argument("--f-sat", type=float, default=9.0)
-    p.add_argument("--r-max", type=int, default=1023)
+    p.add_argument("--f-min", type=float, default=TaxelResponseModel.f_min)
+    p.add_argument("--f-sat", type=float, default=TaxelResponseModel.f_sat)
+    p.add_argument("--r-max", type=int, default=TaxelResponseModel.r_max)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("decode", help="decode a raw capture into frames.jsonl")

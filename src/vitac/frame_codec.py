@@ -26,19 +26,18 @@ import numpy as np
 
 from .errors import InvalidInputError, VitacError
 from .frozen import freeze
-from .sensor_model import PAD_SHAPE, TactileFrame, check_raw_readings
+from .sensor_model import PAD_SHAPE, PAD_TAXELS, TactileFrame, check_raw_readings
 
 MAGIC = b"\xa5\x5a"
 VERSION = 1
-HEADER_LEN = 16
-PAYLOAD_LEN = 320  # ceil(256 * 10 / 8)
-FRAME_LEN = HEADER_LEN + PAYLOAD_LEN + 2
 READING_BITS = 10
 MAX_READING = (1 << READING_BITS) - 1
-
-
 # magic, version, pad_id, seq, timestamp_us: bytes [0, HEADER_LEN)
 _HEADER = struct.Struct("<2sBBIQ")
+HEADER_LEN = _HEADER.size
+PAYLOAD_LEN = -(-PAD_TAXELS * READING_BITS // 8)  # whole bytes
+CRC_OFFSET = HEADER_LEN + PAYLOAD_LEN
+FRAME_LEN = CRC_OFFSET + 2
 
 
 def crc16_ccitt_false(data: bytes, crc: int = 0xFFFF) -> int:
@@ -49,23 +48,21 @@ def crc16_ccitt_false(data: bytes, crc: int = 0xFFFF) -> int:
 class FrameDecodeError(VitacError):
     """A candidate frame failed validation."""
 
-    kind = "decode-error"
-
 
 class NeedMoreDataError(FrameDecodeError):
-    kind = "need-more-data"
+    """Fewer than FRAME_LEN bytes to decode."""
 
 
 class BadMagicError(FrameDecodeError):
-    kind = "bad-magic"
+    """The candidate does not start with MAGIC."""
 
 
 class BadVersionError(FrameDecodeError):
-    kind = "bad-version"
+    """The frame's version is not VERSION."""
 
 
 class CrcMismatchError(FrameDecodeError):
-    kind = "crc-mismatch"
+    """The stored CRC does not match the frame's bytes."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +81,7 @@ class WireFrame:
 
 def pack_readings(readings: np.ndarray) -> bytes:
     """Pack 256 10-bit readings MSB-first into 320 bytes."""
-    flat = np.asarray(readings).reshape(256)
+    flat = np.asarray(readings).reshape(PAD_TAXELS)
     check_raw_readings(flat, MAX_READING)
     flat = flat.astype(np.uint16)
     shifts = np.arange(READING_BITS - 1, -1, -1)
@@ -95,7 +92,7 @@ def pack_readings(readings: np.ndarray) -> bytes:
 def unpack_readings(payload: bytes) -> np.ndarray:
     if len(payload) != PAYLOAD_LEN:
         raise InvalidInputError(f"payload must be {PAYLOAD_LEN} bytes, got {len(payload)}")
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8)).reshape(256, READING_BITS)
+    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8)).reshape(PAD_TAXELS, READING_BITS)
     weights = (1 << np.arange(READING_BITS - 1, -1, -1)).astype(np.uint16)
     return (bits.astype(np.uint16) * weights).sum(axis=1).astype(np.uint16).reshape(PAD_SHAPE)
 
@@ -123,12 +120,12 @@ def decode_frame(data: bytes) -> WireFrame:
     magic, version, pad_id, seq, timestamp_us = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise BadMagicError("candidate does not start with magic bytes")
-    stored = int.from_bytes(data[336:338], "big")
-    if crc16_ccitt_false(data[:336]) != stored:
+    stored = int.from_bytes(data[CRC_OFFSET:FRAME_LEN], "big")
+    if crc16_ccitt_false(data[:CRC_OFFSET]) != stored:
         raise CrcMismatchError("CRC mismatch")
     if version != VERSION:
         raise BadVersionError(f"unsupported version {version}")
-    readings = unpack_readings(data[HEADER_LEN : HEADER_LEN + PAYLOAD_LEN])
+    readings = unpack_readings(data[HEADER_LEN:CRC_OFFSET])
     return WireFrame(pad_id, seq, timestamp_us, readings)
 
 

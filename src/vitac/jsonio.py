@@ -8,7 +8,7 @@ the file (and, for JSON lines, the line).
 
 import json
 import math
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 from .errors import InvalidInputError
 
@@ -75,9 +75,16 @@ def write_jsonl(path, docs) -> int:
     return n
 
 
-def fields_from(cls, d: dict):
-    """A dataclass from d: each field's value converted to its default's type, missing
-    keys taking the default, other keys ignored."""
+def fields_from(cls, d: dict, *required: str, **convert):
+    """A dataclass from d: a key's value goes through convert[key], else its default's type;
+    a missing key takes the dataclass default, or is a KeyError for a field without one or
+    named in required. Other keys are ignored."""
     if not isinstance(d, dict):
         raise TypeError(f"expected a JSON object for {cls.__name__}, got {type(d).__name__}")
-    return cls(**{f.name: type(f.default)(d.get(f.name, f.default)) for f in fields(cls)})
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in d:
+            kwargs[f.name] = convert.get(f.name, type(f.default))(d[f.name])
+        elif f.name in required or (f.default is MISSING and f.default_factory is MISSING):
+            raise KeyError(f.name)
+    return cls(**kwargs)

@@ -8,7 +8,7 @@ order of a tactile frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from .errors import InvalidInputError
 from .frozen import freeze
 from .pointcloud import BASE_FRAME, CloudXYZF
 from .se3 import PoseSE3
+from .sensor_model import PAD_COLS, PAD_ROWS
 
 REVOLUTE = "revolute"
 PRISMATIC = "prismatic"
@@ -67,8 +68,8 @@ class JointState:
 
 @dataclass(frozen=True)
 class TaxelGrid:
-    rows: int = 16
-    cols: int = 16
+    rows: int = PAD_ROWS
+    cols: int = PAD_COLS
     pitch: float = 1.75e-3
 
     def __post_init__(self):
@@ -82,7 +83,7 @@ class TaxelGrid:
         return self.rows * self.cols
 
     def to_dict(self) -> dict:
-        return {"rows": self.rows, "cols": self.cols, "pitch": self.pitch}
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "TaxelGrid":

@@ -7,6 +7,7 @@ normalized reading. Fusion appends two one-hot flags marking modality.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -214,20 +215,20 @@ def fuse(visual: CloudXYZF, tactile: CloudXYZF) -> FusedCloud:
 
 def write_cloud_ply(cloud: CloudXYZF, path) -> None:
     """ASCII PLY with x, y, z, f vertex properties; frame kept in a comment."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("ply\nformat ascii 1.0\n")
         fh.write(f"comment frame {cloud.frame}\n")
         fh.write(f"element vertex {len(cloud)}\n")
         for name in ("x", "y", "z", "f"):
             fh.write(f"property double {name}\n")
         fh.write("end_header\n")
-        for row in cloud.points:
-            fh.write(" ".join(format(v, ".17g") for v in row) + "\n")
+        np.savetxt(fh, cloud.points, fmt="%.17g")
 
 
 def read_cloud_ply(path) -> CloudXYZF:
+    """The first four vertex properties of an ASCII PLY, f = 0 when only x, y, z are declared."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             if fh.readline().strip() != "ply":
                 raise ValueError("not a PLY file")
             frame = ""
@@ -251,11 +252,14 @@ def read_cloud_ply(path) -> CloudXYZF:
                 raise ValueError("missing vertex element")
             if props[:3] != ["x", "y", "z"]:
                 raise ValueError(f"expected x,y,z properties, got {props}")
-            rows = np.loadtxt(fh, dtype=np.float64, max_rows=n, ndmin=2) if n else np.zeros((0, 4))
-            if rows.shape[0] != n:
-                raise ValueError(f"expected {n} vertices, got {rows.shape[0]}")
-    except (IndexError, ValueError) as exc:  # UnicodeDecodeError is a ValueError too
+            lines = list(itertools.islice(fh, n))
+        if len(lines) != n:
+            raise ValueError(f"expected {n} vertices, got {len(lines)}")
+        if not all(line.strip() for line in lines):  # loadtxt would skip it
+            raise ValueError("blank vertex line")
+        rows = np.loadtxt(lines, ndmin=2, usecols=range(len(props)), comments=None) if n else np.zeros((0, 4))
+        points = np.zeros((n, 4))
+        points[:, : min(len(props), 4)] = rows[:, :4]
+        return CloudXYZF(points, frame)
+    except (IndexError, ValueError) as exc:  # UnicodeDecodeError and InvalidInputError are ValueErrors too
         raise InvalidInputError(f"{path}: {exc}") from None
-    if rows.shape[0] and rows.shape[1] < 4:
-        rows = np.column_stack([rows[:, :3], np.zeros(rows.shape[0])])
-    return CloudXYZF(rows[:, :4] if rows.shape[0] else np.zeros((0, 4)), frame)

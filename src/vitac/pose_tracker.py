@@ -168,7 +168,7 @@ class ContactSet:
         return self.points.shape[0]
 
     @staticmethod
-    def from_tactile_cloud(cloud: CloudXYZF, threshold: float = 0.05) -> "ContactSet":
+    def from_tactile_cloud(cloud: CloudXYZF, threshold: float) -> "ContactSet":
         """Keep tactile points whose normalized reading exceeds the threshold."""
         return ContactSet(cloud.xyz[cloud.feature > threshold])
 

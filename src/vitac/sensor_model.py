@@ -8,7 +8,7 @@ the ADC range ``[0, r_max]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .frozen import freeze
 PAD_ROWS = 16
 PAD_COLS = 16
 PAD_SHAPE = (PAD_ROWS, PAD_COLS)
+PAD_TAXELS = PAD_ROWS * PAD_COLS
 
 
 @dataclass(frozen=True)
@@ -61,23 +62,12 @@ class TaxelResponseModel:
         return min(self.a * np.log(self.f_sat) + self.b, float(self.r_max))
 
     def to_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "f_min": self.f_min,
-            "f_sat": self.f_sat,
-            "r_max": self.r_max,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "TaxelResponseModel":
-        return TaxelResponseModel(
-            a=float(d["a"]),
-            b=float(d["b"]),
-            f_min=float(d.get("f_min", 1.0)),
-            f_sat=float(d.get("f_sat", 9.0)),
-            r_max=int(d.get("r_max", 1023)),
-        )
+        """A file states its curve: a and b are required, the rest default."""
+        return jsonio.fields_from(TaxelResponseModel, d, "a", "b")
 
 
 def force_to_reading(model: TaxelResponseModel, force) -> np.ndarray | float:
@@ -125,9 +115,9 @@ class FitResult:
 
 def fit_response(
     samples,
-    f_min: float = 1.0,
-    f_sat: float = 9.0,
-    r_max: int = 1023,
+    f_min: float = TaxelResponseModel.f_min,
+    f_sat: float = TaxelResponseModel.f_sat,
+    r_max: int = TaxelResponseModel.r_max,
 ) -> FitResult:
     """Least-squares fit of reading against ln(force) over the log-linear window.
 

@@ -218,6 +218,8 @@ class SceneSpec:
             raise InvalidInputError("stiffness must be positive")
         if not (self.noise_sigma >= 0):
             raise InvalidInputError("noise sigma must be nonnegative")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be nonnegative, got {self.seed}")
         object.__setattr__(self, "object_trajectory", traj)
         object.__setattr__(self, "aperture_trajectory", apert)
 
@@ -246,19 +248,16 @@ class SceneSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "SceneSpec":
-        return SceneSpec(
-            obj=Primitive.from_dict(d["object"]),
-            object_trajectory=tuple(
-                (k["t"], PoseSE3.from_dict(k["pose"])) for k in d["object_trajectory"]
-            ),
-            aperture_trajectory=tuple((k["t"], k["gap"]) for k in d["aperture_trajectory"]),
-            gripper_pose=PoseSE3.from_dict(d.get("gripper_pose", PoseSE3.identity().to_dict())),
-            grid=TaxelGrid.from_dict(d.get("grid", {})),
-            stiffness=float(d.get("stiffness", 2000.0)),
-            noise_sigma=float(d.get("noise_sigma", 0.0)),
-            sensor=TaxelResponseModel.from_dict(d.get("sensor", TaxelResponseModel().to_dict())),
-            seed=int(d.get("seed", 0)),
-            n_camera_points=int(d.get("n_camera_points", 1024)),
+        """The file names obj "object"; keys it leaves out take the dataclass defaults."""
+        return jsonio.fields_from(
+            SceneSpec,
+            {**d, "obj": d["object"]},
+            obj=Primitive.from_dict,
+            object_trajectory=lambda keys: tuple((k["t"], PoseSE3.from_dict(k["pose"])) for k in keys),
+            aperture_trajectory=lambda keys: tuple((k["t"], k["gap"]) for k in keys),
+            gripper_pose=PoseSE3.from_dict,
+            grid=TaxelGrid.from_dict,
+            sensor=TaxelResponseModel.from_dict,
         )
 
     def save(self, path) -> None:

@@ -28,12 +28,15 @@ from .errors import (
 )
 from .kinematics import JointState
 from .pointcloud import CloudXYZF, FusedCloud
-from .sensor_model import TactileFrame
+from .sensor_model import PAD_SHAPE, PAD_TAXELS, TactileFrame
 
 JOINTS_STREAM = "joints"
 
 EPISODE_MAGIC = b"VTEP"
 EPISODE_VERSION = 1
+# magic, version, length of the JSON header that follows
+_EPISODE_HEAD = struct.Struct("<4sHI")
+_READING_DTYPES = (np.dtype("<u2"), np.dtype("<f8"))  # a tactile payload's raw and normalized readings
 
 
 def tactile_stream(pad_id: int) -> str:
@@ -240,9 +243,7 @@ def _pack_str(s: str) -> bytes:
 def _encode_payload(payload) -> bytes:
     if isinstance(payload, TactileFrame):
         head = struct.pack("<BHBq", _TAG_TACTILE, payload.pad_id, int(payload.normalized), payload.timestamp_us)
-        if payload.normalized:
-            return head + payload.readings.astype("<f8").tobytes()
-        return head + payload.readings.astype("<u2").tobytes()
+        return head + payload.readings.astype(_READING_DTYPES[bool(payload.normalized)]).tobytes()
     if isinstance(payload, (CloudXYZF, FusedCloud)):
         tag = _TAG_CLOUD if isinstance(payload, CloudXYZF) else _TAG_FUSED
         return (
@@ -293,10 +294,8 @@ def _decode_payload(r: _Reader):
     (tag,) = r.unpack("<B")
     if tag == _TAG_TACTILE:
         pad_id, normalized, ts = r.unpack("<HBq")
-        if normalized:
-            readings = np.frombuffer(r.take(256 * 8), dtype="<f8").reshape(16, 16)
-        else:
-            readings = np.frombuffer(r.take(256 * 2), dtype="<u2").reshape(16, 16)
+        dtype = _READING_DTYPES[bool(normalized)]
+        readings = np.frombuffer(r.take(PAD_TAXELS * dtype.itemsize), dtype=dtype).reshape(PAD_SHAPE)
         return TactileFrame(pad_id, ts, readings, normalized=bool(normalized))
     if tag in (_TAG_CLOUD, _TAG_FUSED):
         frame = r.read_str()
@@ -344,9 +343,7 @@ def write_episode(episode: Episode, path) -> None:
         }
     ).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(EPISODE_MAGIC)
-        fh.write(struct.pack("<H", EPISODE_VERSION))
-        fh.write(struct.pack("<I", len(header)))
+        fh.write(_EPISODE_HEAD.pack(EPISODE_MAGIC, EPISODE_VERSION, len(header)))
         fh.write(header)
         for tup in episode.tuples:
             try:
@@ -363,11 +360,10 @@ def write_episode(episode: Episode, path) -> None:
 def read_episode(path) -> Episode:
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] != EPISODE_MAGIC:
+    if not data.startswith(EPISODE_MAGIC):
         raise EpisodeVersionError(f"{path}: bad magic, not an episode file")
     r = _Reader(data, f"{path} header")
-    r.take(len(EPISODE_MAGIC))
-    version, header_len = r.unpack("<HI")
+    _, version, header_len = _EPISODE_HEAD.unpack(r.take(_EPISODE_HEAD.size))
     if version != EPISODE_VERSION:
         raise EpisodeVersionError(f"{path}: unsupported version {version}")
     try:

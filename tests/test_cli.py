@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import struct
@@ -10,12 +11,12 @@ import numpy as np
 import pytest
 
 import vitac
-from vitac.cli import main
+from vitac.cli import build_parser, main
 from vitac.frame_codec import encode_frame
 from vitac.kinematics import JointState, TaxelGrid, save_chain_file
 from vitac.pointcloud import CloudXYZF, write_cloud_ply
 from vitac.se3 import PoseSE3, matrix_to_quat
-from vitac.sensor_model import PadCalibration, TactileFrame
+from vitac.sensor_model import PadCalibration, TactileFrame, TaxelResponseModel, fit_response
 from vitac.sim_oracle import Primitive, SceneSpec
 from vitac.stream_sync import Episode, SyncedTuple, TimedSample, read_episode, write_episode
 
@@ -309,17 +310,19 @@ def good_inputs(tmp_path_factory):
         ("--scene", "scene.json"), ("--episode", "ep.vtep"), ("--truth", "truth.jsonl"),
         ("--object", "obj.ply"), ("--chain", "chain.json"), ("--box", "box.json"),
         ("--config", "tracker.json"), ("--calib", "calib.json"), ("--poses", "poses.jsonl"),
-        ("--joints", "joints.jsonl"),
+        ("--joints", "joints.jsonl"), ("--tactile", "frames.jsonl"),
     ]}
     assert main(["simulate", "--scene", str(paths["--scene"]), "--dur", "0.2",
                  "--out", str(paths["--episode"]), "--truth", str(paths["--truth"]),
                  "--object-out", str(paths["--object"]), "--object-points", "64"]) == 0
     save_chain_file(paths["--chain"], *scene.chain_and_mounts())
     paths["--box"].write_text(json.dumps({"min": [-0.2] * 3, "max": [0.2] * 3}))
-    paths["--config"].write_text(json.dumps({"particle_count": 16}))
+    paths["--config"].write_text(json.dumps({"particle_count": 16, "prior": {
+        "center": _POSE, "translation_half_extent": 0.01, "rotation_half_angle_deg": 5.0}}))
     PadCalibration(pad_id=0).save(paths["--calib"])
     paths["--poses"].write_text(json.dumps({"t_us": 0, "pose": _POSE}) + "\n")
     paths["--joints"].write_text(_GOOD_LINE["--joints"] + "\n")
+    paths["--tactile"].write_text(_GOOD_LINE["--tactile"] + "\n")
     return paths
 
 
@@ -332,7 +335,9 @@ _READS = {
     "--config": ["track", "--episode", "--object", "--chain", "--calib", "--out", "{out}"],
     "--object": ["track", "--episode", "--chain", "--out", "{out}"],
     "--truth": ["eval", "--poses"],
+    "--poses": ["eval", "--truth"],
     "--joints": ["sync", "--out", "{out}"],
+    "--tactile": ["sync", "--out", "{out}"],
 }
 
 
@@ -380,6 +385,8 @@ BAD_JSON_DOCS = {
     "calib-unclosed": ("--calib", '{"pad_id": 0', "not a JSON document"),
     "calib-no-gain": ("--calib", '{"pad_id": 0, "offset": [], "model": {"a": 1, "b": 0}}',
                       "missing key 'gain'"),
+    "calib-model-no-a": ("--calib", json.dumps({**PadCalibration(pad_id=0).to_dict(), "model": {"b": 0}}),
+                         "missing key 'a'"),
     "truth-unclosed": ("--truth", '{"t_us": 0, "pose": ', "not a JSON line"),
     "truth-no-pose": ("--truth", '{"t_us": 0}', "missing key 'pose'"),
 }
@@ -390,6 +397,10 @@ BAD_PLY_FILES = {
     "ply-vertex-many": ("--object", _PLY_HEAD.replace("vertex 1", "vertex many")
                         + "property double z\nend_header\n0 0 0\n", "'many'"),
     "ply-row-zero": ("--object", _PLY_HEAD + "property double z\nend_header\n0 zero 0\n", "zero"),
+    "ply-row-two-columns": ("--object", _PLY_HEAD + "property double z\nend_header\n0 0\n", "2 columns"),
+    "ply-blank-vertex-line": ("--object", _PLY_HEAD + "property double z\nend_header\n\n0 0 0\n",
+                              "blank vertex line"),
+    "ply-row-nan": ("--object", _PLY_HEAD + "property double z\nend_header\nnan 0 0\n", "non-finite"),
 }
 
 
@@ -532,6 +543,54 @@ def test_only_track_loads_scipy(tmp_path, good_inputs):
     assert done.stderr.splitlines() == [
         "decode False", "sync False", "stats False", "fuse False", "track True"
     ]
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe1,2\n", b"1," + b"9" * 200_000 + b"\n"],
+                         ids=["not-utf8", "field-over-csv-limit"])
+def test_calibrate_samples_that_are_no_csv_text_are_one_error_line(tmp_path, capsys, content):
+    path = tmp_path / "samples.csv"
+    path.write_bytes(content)
+    assert main(["calibrate", "--samples", str(path), "--out", str(tmp_path / "c.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+
+
+def test_calibrate_defaults_are_the_response_model_defaults(tmp_path):
+    model = TaxelResponseModel()
+    args = build_parser().parse_args(["calibrate", "--samples", "s.csv", "--out", "c.json"])
+    assert (args.f_min, args.f_sat, args.r_max) == (model.f_min, model.f_sat, model.r_max)
+    window = inspect.signature(fit_response).parameters
+    assert [window[k].default for k in ("f_min", "f_sat", "r_max")] == [model.f_min, model.f_sat, model.r_max]
+
+
+def _clouds(tmp_path, names):
+    d = tmp_path / "clouds"
+    d.mkdir()
+    for name in names:
+        write_cloud_ply(CloudXYZF(np.zeros((1, 4)), "base"), d / name)
+    return d
+
+
+def test_sync_cloud_bare_timestamp_name_is_camera_0(tmp_path, capsys):
+    d = _clouds(tmp_path, ["0.ply", "100000.ply"])
+    report = run_json(capsys, ["sync", "--cloud", str(d), "--out", str(tmp_path / "ep.vtep")])
+    assert report["streams"] == ["camera/0"] and report["tuples"] == 2
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["sync"], "no input streams given"),
+    (["sync", "--cloud", "{clouds}"], "a_b.ply: cloud files must be named"),
+    (["eval", "--poses", "{poses}", "--truth", "{truth}"], "no matching timestamps"),
+])
+def test_nothing_to_work_on_is_one_error_line(tmp_path, capsys, argv, names):
+    paths = {"clouds": _clouds(tmp_path, ["a_b.ply"]), "poses": tmp_path / "p.jsonl", "truth": tmp_path / "t.jsonl"}
+    paths["poses"].write_text(json.dumps({"t_us": 0, "pose": _POSE}) + "\n")
+    paths["truth"].write_text(json.dumps({"t_us": 5, "pose": _POSE}) + "\n")
+    argv = [word.format(**paths) for word in argv]
+    out = ["--out", str(tmp_path / "ep.vtep")] if argv[0] == "sync" else []
+    assert main(argv + out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and names in err and err.count("\n") == 1, err
 
 
 def test_missing_file_is_usage_error(tmp_path, capsys):

@@ -3,7 +3,9 @@ import pytest
 
 from vitac.errors import InvalidInputError
 from vitac.frame_codec import (
+    CRC_OFFSET,
     FRAME_LEN,
+    HEADER_LEN,
     PAYLOAD_LEN,
     BadVersionError,
     CrcMismatchError,
@@ -75,6 +77,7 @@ def test_encode_frame_known_answer():
 def test_payload_size():
     assert PAYLOAD_LEN == -(-256 * 10 // 8) == 320
     assert FRAME_LEN == 338
+    assert (HEADER_LEN, CRC_OFFSET) == (16, 336)
 
 
 def test_all_zero_frame():
@@ -148,6 +151,19 @@ def test_decode_bad_version():
     data[336:338] = crc.to_bytes(2, "big")
     with pytest.raises(BadVersionError):
         decode_frame(bytes(data))
+
+
+def test_stream_decoder_skips_bad_version_frame():
+    zeros = np.zeros((16, 16), dtype=int)
+    bad = bytearray(encode_frame(TactileFrame(0, 1, zeros), seq=1))
+    bad[2] = 2
+    bad[CRC_OFFSET:] = crc16_ccitt_false(bytes(bad[:CRC_OFFSET])).to_bytes(2, "big")
+    good = [encode_frame(TactileFrame(0, seq, zeros), seq) for seq in (0, 2)]
+    stream = good[0] + bytes(bad) + good[1]
+    dec = StreamDecoder()
+    assert [w.seq for w in dec.feed(stream)] == [0, 2]
+    assert dec.diagnostics.bad_versions == 1
+    assert dec.diagnostics.bytes_skipped == FRAME_LEN
 
 
 def test_decode_short_input():

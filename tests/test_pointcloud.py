@@ -340,3 +340,21 @@ def test_ply_roundtrip(tmp_path):
     write_cloud_ply(empty, tmp_path / "e.ply")
     loaded_empty = read_cloud_ply(tmp_path / "e.ply")
     assert len(loaded_empty) == 0 and loaded_empty.frame == "e"
+
+
+def test_ply_without_f_reads_feature_zero(tmp_path):
+    path = tmp_path / "xyz.ply"
+    path.write_text("ply\nformat ascii 1.0\nelement vertex 2\nproperty double x\nproperty double y\n"
+                    "property double z\nend_header\n1 2 3\n4 5 6\n")
+    assert read_cloud_ply(path).points.tolist() == [[1.0, 2.0, 3.0, 0.0], [4.0, 5.0, 6.0, 0.0]]
+
+
+def test_ply_bytes_are_utf8_with_17_significant_digits(tmp_path):
+    points = np.array([[0.1, -0.0, 1e-300, 1.0 / 3.0], [2.0**60, -7.5, 123456789.123456789, 0.0]])
+    path = tmp_path / "u.ply"
+    write_cloud_ply(CloudXYZF(points, "kamera_ü"), path)
+    rows = "".join(" ".join(format(v, ".17g") for v in row) + "\n" for row in points)
+    head = "ply\nformat ascii 1.0\ncomment frame kamera_ü\nelement vertex 2\n"
+    head += "".join(f"property double {name}\n" for name in "xyzf") + "end_header\n"
+    assert path.read_bytes() == (head + rows).encode("utf-8")
+    assert read_cloud_ply(path).frame == "kamera_ü"

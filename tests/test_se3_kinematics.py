@@ -105,6 +105,12 @@ def test_rotvec_roundtrip():
     assert np.allclose(p.rotation_matrix(), _axis_angle_matrix(v / np.linalg.norm(v), np.linalg.norm(v)), atol=1e-12)
 
 
+def test_pose_renormalizes_non_unit_quaternion():
+    pose = PoseSE3(np.array([0.0, 0.0, 3.0, 4.0]), np.zeros(3))
+    assert pose.q.tolist() == [0.0, 0.0, 0.6, 0.8]
+    assert not pose.q.flags.writeable
+
+
 def test_pose_rejects_bad_input():
     with pytest.raises(InvalidInputError):
         PoseSE3(np.zeros(4), np.zeros(3))

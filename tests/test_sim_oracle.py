@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -322,6 +323,30 @@ def test_scene_json_roundtrip(tmp_path):
     snap_a = simulate_contact(scene, 0.0)
     snap_b = simulate_contact(back, 0.0)
     assert np.array_equal(snap_a.frames[0].readings, snap_b.frames[0].readings)
+
+
+@pytest.mark.parametrize("obj", [Primitive.cylinder(0.02, 0.08), Primitive.sphere(0.03)])
+def test_round_primitive_scene_json_roundtrip(tmp_path, obj):
+    scene = grip_scene(obj=obj)
+    scene.save(tmp_path / "scene.json")
+    assert SceneSpec.load(tmp_path / "scene.json").obj == obj
+
+
+def test_scene_file_with_only_required_keys_takes_the_defaults(tmp_path):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({
+        "object": {"kind": "sphere", "radius": 0.03},
+        "object_trajectory": [{"t": 0.0, "pose": {"q": [1.0, 0.0, 0.0, 0.0], "t": [0.0, 0.0, 0.0]}}],
+        "aperture_trajectory": [{"t": 0.0, "gap": 0.05}],
+    }))
+    scene = SceneSpec(Primitive.sphere(0.03), ((0.0, PoseSE3.identity()),), ((0.0, 0.05),))
+    assert SceneSpec.load(path).to_dict() == scene.to_dict()
+
+
+def test_multi_key_aperture_trajectory_interpolates():
+    scene = dataclasses.replace(grip_scene(), aperture_trajectory=((0.0, 0.08), (1.0, 0.076), (2.0, 0.076)))
+    assert scene.aperture_at(0.5) == pytest.approx(0.078, abs=1e-15)
+    assert simulate_contact(scene, 1.5).aperture == pytest.approx(0.076, abs=1e-15)
 
 
 def test_consistency_stats_uniform_load_from_simulator():
