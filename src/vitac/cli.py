@@ -34,11 +34,12 @@ from .pointcloud import (
     write_cloud_ply,
 )
 from .pose_tracker import ContactSet, ObjectModel, Tracker, TrackerConfig
-from .se3 import PoseSE3, quat_geodesic_angle
+from .se3 import MAX_LENGTH_M, PoseSE3, quat_geodesic_angle
 from .sensor_model import PadCalibration, TactileFrame, TaxelResponseModel, fit_response
 from .sim_oracle import GroundTruth, SceneSpec, render_episode, sample_object_cloud
 from .stream_sync import (
     JOINTS_STREAM,
+    TACTILE_PREFIX,
     Episode,
     SyncedTuple,
     TimedSample,
@@ -267,6 +268,10 @@ def _tracker_setup(doc: dict) -> tuple:
     angle = float(prior.get("rotation_half_angle_deg", 20.0))
     if not (0 <= extent < np.inf and 0 <= angle < np.inf):  # written so that NaN fails it
         raise InvalidInputError("prior extents must be finite and nonnegative")
+    if extent > MAX_LENGTH_M or angle > 180:
+        raise InvalidInputError(
+            f"prior extents must be at most {MAX_LENGTH_M} m and 180 degrees, got {extent} m and {angle} degrees"
+        )
     return TrackerConfig.from_dict(doc), {
         "prior_center": center,
         "translation_half_extent": extent,
@@ -275,7 +280,7 @@ def _tracker_setup(doc: dict) -> tuple:
 
 
 def cmd_track(args) -> dict:
-    episode = read_episode(_require_file(args.episode))
+    episode = read_episode(_require_file(args.episode), keep=(TACTILE_PREFIX, JOINTS_STREAM))
     obj_cloud = read_cloud_ply(_require_file(args.object))
     chain, mounts = load_chain_file(_require_file(args.chain))
     calibs = _load_calibrations(args.calib)

@@ -62,16 +62,19 @@ def read_jsonl(path, parse) -> list:
 
 
 def write_json(path, doc) -> None:
+    """doc as indented JSON; a number that is not finite is a ValueError, as loads refuses it."""
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump(doc, fh, indent=2, allow_nan=False)
 
 
 def write_jsonl(path, docs) -> int:
-    """One compact JSON object per line; returns the number of lines written."""
+    """One compact JSON object per line; returns the number of lines written.
+
+    A number that is not finite is a ValueError, as in write_json."""
     n = 0
     with open(path, "w") as fh:
         for n, doc in enumerate(docs, 1):
-            fh.write(json.dumps(doc) + "\n")
+            fh.write(json.dumps(doc, allow_nan=False) + "\n")
     return n
 
 

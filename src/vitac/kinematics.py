@@ -16,7 +16,7 @@ from . import jsonio
 from .errors import InvalidInputError
 from .frozen import freeze
 from .pointcloud import BASE_FRAME, CloudXYZF
-from .se3 import PoseSE3
+from .se3 import MAX_LENGTH_M, PoseSE3
 from .sensor_model import PAD_COLS, PAD_ROWS
 
 REVOLUTE = "revolute"
@@ -75,8 +75,8 @@ class TaxelGrid:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise InvalidInputError("grid must have positive dimensions")
-        if not (np.isfinite(self.pitch) and self.pitch > 0):
-            raise InvalidInputError(f"pitch must be positive, got {self.pitch}")
+        if not (0 < self.pitch <= MAX_LENGTH_M):  # written so that NaN fails it
+            raise InvalidInputError(f"pitch must lie in (0, {MAX_LENGTH_M}] m, got {self.pitch}")
 
     @property
     def count(self) -> int:

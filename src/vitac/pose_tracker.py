@@ -21,6 +21,7 @@ from .errors import DegenerateWeightsError, InvalidInputError
 from .frozen import freeze
 from .pointcloud import CloudXYZF
 from .se3 import (
+    MAX_LENGTH_M,
     PoseSE3,
     quat_geodesic_angle,
     quat_multiply,
@@ -185,9 +186,11 @@ class TrackerConfig:
     def __post_init__(self):
         if self.particle_count < 1:
             raise InvalidInputError("particle_count must be >= 1")
-        for name in ("sigma_translation", "sigma_rotation"):  # written so that NaN fails them
-            if not (0 <= getattr(self, name) < np.inf):
-                raise InvalidInputError(f"{name} must be finite and nonnegative")
+        bounds = (("sigma_translation", MAX_LENGTH_M, "m"), ("sigma_rotation", np.pi, "rad"))
+        for name, top, unit in bounds:
+            value = getattr(self, name)
+            if not (0 <= value <= top):  # written so that NaN fails it
+                raise InvalidInputError(f"{name} must lie in [0, {top:.6g}] {unit}, got {value}")
         if not (self.activation_threshold >= 0):
             raise InvalidInputError("activation_threshold must be nonnegative")
         if not (self.temperature > 0):
@@ -392,8 +395,7 @@ def particle_distances(particles: ParticleSet, contacts: ContactSet, obj: Object
 @dataclass(frozen=True)
 class StepReport:
     ess: float
-    min_g: float
-    mean_g: float
+    min_g: float | None  # None on a step without contacts
     resampled: bool
     n_contacts: int
 
@@ -413,7 +415,7 @@ def update(
     particles = predict(particles, config, rng)
     if len(contacts) == 0:
         ess = effective_sample_size(particles.weights)
-        return particles, StepReport(ess, float("nan"), float("nan"), False, 0)
+        return particles, StepReport(ess, None, False, 0)
     g = particle_distances(particles, contacts, obj)
     weights = scale_weights(g, config.temperature)
     particles = ParticleSet(particles.quats, particles.trans, weights)
@@ -424,7 +426,6 @@ def update(
     return particles, StepReport(
         ess=ess,
         min_g=float(np.min(g)),
-        mean_g=float(np.mean(g)),
         resampled=resampled,
         n_contacts=len(contacts),
     )

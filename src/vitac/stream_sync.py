@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -31,6 +32,7 @@ from .pointcloud import CloudXYZF, FusedCloud
 from .sensor_model import PAD_SHAPE, PAD_TAXELS, TactileFrame
 
 JOINTS_STREAM = "joints"
+TACTILE_PREFIX = "tactile/"  # tactile/<pad_id>
 
 EPISODE_MAGIC = b"VTEP"
 EPISODE_VERSION = 1
@@ -40,7 +42,7 @@ _READING_DTYPES = (np.dtype("<u2"), np.dtype("<f8"))  # a tactile payload's raw 
 
 
 def tactile_stream(pad_id: int) -> str:
-    return f"tactile/{pad_id}"
+    return f"{TACTILE_PREFIX}{pad_id}"
 
 
 def camera_stream(cam_id: int) -> str:
@@ -81,7 +83,7 @@ class SyncedTuple:
 
     def tactile_frames(self) -> dict:
         """pad_id -> TactileFrame for every tactile member."""
-        return self._payloads("tactile/", TactileFrame)
+        return self._payloads(TACTILE_PREFIX, TactileFrame)
 
     def clouds(self) -> dict:
         """cam_id -> CloudXYZF for every camera member."""
@@ -263,8 +265,8 @@ def _encode_payload(payload) -> bytes:
 class _Reader:
     """Bounds-checked cursor over a byte buffer; reading past its end is a TruncatedFileError.
 
-    take returns views of the buffer, not copies, so the payload arrays decoded from
-    an episode file are read-only views of the one bytes object it was read into.
+    take returns views of the buffer, not copies; a payload decoded from a read-only
+    buffer keeps it alive, and one decoded from a writable buffer copies its arrays.
     """
 
     def __init__(self, buf: bytes, context: str):
@@ -321,14 +323,21 @@ def _encode_tuple(tup: SyncedTuple) -> bytes:
     return b"".join(parts)
 
 
-def _decode_tuple(buf: memoryview, context: str) -> SyncedTuple:
+def _decode_tuple(buf: memoryview, context: str, keep=None) -> SyncedTuple:
+    """The record's tuple; a member whose stream id starts with none of the keep prefixes is
+    decoded, and so checked, but dropped. keep=None keeps every member."""
     r = _Reader(buf, context)
+    view, read_only = r.buf, r.buf.toreadonly()  # a dropped member's arrays are not copied
     tick, n_members = r.unpack("<qH")
     members = {}
     for _ in range(n_members):
         sid = r.read_str()
         (ts,) = r.unpack("<q")
-        members[sid] = TimedSample(sid, ts, _decode_payload(r))
+        kept = keep is None or sid.startswith(keep)
+        r.buf = view if kept else read_only
+        payload = _decode_payload(r)
+        if kept:
+            members[sid] = TimedSample(sid, ts, payload)
     return SyncedTuple(tick, members)
 
 
@@ -357,34 +366,74 @@ def write_episode(episode: Episode, path) -> None:
             fh.write(struct.pack("<I", zlib.crc32(payload)))
 
 
-def read_episode(path) -> Episode:
+class _FileReader(_Reader):
+    """A _Reader over an open file. A piece longer than what is left of the file is a
+    TruncatedFileError before anything is allocated for it."""
+
+    def __init__(self, fh, context: str):
+        self.fh = fh
+        self.left = os.fstat(fh.fileno()).st_size - fh.tell()
+        self.context = context
+        self.buf = bytearray()
+
+    def take(self, n: int, fresh: bool = False) -> memoryview:
+        """The next n bytes: a view of a new bytes object when fresh, else of one reused,
+        writable buffer that the next take overwrites."""
+        if n > self.left:
+            raise TruncatedFileError(f"{self.context}: truncated")
+        if fresh:
+            out = memoryview(self.fh.read(n))
+            got = len(out)
+        else:
+            if n > len(self.buf):
+                self.buf = bytearray(n)
+            out = memoryview(self.buf)[:n]
+            got = self.fh.readinto(out)
+        if got != n:  # the file shrank while it was read
+            raise TruncatedFileError(f"{self.context}: truncated")
+        self.left -= n
+        return out
+
+
+def read_episode(path, keep=None) -> Episode:
+    """The episode in the .vtep file at path, read one record at a time.
+
+    keep: a tuple of stream-id prefixes, such as (TACTILE_PREFIX, JOINTS_STREAM); only the
+    members and streams whose ids start with one of them are kept, but every member is
+    decoded and checked. None keeps them all, as read-only views of each record's bytes.
+    Otherwise records pass through one reused, writable buffer, so the members kept are
+    copies and memory holds one record plus them.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.startswith(EPISODE_MAGIC):
-        raise EpisodeVersionError(f"{path}: bad magic, not an episode file")
-    r = _Reader(data, f"{path} header")
-    _, version, header_len = _EPISODE_HEAD.unpack(r.take(_EPISODE_HEAD.size))
-    if version != EPISODE_VERSION:
-        raise EpisodeVersionError(f"{path}: unsupported version {version}")
-    try:
-        header = jsonio.loads(str(r.take(header_len), "utf-8"))
-        rate_hz, tolerance_us = float(header["rate_hz"]), int(header["tolerance_us"])
-        streams, metadata = list(header["streams"]), dict(header.get("metadata", {}))
-        tuple_count = int(header.get("tuple_count", 0))
-        tick_grid(rate_hz, 0, -1)  # refuses a rate with no tick grid, such as "inf" (a string)
-    except KeyError as exc:
-        raise EpisodeLoadError(f"{path}: header lacks {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:  # InvalidInputError is a ValueError
-        raise EpisodeLoadError(f"{path}: bad header ({exc})") from None
-    if tuple_count < 0:
-        raise EpisodeLoadError(f"{path}: header tuple_count must be nonnegative, got {tuple_count}")
-    tuples = []
-    for i in range(tuple_count):
-        r.context = f"{path} record {i}"
-        (n,) = r.unpack("<I")
-        payload = r.take(n)
-        (stored,) = r.unpack("<I")
-        if zlib.crc32(payload) != stored:
-            raise ChecksumError(f"{r.context}: CRC32 mismatch")
-        tuples.append(_decode_tuple(payload, r.context))
+        if fh.read(len(EPISODE_MAGIC)) != EPISODE_MAGIC:
+            raise EpisodeVersionError(f"{path}: bad magic, not an episode file")
+        fh.seek(0)
+        r = _FileReader(fh, f"{path} header")
+        _, version, header_len = _EPISODE_HEAD.unpack(r.take(_EPISODE_HEAD.size))
+        if version != EPISODE_VERSION:
+            raise EpisodeVersionError(f"{path}: unsupported version {version}")
+        try:
+            header = jsonio.loads(str(r.take(header_len), "utf-8"))
+            rate_hz, tolerance_us = float(header["rate_hz"]), int(header["tolerance_us"])
+            streams, metadata = list(header["streams"]), dict(header.get("metadata", {}))
+            tuple_count = int(header.get("tuple_count", 0))
+            tick_grid(rate_hz, 0, -1)  # refuses a rate with no tick grid, such as "inf" (a string)
+            if not all(isinstance(sid, str) for sid in streams):
+                raise TypeError("stream ids must be strings")
+        except KeyError as exc:
+            raise EpisodeLoadError(f"{path}: header lacks {exc}") from None
+        except (TypeError, ValueError, OverflowError) as exc:  # InvalidInputError is a ValueError
+            raise EpisodeLoadError(f"{path}: bad header ({exc})") from None
+        if tuple_count < 0:
+            raise EpisodeLoadError(f"{path}: header tuple_count must be nonnegative, got {tuple_count}")
+        tuples = []
+        for i in range(tuple_count):
+            r.context = f"{path} record {i}"
+            (n,) = r.unpack("<I")
+            record = r.take(n + 4, fresh=keep is None)  # the tuple's bytes, then their CRC32
+            if zlib.crc32(record[:n]) != struct.unpack_from("<I", record, n)[0]:
+                raise ChecksumError(f"{r.context}: CRC32 mismatch")
+            tuples.append(_decode_tuple(record[:n], r.context, keep))
+    if keep is not None:
+        streams = [sid for sid in streams if sid.startswith(keep)]
     return Episode(rate_hz, tolerance_us, streams, tuples, metadata)

@@ -23,11 +23,11 @@ from vitac.stream_sync import Episode, SyncedTuple, TimedSample, read_episode, w
 GRIP_ROT = np.array([[0.0, 0, -1], [0, 1, 0], [1, 0, 0]])
 
 
-def write_scene(path, noise=0.0, seed=0):
+def write_scene(path, noise=0.0, seed=0, gap=0.077):
     scene = SceneSpec(
         obj=Primitive.box(0.04, 0.04, 0.08),
         object_trajectory=((0.0, PoseSE3.identity()),),
-        aperture_trajectory=((0.0, 0.077),),
+        aperture_trajectory=((0.0, gap),),
         gripper_pose=PoseSE3(matrix_to_quat(GRIP_ROT), np.zeros(3)),
         grid=TaxelGrid(16, 16, 3.0e-3),
         noise_sigma=noise,
@@ -205,6 +205,22 @@ def test_full_pipeline_simulate_fuse_track_eval(tmp_path, capsys):
     assert report["dropped_ticks"] == 0
 
 
+def test_track_tick_without_contacts_evaluates(tmp_path, capsys, monkeypatch):
+    # the pads open 90 mm around the 80 mm box, so no tick has a contact
+    monkeypatch.chdir(tmp_path)
+    scene = write_scene("scene.json", gap=0.09)
+    save_chain_file("chain.json", *scene.chain_and_mounts())
+    Path("tracker.json").write_text(json.dumps({"particle_count": 16}))
+    run_json(capsys, ["simulate", "--scene", "scene.json", "--dur", "0.3", "--out", "ep.vtep",
+                      "--truth", "truth.jsonl", "--object-out", "obj.ply", "--object-points", "64"])
+    run_json(capsys, ["track", "--episode", "ep.vtep", "--object", "obj.ply", "--chain", "chain.json",
+                      "--config", "tracker.json", "--out", "poses.jsonl"])
+    rows = [json.loads(line) for line in Path("poses.jsonl").read_text().splitlines()]
+    assert [(r["n_contacts"], r["min_g"]) for r in rows] == [(0, None)] * 3
+    report = run_json(capsys, ["eval", "--poses", "poses.jsonl", "--truth", "truth.jsonl"])
+    assert report["matched_ticks"] == 3
+
+
 def test_simulate_seed_defaults_to_scene(tmp_path, capsys):
     scene_path = tmp_path / "scene.json"
     write_scene(scene_path, seed=5)
@@ -352,6 +368,8 @@ _CENTER_NO_T = {"prior": {"center": {"q": [1.0, 0.0, 0.0, 0.0]}}}
 _NAN_GAP_SCENE = {"object": {"kind": "box", "size": [0.04, 0.04, 0.08]},
                   "object_trajectory": [{"t": 0.0, "pose": _POSE}],
                   "aperture_trajectory": [{"t": 0.0, "gap": float("nan")}]}
+_PITCH_SCENE = {**_NAN_GAP_SCENE, "aperture_trajectory": [{"t": 0.0, "gap": 0.077}],
+                "grid": {"rows": 16, "cols": 16, "pitch": 1e300}}
 _GRID_LIST_CHAIN = {"links": [{"joint": "fixed", "fixed": _POSE}],
                     "mounts": [{"pad_id": 0, "link": 0, "transform": _POSE, "grid": []}]}
 # (input flag, bad file content, text the error names); truth is JSON lines, so its
@@ -370,6 +388,14 @@ BAD_JSON_DOCS = {
                         "number Infinity is not finite"),
     "config-nan": ("--config", '{"sigma_translation": NaN}', "number NaN is not finite"),
     "config-overflow": ("--config", '{"sigma_rotation": 1e400}', "number 1e400 is not finite"),
+    "config-sigma-rotation-1e300": ("--config", '{"sigma_rotation": 1e300}',
+                                    "sigma_rotation must lie in [0, 3.14159] rad"),
+    "config-sigma-translation-2m": ("--config", '{"sigma_translation": 2.0}',
+                                    "sigma_translation must lie in [0, 1] m"),
+    "config-extent-2m": ("--config", '{"prior": {"translation_half_extent": 2.0}}',
+                         "prior extents must be at most 1.0 m and 180 degrees, got 2.0 m"),
+    "config-angle-1e300": ("--config", '{"prior": {"rotation_half_angle_deg": 1e300}}',
+                           "prior extents must be at most 1.0 m and 180 degrees"),
     "config-prior-list": ("--config", '{"prior": []}', "prior must be a JSON object"),
     "config-extent-negative": ("--config", '{"prior": {"rotation_half_angle_deg": -5}}',
                                "prior extents must be finite and nonnegative"),
@@ -380,6 +406,7 @@ BAD_JSON_DOCS = {
     "chain-grid-list": ("--chain", json.dumps(_GRID_LIST_CHAIN), "expected a JSON object for TaxelGrid"),
     "scene-gap-nan": ("--scene", json.dumps(_NAN_GAP_SCENE), "number NaN is not finite"),
     "scene-no-object": ("--scene", '{"seed": 1}', "missing key 'object'"),
+    "scene-pitch-1e300": ("--scene", json.dumps(_PITCH_SCENE), "pitch must lie in (0, 1.0] m"),
     "scene-unclosed": ("--scene", '{"object": {"kind": "sphere", "radius": 0.1}',
                        "not a JSON document"),
     "calib-unclosed": ("--calib", '{"pad_id": 0', "not a JSON document"),

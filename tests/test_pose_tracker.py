@@ -143,6 +143,18 @@ def test_tracker_config_rejects_non_finite(field, value):
         TrackerConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [("sigma_translation", 1.5), ("sigma_translation", -1e-3),
+                                          ("sigma_rotation", 1e300), ("sigma_rotation", 3.2)])
+def test_tracker_config_rejects_out_of_physical_range(field, value):
+    with pytest.raises(InvalidInputError, match=field):
+        TrackerConfig(**{field: value})
+
+
+def test_tracker_config_range_ends_are_allowed():
+    cfg = TrackerConfig(sigma_translation=1.0, sigma_rotation=np.pi)
+    assert (cfg.sigma_translation, cfg.sigma_rotation) == (1.0, np.pi)
+
+
 def test_scale_weights_degenerate():
     with pytest.raises(DegenerateWeightsError):
         scale_weights([np.inf, np.inf], 1.0)
@@ -460,7 +472,7 @@ def test_update_empty_contacts_is_predict_only():
     assert np.array_equal(out.trans, ref.trans)
     assert np.array_equal(out.quats, ref.quats)
     assert np.array_equal(out.weights, particles.weights)
-    assert not report.resampled and report.n_contacts == 0
+    assert not report.resampled and report.n_contacts == 0 and report.min_g is None
 
 
 def test_update_zero_noise_no_contacts_identity():

@@ -189,6 +189,13 @@ def test_taxel_points_identity_pitch():
     assert np.allclose(pts[16], [0, 2.0e-3, 0])  # (r=1, c=0)
 
 
+@pytest.mark.parametrize("pitch", [0.0, -1e-3, 1.5, 1e300, np.nan, np.inf])
+def test_taxel_grid_pitch_outside_zero_to_one_meter_is_refused(pitch):
+    with pytest.raises(InvalidInputError, match="pitch"):
+        TaxelGrid(16, 16, pitch)
+    assert TaxelGrid(16, 16, 1.0).pitch == 1.0
+
+
 def test_taxel_points_translation_and_rotation():
     grid = TaxelGrid(4, 4, 1.0e-3)
     t = np.array([0.1, -0.2, 0.3])

@@ -19,7 +19,13 @@ from vitac.sim_oracle import (
     simulate_contact,
     two_finger_gripper,
 )
-from vitac.stream_sync import episode_stats, read_episode, write_episode
+from vitac.stream_sync import (
+    JOINTS_STREAM,
+    TACTILE_PREFIX,
+    episode_stats,
+    read_episode,
+    write_episode,
+)
 
 # gripper closing along world z so pads land on the box end faces
 GRIP_ROT = np.array([[0.0, 0, -1], [0, 1, 0], [1, 0, 0]])
@@ -254,7 +260,7 @@ def test_render_episode_ticks_on_the_stats_grid(rate_hz, duration_s, period_us):
 
 
 def test_read_episode_holds_the_file_once(tmp_path):
-    # payloads are views of the one buffer the file is read into, not per-record copies
+    # with every member kept, payloads are views of their record's bytes, not copies of them
     scene = dataclasses.replace(grip_scene(), n_camera_points=20_000)
     episode, _ = render_episode(scene, rate_hz=10.0, duration_s=0.4)
     path = tmp_path / "big.vtep"
@@ -269,6 +275,44 @@ def test_read_episode_holds_the_file_once(tmp_path):
         tracemalloc.stop()
     assert len(back.tuples) == 4
     assert peak < 1.25 * size, peak / size
+
+
+def _arrays(episode, sids) -> list:
+    """The payload arrays of the members sids, tick by tick."""
+    payloads = [t.members[sid].payload for t in episode.tuples for sid in sids]
+    return [getattr(p, name) for p in payloads for name in ("readings", "points", "positions") if hasattr(p, name)]
+
+
+def test_read_episode_with_keep_holds_one_record_plus_the_members_kept(tmp_path):
+    scene = dataclasses.replace(grip_scene(), n_camera_points=20_000)
+    episode, _ = render_episode(scene, rate_hz=10.0, duration_s=1.4)
+    path = tmp_path / "big.vtep"
+    write_episode(episode, path)
+    size = path.stat().st_size
+    assert size >= 8 << 20
+    keep = (TACTILE_PREFIX, JOINTS_STREAM)
+    tracemalloc.start()
+    try:
+        kept = read_episode(path, keep=keep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    full = read_episode(path)
+    record = size / len(full.tuples)  # the records are all of one size, and the header is small
+    kept_arrays = _arrays(kept, kept.streams)
+    assert peak < 2 * record + sum(a.nbytes for a in kept_arrays), peak / record
+    assert kept.streams == ["joints", "tactile/0", "tactile/1"]
+    assert len(kept.tuples) == len(full.tuples) == 14
+    for k, f in zip(kept.tuples, full.tuples):
+        assert k.tick_time_us == f.tick_time_us
+        assert sorted(k.members) == kept.streams
+        for sid, sample in k.members.items():
+            assert sample.timestamp_us == f.members[sid].timestamp_us
+    full_arrays = _arrays(full, kept.streams)
+    assert [a.dtype for a in kept_arrays] == [a.dtype for a in full_arrays]
+    assert [a.tobytes() for a in kept_arrays] == [a.tobytes() for a in full_arrays]
+    for i, a in enumerate(kept_arrays):
+        assert not any(np.shares_memory(a, b) for b in kept_arrays[i + 1 :])
 
 
 def test_render_episode_bit_identical_by_seed(tmp_path):

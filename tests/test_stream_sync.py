@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -341,6 +342,7 @@ BAD_HEADERS = {
     "rate_hz-1e-320": json.dumps({**_HEADER, "rate_hz": 1e-320}).encode(),
     "rate_hz-3e6": json.dumps({**_HEADER, "rate_hz": 3e6}).encode(),
     "tuple_count-negative": json.dumps({**_HEADER, "tuple_count": -5}).encode(),
+    "streams-not-strings": json.dumps({**_HEADER, "streams": [1]}).encode(),
     **{
         f"no-{key}": json.dumps({k: v for k, v in _HEADER.items() if k != key}).encode()
         for key in ("rate_hz", "tolerance_us", "streams")
@@ -422,3 +424,51 @@ def test_episode_stats_jitter_skew():
     ep = Episode(10.0, 50_000, sorted(streams), tuples)
     stats = episode_stats(ep)
     assert stats.max_skew_us <= 20_000
+
+
+# records that a full read refuses, each with one member that a keep of "tactile/" drops
+DROPPED_MEMBER_FAULTS = {
+    "unknown-tag": (_record(0, "s", 0, b"\x09"), EpisodeLoadError, "record 0: unknown payload tag 9"),
+    "frame-not-utf8": (BAD_STRING_RECORDS["cloud-frame"], EpisodeLoadError, "record 0: .*not UTF-8"),
+    "cloud-nan": (_record(0, "camera/0", 0, struct.pack("<BH", 2, 4) + b"base" + struct.pack("<I", 1)
+                          + struct.pack("<4d", np.nan, 0, 0, 0)), InvalidInputError, "non-finite"),
+    "cloud-short": (_record(0, "camera/0", 0, struct.pack("<BH", 2, 4) + b"base" + struct.pack("<I", 2)
+                            + struct.pack("<4d", 0, 0, 0, 0)), TruncatedFileError, "record 0: truncated"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DROPPED_MEMBER_FAULTS))
+@pytest.mark.parametrize("keep", [None, ("tactile/",)])
+def test_episode_read_with_keep_checks_the_members_it_drops(tmp_path, kind, keep):
+    record, error, match = DROPPED_MEMBER_FAULTS[kind]
+    path = tmp_path / "d.vtep"
+    path.write_bytes(_episode_bytes({**_HEADER, "tuple_count": 1}, record))
+    with pytest.raises(error, match=match):
+        read_episode(path, keep=keep)
+
+
+def test_episode_read_with_keep_lists_the_streams_kept(tmp_path):
+    members = {sid: TimedSample(sid, 0, PAYLOAD_CASES[kind][0])
+               for sid, kind in [("camera/0", "cloud"), ("joints", "joints"), ("tactile/3", "tactile-raw")]}
+    path = tmp_path / "k.vtep"
+    write_episode(Episode(10.0, 0, sorted(members), [SyncedTuple(0, members)] * 2), path)
+    back = read_episode(path, keep=("tactile/", JOINTS_STREAM))
+    assert back.streams == ["joints", "tactile/3"]
+    assert [sorted(t.members) for t in back.tuples] == [["joints", "tactile/3"]] * 2
+    assert np.array_equal(back.tuples[1].members["tactile/3"].payload.readings, _RAW)
+    assert read_episode(path, keep=("nothing/",)).tuples[0].members == {}
+
+
+@pytest.mark.parametrize("keep", [None, ("tactile/",)])
+def test_episode_record_length_past_the_file_end_allocates_nothing(tmp_path, keep):
+    path = tmp_path / "l.vtep"
+    record = _record(0, "s", 0, PAYLOAD_CASES["joints"][1])
+    path.write_bytes(_episode_bytes({**_HEADER, "tuple_count": 1}, struct.pack("<I", 0xFFFFFFF0) + record[4:]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedFileError, match="record 0: truncated"):
+            read_episode(path, keep=keep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
