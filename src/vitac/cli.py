@@ -63,6 +63,11 @@ def _seed(args) -> int:
     return DEFAULT_SEED if args.seed is None else args.seed
 
 
+def _require_count(flag: str, n: int) -> None:
+    if n < 1:
+        raise InvalidInputError(f"{flag} must be >= 1, got {n}")
+
+
 def _require_file(path: str) -> Path:
     p = Path(path)
     if not p.is_file():
@@ -215,6 +220,7 @@ def cmd_sync(args) -> dict:
 
 
 def cmd_simulate(args) -> dict:
+    _require_count("--object-points", args.object_points)
     scene = SceneSpec.load(_require_file(args.scene))
     if args.seed is not None and args.seed != scene.seed:
         scene = replace(scene, seed=_seed(args))
@@ -232,6 +238,7 @@ def cmd_simulate(args) -> dict:
 
 
 def cmd_fuse(args) -> dict:
+    _require_count("--nvis", args.nvis)
     episode = read_episode(_require_file(args.episode))
     chain, mounts = load_chain_file(_require_file(args.chain))
     box = jsonio.read_json(_require_file(args.box), AABB.from_dict)

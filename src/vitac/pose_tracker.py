@@ -33,11 +33,15 @@ if TYPE_CHECKING:
     from scipy.spatial import cKDTree
 
 _WEIGHT_SUM_TOL = 1e-9
+MAX_PARTICLES = 1 << 21
 _CELL_BUDGET = 1 << 17  # cells in an object model's lookup grid, at most
 _CELL_CAP = 24  # candidates a grid cell may hold (< 128); cells that need more are left to the KD-tree
 _DOMINATORS = 2  # the points nearest a cell's centre, tried as beating each other candidate
 _QUERY_BLOCK = 1 << 15  # contact points per block of particle_distances, to bound temporaries
+_SCAN_RANKS = 3  # candidates scanned for every query; only fuller cells are sorted out and scanned on
 _BUILD_BLOCK = 1 << 10  # cells per block of the grid build: its temporaries stay near 6 MB
+_QUERY_CHUNK = 1 << 12  # cells per neighbour query of the build (a multiple of _BUILD_BLOCK): on
+# fewer, starting the query's 2 threads costs what they save
 
 
 def _sum3(v: np.ndarray) -> np.ndarray:
@@ -56,13 +60,16 @@ class _CellGrid:
     found axis by axis at B's faces. The rest are B's candidates. A query is
     scored against its cell's candidates in the KD-tree's arithmetic,
     sqrt(min((dx*dx + dy*dy) + dz*dz)), so the distances are bit-identical
-    to ``cKDTree.query``. Queries outside the grid, on its outer layer, or
-    in a cell whose list may be incomplete go to the tree. The cells are
-    laid out from the grid's corner ``lo``, so their rounding scales with
-    the grid, not with the coordinates. Each cell is grown by 1e-6 of its
-    width, and u and the margin a point is dropped by are grown by a
-    relative 1e-9: this covers rounding in a query's cell index and in the
-    distances.
+    to ``cKDTree.query``. A list is padded past its count with its first
+    candidate, which leaves the minimum as it is, so every query is scored
+    against the first ranks in its own order, and only the queries whose
+    cells hold more are sorted out. Queries outside the grid, on its outer
+    layer, or in a cell whose list may be incomplete go to the tree. The
+    cells are laid out from the grid's corner ``lo``, so their rounding
+    scales with the grid, not with the coordinates. Each cell is grown by
+    1e-6 of its width, and u and the margin a point is dropped by are grown
+    by a relative 1e-9: this covers rounding in a query's cell index (see
+    cells) and in the distances.
     """
 
     def __init__(self, tree: cKDTree):
@@ -81,10 +88,13 @@ class _CellGrid:
         self.count = np.empty(n_cells, np.int8)
         e = 1e-6 * h
         for s in range(0, n_cells, _BUILD_BLOCK):
-            ijk = np.unravel_index(np.arange(s, min(s + _BUILD_BLOCK, n_cells)), self.shape)
-            lo = np.stack(ijk) * h - e  # (3, cells): each cell's lower corner, grown by e
-            d, idx = local_tree.query((lo + (h / 2 + e)).T, k=_CELL_CAP + 1, workers=-1)
-            idx = np.minimum(idx, len(pts) - 1)  # the tree pads short lists with n (at inf)
+            if s % _QUERY_CHUNK == 0:  # the neighbour query runs a chunk of blocks at a time
+                ijk = np.unravel_index(np.arange(s, min(s + _QUERY_CHUNK, n_cells)), self.shape)
+                corners = np.stack(ijk) * h - e  # (3, cells): each cell's lower corner, grown by e
+                dists, nbrs = local_tree.query((corners + (h / 2 + e)).T, k=_CELL_CAP + 1, workers=-1)
+            part = slice(s % _QUERY_CHUNK, s % _QUERY_CHUNK + _BUILD_BLOCK)
+            lo, d = corners[:, part], dists[part]
+            idx = np.minimum(nbrs[part], len(pts) - 1)  # the tree pads short lists with n (at inf)
             x = local[:, idx]  # (3, cells, points)
             below = lo[:, :, None] - x  # how far each point lies past the cell's lower
             above = x - (lo[:, :, None] + (h + 2 * e))  # and upper face, per axis
@@ -99,34 +109,68 @@ class _CellGrid:
             for j in range(_DOMINATORS):  # drop the points that point j beats all over the cell
                 gain = _sum3(np.minimum(below - below[:, :, j, None], above - above[:, :, j, None]))
                 keep &= gain <= 1e-9 * far2
-            self.count[s : s + _BUILD_BLOCK] = np.where(reach * reach > u2, keep.sum(axis=1), 0)
+            n = keep.sum(axis=1)
+            self.count[s : s + _BUILD_BLOCK] = np.where(reach * reach > u2, n, 0)
             order = np.argsort(~keep, axis=1, kind="stable")
-            self.table[:, s : s + _BUILD_BLOCK] = np.take_along_axis(idx, order, axis=1)[:, :-1].T
+            lists = np.take_along_axis(idx, order, axis=1)[:, :-1]
+            # ranks past a cell's count repeat its first candidate, whose distance is already in the minimum
+            self.table[:, s : s + _BUILD_BLOCK] = np.where(np.arange(_CELL_CAP) < n[:, None], lists, lists[:, :1]).T
         grid = self.count.reshape(self.shape)
         grid[[0, -1]] = grid[:, [0, -1]] = grid[:, :, [0, -1]] = 0
 
+    def cells(self, q: np.ndarray) -> np.ndarray:
+        """The flat index of each query's cell; queries outside the grid land on its outer layer.
+
+        A grid coordinate t = (q - lo) / h is computed as (q - lo) * (1/h). Each of the three
+        roundings is relative, so t is off by at most 4e-16 * t, under 1e-10 of a cell for a
+        grid within the cell budget. Truncation can therefore differ from floor(t) only for a
+        query that far from a cell face, and the cell it picks instead, grown by 1e-6 of its
+        width, still holds the query.
+        """
+        qt = q.T
+        g = np.empty(qt.shape)
+        for a in range(3):  # axis by axis: on (N, 3) operands numpy loops over 3 elements at a time
+            np.subtract(qt[a], self.lo[a], out=g[a])
+        g *= 1.0 / self.h
+        i, j, k = np.clip(g, 0.0, (self.shape - 1.0)[:, None], out=g).astype(np.intp)
+        cell = i * self.shape[1]
+        cell += j
+        cell *= self.shape[2]
+        cell += k
+        return cell
+
     def distances(self, q: np.ndarray) -> np.ndarray:
-        # queries outside the grid clip onto its outer layer, whose cells are empty
-        cell = np.ravel_multi_index(((q - self.lo) / self.h).astype(np.intp).T, self.shape, mode="clip")
-        neg = -self.count[cell]
-        order = np.argsort(neg, kind="stable")  # fullest cells first, so that the queries
-        neg = neg[order]  # whose cell holds more than r candidates are the first ends[r]
-        ends = np.searchsorted(neg, -np.arange(-int(neg[0])))
-        near, rest = np.split(order, [np.count_nonzero(neg)])
-        cell, (qx, qy, qz) = cell[near], q.T[:, near]
-        best, buf = np.full(len(near), np.inf), np.empty((2, len(near)))
-        x, y, z = self.xyz
-        for r, k in enumerate(ends):
-            c = self.table[r].take(cell[:k])
-            s = np.square(x.take(c) - qx[:k], out=buf[0, :k])
-            s += np.square(y.take(c) - qy[:k], out=buf[1, :k])
-            s += np.square(z.take(c) - qz[:k], out=buf[1, :k])
-            np.minimum(best[:k], s, out=best[:k])
-        d = np.empty(len(q))
-        d[near] = np.sqrt(best)
+        cell = self.cells(q)
+        count = self.count.take(cell)
+        best = np.full(len(q), np.inf)
+        self._scan(cell, q.T, best, [len(q)] * _SCAN_RANKS)  # every query: ranks past a count repeat rank 0
+        more = np.flatnonzero(count > _SCAN_RANKS)
+        if len(more):
+            neg = -count.take(more)
+            order = np.argsort(neg, kind="stable")  # fullest cells first, so that the queries
+            more, neg = more[order], neg[order]  # whose cell holds more than r candidates are the first ends[r]
+            ends = np.searchsorted(neg, -np.arange(-int(neg[0])))
+            part = best[more]
+            self._scan(cell[more], q.T[:, more], part, ends, start=_SCAN_RANKS)
+            best[more] = part
+        d = np.sqrt(best, out=best)
+        rest = np.flatnonzero(count == 0)
         if len(rest):  # on one thread: per block, starting worker threads cost more than they saved
             d[rest] = self.tree.query(q[rest])[0]
         return d
+
+    def _scan(self, cell, qt, best, ends, start=0):
+        """Lower best[:ends[r]] to the squared distances from those queries to candidate r of their cells."""
+        x, y, z = self.xyz
+        s, t = np.empty(len(cell)), np.empty(len(cell))
+        for r in range(start, len(ends)):
+            k = ends[r]
+            c = self.table[r].take(cell[:k]).astype(np.intp)
+            sk, tk = s[:k], t[:k]
+            np.square(np.subtract(x.take(c), qt[0, :k], out=sk), out=sk)
+            sk += np.square(np.subtract(y.take(c), qt[1, :k], out=tk), out=tk)
+            sk += np.square(np.subtract(z.take(c), qt[2, :k], out=tk), out=tk)
+            np.minimum(best[:k], sk, out=best[:k])
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,6 +220,9 @@ class ContactSet:
 
 @dataclass(frozen=True)
 class TrackerConfig:
+    """Filter settings. particle_count is at most MAX_PARTICLES: a step holds about 300 bytes
+    per particle, so the largest filter takes about 0.6 GB."""
+
     particle_count: int = 2048
     sigma_translation: float = 2e-3
     sigma_rotation: float = 0.02
@@ -184,8 +231,8 @@ class TrackerConfig:
     ess_fraction: float = 0.5
 
     def __post_init__(self):
-        if self.particle_count < 1:
-            raise InvalidInputError("particle_count must be >= 1")
+        if not (1 <= self.particle_count <= MAX_PARTICLES):
+            raise InvalidInputError(f"particle_count must lie in [1, {MAX_PARTICLES}], got {self.particle_count}")
         bounds = (("sigma_translation", MAX_LENGTH_M, "m"), ("sigma_rotation", np.pi, "rad"))
         for name, top, unit in bounds:
             value = getattr(self, name)
@@ -386,7 +433,9 @@ def particle_distances(particles: ParticleSet, contacts: ContactSet, obj: Object
         r = rot[s : s + step]
         # (c - t) @ R applies R^T rowwise; distribute to avoid the (K, M, 3) diff temp
         local = np.matmul(contacts.points[None, :, :], r)
-        local -= np.matmul(particles.trans[s : s + step, None, :], r)
+        shift = np.matmul(particles.trans[s : s + step, None, :], r)
+        for a in range(3):  # axis by axis, so that numpy's inner loop runs over contacts, not 3 axes
+            local[:, :, a] -= shift[:, :, a]
         d = obj._cells.distances(local.reshape(-1, 3)).reshape(len(r), -1)
         g[s : s + step] = np.sum(d * d, axis=1)
     return g

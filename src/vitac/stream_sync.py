@@ -375,24 +375,25 @@ class _FileReader(_Reader):
         self.left = os.fstat(fh.fileno()).st_size - fh.tell()
         self.context = context
         self.buf = bytearray()
+        self.kept = None  # what fresh takes fill: one buffer for the rest of the file
 
     def take(self, n: int, fresh: bool = False) -> memoryview:
-        """The next n bytes: a view of a new bytes object when fresh, else of one reused,
-        writable buffer that the next take overwrites."""
+        """The next n bytes: a read-only view that stays valid when fresh, else a view of one
+        reused, writable buffer that the next take overwrites."""
         if n > self.left:
             raise TruncatedFileError(f"{self.context}: truncated")
         if fresh:
-            out = memoryview(self.fh.read(n))
-            got = len(out)
+            if self.kept is None:
+                self.kept = memoryview(bytearray(self.left))
+            out, self.kept = self.kept[:n], self.kept[n:]
         else:
             if n > len(self.buf):
                 self.buf = bytearray(n)
             out = memoryview(self.buf)[:n]
-            got = self.fh.readinto(out)
-        if got != n:  # the file shrank while it was read
+        if self.fh.readinto(out) != n:  # the file shrank while it was read
             raise TruncatedFileError(f"{self.context}: truncated")
         self.left -= n
-        return out
+        return out.toreadonly() if fresh else out
 
 
 def read_episode(path, keep=None) -> Episode:
@@ -400,7 +401,8 @@ def read_episode(path, keep=None) -> Episode:
 
     keep: a tuple of stream-id prefixes, such as (TACTILE_PREFIX, JOINTS_STREAM); only the
     members and streams whose ids start with one of them are kept, but every member is
-    decoded and checked. None keeps them all, as read-only views of each record's bytes.
+    decoded and checked. None keeps them all, as read-only views of one buffer that the
+    records are read into.
     Otherwise records pass through one reused, writable buffer, so the members kept are
     copies and memory holds one record plus them.
     """

@@ -388,6 +388,8 @@ BAD_JSON_DOCS = {
                         "number Infinity is not finite"),
     "config-nan": ("--config", '{"sigma_translation": NaN}', "number NaN is not finite"),
     "config-overflow": ("--config", '{"sigma_rotation": 1e400}', "number 1e400 is not finite"),
+    "config-count-2-64": ("--config", '{"particle_count": 18446744073709551616}',
+                          "particle_count must lie in [1, 2097152], got 18446744073709551616"),
     "config-sigma-rotation-1e300": ("--config", '{"sigma_rotation": 1e300}',
                                     "sigma_rotation must lie in [0, 3.14159] rad"),
     "config-sigma-translation-2m": ("--config", '{"sigma_translation": 2.0}',
@@ -456,6 +458,10 @@ BAD_NUMBER_FLAGS = {
                            "no finite tick period of 1 us or more"),
     "simulate-dur-nan": ("--scene", ["--dur", "nan"], "rate and duration must be positive"),
     "simulate-dur-inf": ("--scene", ["--dur", "inf"], "rate and duration must be positive"),
+    "simulate-object-points-0": ("--scene", ["--object-points", "0"], "--object-points must be >= 1, got 0"),
+    "simulate-object-points-negative": ("--scene", ["--object-points", "-3"], "--object-points must be >= 1"),
+    "fuse-nvis-0": ("--box", ["--nvis", "0"], "--nvis must be >= 1, got 0"),
+    "fuse-nvis-negative": ("--box", ["--nvis", "-1"], "--nvis must be >= 1"),
 }
 
 
@@ -466,6 +472,16 @@ def test_bad_number_flag_is_one_error_line(tmp_path, capsys, good_inputs, kind):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and names in err, err
+
+
+def test_simulate_with_no_object_points_writes_nothing(tmp_path, capsys, good_inputs):
+    outs = [tmp_path / name for name in ("ep.vtep", "truth.jsonl", "obj.ply")]
+    argv = ["simulate", "--scene", str(good_inputs["--scene"]), "--dur", "0.2", "--out", str(outs[0]),
+            "--truth", str(outs[1]), "--object-out", str(outs[2]), "--object-points", "0"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: --object-points must be >= 1, got 0\n", err
+    assert not any(p.exists() for p in outs)
 
 
 @pytest.mark.parametrize("flag", ["--scene", "--object"])

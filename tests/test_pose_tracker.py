@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 from test_acceptance import _episode_contacts, _grasp_scene
 
+from vitac import pose_tracker
 from vitac.errors import DegenerateWeightsError, InvalidInputError
 from vitac.pointcloud import CloudXYZF
 from vitac.pose_tracker import (
+    MAX_PARTICLES,
     ContactSet,
     ObjectModel,
     ParticleSet,
@@ -144,14 +146,16 @@ def test_tracker_config_rejects_non_finite(field, value):
 
 
 @pytest.mark.parametrize("field, value", [("sigma_translation", 1.5), ("sigma_translation", -1e-3),
-                                          ("sigma_rotation", 1e300), ("sigma_rotation", 3.2)])
+                                          ("sigma_rotation", 1e300), ("sigma_rotation", 3.2),
+                                          ("particle_count", 0), ("particle_count", MAX_PARTICLES + 1),
+                                          ("particle_count", 2**64)])
 def test_tracker_config_rejects_out_of_physical_range(field, value):
     with pytest.raises(InvalidInputError, match=field):
         TrackerConfig(**{field: value})
 
 
 def test_tracker_config_range_ends_are_allowed():
-    cfg = TrackerConfig(sigma_translation=1.0, sigma_rotation=np.pi)
+    cfg = TrackerConfig(sigma_translation=1.0, sigma_rotation=np.pi, particle_count=MAX_PARTICLES)
     assert (cfg.sigma_translation, cfg.sigma_rotation) == (1.0, np.pi)
 
 
@@ -345,6 +349,32 @@ def test_particle_distances_bit_identical_to_kdtree_on_tracked_particles(box_mod
     assert np.array_equal(fast, _kdtree_particle_distances(particles, grasp_contacts, box_model))
 
 
+@pytest.mark.parametrize("kind", ["static", "rotating"])
+def test_tracker_run_bit_identical_to_the_kdtree_oracle_run(monkeypatch, box_model, kind):
+    # criterion 6's grasps from its +-30 mm / 20 deg prior: every step's weights, resampling
+    # and estimate follow from g, so the two runs agree bit for bit only if every g does
+    if kind == "static":
+        contacts = [_episode_contacts(_grasp_scene(((0.0, PoseSE3.identity()),)), 1)[0][0]] * 12
+        config = TrackerConfig(particle_count=256)
+    else:
+        spin_end = PoseSE3.from_rotvec(np.deg2rad(50.0) * np.array([0.0, 0, 1.0]))
+        scene = _grasp_scene(((0.0, PoseSE3.identity()), (5.0, spin_end)))
+        contacts = [c for c, _ in _episode_contacts(scene, 12)]
+        config = TrackerConfig(particle_count=256, sigma_rotation=0.05)
+    runs = []
+    for distances in (particle_distances, _kdtree_particle_distances):
+        monkeypatch.setattr(pose_tracker, "particle_distances", distances)
+        tracker = Tracker(box_model, config, PoseSE3.identity(), 0.03, np.deg2rad(20.0), seed=5)
+        reports = [tracker.step(c) for c in contacts]
+        pose, diag = tracker.estimate()
+        p = tracker.particles
+        runs.append((reports, diag, [p.quats, p.trans, p.weights, pose.q, pose.t]))
+    (reports, diag, arrays), (oracle_reports, oracle_diag, oracle_arrays) = runs
+    assert reports == oracle_reports and diag == oracle_diag
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, oracle_arrays))
+    assert sum(r.resampled for r in reports) >= 3
+
+
 def test_particle_distances_bit_identical_with_more_contacts_than_a_block(box_model):
     rng = np.random.default_rng(32)
     contacts = ContactSet(rng.uniform(-0.06, 0.06, size=(70_000, 3)))
@@ -415,6 +445,69 @@ def test_a_point_at_the_candidate_bound_stays_a_candidate():
     assert np.all(cKDTree(pts).query(q)[1] == len(pts) - 1)
     assert np.all(np.floor((q - lo) / h) == np.floor((corner - h / 2 - lo) / h))
     _assert_kdtree_distances(obj, q)
+
+
+def _unpadded_lists(cells):
+    """count and table as the grid build made them before ranks past a count were padded:
+    the oracle for the candidate lists."""
+    h, pts, e = cells.h, cells.tree.data, 1e-6 * cells.h
+    local = np.ascontiguousarray((pts - cells.lo).T)
+    tree, n_cells = cKDTree(local.T), int(np.prod(cells.shape))
+    count, table = np.empty(n_cells, np.intp), np.empty((24, n_cells), np.intp)
+    for s in range(0, n_cells, 4096):
+        lo = np.stack(np.unravel_index(np.arange(s, min(s + 4096, n_cells)), cells.shape)) * h - e
+        d, idx = tree.query((lo + (h / 2 + e)).T, k=25)
+        idx = np.minimum(idx, len(pts) - 1)
+        x = local[:, idx]
+        below, above = lo[:, :, None] - x, x - (lo[:, :, None] + (h + 2 * e))
+        near = np.square(np.maximum(np.maximum(below, above), 0.0))
+        below, above = np.square(below), np.square(above)
+        far = np.maximum(below, above)
+        far2 = (far[0] + far[1]) + far[2]
+        u2 = np.min(far2, axis=1) * (1 + 1e-9)
+        keep = ((near[0] + near[1]) + near[2] <= u2[:, None]) & np.isfinite(d)
+        keep[:, -1] = False
+        reach = np.maximum(d[:, -1] - np.sqrt(3) * (h / 2 + e), 0.0)
+        for j in range(2):
+            gain = np.minimum(below - below[:, :, j, None], above - above[:, :, j, None])
+            keep &= (gain[0] + gain[1]) + gain[2] <= 1e-9 * far2
+        count[s : s + 4096] = np.where(reach * reach > u2, keep.sum(axis=1), 0)
+        order = np.argsort(~keep, axis=1, kind="stable")
+        table[:, s : s + 4096] = np.take_along_axis(idx, order, axis=1)[:, :-1].T
+    grid = count.reshape(cells.shape)
+    grid[[0, -1]] = grid[:, [0, -1]] = grid[:, :, [0, -1]] = 0
+    return count, table
+
+
+@pytest.mark.parametrize("kind", ["box", "lattice", "near duplicates", "two far clusters"])
+def test_padded_ranks_keep_each_cells_candidates(box_model, kind):
+    obj = box_model if kind == "box" else ObjectModel(AWKWARD_MODELS[kind](np.random.default_rng(33)))
+    cells = obj._cells
+    count, table = _unpadded_lists(cells)
+    assert np.array_equal(cells.count, count)
+    ranks = np.arange(len(table))[:, None]
+    assert np.array_equal(np.where(ranks < count, cells.table, -1), np.where(ranks < count, table, -1))
+    # past its count, a cell's list repeats its first candidate, which the scan has already scored
+    answered = count > 0
+    assert np.all((cells.table == cells.table[0])[:, answered] | (ranks < count)[:, answered])
+
+
+def test_cell_index_holds_queries_on_cell_faces(box_model):
+    cells = box_model._cells
+    h, e = cells.h, 1e-6 * cells.h
+    rng = np.random.default_rng(36)
+    faces = rng.integers(1, cells.shape - 1, size=(4000, 3)).astype(float)
+    steps = rng.choice([0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9, 1e-7, -1e-7, 0.5], size=faces.shape)
+    q = cells.lo + (faces + steps) * h
+    q = np.vstack([q, np.nextafter(q, np.inf), np.nextafter(q, -np.inf)])
+    ijk = np.stack(np.unravel_index(cells.cells(q), cells.shape), axis=1)
+    local = q - cells.lo
+    # each query lies in its cell grown by e, the growth the candidate lists cover
+    assert np.all((local >= ijk * h - e) & (local <= (ijk + 1) * h + e))
+    # and the cell is floor((q - lo) / h) except within e of a face
+    exact = np.floor(local / h)
+    assert np.all((ijk == exact) | (np.abs(local - np.round(local / h) * h) < e))
+    _assert_kdtree_distances(box_model, q)
 
 
 def test_a_wide_model_widens_the_cells_to_the_cell_budget():
