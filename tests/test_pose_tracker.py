@@ -497,7 +497,7 @@ def test_cell_index_holds_queries_on_cell_faces(box_model):
     h, e = cells.h, 1e-6 * cells.h
     rng = np.random.default_rng(36)
     faces = rng.integers(1, cells.shape - 1, size=(4000, 3)).astype(float)
-    steps = rng.choice([0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9, 1e-7, -1e-7, 0.5], size=faces.shape)
+    steps = rng.choice([0.0, 0.5, *(s * 10.0**-k for s in (1, -1) for k in (3, 5, 7, 9, 12, 15))], size=faces.shape)
     q = cells.lo + (faces + steps) * h
     q = np.vstack([q, np.nextafter(q, np.inf), np.nextafter(q, -np.inf)])
     ijk = np.stack(np.unravel_index(cells.cells(q), cells.shape), axis=1)
