@@ -348,7 +348,7 @@ def cmd_eval(args) -> dict:
 
 
 def cmd_stats(args) -> dict:
-    episode = read_episode(_require_file(args.episode))
+    episode = read_episode(_require_file(args.episode), payloads=False)
     stats = episode_stats(episode)
     return {
         "duration_s": stats.duration_s,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, VitacError
-from .frozen import freeze
+from .frozen import freeze, read_only
 from .sensor_model import PAD_SHAPE, PAD_TAXELS, TactileFrame, check_raw_readings
 
 MAGIC = b"\xa5\x5a"
@@ -89,12 +89,28 @@ def pack_readings(readings: np.ndarray) -> bytes:
     return np.packbits(bits).tobytes()
 
 
+# Reading i fills payload bits [10 i, 10 i + 10), MSB-first. They lie in bytes _BYTE[i] and
+# _BYTE[i] + 1 (a reading starts at bit 0, 2, 4 or 6 of a byte), read as a big-endian word
+# whose low _SHIFT[i] bits belong to the next reading.
+_BIT = np.arange(PAD_TAXELS) * READING_BITS
+_BYTE = _BIT // 8
+_SHIFT = (16 - READING_BITS - _BIT % 8).astype(np.uint16)
+
+
+def _unpack(data: np.ndarray, starts) -> np.ndarray:
+    """The (n, 16, 16) readings of the n payloads that begin at data[starts] (data: uint8)."""
+    at = np.add.outer(starts, _BYTE)
+    words = data[at].astype(np.uint16) << 8
+    words |= data[at + 1]
+    words >>= _SHIFT
+    words &= MAX_READING
+    return words.reshape(-1, *PAD_SHAPE)
+
+
 def unpack_readings(payload: bytes) -> np.ndarray:
     if len(payload) != PAYLOAD_LEN:
         raise InvalidInputError(f"payload must be {PAYLOAD_LEN} bytes, got {len(payload)}")
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8)).reshape(PAD_TAXELS, READING_BITS)
-    weights = (1 << np.arange(READING_BITS - 1, -1, -1)).astype(np.uint16)
-    return (bits.astype(np.uint16) * weights).sum(axis=1).astype(np.uint16).reshape(PAD_SHAPE)
+    return _unpack(np.frombuffer(payload, dtype=np.uint8), [0])[0]
 
 
 def encode_frame(frame: TactileFrame, seq: int) -> bytes:
@@ -112,11 +128,8 @@ def encode_frame(frame: TactileFrame, seq: int) -> bytes:
     return body + crc16_ccitt_false(body).to_bytes(2, "big")
 
 
-def decode_frame(data: bytes) -> WireFrame:
-    """Validate and unpack one 338-byte candidate starting at its magic."""
-    if len(data) < FRAME_LEN:
-        raise NeedMoreDataError(f"need {FRAME_LEN} bytes, got {len(data)}")
-    data = bytes(data[:FRAME_LEN])
+def _header(data: memoryview) -> tuple:
+    """(pad_id, seq, timestamp_us) of the candidate frame at the start of data, validated."""
     magic, version, pad_id, seq, timestamp_us = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise BadMagicError("candidate does not start with magic bytes")
@@ -125,8 +138,15 @@ def decode_frame(data: bytes) -> WireFrame:
         raise CrcMismatchError("CRC mismatch")
     if version != VERSION:
         raise BadVersionError(f"unsupported version {version}")
-    readings = unpack_readings(data[HEADER_LEN:CRC_OFFSET])
-    return WireFrame(pad_id, seq, timestamp_us, readings)
+    return pad_id, seq, timestamp_us
+
+
+def decode_frame(data: bytes) -> WireFrame:
+    """Validate and unpack one 338-byte candidate starting at its magic."""
+    if len(data) < FRAME_LEN:
+        raise NeedMoreDataError(f"need {FRAME_LEN} bytes, got {len(data)}")
+    data = bytes(data[:FRAME_LEN])
+    return WireFrame(*_header(memoryview(data)), unpack_readings(data[HEADER_LEN:CRC_OFFSET]))
 
 
 @dataclass
@@ -153,43 +173,64 @@ class StreamDecoder:
 
     def __init__(self):
         self._buf = bytearray()
+        self._garbage = False  # the bytes skipped last were garbage, not a bad candidate's magic
         self.diagnostics = DecodeDiagnostics()
 
     def feed(self, chunk: bytes) -> list[WireFrame]:
-        self._buf.extend(chunk)
+        """The frames completed by chunk. Their readings are read-only rows of one array."""
+        buf = self._buf
+        buf.extend(chunk)
+        starts, headers = [], []  # of each valid frame
+        pos = 0
+        with memoryview(buf) as view:
+            while True:
+                start = buf.find(MAGIC, pos)
+                if start < 0:
+                    # keep a trailing first-magic-byte, it may pair with the next chunk
+                    end = len(buf) - (pos < len(buf) and buf[-1] == MAGIC[0])
+                    if end > pos:
+                        self._skip_garbage(end - pos)
+                    pos = end
+                    break
+                if start > pos:
+                    self._skip_garbage(start - pos)
+                    pos = start
+                if len(buf) - pos < FRAME_LEN:
+                    break
+                try:
+                    headers.append(_header(view[pos : pos + FRAME_LEN]))
+                    starts.append(pos)
+                    self._garbage = False
+                    self.diagnostics.frames += 1
+                    pos += FRAME_LEN
+                except CrcMismatchError:
+                    self.diagnostics.crc_mismatches += 1
+                    self._skip(2)
+                    pos += 2
+                except BadVersionError:
+                    self.diagnostics.bad_versions += 1
+                    self._skip(2)
+                    pos += 2
         frames = []
-        while True:
-            start = self._buf.find(MAGIC)
-            if start < 0:
-                # keep a trailing first-magic-byte, it may pair with the next chunk
-                keep = 1 if self._buf[-1:] == MAGIC[:1] else 0
-                dropped = len(self._buf) - keep
-                if dropped:
-                    self._skip(dropped)
-                del self._buf[:dropped]
-                break
-            if start > 0:
-                self._skip(start)
-                del self._buf[:start]
-            if len(self._buf) < FRAME_LEN:
-                break
-            try:
-                frames.append(decode_frame(self._buf))
-                self.diagnostics.frames += 1
-                del self._buf[:FRAME_LEN]
-            except CrcMismatchError:
-                self.diagnostics.crc_mismatches += 1
-                self._skip(2)
-                del self._buf[:2]
-            except BadVersionError:
-                self.diagnostics.bad_versions += 1
-                self._skip(2)
-                del self._buf[:2]
+        if starts:
+            payloads = np.add(starts, HEADER_LEN)
+            readings = read_only(_unpack(np.frombuffer(buf, np.uint8), payloads), np.uint16)
+            frames = [WireFrame(*header, row) for header, row in zip(headers, readings)]
+        del buf[:pos]
         return frames
 
     def _skip(self, n: int) -> None:
+        self._garbage = False
         self.diagnostics.bytes_skipped += n
         self.diagnostics.resync_events += 1
+
+    def _skip_garbage(self, n: int) -> None:
+        """Skip bytes up to a magic or the buffer's end: a run that a chunk boundary splits is one event."""
+        if self._garbage:
+            self.diagnostics.bytes_skipped += n
+        else:
+            self._skip(n)
+        self._garbage = True
 
     @property
     def pending_bytes(self) -> int:

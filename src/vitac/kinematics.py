@@ -62,8 +62,13 @@ class JointState:
     timestamp_us: int = 0
 
     def __post_init__(self):
-        freeze(self, "positions", -1, finite="joint positions must be finite")
+        self.check(freeze(self, "positions", -1))
         object.__setattr__(self, "timestamp_us", int(self.timestamp_us))
+
+    @staticmethod
+    def check(positions: np.ndarray) -> None:
+        if not np.all(np.isfinite(positions)):
+            raise InvalidInputError("joint positions must be finite")
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,13 @@ class CloudXYZF:
     frame: str
 
     def __post_init__(self):
-        freeze(self, "points", (-1, 4), finite="cloud contains non-finite values")
+        self.check(freeze(self, "points", (-1, 4)))
         object.__setattr__(self, "frame", str(self.frame))
+
+    @staticmethod
+    def check(points: np.ndarray) -> None:
+        if not np.all(np.isfinite(points)):
+            raise InvalidInputError("cloud contains non-finite values")
 
     @staticmethod
     def empty(frame: str) -> "CloudXYZF":
@@ -82,15 +87,20 @@ class FusedCloud:
     frame: str
 
     def __post_init__(self):
-        pts = freeze(self, "points", (-1, 6), finite="fused cloud contains non-finite values")
-        flags = pts[:, 4:6]
+        self.check(freeze(self, "points", (-1, 6)))
+        object.__setattr__(self, "frame", str(self.frame))
+
+    @staticmethod
+    def check(points: np.ndarray) -> None:
+        if not np.all(np.isfinite(points)):
+            raise InvalidInputError("fused cloud contains non-finite values")
+        flags = points[:, 4:6]
         if not np.all(np.isin(flags, (0.0, 1.0))):
             raise InvalidInputError("one-hot channels must be 0 or 1")
         if not np.all(flags.sum(axis=1) == 1.0):
             raise InvalidInputError("one-hot channels must sum to 1 per point")
-        if np.any(pts[flags[:, 0] == 1.0, 3] != 0.0):
+        if np.any(points[flags[:, 0] == 1.0, 3] != 0.0):
             raise InvalidInputError("visual points must carry a zero value channel")
-        object.__setattr__(self, "frame", str(self.frame))
 
     def __len__(self):
         return self.points.shape[0]

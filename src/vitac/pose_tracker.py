@@ -48,6 +48,26 @@ def _sum3(v: np.ndarray) -> np.ndarray:
     return (v[0] + v[1]) + v[2]
 
 
+class _Work:
+    """The temporaries of one call's query blocks, each allocated once and reused by every block.
+
+    Freed and allocated afresh per block, they cost up to about 7,000 minor page faults per
+    tracker step, depending on what the heap did before. take and the ufuncs write into them
+    through out=; take in mode "clip", since mode "raise" buffers its out array.
+    """
+
+    def __init__(self):
+        self._arrays = {}
+
+    def get(self, name: str, shape, dtype=np.float64) -> np.ndarray:
+        """An uninitialized array of this shape and dtype, a view of the first one asked for by name."""
+        size = int(np.prod(shape))
+        arr = self._arrays.get(name)
+        if arr is None or arr.size < size:
+            arr = self._arrays[name] = np.empty(size, dtype)
+        return arr[:size].reshape(shape)
+
+
 class _CellGrid:
     """Exact nearest-model-point distances near the model, without a tree walk.
 
@@ -118,7 +138,7 @@ class _CellGrid:
         grid = self.count.reshape(self.shape)
         grid[[0, -1]] = grid[:, [0, -1]] = grid[:, :, [0, -1]] = 0
 
-    def cells(self, q: np.ndarray) -> np.ndarray:
+    def cells(self, q: np.ndarray, work: _Work | None = None) -> np.ndarray:
         """The flat index of each query's cell; queries outside the grid land on its outer layer.
 
         A grid coordinate t = (q - lo) / h is computed as (q - lo) * (1/h). Each of the three
@@ -127,23 +147,29 @@ class _CellGrid:
         query that far from a cell face, and the cell it picks instead, grown by 1e-6 of its
         width, still holds the query.
         """
+        work = work or _Work()
         qt = q.T
-        g = np.empty(qt.shape)
+        g = work.get("grid", qt.shape)
         for a in range(3):  # axis by axis: on (N, 3) operands numpy loops over 3 elements at a time
             np.subtract(qt[a], self.lo[a], out=g[a])
         g *= 1.0 / self.h
-        i, j, k = np.clip(g, 0.0, (self.shape - 1.0)[:, None], out=g).astype(np.intp)
-        cell = i * self.shape[1]
+        np.clip(g, 0.0, (self.shape - 1.0)[:, None], out=g)
+        cell, j, k = ijk = work.get("ijk", qt.shape, np.intp)
+        np.copyto(ijk, g, casting="unsafe")  # truncates, as astype does
+        cell *= self.shape[1]
         cell += j
         cell *= self.shape[2]
         cell += k
         return cell
 
-    def distances(self, q: np.ndarray) -> np.ndarray:
-        cell = self.cells(q)
-        count = self.count.take(cell)
-        best = np.full(len(q), np.inf)
-        self._scan(cell, q.T, best, [len(q)] * _SCAN_RANKS)  # every query: ranks past a count repeat rank 0
+    def distances(self, q: np.ndarray, work: _Work | None = None) -> np.ndarray:
+        work = work or _Work()
+        n = len(q)
+        cell = self.cells(q, work)
+        count = np.take(self.count, cell, out=work.get("count", n, self.count.dtype), mode="clip")
+        best = work.get("best", n)
+        best.fill(np.inf)
+        self._scan(cell, q.T, best, [n] * _SCAN_RANKS, work)  # every query: ranks past a count repeat rank 0
         more = np.flatnonzero(count > _SCAN_RANKS)
         if len(more):
             neg = -count.take(more)
@@ -151,7 +177,7 @@ class _CellGrid:
             more, neg = more[order], neg[order]  # whose cell holds more than r candidates are the first ends[r]
             ends = np.searchsorted(neg, -np.arange(-int(neg[0])))
             part = best[more]
-            self._scan(cell[more], q.T[:, more], part, ends, start=_SCAN_RANKS)
+            self._scan(cell[more], q.T[:, more], part, ends, work, start=_SCAN_RANKS)
             best[more] = part
         d = np.sqrt(best, out=best)
         rest = np.flatnonzero(count == 0)
@@ -159,17 +185,19 @@ class _CellGrid:
             d[rest] = self.tree.query(q[rest])[0]
         return d
 
-    def _scan(self, cell, qt, best, ends, start=0):
+    def _scan(self, cell, qt, best, ends, work: _Work, start=0):
         """Lower best[:ends[r]] to the squared distances from those queries to candidate r of their cells."""
         x, y, z = self.xyz
-        s, t = np.empty(len(cell)), np.empty(len(cell))
+        n = len(cell)
+        s, t = work.get("s", n), work.get("t", n)
+        rank, c = work.get("rank", n, self.table.dtype), work.get("c", n, np.intp)
         for r in range(start, len(ends)):
             k = ends[r]
-            c = self.table[r].take(cell[:k]).astype(np.intp)
-            sk, tk = s[:k], t[:k]
-            np.square(np.subtract(x.take(c), qt[0, :k], out=sk), out=sk)
-            sk += np.square(np.subtract(y.take(c), qt[1, :k], out=tk), out=tk)
-            sk += np.square(np.subtract(z.take(c), qt[2, :k], out=tk), out=tk)
+            ck, sk, tk = c[:k], s[:k], t[:k]
+            np.copyto(ck, np.take(self.table[r], cell[:k], out=rank[:k], mode="clip"))
+            np.square(np.subtract(np.take(x, ck, out=sk, mode="clip"), qt[0, :k], out=sk), out=sk)
+            sk += np.square(np.subtract(np.take(y, ck, out=tk, mode="clip"), qt[1, :k], out=tk), out=tk)
+            sk += np.square(np.subtract(np.take(z, ck, out=tk, mode="clip"), qt[2, :k], out=tk), out=tk)
             np.minimum(best[:k], sk, out=best[:k])
 
 
@@ -429,15 +457,16 @@ def particle_distances(particles: ParticleSet, contacts: ContactSet, obj: Object
     rot = quat_to_matrix(particles.quats)  # (K, 3, 3)
     g = np.empty(len(particles))
     step = max(1, _QUERY_BLOCK // len(contacts))
+    work = _Work()
     for s in range(0, len(particles), step):
         r = rot[s : s + step]
         # (c - t) @ R applies R^T rowwise; distribute to avoid the (K, M, 3) diff temp
-        local = np.matmul(contacts.points[None, :, :], r)
+        local = np.matmul(contacts.points[None, :, :], r, out=work.get("local", (len(r), len(contacts), 3)))
         shift = np.matmul(particles.trans[s : s + step, None, :], r)
         for a in range(3):  # axis by axis, so that numpy's inner loop runs over contacts, not 3 axes
             local[:, :, a] -= shift[:, :, a]
-        d = obj._cells.distances(local.reshape(-1, 3)).reshape(len(r), -1)
-        g[s : s + step] = np.sum(d * d, axis=1)
+        d = obj._cells.distances(local.reshape(-1, 3), work).reshape(len(r), -1)
+        np.sum(np.square(d, out=d), axis=1, out=g[s : s + step])
     return g
 
 

@@ -149,8 +149,9 @@ def fit_response(
 def check_raw_readings(readings: np.ndarray, bound: int) -> None:
     """InvalidInputError unless every reading is an integer in [0, bound]."""
     kind = readings.dtype.kind
-    if kind in "iu":  # an integer array can only leave the range
-        bad = readings.max() > bound or (kind == "i" and readings.min() < 0)
+    if kind in "iu":  # an integer array can only leave the range, and one too narrow to pass bound cannot
+        top = (1 << (8 * readings.itemsize - (kind == "i"))) - 1  # the dtype's largest value
+        bad = (top > bound and readings.max() > bound) or (kind == "i" and readings.min() < 0)
     else:
         values = np.asarray(readings, dtype=np.float64)
         if not np.all(np.isfinite(values)):
@@ -174,14 +175,20 @@ class TactileFrame:
         if r.shape != PAD_SHAPE:
             raise InvalidInputError(f"readings must be {PAD_SHAPE}, got {r.shape}")
         if self.normalized:
-            r = freeze(self, "readings", PAD_SHAPE)
-            if not np.all(np.isfinite(r)) or np.any(r < 0) or np.any(r > 1):
-                raise InvalidInputError("normalized readings must lie in [0, 1]")
+            self.check(freeze(self, "readings", PAD_SHAPE), True)
         else:
-            check_raw_readings(r, 65535)
+            self.check(r, False)
             freeze(self, "readings", PAD_SHAPE, np.uint16)
         object.__setattr__(self, "pad_id", int(self.pad_id))
         object.__setattr__(self, "timestamp_us", int(self.timestamp_us))
+
+    @staticmethod
+    def check(readings: np.ndarray, normalized: bool) -> None:
+        """InvalidInputError unless the readings fit the frame's kind: raw counts, or normalized in [0, 1]."""
+        if not normalized:
+            check_raw_readings(readings, 65535)
+        elif not np.all(np.isfinite(readings)) or np.any(readings < 0) or np.any(readings > 1):
+            raise InvalidInputError("normalized readings must lie in [0, 1]")
 
     def values(self) -> np.ndarray:
         """Readings as float64, row-major grid."""

@@ -36,6 +36,7 @@ from .stream_sync import (
     SyncedTuple,
     TimedSample,
     camera_stream,
+    limit_ticks,
     tactile_stream,
     tick_grid,
 )
@@ -378,14 +379,16 @@ def render_episode(scene: SceneSpec, rate_hz: float, duration_s: float):
     sampled from the object surface (whole surface; no occlusion model),
     and the joint state matching the aperture. Bit-identical under the
     same scene seed. Ticks sit on the tick_grid of rate_hz from 0, one for
-    each whole period that fits in duration_s.
+    each whole period that fits in duration_s, at most stream_sync.MAX_TICKS of them.
     """
     if not (0 < rate_hz < np.inf and 0 < duration_s < np.inf):  # written so that NaN fails it
         raise InvalidInputError("rate and duration must be positive and finite")
     tuples = []
     truth = []
-    # the grid's last point in [0, duration] ends the last whole period, so it is no tick
-    for k, tick in enumerate(tick_grid(rate_hz, 0, round(duration_s * 1e6))[:-1]):
+    # the grid's last point in [0, duration] ends the last whole period, so it is no tick; the
+    # duration is cut to the int64 microseconds of a .vtep tick, so that round() stays finite
+    end_us = round(min(duration_s * 1e6, 2.0**63))
+    for k, tick in enumerate(limit_ticks(tick_grid(rate_hz, 0, end_us)[:-1])):
         snap = simulate_contact(scene, tick / 1e6)
         cam_seed = int(np.random.default_rng([scene.seed, 7, k]).integers(2**63))
         local = sample_object_cloud(scene.obj, scene.n_camera_points, cam_seed)

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import bisect
 import json
+import math
 import os
 import struct
 import zlib
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from .errors import (
 )
 from .kinematics import JointState
 from .pointcloud import CloudXYZF, FusedCloud
-from .sensor_model import PAD_SHAPE, PAD_TAXELS, TactileFrame
+from .sensor_model import PAD_SHAPE, TactileFrame
 
 JOINTS_STREAM = "joints"
 TACTILE_PREFIX = "tactile/"  # tactile/<pad_id>
@@ -135,14 +137,30 @@ def tick_grid(rate_hz: float, start_us: int, end_us: int) -> range:
     return range(-(-start_us // period_us) * period_us, end_us + 1, period_us)
 
 
+MAX_TICKS = 1 << 16  # see limit_ticks
+
+
+def limit_ticks(ticks: range) -> range:
+    """ticks, unless there are more than MAX_TICKS of them.
+
+    align and the simulator keep something for every tick they walk, the simulator about
+    12.5 KB at the least, so the longest run they accept takes about 0.8 GB.
+    """
+    if ticks.start + MAX_TICKS * ticks.step < ticks.stop:  # written so that len() cannot overflow
+        raise InvalidInputError(
+            f"the tick grid holds more than {MAX_TICKS} ticks of {ticks.step} us; shorten the span or lower the rate"
+        )
+    return ticks
+
+
 def align(streams, rate_hz: float = 10.0, tolerance_us: int = 50_000):
     """Match samples to a fixed tick grid; returns (tuples, drop_report).
 
     streams: mapping stream_id -> time-sorted sequence of TimedSample.
     Ticks are those of tick_grid over the interval where every stream has
-    data. A tick is emitted only when every stream has a sample within the
-    tolerance; otherwise the tick lands in the drop report with the
-    offending streams named.
+    data, at most MAX_TICKS of them. A tick is emitted only when every
+    stream has a sample within the tolerance; otherwise the tick lands in
+    the drop report with the offending streams named.
     """
     if tolerance_us < 0:
         raise InvalidInputError("tolerance must be nonnegative")
@@ -160,7 +178,7 @@ def align(streams, rate_hz: float = 10.0, tolerance_us: int = 50_000):
     window_end = min(ts[-1] for ts in times.values())
     tuples = []
     report = DropReport(per_stream={sid: 0 for sid in streams})
-    for tick in tick_grid(rate_hz, window_start, window_end):
+    for tick in limit_ticks(tick_grid(rate_hz, window_start, window_end)):
         members = {}
         missing = []
         for sid, samples in streams.items():
@@ -218,7 +236,8 @@ def episode_stats(episode: Episode) -> EpisodeStats:
     """Duration, drop counts inferred from the tick grid, and max member skew."""
     tuples = episode.tuples
     first, last = (tuples[0].tick_time_us, tuples[-1].tick_time_us) if tuples else (0, -1)
-    expected = len(tick_grid(episode.rate_hz, first, last))
+    grid = tick_grid(episode.rate_hz, first, last)
+    expected = max(0, -(-(grid.stop - grid.start) // grid.step))  # len(grid) overflows past 2**63 ticks
     max_skew = max((t.max_skew_us() for t in tuples), default=0)
     drops_meta = episode.metadata.get("drop_report", {})
     return EpisodeStats(
@@ -231,35 +250,82 @@ def episode_stats(episode: Episode) -> EpisodeStats:
     )
 
 
-_TAG_TACTILE = 1
-_TAG_CLOUD = 2
-_TAG_JOINTS = 3
-_TAG_FUSED = 4
+# The record formats. A record is a u32 length, the tuple, then the tuple's CRC32 as a u32.
+# A tuple is its tick and member count, then per member: stream id, timestamp, payload.
+_U32 = struct.Struct("<I")
+_TIME_COUNT = struct.Struct("<qH")  # a tuple's tick and member count; a joint state's head
+_MEMBER_TS = struct.Struct("<q")
+_STR_LEN = struct.Struct("<H")  # a string is its UTF-8 length, then its bytes
+_TAG = struct.Struct("<B")
+_F8 = np.dtype("<f8")
+_READING_DTYPES = (np.dtype("<u2"), _F8)  # a tactile payload's raw and normalized readings
+
+
+@dataclass(frozen=True)
+class _PayloadLayout:
+    """One payload tag: the tag byte, the frame name when named, the head, then the body.
+
+    The body is an array whose dtype and shape follow from the head. build makes the value
+    type from (head, frame, body), check runs its checks on the body without making it, and
+    split gives the (head, body) of a value to encode.
+    """
+
+    cls: type
+    head: struct.Struct
+    named: bool
+    body: Callable
+    build: Callable
+    check: Callable
+    split: Callable
+
+
+def _cloud_layout(cls, width: int) -> _PayloadLayout:
+    return _PayloadLayout(
+        cls, _U32, True,
+        body=lambda head: (_F8, (head[0], width)),
+        build=lambda head, frame, body: cls(body, frame),
+        check=lambda head, body: cls.check(body),
+        split=lambda cloud: ((len(cloud),), cloud.points),
+    )
+
+
+_PAYLOADS = {
+    1: _PayloadLayout(
+        TactileFrame, struct.Struct("<HBq"), False,  # pad_id, normalized, timestamp_us
+        body=lambda head: (_READING_DTYPES[bool(head[1])], PAD_SHAPE),
+        build=lambda head, frame, body: TactileFrame(head[0], head[2], body, normalized=bool(head[1])),
+        check=lambda head, body: TactileFrame.check(body, bool(head[1])),
+        split=lambda f: ((f.pad_id, int(f.normalized), f.timestamp_us), f.readings),
+    ),
+    2: _cloud_layout(CloudXYZF, 4),
+    3: _PayloadLayout(
+        JointState, _TIME_COUNT, False,  # timestamp_us, joint count
+        body=lambda head: (_F8, (head[1],)),
+        build=lambda head, frame, body: JointState(body, head[0]),
+        check=lambda head, body: JointState.check(body),
+        split=lambda joints: ((joints.timestamp_us, len(joints.positions)), joints.positions),
+    ),
+    4: _cloud_layout(FusedCloud, 6),
+}
 
 
 def _pack_str(s: str) -> bytes:
     raw = s.encode("utf-8")
-    return struct.pack("<H", len(raw)) + raw
+    return _STR_LEN.pack(len(raw)) + raw
+
+
+_TAGS = {layout.cls: tag for tag, layout in _PAYLOADS.items()}
 
 
 def _encode_payload(payload) -> bytes:
-    if isinstance(payload, TactileFrame):
-        head = struct.pack("<BHBq", _TAG_TACTILE, payload.pad_id, int(payload.normalized), payload.timestamp_us)
-        return head + payload.readings.astype(_READING_DTYPES[bool(payload.normalized)]).tobytes()
-    if isinstance(payload, (CloudXYZF, FusedCloud)):
-        tag = _TAG_CLOUD if isinstance(payload, CloudXYZF) else _TAG_FUSED
-        return (
-            struct.pack("<B", tag)
-            + _pack_str(payload.frame)
-            + struct.pack("<I", len(payload))
-            + payload.points.astype("<f8").tobytes()
-        )
-    if isinstance(payload, JointState):
-        return (
-            struct.pack("<BqH", _TAG_JOINTS, payload.timestamp_us, len(payload.positions))
-            + payload.positions.astype("<f8").tobytes()
-        )
-    raise InvalidInputError(f"unsupported payload type {type(payload).__name__}")
+    tag = _TAGS.get(type(payload))
+    if tag is None:
+        raise InvalidInputError(f"unsupported payload type {type(payload).__name__}")
+    layout = _PAYLOADS[tag]
+    head, body = layout.split(payload)
+    frame = _pack_str(payload.frame) if layout.named else b""
+    body = np.asarray(body, layout.body(head)[0]).tobytes()
+    return b"".join((_TAG.pack(tag), frame, layout.head.pack(*head), body))
 
 
 class _Reader:
@@ -281,61 +347,55 @@ class _Reader:
         self.pos += n
         return out
 
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+    def unpack(self, fmt: struct.Struct) -> tuple:
+        return fmt.unpack(self.take(fmt.size))
 
     def read_str(self) -> str:
-        (n,) = self.unpack("<H")
+        (n,) = self.unpack(_STR_LEN)
         try:
             return str(self.take(n), "utf-8")
         except UnicodeDecodeError:
             raise EpisodeLoadError(f"{self.context}: a stream id or frame name is not UTF-8") from None
 
 
-def _decode_payload(r: _Reader):
-    (tag,) = r.unpack("<B")
-    if tag == _TAG_TACTILE:
-        pad_id, normalized, ts = r.unpack("<HBq")
-        dtype = _READING_DTYPES[bool(normalized)]
-        readings = np.frombuffer(r.take(PAD_TAXELS * dtype.itemsize), dtype=dtype).reshape(PAD_SHAPE)
-        return TactileFrame(pad_id, ts, readings, normalized=bool(normalized))
-    if tag in (_TAG_CLOUD, _TAG_FUSED):
-        frame = r.read_str()
-        (n,) = r.unpack("<I")
-        width = 4 if tag == _TAG_CLOUD else 6
-        pts = np.frombuffer(r.take(n * width * 8), dtype="<f8").reshape(n, width)
-        cls = CloudXYZF if tag == _TAG_CLOUD else FusedCloud
-        return cls(pts, frame)
-    if tag == _TAG_JOINTS:
-        ts, n = r.unpack("<qH")
-        positions = np.frombuffer(r.take(n * 8), dtype="<f8")
-        return JointState(positions, ts)
-    raise EpisodeLoadError(f"{r.context}: unknown payload tag {tag}")
+def _read_payload(r: _Reader, build: bool):
+    """The next payload; when not build, skip it: run every check that building runs, return None."""
+    (tag,) = r.unpack(_TAG)
+    layout = _PAYLOADS.get(tag)
+    if layout is None:
+        raise EpisodeLoadError(f"{r.context}: unknown payload tag {tag}")
+    frame = r.read_str() if layout.named else None
+    head = r.unpack(layout.head)
+    dtype, shape = layout.body(head)
+    body = np.frombuffer(r.take(dtype.itemsize * math.prod(shape)), dtype).reshape(shape)
+    if build:
+        return layout.build(head, frame, body)
+    layout.check(head, body)
+    return None
 
 
 def _encode_tuple(tup: SyncedTuple) -> bytes:
-    parts = [struct.pack("<qH", tup.tick_time_us, len(tup.members))]
+    parts = [_TIME_COUNT.pack(tup.tick_time_us, len(tup.members))]
     for sid in sorted(tup.members):
         sample = tup.members[sid]
         parts.append(_pack_str(sid))
-        parts.append(struct.pack("<q", sample.timestamp_us))
+        parts.append(_MEMBER_TS.pack(sample.timestamp_us))
         parts.append(_encode_payload(sample.payload))
     return b"".join(parts)
 
 
-def _decode_tuple(buf: memoryview, context: str, keep=None) -> SyncedTuple:
-    """The record's tuple; a member whose stream id starts with none of the keep prefixes is
-    decoded, and so checked, but dropped. keep=None keeps every member."""
+def _decode_tuple(buf: memoryview, context: str, keep=None, payloads=True) -> SyncedTuple:
+    """The record's tuple. A member whose stream id starts with none of the keep prefixes is
+    skipped, and so checked, but dropped; keep=None keeps every member. Without payloads,
+    every payload is skipped and the members kept hold None."""
     r = _Reader(buf, context)
-    view, read_only = r.buf, r.buf.toreadonly()  # a dropped member's arrays are not copied
-    tick, n_members = r.unpack("<qH")
+    tick, n_members = r.unpack(_TIME_COUNT)
     members = {}
     for _ in range(n_members):
         sid = r.read_str()
-        (ts,) = r.unpack("<q")
+        (ts,) = r.unpack(_MEMBER_TS)
         kept = keep is None or sid.startswith(keep)
-        r.buf = view if kept else read_only
-        payload = _decode_payload(r)
+        payload = _read_payload(r, kept and payloads)
         if kept:
             members[sid] = TimedSample(sid, ts, payload)
     return SyncedTuple(tick, members)
@@ -361,9 +421,9 @@ def write_episode(episode: Episode, path) -> None:
                 raise InvalidInputError(
                     f"tick {tup.tick_time_us}: a value does not fit the episode format ({exc})"
                 ) from None
-            fh.write(struct.pack("<I", len(payload)))
+            fh.write(_U32.pack(len(payload)))
             fh.write(payload)
-            fh.write(struct.pack("<I", zlib.crc32(payload)))
+            fh.write(_U32.pack(zlib.crc32(payload)))
 
 
 class _FileReader(_Reader):
@@ -396,15 +456,17 @@ class _FileReader(_Reader):
         return out.toreadonly() if fresh else out
 
 
-def read_episode(path, keep=None) -> Episode:
+def read_episode(path, keep=None, payloads=True) -> Episode:
     """The episode in the .vtep file at path, read one record at a time.
 
     keep: a tuple of stream-id prefixes, such as (TACTILE_PREFIX, JOINTS_STREAM); only the
     members and streams whose ids start with one of them are kept, but every member is
-    decoded and checked. None keeps them all, as read-only views of one buffer that the
-    records are read into.
+    checked. None keeps them all, as read-only views of one buffer that the records are
+    read into.
     Otherwise records pass through one reused, writable buffer, so the members kept are
     copies and memory holds one record plus them.
+    payloads=False builds no payload: each is skipped, which runs every check that building
+    it runs, and the members kept hold None. Their timestamps are all that stats needs.
     """
     with open(path, "rb") as fh:
         if fh.read(len(EPISODE_MAGIC)) != EPISODE_MAGIC:
@@ -431,11 +493,11 @@ def read_episode(path, keep=None) -> Episode:
         tuples = []
         for i in range(tuple_count):
             r.context = f"{path} record {i}"
-            (n,) = r.unpack("<I")
-            record = r.take(n + 4, fresh=keep is None)  # the tuple's bytes, then their CRC32
-            if zlib.crc32(record[:n]) != struct.unpack_from("<I", record, n)[0]:
+            (n,) = r.unpack(_U32)
+            record = r.take(n + _U32.size, fresh=keep is None and payloads)  # the tuple, its CRC32
+            if zlib.crc32(record[:n]) != _U32.unpack_from(record, n)[0]:
                 raise ChecksumError(f"{r.context}: CRC32 mismatch")
-            tuples.append(_decode_tuple(record[:n], r.context, keep))
+            tuples.append(_decode_tuple(record[:n], r.context, keep, payloads))
     if keep is not None:
         streams = [sid for sid in streams if sid.startswith(keep)]
     return Episode(rate_hz, tolerance_us, streams, tuples, metadata)

@@ -18,7 +18,7 @@ from vitac.pointcloud import CloudXYZF, write_cloud_ply
 from vitac.se3 import PoseSE3, matrix_to_quat
 from vitac.sensor_model import PadCalibration, TactileFrame, TaxelResponseModel, fit_response
 from vitac.sim_oracle import Primitive, SceneSpec
-from vitac.stream_sync import Episode, SyncedTuple, TimedSample, read_episode, write_episode
+from vitac.stream_sync import JOINTS_STREAM, Episode, SyncedTuple, TimedSample, read_episode, write_episode
 
 GRIP_ROT = np.array([[0.0, 0, -1], [0, 1, 0], [1, 0, 0]])
 
@@ -472,6 +472,40 @@ def test_bad_number_flag_is_one_error_line(tmp_path, capsys, good_inputs, kind):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and names in err, err
+
+
+_FAR_US = 10**15  # a span of 5e10 ticks at 50 Hz
+
+
+@pytest.mark.parametrize("command", ["sync", "simulate-dur", "simulate-dur-1e303"])
+def test_tick_grid_longer_than_the_bound_is_one_error_line(tmp_path, capsys, good_inputs, command):
+    # imported first, so that a tree without the bound fails here instead of walking the grid
+    from vitac.stream_sync import MAX_TICKS
+
+    out = tmp_path / "out.vtep"
+    if command == "sync":
+        tactile, joints = tmp_path / "t.jsonl", tmp_path / "j.jsonl"
+        tactile.write_text("".join(json.dumps({**_FRAME, "timestamp_us": t}) + "\n" for t in (0, _FAR_US)))
+        joints.write_text("".join(json.dumps({"timestamp_us": t, "positions": [0.0]}) + "\n" for t in (0, _FAR_US)))
+        argv = ["sync", "--tactile", str(tactile), "--joints", str(joints), "--rate", "50", "--tol-ms", "10"]
+    else:  # one tick more than the bound at 50 Hz, and a duration whose microseconds overflow a float
+        dur = "1e303" if command.endswith("1e303") else str((MAX_TICKS + 1) / 50)
+        argv = ["simulate", "--scene", str(good_inputs["--scene"]), "--rate", "50", "--dur", dur]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: the tick grid holds more than {MAX_TICKS} ticks of 20000 us; shorten the span or lower the rate\n"
+    assert not out.exists()
+
+
+# (rate, first and last tick): a grid far past the bound, and one of 2**64 ticks, past len()
+@pytest.mark.parametrize("rate, ticks", [(50.0, (0, _FAR_US)), (1e6, (-(2**63), 2**63 - 1))])
+def test_stats_counts_a_grid_longer_than_the_bound(tmp_path, capsys, rate, ticks):
+    members = {JOINTS_STREAM: TimedSample(JOINTS_STREAM, 0, JointState([0.0], 0))}
+    path = tmp_path / "far.vtep"
+    write_episode(Episode(rate, 0, [JOINTS_STREAM], [SyncedTuple(t, members) for t in ticks]), path)
+    report = run_json(capsys, ["stats", "--episode", str(path)])
+    n = (ticks[1] - ticks[0]) // round(1e6 / rate) + 1
+    assert (report["expected_ticks"], report["dropped_ticks"]) == (n, n - 2)
 
 
 def test_simulate_with_no_object_points_writes_nothing(tmp_path, capsys, good_inputs):

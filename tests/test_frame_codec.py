@@ -189,24 +189,45 @@ def test_stream_decoder_chunked():
     assert dec.diagnostics.bytes_skipped == 0
 
 
+def _resealed(frame: bytes, version: int) -> bytes:
+    data = bytearray(frame)
+    data[2] = version
+    data[CRC_OFFSET:] = crc16_ccitt_false(bytes(data[:CRC_OFFSET])).to_bytes(2, "big")
+    return bytes(data)
+
+
 def test_stream_decoder_chunking_invariance():
     rng = np.random.default_rng(5)
     frames = [(random_frame(rng), i) for i in range(20)]
-    stream = b"junk" + _stream_of(frames[:10]) + b"\xa5noise" + _stream_of(frames[10:])
-    reference = None
-    for trial in range(50):
+    wire = [encode_frame(f, s) for f, s in frames]
+    corrupt = bytearray(wire[3])
+    corrupt[HEADER_LEN + 7] ^= 0x10  # a payload bit: the CRC fails
+    wire[3], wire[11] = bytes(corrupt), _resealed(wire[11], 2)
+    junk = {0: b"junk", 8: b"\xa5noise\xa5", 12: b"\xa5", 19: b"\x00" * 30}
+    stream = b"".join(junk.get(i, b"") + w for i, w in enumerate(wire)) + b"\xa5"
+    sent = [(f, s) for f, s in frames if s not in (3, 11)]
+    expected = None
+    chunkings = [[len(stream)], [1] * len(stream)]
+    for _ in range(30):
         cuts = np.sort(rng.integers(0, len(stream) + 1, size=rng.integers(1, 40)))
-        chunks = np.split(np.frombuffer(stream, dtype=np.uint8), cuts)
+        chunkings.append(np.diff(np.concatenate([[0], cuts, [len(stream)]])).tolist())
+    for sizes in chunkings:
         dec = StreamDecoder()
-        out = []
-        for chunk in chunks:
-            out.extend(dec.feed(chunk.tobytes()))
-        got = [(w.pad_id, w.seq, w.timestamp_us) for w in out]
-        if reference is None:
-            reference = got
-            assert [g[1] for g in got] == list(range(20))
-        else:
-            assert got == reference
+        out, at = [], 0
+        for n in sizes:
+            out.extend(dec.feed(stream[at : at + n]))
+            at += n
+        assert [(w.pad_id, w.seq, w.timestamp_us) for w in out] == [(f.pad_id, s, f.timestamp_us) for f, s in sent]
+        for w, (f, _) in zip(out, sent):
+            assert w.readings.dtype == np.uint16 and not w.readings.flags.writeable
+            assert np.array_equal(w.readings, f.readings)
+        if expected is None:
+            expected = dec.diagnostics.to_dict()
+            garbage = sum(map(len, junk.values())) + 2 * (FRAME_LEN - 2)  # each bad frame's body
+            assert expected == {"frames": 18, "bytes_skipped": garbage + 4, "resync_events": 7,
+                                "crc_mismatches": 1, "bad_versions": 1}
+        assert dec.diagnostics.to_dict() == expected
+        assert dec.pending_bytes == 1  # the trailing first magic byte
 
 
 def test_stream_decoder_prepended_garbage():

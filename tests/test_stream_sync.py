@@ -1,11 +1,14 @@
 import json
+import re
 import struct
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vitac
 from vitac.errors import (
     ChecksumError,
     EpisodeLoadError,
@@ -124,6 +127,26 @@ def test_align_tick_count_bound():
             s[0].timestamp_us for s in streams.values()
         )
         assert report.ticks_total <= window_us * 10.0 / 1e6 + 1
+
+
+def test_align_walks_at_most_max_ticks():
+    from vitac.stream_sync import MAX_TICKS, limit_ticks
+
+    for step in (1, 20_000, 3):
+        assert len(limit_ticks(range(7, 7 + MAX_TICKS * step, step))) == MAX_TICKS
+        with pytest.raises(InvalidInputError, match=f"more than {MAX_TICKS} ticks of {step} us"):
+            limit_ticks(range(7, 8 + MAX_TICKS * step, step))
+    with pytest.raises(InvalidInputError, match="more than"):  # len() of this range overflows
+        limit_ticks(range(0, 10**400, 1))
+    for n_ticks, ok in ((MAX_TICKS, True), (MAX_TICKS + 1, False)):
+        end = (n_ticks - 1) * TICK  # both samples sit on ticks, so the grid holds n_ticks
+        streams = {sid: _samples(sid, [0, end]) for sid in (tactile_stream(0), JOINTS_STREAM)}
+        if ok:
+            tuples, report = align(streams, rate_hz=10.0, tolerance_us=0)
+            assert report.ticks_total == MAX_TICKS and len(tuples) == 2
+        else:
+            with pytest.raises(InvalidInputError, match=f"more than {MAX_TICKS} ticks"):
+                align(streams, rate_hz=10.0, tolerance_us=0)
 
 
 def _sim_tuple(tick, rng):
@@ -457,6 +480,65 @@ def test_episode_read_with_keep_lists_the_streams_kept(tmp_path):
     assert [sorted(t.members) for t in back.tuples] == [["joints", "tactile/3"]] * 2
     assert np.array_equal(back.tuples[1].members["tactile/3"].payload.readings, _RAW)
     assert read_episode(path, keep=("nothing/",)).tuples[0].members == {}
+
+
+def _payload_fault(sid, payload_bytes):
+    return _record(0, sid, 0, payload_bytes)
+
+
+_TACTILE_HEAD = struct.pack("<BHBq", 1, 0, 1, 0)  # a normalized frame of pad 0
+_FUSED_HEAD = struct.pack("<BH", 4, 4) + b"base" + struct.pack("<I", 1)
+# records that a full read refuses, one for each check a payload's skip must run too
+SKIP_FAULTS = {
+    **{kind: record for kind, (record, _, _) in DROPPED_MEMBER_FAULTS.items()},
+    "stream-id-not-utf8": BAD_STRING_RECORDS["stream-id"],
+    "no-tag": _payload_fault("s", b""),
+    "tactile-short": _payload_fault("tactile/0", struct.pack("<BHBq", 1, 0, 0, 0) + bytes(511)),
+    "tactile-above-1": _payload_fault("tactile/0", _TACTILE_HEAD + struct.pack("<256d", *[1.5] * 256)),
+    "tactile-nan": _payload_fault("tactile/0", _TACTILE_HEAD + struct.pack("<256d", np.nan, *[0.0] * 255)),
+    "fused-flag-2": _payload_fault("fused", _FUSED_HEAD + struct.pack("<6d", 0, 0, 0, 0, 2, 0)),
+    "fused-two-flags": _payload_fault("fused", _FUSED_HEAD + struct.pack("<6d", 0, 0, 0, 0, 1, 1)),
+    "fused-visual-value": _payload_fault("fused", _FUSED_HEAD + struct.pack("<6d", 0, 0, 0, 0.5, 1, 0)),
+    "fused-inf": _payload_fault("fused", _FUSED_HEAD + struct.pack("<6d", np.inf, 0, 0, 0, 0, 1)),
+    "joints-nan": _payload_fault("joints", struct.pack("<BqH", 3, 0, 2) + struct.pack("<2d", 0.0, np.nan)),
+    "joints-short": _payload_fault("joints", struct.pack("<BqH", 3, 0, 2) + struct.pack("<d", 0.0)),
+    "head-short": _payload_fault("joints", struct.pack("<Bq", 3, 0)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SKIP_FAULTS))
+def test_skipped_payload_is_refused_as_a_built_one(tmp_path, kind):
+    path = tmp_path / "f.vtep"
+    path.write_bytes(_episode_bytes({**_HEADER, "tuple_count": 1}, SKIP_FAULTS[kind]))
+    with pytest.raises((EpisodeLoadError, InvalidInputError)) as built:
+        read_episode(path)
+    with pytest.raises(type(built.value)) as skipped:
+        read_episode(path, payloads=False)
+    assert str(skipped.value) == str(built.value)
+
+
+def test_read_without_payloads_keeps_the_member_timestamps(tmp_path):
+    ep = make_episode(6)
+    path = tmp_path / "p.vtep"
+    write_episode(ep, path)
+    back = read_episode(path, payloads=False)
+    assert back.streams == ep.streams and back.metadata == ep.metadata
+    for got, sent in zip(back.tuples, ep.tuples, strict=True):
+        assert got.tick_time_us == sent.tick_time_us
+        assert {sid: (m.timestamp_us, m.payload) for sid, m in got.members.items()} == {
+            sid: (m.timestamp_us, None) for sid, m in sent.members.items()}
+    assert episode_stats(back) == episode_stats(ep)
+
+
+def test_payload_formats_are_written_once():
+    src = Path(vitac.__file__).parent
+    text = "".join(p.read_text() for p in sorted(src.glob("*.py")))
+    formats = re.findall(r"struct\.Struct\((\"[^\"]*\")\)", text)
+    assert len(formats) >= 8  # the wire frame head and every .vtep head and field
+    for fmt in formats:
+        assert text.count(fmt) == 1, fmt
+    # every pack and unpack goes through those Struct objects
+    assert not re.search(r"struct\.(pack|unpack|unpack_from|calcsize|iter_unpack)\(", text)
 
 
 @pytest.mark.parametrize("keep", [None, ("tactile/",)])
