@@ -38,6 +38,8 @@ from .se3 import MAX_LENGTH_M, PoseSE3, quat_geodesic_angle
 from .sensor_model import PadCalibration, TactileFrame, TaxelResponseModel, fit_response
 from .sim_oracle import GroundTruth, SceneSpec, render_episode, sample_object_cloud
 from .stream_sync import (
+    DEFAULT_RATE_HZ,
+    DEFAULT_TOLERANCE_US,
     JOINTS_STREAM,
     TACTILE_PREFIX,
     Episode,
@@ -348,7 +350,7 @@ def cmd_eval(args) -> dict:
 
 
 def cmd_stats(args) -> dict:
-    episode = read_episode(_require_file(args.episode), payloads=False)
+    episode = read_episode(_require_file(args.episode), keep=())
     stats = episode_stats(episode)
     return {
         "duration_s": stats.duration_s,
@@ -389,14 +391,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tactile", action="append", help="frames.jsonl (repeatable)")
     p.add_argument("--cloud", help="directory of <cam>_<timestamp_us>.ply files")
     p.add_argument("--joints", help="joints.jsonl with timestamp_us and positions")
-    p.add_argument("--rate", type=float, default=10.0)
-    p.add_argument("--tol-ms", type=float, default=50.0)
+    p.add_argument("--rate", type=float, default=DEFAULT_RATE_HZ)
+    p.add_argument("--tol-ms", type=float, default=DEFAULT_TOLERANCE_US / 1000)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sync)
 
     p = sub.add_parser("simulate", help="render a synthetic episode with ground truth")
     p.add_argument("--scene", required=True, help="scene JSON")
-    p.add_argument("--rate", type=float, default=10.0)
+    p.add_argument("--rate", type=float, default=DEFAULT_RATE_HZ)
     p.add_argument("--dur", type=float, default=5.0)
     p.add_argument("--out", required=True)
     p.add_argument("--truth", help="ground-truth jsonl to write")

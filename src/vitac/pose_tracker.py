@@ -216,7 +216,7 @@ class ObjectModel:
             raise InvalidInputError("object model contains non-finite points")
         from scipy.spatial import cKDTree  # here, so that commands which never track skip scipy
 
-        # small leaves measurably speed the clustered bulk queries in update()
+        # the cell grid's build and the queries it leaves to the tree (a few percent) use this tree
         object.__setattr__(self, "_tree", cKDTree(pts, leafsize=8))
 
     def __len__(self):

@@ -40,7 +40,6 @@ EPISODE_MAGIC = b"VTEP"
 EPISODE_VERSION = 1
 # magic, version, length of the JSON header that follows
 _EPISODE_HEAD = struct.Struct("<4sHI")
-_READING_DTYPES = (np.dtype("<u2"), np.dtype("<f8"))  # a tactile payload's raw and normalized readings
 
 
 def tactile_stream(pad_id: int) -> str:
@@ -153,7 +152,11 @@ def limit_ticks(ticks: range) -> range:
     return ticks
 
 
-def align(streams, rate_hz: float = 10.0, tolerance_us: int = 50_000):
+DEFAULT_RATE_HZ = 10.0
+DEFAULT_TOLERANCE_US = 50_000
+
+
+def align(streams, rate_hz: float = DEFAULT_RATE_HZ, tolerance_us: int = DEFAULT_TOLERANCE_US):
     """Match samples to a fixed tick grid; returns (tuples, drop_report).
 
     streams: mapping stream_id -> time-sorted sequence of TimedSample.
@@ -368,9 +371,12 @@ def _read_payload(r: _Reader, build: bool):
     head = r.unpack(layout.head)
     dtype, shape = layout.body(head)
     body = np.frombuffer(r.take(dtype.itemsize * math.prod(shape)), dtype).reshape(shape)
-    if build:
-        return layout.build(head, frame, body)
-    layout.check(head, body)
+    try:
+        if build:
+            return layout.build(head, frame, body)
+        layout.check(head, body)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{r.context}: {exc}") from None
     return None
 
 
@@ -384,33 +390,50 @@ def _encode_tuple(tup: SyncedTuple) -> bytes:
     return b"".join(parts)
 
 
-def _decode_tuple(buf: memoryview, context: str, keep=None, payloads=True) -> SyncedTuple:
-    """The record's tuple. A member whose stream id starts with none of the keep prefixes is
-    skipped, and so checked, but dropped; keep=None keeps every member. Without payloads,
-    every payload is skipped and the members kept hold None."""
+def _decode_tuple(buf: memoryview, context: str, keep=None) -> SyncedTuple:
+    """The record's tuple. The payload of a member whose stream id starts with none of the keep
+    prefixes is skipped, and so checked, and the member holds None; keep=None builds them all."""
     r = _Reader(buf, context)
     tick, n_members = r.unpack(_TIME_COUNT)
     members = {}
     for _ in range(n_members):
         sid = r.read_str()
         (ts,) = r.unpack(_MEMBER_TS)
-        kept = keep is None or sid.startswith(keep)
-        payload = _read_payload(r, kept and payloads)
-        if kept:
-            members[sid] = TimedSample(sid, ts, payload)
+        members[sid] = TimedSample(sid, ts, _read_payload(r, keep is None or sid.startswith(keep)))
     return SyncedTuple(tick, members)
 
 
+def _header_fields(header: dict) -> tuple:
+    """(rate_hz, tolerance_us, streams, metadata, tuple_count) of an episode header.
+
+    A missing key, a value of the wrong type, a rate with no tick grid (such as "inf", a
+    string) or a stream id that is not a string is a KeyError, TypeError, ValueError or
+    OverflowError. The writer runs these checks too, so it refuses what the reader refuses.
+    """
+    rate_hz, tolerance_us = float(header["rate_hz"]), int(header["tolerance_us"])
+    streams, metadata = list(header["streams"]), dict(header.get("metadata", {}))
+    tuple_count = int(header.get("tuple_count", 0))
+    tick_grid(rate_hz, 0, -1)
+    if not all(isinstance(sid, str) for sid in streams):
+        raise TypeError("stream ids must be strings")
+    return rate_hz, tolerance_us, streams, metadata, tuple_count
+
+
 def write_episode(episode: Episode, path) -> None:
-    header = json.dumps(
-        {
-            "rate_hz": episode.rate_hz,
-            "tolerance_us": episode.tolerance_us,
-            "streams": list(episode.streams),
-            "metadata": episode.metadata,
-            "tuple_count": len(episode.tuples),
-        }
-    ).encode("utf-8")
+    """episode as a .vtep file at path; a header that read_episode would refuse is an
+    InvalidInputError, and nothing is written."""
+    header = {
+        "rate_hz": episode.rate_hz,
+        "tolerance_us": episode.tolerance_us,
+        "streams": list(episode.streams),
+        "metadata": episode.metadata,
+        "tuple_count": len(episode.tuples),
+    }
+    try:
+        _header_fields(header)
+        header = json.dumps(header, allow_nan=False).encode("utf-8")
+    except (TypeError, ValueError, OverflowError) as exc:  # InvalidInputError is a ValueError
+        raise InvalidInputError(f"{path}: bad header ({exc})") from None
     with open(path, "wb") as fh:
         fh.write(_EPISODE_HEAD.pack(EPISODE_MAGIC, EPISODE_VERSION, len(header)))
         fh.write(header)
@@ -427,7 +450,8 @@ def write_episode(episode: Episode, path) -> None:
 
 
 class _FileReader(_Reader):
-    """A _Reader over an open file. A piece longer than what is left of the file is a
+    """A _Reader over an open file, whose takes are views of one reused, writable buffer that
+    the next take overwrites. A piece longer than what is left of the file is a
     TruncatedFileError before anything is allocated for it."""
 
     def __init__(self, fh, context: str):
@@ -435,38 +459,29 @@ class _FileReader(_Reader):
         self.left = os.fstat(fh.fileno()).st_size - fh.tell()
         self.context = context
         self.buf = bytearray()
-        self.kept = None  # what fresh takes fill: one buffer for the rest of the file
 
-    def take(self, n: int, fresh: bool = False) -> memoryview:
-        """The next n bytes: a read-only view that stays valid when fresh, else a view of one
-        reused, writable buffer that the next take overwrites."""
+    def take(self, n: int) -> memoryview:
         if n > self.left:
             raise TruncatedFileError(f"{self.context}: truncated")
-        if fresh:
-            if self.kept is None:
-                self.kept = memoryview(bytearray(self.left))
-            out, self.kept = self.kept[:n], self.kept[n:]
-        else:
-            if n > len(self.buf):
-                self.buf = bytearray(n)
-            out = memoryview(self.buf)[:n]
+        if n > len(self.buf):
+            self.buf = bytearray(n)
+        out = memoryview(self.buf)[:n]
         if self.fh.readinto(out) != n:  # the file shrank while it was read
             raise TruncatedFileError(f"{self.context}: truncated")
         self.left -= n
-        return out.toreadonly() if fresh else out
+        return out
 
 
-def read_episode(path, keep=None, payloads=True) -> Episode:
-    """The episode in the .vtep file at path, read one record at a time.
+def read_episode(path, keep=None) -> Episode:
+    """The episode in the .vtep file at path.
 
-    keep: a tuple of stream-id prefixes, such as (TACTILE_PREFIX, JOINTS_STREAM); only the
-    members and streams whose ids start with one of them are kept, but every member is
-    checked. None keeps them all, as read-only views of one buffer that the records are
-    read into.
-    Otherwise records pass through one reused, writable buffer, so the members kept are
-    copies and memory holds one record plus them.
-    payloads=False builds no payload: each is skipped, which runs every check that building
-    it runs, and the members kept hold None. Their timestamps are all that stats needs.
+    keep: a tuple of stream-id prefixes, such as (TACTILE_PREFIX, JOINTS_STREAM), or () for
+    none; only the payloads of members whose stream ids start with one of them are built.
+    Every other payload is skipped, which runs every check that building it runs, and its
+    member holds None with its stream id and timestamp. keep=None builds every payload, as a
+    read-only view of one buffer that the rest of the file is read into. Otherwise records
+    pass through one reused, writable buffer, so the payloads built are copies and memory
+    holds one record plus them.
     """
     with open(path, "rb") as fh:
         if fh.read(len(EPISODE_MAGIC)) != EPISODE_MAGIC:
@@ -478,26 +493,21 @@ def read_episode(path, keep=None, payloads=True) -> Episode:
             raise EpisodeVersionError(f"{path}: unsupported version {version}")
         try:
             header = jsonio.loads(str(r.take(header_len), "utf-8"))
-            rate_hz, tolerance_us = float(header["rate_hz"]), int(header["tolerance_us"])
-            streams, metadata = list(header["streams"]), dict(header.get("metadata", {}))
-            tuple_count = int(header.get("tuple_count", 0))
-            tick_grid(rate_hz, 0, -1)  # refuses a rate with no tick grid, such as "inf" (a string)
-            if not all(isinstance(sid, str) for sid in streams):
-                raise TypeError("stream ids must be strings")
+            rate_hz, tolerance_us, streams, metadata, tuple_count = _header_fields(header)
         except KeyError as exc:
             raise EpisodeLoadError(f"{path}: header lacks {exc}") from None
         except (TypeError, ValueError, OverflowError) as exc:  # InvalidInputError is a ValueError
             raise EpisodeLoadError(f"{path}: bad header ({exc})") from None
         if tuple_count < 0:
             raise EpisodeLoadError(f"{path}: header tuple_count must be nonnegative, got {tuple_count}")
+        if keep is None:
+            r = _Reader(r.take(r.left).toreadonly(), r.context)
         tuples = []
         for i in range(tuple_count):
             r.context = f"{path} record {i}"
             (n,) = r.unpack(_U32)
-            record = r.take(n + _U32.size, fresh=keep is None and payloads)  # the tuple, its CRC32
+            record = r.take(n + _U32.size)  # the tuple, its CRC32
             if zlib.crc32(record[:n]) != _U32.unpack_from(record, n)[0]:
                 raise ChecksumError(f"{r.context}: CRC32 mismatch")
-            tuples.append(_decode_tuple(record[:n], r.context, keep, payloads))
-    if keep is not None:
-        streams = [sid for sid in streams if sid.startswith(keep)]
+            tuples.append(_decode_tuple(record[:n], r.context, keep))
     return Episode(rate_hz, tolerance_us, streams, tuples, metadata)

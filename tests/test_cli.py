@@ -18,7 +18,7 @@ from vitac.pointcloud import CloudXYZF, write_cloud_ply
 from vitac.se3 import PoseSE3, matrix_to_quat
 from vitac.sensor_model import PadCalibration, TactileFrame, TaxelResponseModel, fit_response
 from vitac.sim_oracle import Primitive, SceneSpec
-from vitac.stream_sync import JOINTS_STREAM, Episode, SyncedTuple, TimedSample, read_episode, write_episode
+from vitac.stream_sync import JOINTS_STREAM, Episode, SyncedTuple, TimedSample, align, read_episode, write_episode
 
 GRIP_ROT = np.array([[0.0, 0, -1], [0, 1, 0], [1, 0, 0]])
 
@@ -540,9 +540,11 @@ def test_stats_bad_header_is_one_error_line(tmp_path, capsys, header):
 
 
 def test_stats_rate_without_tick_grid_is_one_error_line(tmp_path, capsys, good_inputs):
-    episode = read_episode(good_inputs["--episode"])
+    data = good_inputs["--episode"].read_bytes()  # the writer refuses this rate, so patch its header
+    (n,) = struct.unpack("<I", data[6:10])
+    header = json.dumps({**json.loads(data[10 : 10 + n]), "rate_hz": 1e-320}).encode()
     path = tmp_path / "slow.vtep"
-    write_episode(Episode(1e-320, 0, episode.streams, episode.tuples), path)
+    path.write_bytes(data[:6] + struct.pack("<I", len(header)) + header + data[10 + n :])
     assert main(["stats", "--episode", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "no finite tick period" in err and err.count("\n") == 1
@@ -572,6 +574,24 @@ def test_stats_string_not_utf8_is_one_error_line(tmp_path, capsys, kind):
     assert main(["stats", "--episode", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path} record 0: ") and err.count("\n") == 1, err
+
+
+# a payload that fails its value type's checks: (stream id, payload, bytes replaced, replacement)
+BAD_VALUE_RECORDS = {
+    "cloud-nan": ("camera/0", CloudXYZF(np.full((1, 4), 0.25), "base"),
+                  struct.pack("<d", 0.25), struct.pack("<d", np.nan), "cloud contains non-finite values"),
+    "tactile-above-1": ("tactile/0", TactileFrame(0, 0, np.full((16, 16), 0.75), normalized=True),
+                        struct.pack("<d", 0.75), struct.pack("<d", 1.5), "normalized readings must lie in [0, 1]"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_VALUE_RECORDS))
+def test_stats_bad_payload_value_names_the_record(tmp_path, capsys, kind):
+    sid, payload, old, new, message = BAD_VALUE_RECORDS[kind]
+    path = tmp_path / "v.vtep"
+    _patched_record(path, sid, payload, old, new)
+    assert main(["stats", "--episode", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path} record 0: {message}\n"
 
 
 # the good episode with one member moved: tactile/0 to tactile/x, or the cloud of
@@ -638,6 +658,14 @@ def test_calibrate_defaults_are_the_response_model_defaults(tmp_path):
     assert (args.f_min, args.f_sat, args.r_max) == (model.f_min, model.f_sat, model.r_max)
     window = inspect.signature(fit_response).parameters
     assert [window[k].default for k in ("f_min", "f_sat", "r_max")] == [model.f_min, model.f_sat, model.r_max]
+
+
+def test_sync_and_simulate_defaults_are_the_align_defaults():
+    window = inspect.signature(align).parameters
+    sync = build_parser().parse_args(["sync", "--out", "e.vtep"])
+    simulate = build_parser().parse_args(["simulate", "--scene", "s.json", "--out", "e.vtep"])
+    assert sync.rate == simulate.rate == window["rate_hz"].default
+    assert int(sync.tol_ms * 1000) == window["tolerance_us"].default  # as sync converts it
 
 
 def _clouds(tmp_path, names):

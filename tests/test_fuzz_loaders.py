@@ -274,7 +274,7 @@ def test_episode_loads_or_is_one_error_line(tmp_path_factory):
         path.write_bytes(data)
         full = verdict(read_episode, path)
         # a skipped payload runs every check a built one does: same verdict, same message
-        assert verdict(read_episode, path, payloads=False) == full
+        assert verdict(read_episode, path, keep=()) == full
         assert verdict(read_episode, path, keep=("tactile/",)) == full
         run_cli(["stats", "--episode", str(path)])
 

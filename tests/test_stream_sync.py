@@ -1,3 +1,4 @@
+import ast
 import json
 import re
 import struct
@@ -382,6 +383,33 @@ def test_episode_bad_header_is_load_error(tmp_path, kind):
         read_episode(path)
 
 
+# header fields, over _HEADER's, that read_episode refuses
+UNWRITABLE_HEADERS = {
+    "rate_hz-nan": {"rate_hz": float("nan")},
+    "rate_hz-1e-320": {"rate_hz": 1e-320},
+    "rate_hz-3e6": {"rate_hz": 3e6},
+    "rate_hz-string": {"rate_hz": "fast"},
+    "tolerance_us-nan": {"tolerance_us": float("nan")},
+    "streams-not-strings": {"streams": [1]},
+    "metadata-nan": {"metadata": {"x": float("nan")}},
+    "metadata-infinity": {"metadata": {"x": [float("inf")]}},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNWRITABLE_HEADERS))
+def test_episode_writer_refuses_the_headers_the_reader_refuses(tmp_path, kind):
+    header = {**_HEADER, **UNWRITABLE_HEADERS[kind]}
+    path = tmp_path / "w.vtep"
+    path.write_bytes(_episode_bytes(header, b""))
+    with pytest.raises(EpisodeLoadError, match="header"):
+        read_episode(path)
+    path.unlink()
+    fields = {k: header[k] for k in ("rate_hz", "tolerance_us", "streams", "metadata")}
+    with pytest.raises(InvalidInputError, match="bad header"):
+        write_episode(Episode(**fields, tuples=[]), path)
+    assert not path.exists()
+
+
 # records under a valid CRC whose strings are not UTF-8
 BAD_STRING_RECORDS = {
     "stream-id": _record(0, b"\xff\xfe", 0, PAYLOAD_CASES["joints"][1]),
@@ -476,10 +504,12 @@ def test_episode_read_with_keep_lists_the_streams_kept(tmp_path):
     path = tmp_path / "k.vtep"
     write_episode(Episode(10.0, 0, sorted(members), [SyncedTuple(0, members)] * 2), path)
     back = read_episode(path, keep=("tactile/", JOINTS_STREAM))
-    assert back.streams == ["joints", "tactile/3"]
-    assert [sorted(t.members) for t in back.tuples] == [["joints", "tactile/3"]] * 2
+    # every stream and member is listed; only the payloads kept are built
+    assert back.streams == ["camera/0", "joints", "tactile/3"]
+    assert [sorted(t.members) for t in back.tuples] == [back.streams] * 2
     assert np.array_equal(back.tuples[1].members["tactile/3"].payload.readings, _RAW)
-    assert read_episode(path, keep=("nothing/",)).tuples[0].members == {}
+    assert back.tuples[1].members["camera/0"].payload is None
+    assert [m.payload for m in read_episode(path, keep=("nothing/",)).tuples[0].members.values()] == [None] * 3
 
 
 def _payload_fault(sid, payload_bytes):
@@ -513,7 +543,7 @@ def test_skipped_payload_is_refused_as_a_built_one(tmp_path, kind):
     with pytest.raises((EpisodeLoadError, InvalidInputError)) as built:
         read_episode(path)
     with pytest.raises(type(built.value)) as skipped:
-        read_episode(path, payloads=False)
+        read_episode(path, keep=())
     assert str(skipped.value) == str(built.value)
 
 
@@ -521,7 +551,7 @@ def test_read_without_payloads_keeps_the_member_timestamps(tmp_path):
     ep = make_episode(6)
     path = tmp_path / "p.vtep"
     write_episode(ep, path)
-    back = read_episode(path, payloads=False)
+    back = read_episode(path, keep=())
     assert back.streams == ep.streams and back.metadata == ep.metadata
     for got, sent in zip(back.tuples, ep.tuples, strict=True):
         assert got.tick_time_us == sent.tick_time_us
@@ -539,6 +569,20 @@ def test_payload_formats_are_written_once():
         assert text.count(fmt) == 1, fmt
     # every pack and unpack goes through those Struct objects
     assert not re.search(r"struct\.(pack|unpack|unpack_from|calcsize|iter_unpack)\(", text)
+
+
+def test_no_module_level_name_is_bound_twice():
+    for path in sorted(Path(vitac.__file__).parent.glob("*.py")):
+        names = []
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.append(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        assert not sorted({n for n in names if names.count(n) > 1}), path.name
 
 
 @pytest.mark.parametrize("keep", [None, ("tactile/",)])
