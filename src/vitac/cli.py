@@ -36,7 +36,7 @@ from .pointcloud import (
 from .pose_tracker import ContactSet, ObjectModel, Tracker, TrackerConfig
 from .se3 import MAX_LENGTH_M, PoseSE3, quat_geodesic_angle
 from .sensor_model import PadCalibration, TactileFrame, TaxelResponseModel, fit_response
-from .sim_oracle import GroundTruth, SceneSpec, render_episode, sample_object_cloud
+from .sim_oracle import MAX_OBJECT_POINTS, GroundTruth, SceneSpec, render_episode, sample_object_cloud
 from .stream_sync import (
     DEFAULT_RATE_HZ,
     DEFAULT_TOLERANCE_US,
@@ -65,9 +65,11 @@ def _seed(args) -> int:
     return DEFAULT_SEED if args.seed is None else args.seed
 
 
-def _require_count(flag: str, n: int) -> None:
+def _require_count(flag: str, n: int, top: int | None = None) -> None:
     if n < 1:
         raise InvalidInputError(f"{flag} must be >= 1, got {n}")
+    if top is not None and n > top:
+        raise InvalidInputError(f"{flag} must be at most {top}, got {n}")
 
 
 def _require_file(path: str) -> Path:
@@ -222,7 +224,7 @@ def cmd_sync(args) -> dict:
 
 
 def cmd_simulate(args) -> dict:
-    _require_count("--object-points", args.object_points)
+    _require_count("--object-points", args.object_points, MAX_OBJECT_POINTS)
     scene = SceneSpec.load(_require_file(args.scene))
     if args.seed is not None and args.seed != scene.seed:
         scene = replace(scene, seed=_seed(args))

@@ -71,6 +71,9 @@ class JointState:
             raise InvalidInputError("joint positions must be finite")
 
 
+MAX_GRID_SIDE = 1 << 11  # rows or cols of a TaxelGrid: a simulated tick holds about 140 bytes a taxel
+
+
 @dataclass(frozen=True)
 class TaxelGrid:
     rows: int = PAD_ROWS
@@ -78,8 +81,9 @@ class TaxelGrid:
     pitch: float = 1.75e-3
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise InvalidInputError("grid must have positive dimensions")
+        if not (1 <= self.rows <= MAX_GRID_SIDE and 1 <= self.cols <= MAX_GRID_SIDE):
+            shape = f"{self.rows} x {self.cols}"
+            raise InvalidInputError(f"grid rows and cols must lie in [1, {MAX_GRID_SIDE}], got {shape}")
         if not (0 < self.pitch <= MAX_LENGTH_M):  # written so that NaN fails it
             raise InvalidInputError(f"pitch must lie in (0, {MAX_LENGTH_M}] m, got {self.pitch}")
 

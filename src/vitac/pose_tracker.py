@@ -10,6 +10,8 @@ weights are left untouched.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -39,9 +41,49 @@ _CELL_CAP = 24  # candidates a grid cell may hold (< 128); cells that need more 
 _DOMINATORS = 2  # the points nearest a cell's centre, tried as beating each other candidate
 _QUERY_BLOCK = 1 << 15  # contact points per block of particle_distances, to bound temporaries
 _SCAN_RANKS = 3  # candidates scanned for every query; only fuller cells are sorted out and scanned on
-_BUILD_BLOCK = 1 << 10  # cells per block of the grid build: its temporaries stay near 6 MB
-_QUERY_CHUNK = 1 << 12  # cells per neighbour query of the build (a multiple of _BUILD_BLOCK): on
-# fewer, starting the query's 2 threads costs what they save
+_BUILD_BLOCK = 1 << 9  # cells per block of the grid build: both runners' blocks and chunks hold about 7 MB
+_QUERY_CHUNK = 1 << 11  # cells per neighbour query of the build (a multiple of _BUILD_BLOCK), and per
+# item that a runner of _in_two takes
+
+
+def _in_two(run, items) -> None:
+    """run(items) on the calling thread and on one worker thread, each taking the next item left.
+
+    A runner that another process holds up thus leaves more of the items to the other one. With
+    one CPU, or fewer than two items, run(items) runs on the caller alone. The worker is joined
+    before this returns or raises, and an exception it raised is re-raised here.
+    """
+    items = list(items)
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    if cpus < 2 or len(items) < 2:
+        return run(items)
+    left, lock, failed = iter(items), threading.Lock(), []
+
+    def take():  # one per runner: a generator may not run on two threads at once
+        while True:
+            with lock:
+                item = next(left, None)
+            if item is None:
+                return
+            yield item
+
+    def work():
+        try:
+            run(take())
+        except BaseException as e:
+            failed.append(e)
+
+    worker = threading.Thread(target=work, name="vitac-tracker", daemon=True)
+    worker.start()
+    try:
+        run(take())
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
 
 
 def _sum3(v: np.ndarray) -> np.ndarray:
@@ -49,7 +91,7 @@ def _sum3(v: np.ndarray) -> np.ndarray:
 
 
 class _Work:
-    """The temporaries of one call's query blocks, each allocated once and reused by every block.
+    """The temporaries of one runner's query blocks, each allocated once and reused by every block.
 
     Freed and allocated afresh per block, they cost up to about 7,000 minor page faults per
     tracker step, depending on what the heap did before. take and the ufuncs write into them
@@ -107,34 +149,39 @@ class _CellGrid:
         self.table = np.empty((_CELL_CAP, n_cells), np.min_scalar_type(-len(pts)))
         self.count = np.empty(n_cells, np.int8)
         e = 1e-6 * h
-        for s in range(0, n_cells, _BUILD_BLOCK):
-            if s % _QUERY_CHUNK == 0:  # the neighbour query runs a chunk of blocks at a time
-                ijk = np.unravel_index(np.arange(s, min(s + _QUERY_CHUNK, n_cells)), self.shape)
+
+        def build(chunks):  # a runner's chunks: one neighbour query each, on its own thread
+            for c in chunks:
+                ijk = np.unravel_index(np.arange(c, min(c + _QUERY_CHUNK, n_cells)), self.shape)
                 corners = np.stack(ijk) * h - e  # (3, cells): each cell's lower corner, grown by e
-                dists, nbrs = local_tree.query((corners + (h / 2 + e)).T, k=_CELL_CAP + 1, workers=-1)
-            part = slice(s % _QUERY_CHUNK, s % _QUERY_CHUNK + _BUILD_BLOCK)
-            lo, d = corners[:, part], dists[part]
-            idx = np.minimum(nbrs[part], len(pts) - 1)  # the tree pads short lists with n (at inf)
-            x = local[:, idx]  # (3, cells, points)
-            below = lo[:, :, None] - x  # how far each point lies past the cell's lower
-            above = x - (lo[:, :, None] + (h + 2 * e))  # and upper face, per axis
-            near2 = _sum3(np.square(np.maximum(np.maximum(below, above), 0.0)))
-            below, above = np.square(below), np.square(above)
-            far2 = _sum3(np.maximum(below, above))
-            u2 = np.min(far2, axis=1) * (1 + 1e-9)
-            keep = (near2 <= u2[:, None]) & np.isfinite(d)
-            keep[:, -1] = False  # the last point only shows whether the list is complete:
-            # it and every point past it lie at least `reach` from the cell
-            reach = np.maximum(d[:, -1] - np.sqrt(3) * (h / 2 + e), 0.0)
-            for j in range(_DOMINATORS):  # drop the points that point j beats all over the cell
-                gain = _sum3(np.minimum(below - below[:, :, j, None], above - above[:, :, j, None]))
-                keep &= gain <= 1e-9 * far2
-            n = keep.sum(axis=1)
-            self.count[s : s + _BUILD_BLOCK] = np.where(reach * reach > u2, n, 0)
-            order = np.argsort(~keep, axis=1, kind="stable")
-            lists = np.take_along_axis(idx, order, axis=1)[:, :-1]
-            # ranks past a cell's count repeat its first candidate, whose distance is already in the minimum
-            self.table[:, s : s + _BUILD_BLOCK] = np.where(np.arange(_CELL_CAP) < n[:, None], lists, lists[:, :1]).T
+                dists, nbrs = local_tree.query((corners + (h / 2 + e)).T, k=_CELL_CAP + 1, workers=1)
+                for b in range(0, len(dists), _BUILD_BLOCK):
+                    s, part = c + b, slice(b, b + _BUILD_BLOCK)
+                    lo, d = corners[:, part], dists[part]
+                    idx = np.minimum(nbrs[part], len(pts) - 1)  # the tree pads short lists with n (at inf)
+                    x = local[:, idx]  # (3, cells, points)
+                    below = lo[:, :, None] - x  # how far each point lies past the cell's lower
+                    above = x - (lo[:, :, None] + (h + 2 * e))  # and upper face, per axis
+                    near2 = _sum3(np.square(np.maximum(np.maximum(below, above), 0.0)))
+                    below, above = np.square(below), np.square(above)
+                    far2 = _sum3(np.maximum(below, above))
+                    u2 = np.min(far2, axis=1) * (1 + 1e-9)
+                    keep = (near2 <= u2[:, None]) & np.isfinite(d)
+                    keep[:, -1] = False  # the last point only shows whether the list is complete:
+                    # it and every point past it lie at least `reach` from the cell
+                    reach = np.maximum(d[:, -1] - np.sqrt(3) * (h / 2 + e), 0.0)
+                    for j in range(_DOMINATORS):  # drop the points that point j beats all over the cell
+                        gain = _sum3(np.minimum(below - below[:, :, j, None], above - above[:, :, j, None]))
+                        keep &= gain <= 1e-9 * far2
+                    n = keep.sum(axis=1)
+                    self.count[s : s + _BUILD_BLOCK] = np.where(reach * reach > u2, n, 0)
+                    order = np.argsort(~keep, axis=1, kind="stable")
+                    lists = np.take_along_axis(idx, order, axis=1)[:, :-1]
+                    # ranks past a cell's count repeat its first candidate, already in the minimum
+                    ranked = np.where(np.arange(_CELL_CAP) < n[:, None], lists, lists[:, :1])
+                    self.table[:, s : s + _BUILD_BLOCK] = ranked.T
+
+        _in_two(build, range(0, n_cells, _QUERY_CHUNK))
         grid = self.count.reshape(self.shape)
         grid[[0, -1]] = grid[:, [0, -1]] = grid[:, :, [0, -1]] = 0
 
@@ -148,18 +195,16 @@ class _CellGrid:
         width, still holds the query.
         """
         work = work or _Work()
-        qt = q.T
-        g = work.get("grid", qt.shape)
+        n = len(q)
+        t, i, cell = work.get("grid", n), work.get("ijk", n, np.intp), work.get("cell", n, np.intp)
+        cell.fill(0)
         for a in range(3):  # axis by axis: on (N, 3) operands numpy loops over 3 elements at a time
-            np.subtract(qt[a], self.lo[a], out=g[a])
-        g *= 1.0 / self.h
-        np.clip(g, 0.0, (self.shape - 1.0)[:, None], out=g)
-        cell, j, k = ijk = work.get("ijk", qt.shape, np.intp)
-        np.copyto(ijk, g, casting="unsafe")  # truncates, as astype does
-        cell *= self.shape[1]
-        cell += j
-        cell *= self.shape[2]
-        cell += k
+            np.subtract(q[:, a], self.lo[a], out=t)
+            t *= 1.0 / self.h
+            np.clip(t, 0.0, self.shape[a] - 1.0, out=t)
+            np.copyto(i, t, casting="unsafe")  # truncates, as astype does
+            cell *= self.shape[a]
+            cell += i
         return cell
 
     def distances(self, q: np.ndarray, work: _Work | None = None) -> np.ndarray:
@@ -181,7 +226,7 @@ class _CellGrid:
             best[more] = part
         d = np.sqrt(best, out=best)
         rest = np.flatnonzero(count == 0)
-        if len(rest):  # on one thread: per block, starting worker threads cost more than they saved
+        if len(rest):  # with workers=1: _in_two's two runners already keep both CPUs busy
             d[rest] = self.tree.query(q[rest])[0]
         return d
 
@@ -457,16 +502,21 @@ def particle_distances(particles: ParticleSet, contacts: ContactSet, obj: Object
     rot = quat_to_matrix(particles.quats)  # (K, 3, 3)
     g = np.empty(len(particles))
     step = max(1, _QUERY_BLOCK // len(contacts))
-    work = _Work()
-    for s in range(0, len(particles), step):
-        r = rot[s : s + step]
-        # (c - t) @ R applies R^T rowwise; distribute to avoid the (K, M, 3) diff temp
-        local = np.matmul(contacts.points[None, :, :], r, out=work.get("local", (len(r), len(contacts), 3)))
-        shift = np.matmul(particles.trans[s : s + step, None, :], r)
-        for a in range(3):  # axis by axis, so that numpy's inner loop runs over contacts, not 3 axes
-            local[:, :, a] -= shift[:, :, a]
-        d = obj._cells.distances(local.reshape(-1, 3), work).reshape(len(r), -1)
-        np.sum(np.square(d, out=d), axis=1, out=g[s : s + step])
+    cells = obj._cells  # built before the split: cached_property is not thread-safe
+
+    def score(starts):  # a runner's blocks, each writing its own slice of g
+        work = _Work()
+        for s in starts:
+            r = rot[s : s + step]
+            # (c - t) @ R applies R^T rowwise; distribute to avoid the (K, M, 3) diff temp
+            local = np.matmul(contacts.points[None, :, :], r, out=work.get("local", (len(r), len(contacts), 3)))
+            shift = np.matmul(particles.trans[s : s + step, None, :], r)
+            for a in range(3):  # axis by axis, so that numpy's inner loop runs over contacts, not 3 axes
+                local[:, :, a] -= shift[:, :, a]
+            d = cells.distances(local.reshape(-1, 3), work).reshape(len(r), -1)
+            np.sum(np.square(d, out=d), axis=1, out=g[s : s + step])
+
+    _in_two(score, range(0, len(particles), step))
     return g
 
 

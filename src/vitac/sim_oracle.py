@@ -41,6 +41,11 @@ from .stream_sync import (
     tick_grid,
 )
 
+# Sampling a cloud peaks near 120 bytes per point, and a rendered episode holds about 40 bytes
+# per camera point, so each bound keeps its largest input near 1 GB.
+MAX_OBJECT_POINTS = 1 << 23  # points of an object cloud that `simulate --object-points` asks for
+MAX_CAMERA_POINTS = 1 << 23  # camera points a scene's tick, and all the ticks of one run, hold
+
 
 @dataclass(frozen=True)
 class Primitive:
@@ -221,6 +226,9 @@ class SceneSpec:
             raise InvalidInputError("noise sigma must be nonnegative")
         if self.seed < 0:
             raise InvalidInputError(f"seed must be nonnegative, got {self.seed}")
+        n = self.n_camera_points
+        if not (1 <= n <= MAX_CAMERA_POINTS):
+            raise InvalidInputError(f"n_camera_points must lie in [1, {MAX_CAMERA_POINTS}], got {n}")
         object.__setattr__(self, "object_trajectory", traj)
         object.__setattr__(self, "aperture_trajectory", apert)
 
@@ -379,7 +387,8 @@ def render_episode(scene: SceneSpec, rate_hz: float, duration_s: float):
     sampled from the object surface (whole surface; no occlusion model),
     and the joint state matching the aperture. Bit-identical under the
     same scene seed. Ticks sit on the tick_grid of rate_hz from 0, one for
-    each whole period that fits in duration_s, at most stream_sync.MAX_TICKS of them.
+    each whole period that fits in duration_s, at most stream_sync.MAX_TICKS of them, and
+    all their clouds hold at most MAX_CAMERA_POINTS points.
     """
     if not (0 < rate_hz < np.inf and 0 < duration_s < np.inf):  # written so that NaN fails it
         raise InvalidInputError("rate and duration must be positive and finite")
@@ -388,7 +397,13 @@ def render_episode(scene: SceneSpec, rate_hz: float, duration_s: float):
     # the grid's last point in [0, duration] ends the last whole period, so it is no tick; the
     # duration is cut to the int64 microseconds of a .vtep tick, so that round() stays finite
     end_us = round(min(duration_s * 1e6, 2.0**63))
-    for k, tick in enumerate(limit_ticks(tick_grid(rate_hz, 0, end_us)[:-1])):
+    ticks = limit_ticks(tick_grid(rate_hz, 0, end_us)[:-1])
+    if len(ticks) * scene.n_camera_points > MAX_CAMERA_POINTS:
+        raise InvalidInputError(
+            f"{len(ticks)} ticks of {scene.n_camera_points} camera points hold more than {MAX_CAMERA_POINTS}; "
+            "shorten the run or lower n_camera_points"
+        )
+    for k, tick in enumerate(ticks):
         snap = simulate_contact(scene, tick / 1e6)
         cam_seed = int(np.random.default_rng([scene.seed, 7, k]).integers(2**63))
         local = sample_object_cloud(scene.obj, scene.n_camera_points, cam_seed)

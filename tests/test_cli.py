@@ -460,6 +460,8 @@ BAD_NUMBER_FLAGS = {
     "simulate-dur-inf": ("--scene", ["--dur", "inf"], "rate and duration must be positive"),
     "simulate-object-points-0": ("--scene", ["--object-points", "0"], "--object-points must be >= 1, got 0"),
     "simulate-object-points-negative": ("--scene", ["--object-points", "-3"], "--object-points must be >= 1"),
+    "simulate-object-points-huge": ("--scene", ["--object-points", "10000000000000000000"],
+                                    "--object-points must be at most 8388608, got 10000000000000000000"),
     "fuse-nvis-0": ("--box", ["--nvis", "0"], "--nvis must be >= 1, got 0"),
     "fuse-nvis-negative": ("--box", ["--nvis", "-1"], "--nvis must be >= 1"),
 }
@@ -516,6 +518,50 @@ def test_simulate_with_no_object_points_writes_nothing(tmp_path, capsys, good_in
     err = capsys.readouterr().err
     assert err == "error: --object-points must be >= 1, got 0\n", err
     assert not any(p.exists() for p in outs)
+
+
+@pytest.mark.parametrize("change", ["n_camera_points", "rows", "run"])
+def test_scene_past_a_size_bound_is_one_error_line_and_writes_nothing(tmp_path, capsys, good_inputs, change):
+    from vitac.kinematics import MAX_GRID_SIDE  # first, so that a tree without the bounds fails here
+    from vitac.sim_oracle import MAX_CAMERA_POINTS
+
+    doc = json.loads(good_inputs["--scene"].read_text())
+    if change == "rows":
+        doc["grid"]["rows"] = MAX_GRID_SIDE + 1
+    else:  # 2 ticks of half the bound and one point more, or one tick past the bound
+        doc["n_camera_points"] = MAX_CAMERA_POINTS // 2 + 1 if change == "run" else 10**19
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(doc))
+    outs = [tmp_path / name for name in ("ep.vtep", "truth.jsonl", "obj.ply")]
+    argv = ["simulate", "--scene", str(scene), "--dur", "0.2", "--out", str(outs[0]),
+            "--truth", str(outs[1]), "--object-out", str(outs[2])]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    bound = MAX_GRID_SIDE if change == "rows" else MAX_CAMERA_POINTS
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"{bound}" in err, err
+    assert not any(p.exists() for p in outs)
+
+
+def test_fuse_takes_any_nvis_without_allocating_it(tmp_path, capsys, good_inputs):
+    # fps_indices picks min(k, N) points, so --nvis needs no upper bound
+    out = tmp_path / "fused.vtep"
+    argv = _argv(good_inputs, "--box", good_inputs["--box"], out) + ["--nvis", "10000000000000000000"]
+    report = run_json(capsys, argv)
+    assert report["tuples"] == 2 and read_episode(out).metadata["n_vis"] == 10**19
+
+
+def test_track_leaves_no_thread_running(tmp_path, capsys, good_inputs, monkeypatch):
+    import threading
+
+    from test_pose_tracker import _cpus
+
+    started = _cpus(monkeypatch, 2)
+    config = tmp_path / "tracker.json"
+    config.write_text(json.dumps({"particle_count": 2048}))
+    before = threading.active_count()
+    argv = _argv(good_inputs, "--config", config, tmp_path / "poses.jsonl")
+    assert main(argv) == 0, capsys.readouterr().err
+    assert "vitac-tracker" in [t.name for t in started] and threading.active_count() == before
 
 
 @pytest.mark.parametrize("flag", ["--scene", "--object"])

@@ -5,8 +5,8 @@ must exit 0, 1 or 2, print exactly one `error:` line on stderr when it fails, an
 nothing on stderr (a warning included) when it succeeds.
 
 Numbers in the generated documents stay small: sizes read from files, such as
-a scene's n_camera_points or grid rows, are allocated as given, so a fuzzed size
-could take the machine's memory.
+a scene's n_camera_points or grid rows, are allocated up to their bounds, and
+a fuzzed size near a bound would take about 1 GB.
 """
 
 import contextlib

@@ -1,3 +1,8 @@
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -381,6 +386,97 @@ def test_particle_distances_bit_identical_with_more_contacts_than_a_block(box_mo
     particles = init_particles(PoseSE3.identity(), 0.01, 0.2, 3, rng)
     fast = particle_distances(particles, contacts, box_model)
     assert np.array_equal(fast, _kdtree_particle_distances(particles, contacts, box_model))
+
+
+# --- the two runners: the caller and one worker thread --------------------------
+
+
+def _cpus(monkeypatch, n):
+    """Let the tracker see n CPUs; the list returned collects every thread started meanwhile."""
+    started = []
+
+    class Spy(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(threading, "Thread", Spy)
+    return started
+
+
+def test_the_cell_grid_build_is_bit_identical_on_one_and_two_cpus(monkeypatch, box_model):
+    grids = []
+    for n in (1, 2):
+        started = _cpus(monkeypatch, n)
+        grids.append(pose_tracker._CellGrid(box_model._tree))
+        assert len(started) == n - 1
+    one, two = grids
+    assert len(range(0, one.count.size, pose_tracker._QUERY_CHUNK)) > 2  # chunks on both runners
+    assert np.array_equal(one.table, two.table) and np.array_equal(one.count, two.count)
+
+
+@pytest.mark.parametrize("blocks", ["one particle", "one block", "three blocks"])
+def test_a_tracker_run_is_bit_identical_on_one_and_two_cpus(monkeypatch, box_model, grasp_contacts, blocks):
+    box_model._cells  # built here, so that only particle blocks start threads below
+    step = pose_tracker._QUERY_BLOCK // len(grasp_contacts)
+    k = {"one particle": 1, "one block": step, "three blocks": 3 * step - 1}[blocks]
+    runs, interval = [], sys.getswitchinterval()
+    for n in (1, 2):
+        started = _cpus(monkeypatch, n)
+        tracker = Tracker(box_model, TrackerConfig(particle_count=k), PoseSE3.identity(), 0.03,
+                          np.deg2rad(20.0), seed=7)
+        sys.setswitchinterval(1e-5)  # the runners hand over the interpreter lock often, so that a race shows
+        try:
+            reports = [tracker.step(grasp_contacts) for _ in range(4)]
+        finally:
+            sys.setswitchinterval(interval)
+        pose, diag = tracker.estimate()
+        p = tracker.particles
+        runs.append((reports, diag, [p.quats, p.trans, p.weights, pose.q, pose.t]))
+        assert len(started) == (4 if n == 2 and blocks == "three blocks" else 0)
+    (reports, diag, arrays), (two_reports, two_diag, two_arrays) = runs
+    assert reports == two_reports and diag == two_diag
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, two_arrays))
+
+
+def test_an_exception_in_the_workers_block_reaches_the_caller_after_the_join(monkeypatch, box_model,
+                                                                             grasp_contacts):
+    cells = box_model._cells
+    caller, distances, worker_in = threading.get_ident(), type(cells).distances, threading.Event()
+
+    def failing(self, q, work=None):
+        if threading.get_ident() == caller:
+            assert worker_in.wait(5)  # the worker has taken the other block
+            return distances(self, q, work)
+        worker_in.set()
+        time.sleep(0.2)  # the caller's block is done long before
+        raise ValueError("the worker's block")
+
+    started = _cpus(monkeypatch, 2)
+    monkeypatch.setattr(type(cells), "distances", failing)
+    before = threading.active_count()
+    step = pose_tracker._QUERY_BLOCK // len(grasp_contacts)
+    particles = init_particles(PoseSE3.identity(), 0.01, 0.1, 2 * step, np.random.default_rng(35))
+    with pytest.raises(ValueError, match="the worker's block"):
+        particle_distances(particles, grasp_contacts, box_model)
+    assert len(started) == 1 and not started[0].is_alive() and threading.active_count() == before
+
+
+def test_an_exception_on_the_caller_waits_for_the_worker(monkeypatch):
+    caller, done = threading.get_ident(), []
+
+    def run(items):
+        for item in items:
+            if threading.get_ident() == caller:
+                raise ValueError("the caller's block")
+            time.sleep(0.1)
+            done.append(item)
+
+    started = _cpus(monkeypatch, 2)
+    with pytest.raises(ValueError, match="the caller's block"):
+        pose_tracker._in_two(run, range(4))
+    assert len(done) == 3 and not started[0].is_alive()  # every item but the one that failed
 
 
 def _nudged(pts, rng):

@@ -196,6 +196,15 @@ def test_taxel_grid_pitch_outside_zero_to_one_meter_is_refused(pitch):
     assert TaxelGrid(16, 16, 1.0).pitch == 1.0
 
 
+@pytest.mark.parametrize("rows, cols", [(0, 16), (16, -1), (2049, 16), (16, 2049), (10**19, 16)])
+def test_taxel_grid_side_outside_one_to_the_bound_is_refused(rows, cols):
+    from vitac.kinematics import MAX_GRID_SIDE  # first, so that a tree without the bound fails here
+
+    with pytest.raises(InvalidInputError, match=f"grid rows and cols must lie in \\[1, {MAX_GRID_SIDE}\\]"):
+        TaxelGrid(rows, cols, 1e-3)
+    assert TaxelGrid(MAX_GRID_SIDE, 1, 1e-3).count == MAX_GRID_SIDE
+
+
 def test_taxel_points_translation_and_rotation():
     grid = TaxelGrid(4, 4, 1.0e-3)
     t = np.array([0.1, -0.2, 0.3])

@@ -130,6 +130,23 @@ def test_scene_spec_rejects_nan(field, value):
         SceneSpec(**spec)
 
 
+@pytest.mark.parametrize("n", [0, 2**23 + 1, 10**19])
+def test_scene_spec_refuses_camera_points_outside_one_to_the_bound(n):
+    from vitac.sim_oracle import MAX_CAMERA_POINTS  # first, so that a tree without the bound fails here
+
+    with pytest.raises(InvalidInputError, match=f"n_camera_points must lie in \\[1, {MAX_CAMERA_POINTS}\\]"):
+        dataclasses.replace(grip_scene(), n_camera_points=n)
+    assert dataclasses.replace(grip_scene(), n_camera_points=MAX_CAMERA_POINTS).n_camera_points == MAX_CAMERA_POINTS
+
+
+def test_render_episode_refuses_a_run_past_the_camera_point_bound_before_any_tick():
+    from vitac.sim_oracle import MAX_CAMERA_POINTS
+
+    scene = dataclasses.replace(grip_scene(), n_camera_points=MAX_CAMERA_POINTS // 4 + 1)
+    with pytest.raises(InvalidInputError, match=f"4 ticks of {scene.n_camera_points} camera points hold more than"):
+        render_episode(scene, rate_hz=10.0, duration_s=0.45)
+
+
 # --- gripper model --------------------------------------------------------------
 
 
