@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, jsonio
-from .errors import InvalidInputError, VitacError
+from .errors import InvalidInputError, VitacError, check_range
 from .frame_codec import StreamDecoder
 from .kinematics import JointState, load_chain_file, tactile_point_cloud
 from .pointcloud import (
@@ -60,16 +60,7 @@ DEFAULT_SEED = 0
 
 def _seed(args) -> int:
     """--seed if given, else DEFAULT_SEED; simulate instead falls back to the scene's seed."""
-    if args.seed is not None and args.seed < 0:
-        raise InvalidInputError(f"--seed must be nonnegative, got {args.seed}")
-    return DEFAULT_SEED if args.seed is None else args.seed
-
-
-def _require_count(flag: str, n: int, top: int | None = None) -> None:
-    if n < 1:
-        raise InvalidInputError(f"{flag} must be >= 1, got {n}")
-    if top is not None and n > top:
-        raise InvalidInputError(f"{flag} must be at most {top}, got {n}")
+    return DEFAULT_SEED if args.seed is None else check_range("--seed", args.seed, 0)
 
 
 def _require_file(path: str) -> Path:
@@ -190,8 +181,7 @@ def _read_joints_jsonl(path) -> dict:
 
 
 def cmd_sync(args) -> dict:
-    if not np.isfinite(args.tol_ms):
-        raise InvalidInputError(f"--tol-ms must be finite, got {args.tol_ms}")
+    check_range("--tol-ms", args.tol_ms, 0, 2**63 / 1000, "ms")  # 2**63 us spans every int64 .vtep tick
     streams = {}
     for path in args.tactile or []:
         streams.update(_read_tactile_jsonl(_require_file(path)))
@@ -224,7 +214,7 @@ def cmd_sync(args) -> dict:
 
 
 def cmd_simulate(args) -> dict:
-    _require_count("--object-points", args.object_points, MAX_OBJECT_POINTS)
+    check_range("--object-points", args.object_points, 1, MAX_OBJECT_POINTS)
     scene = SceneSpec.load(_require_file(args.scene))
     if args.seed is not None and args.seed != scene.seed:
         scene = replace(scene, seed=_seed(args))
@@ -242,7 +232,7 @@ def cmd_simulate(args) -> dict:
 
 
 def cmd_fuse(args) -> dict:
-    _require_count("--nvis", args.nvis)
+    check_range("--nvis", args.nvis, 1)
     episode = read_episode(_require_file(args.episode))
     chain, mounts = load_chain_file(_require_file(args.chain))
     box = jsonio.read_json(_require_file(args.box), AABB.from_dict)
@@ -275,14 +265,10 @@ def _tracker_setup(doc: dict) -> tuple:
     if not isinstance(prior, dict):
         raise TypeError(f"prior must be a JSON object, got {type(prior).__name__}")
     center = PoseSE3.from_dict(prior["center"]) if "center" in prior else PoseSE3.identity()
-    extent = float(prior.get("translation_half_extent", 0.03))
-    angle = float(prior.get("rotation_half_angle_deg", 20.0))
-    if not (0 <= extent < np.inf and 0 <= angle < np.inf):  # written so that NaN fails it
-        raise InvalidInputError("prior extents must be finite and nonnegative")
-    if extent > MAX_LENGTH_M or angle > 180:
-        raise InvalidInputError(
-            f"prior extents must be at most {MAX_LENGTH_M} m and 180 degrees, got {extent} m and {angle} degrees"
-        )
+    extent = check_range("translation_half_extent", float(prior.get("translation_half_extent", 0.03)),
+                         0, MAX_LENGTH_M, "m")
+    angle = check_range("rotation_half_angle_deg", float(prior.get("rotation_half_angle_deg", 20.0)),
+                        0, 180, "degrees")
     return TrackerConfig.from_dict(doc), {
         "prior_center": center,
         "translation_half_extent": extent,

@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one check of a number's range."""
+
+import math
 
 
 class VitacError(Exception):
@@ -7,6 +9,31 @@ class VitacError(Exception):
 
 class InvalidInputError(VitacError, ValueError):
     """An argument violates a documented precondition."""
+
+
+def _bound(x) -> str:
+    return f"{x:.6g}" if isinstance(x, float) else str(x)
+
+
+def check_range(name: str, value, lo=-math.inf, hi=math.inf, unit: str = "", ends: str = "[]"):
+    """value, when it lies between lo and hi; else InvalidInputError("<name> must lie in
+    [lo, hi] <unit>, got <value>").
+
+    ends holds the brackets of the span, "[" or "(" for lo and "]" or ")" for hi. An
+    infinite bound is always open, and the span then reads "must be >= lo" (or "> lo"),
+    or "must be finite" with both bounds infinite. Every comparison fails for NaN.
+    """
+    left = "[" if ends[0] == "[" and lo > -math.inf else "("
+    right = "]" if ends[1] == "]" and hi < math.inf else ")"
+    if (lo <= value if left == "[" else lo < value) and (value <= hi if right == "]" else value < hi):
+        return value
+    if hi < math.inf:
+        span = f"must lie in {left}{_bound(lo)}, {_bound(hi)}{right}"
+    elif lo > -math.inf:
+        span = f"must be {'>=' if left == '[' else '>'} {_bound(lo)}"
+    else:
+        span = "must be finite"
+    raise InvalidInputError(f"{name} {span}{' ' + unit if unit else ''}, got {value}")
 
 
 class SaturatedReadingError(VitacError):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, VitacError
+from .errors import InvalidInputError, VitacError, check_range
 from .frozen import freeze, read_only
 from .sensor_model import PAD_SHAPE, PAD_TAXELS, TactileFrame, check_raw_readings
 
@@ -117,12 +117,9 @@ def encode_frame(frame: TactileFrame, seq: int) -> bytes:
     """Serialize a raw frame; decode_frame inverts this exactly."""
     if frame.normalized:
         raise InvalidInputError("only raw frames can be encoded")
-    if not (0 <= seq < 1 << 32):
-        raise InvalidInputError(f"seq {seq} does not fit in u32")
-    if not (0 <= frame.pad_id < 256):
-        raise InvalidInputError(f"pad_id {frame.pad_id} does not fit in one byte")
-    if not (0 <= frame.timestamp_us < 1 << 64):
-        raise InvalidInputError("timestamp_us does not fit in u64")
+    check_range("seq", seq, 0, (1 << 32) - 1)
+    check_range("pad_id", frame.pad_id, 0, 255)
+    check_range("timestamp_us", frame.timestamp_us, 0, (1 << 64) - 1, "us")
     body = _HEADER.pack(MAGIC, VERSION, frame.pad_id, seq, frame.timestamp_us)
     body += pack_readings(frame.readings)
     return body + crc16_ccitt_false(body).to_bytes(2, "big")

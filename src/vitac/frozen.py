@@ -10,8 +10,8 @@ from .errors import InvalidInputError
 def read_only(value, dtype=np.float64, shape=None) -> np.ndarray:
     """value as a read-only array of the given dtype, reshaped when shape is given.
 
-    The value is copied unless it is already a read-only ndarray (such as a view of the
-    bytes of an episode file), so no caller keeps a writable alias of the result.
+    The value is copied unless it is already a read-only ndarray (such as the readings that
+    the stream decoder unpacks), so no caller keeps a writable alias of the result.
     """
     if isinstance(value, np.ndarray) and not value.flags.writeable:
         arr = np.asarray(value, dtype=dtype)

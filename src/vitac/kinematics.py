@@ -13,11 +13,11 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import jsonio
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_range
 from .frozen import freeze
 from .pointcloud import BASE_FRAME, CloudXYZF
 from .se3 import MAX_LENGTH_M, PoseSE3
-from .sensor_model import PAD_COLS, PAD_ROWS
+from .sensor_model import PAD_COLS, PAD_ROWS, PAD_TAXELS
 
 REVOLUTE = "revolute"
 PRISMATIC = "prismatic"
@@ -71,25 +71,18 @@ class JointState:
             raise InvalidInputError("joint positions must be finite")
 
 
-MAX_GRID_SIDE = 1 << 11  # rows or cols of a TaxelGrid: a simulated tick holds about 140 bytes a taxel
-
-
 @dataclass(frozen=True)
 class TaxelGrid:
+    """A pad's taxel grid. Frames are always PAD_SHAPE, so rows and cols can only be the pad's."""
+
     rows: int = PAD_ROWS
     cols: int = PAD_COLS
     pitch: float = 1.75e-3
 
     def __post_init__(self):
-        if not (1 <= self.rows <= MAX_GRID_SIDE and 1 <= self.cols <= MAX_GRID_SIDE):
-            shape = f"{self.rows} x {self.cols}"
-            raise InvalidInputError(f"grid rows and cols must lie in [1, {MAX_GRID_SIDE}], got {shape}")
-        if not (0 < self.pitch <= MAX_LENGTH_M):  # written so that NaN fails it
-            raise InvalidInputError(f"pitch must lie in (0, {MAX_LENGTH_M}] m, got {self.pitch}")
-
-    @property
-    def count(self) -> int:
-        return self.rows * self.cols
+        if (self.rows, self.cols) != (PAD_ROWS, PAD_COLS):
+            raise InvalidInputError(f"grid must be the pad's {PAD_ROWS} x {PAD_COLS}, got {self.rows} x {self.cols}")
+        check_range("pitch", self.pitch, 0, MAX_LENGTH_M, "m", "(]")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -132,10 +125,8 @@ def forward_kinematics(chain: KinematicChain, joints: JointState) -> list[PoseSE
 
 def taxel_points(pad_pose: PoseSE3, grid: TaxelGrid) -> np.ndarray:
     """World positions of every taxel, row-major: point(r, c) = pose(c*pitch, r*pitch, 0)."""
-    r, c = np.meshgrid(np.arange(grid.rows), np.arange(grid.cols), indexing="ij")
-    local = np.column_stack(
-        [c.ravel() * grid.pitch, r.ravel() * grid.pitch, np.zeros(grid.count)]
-    )
+    r, c = np.meshgrid(np.arange(PAD_ROWS), np.arange(PAD_COLS), indexing="ij")
+    local = np.column_stack([c.ravel() * grid.pitch, r.ravel() * grid.pitch, np.zeros(PAD_TAXELS)])
     return pad_pose.apply(local)
 
 
@@ -153,13 +144,7 @@ def tactile_point_cloud(frames, chain: KinematicChain, joints: JointState, mount
             raise InvalidInputError(f"no frame supplied for pad {mount.pad_id}")
         if not frame.normalized:
             raise InvalidInputError(f"frame for pad {mount.pad_id} is not normalized")
-        if frame.readings.size != mount.grid.count:
-            raise InvalidInputError(
-                f"pad {mount.pad_id}: frame has {frame.readings.size} readings, "
-                f"grid expects {mount.grid.count}"
-            )
-        if not (0 <= mount.link_index < len(chain.links)):
-            raise InvalidInputError(f"mount link index {mount.link_index} out of range")
+        check_range(f"pad {mount.pad_id}'s link index", mount.link_index, 0, len(chain.links) - 1)
         pad_pose = link_poses[mount.link_index] @ mount.mount_transform
         xyz = taxel_points(pad_pose, mount.grid)
         blocks.append(np.column_stack([xyz, frame.values().ravel()]))

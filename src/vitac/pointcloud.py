@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_range
 from .frozen import freeze
 from .se3 import PoseSE3
 
@@ -142,16 +142,14 @@ def fps_indices(xyz: np.ndarray, k: int, seed: int, start: int | None = None) ->
     """
     xyz = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
     n = xyz.shape[0]
-    if k < 1:
-        raise InvalidInputError(f"k must be >= 1, got {k}")
+    check_range("k", k, 1)
     if n == 0:
         raise InvalidInputError("cannot sample from an empty cloud")
     if not np.all(np.isfinite(xyz)):
         raise InvalidInputError("cannot sample from a cloud with non-finite coordinates")
     if start is None:
         start = int(np.random.default_rng(seed).integers(n))
-    elif not (0 <= start < n):
-        raise InvalidInputError(f"start index {start} out of range")
+    check_range("start index", start, 0, n - 1)
     count = min(k, n)
     # The points are sorted along their widest axis, and each pick updates
     # only the slab |key - key[p]| <= r, r = sqrt(m) padded so that r*r > m

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import jsonio
-from .errors import DegenerateWeightsError, InvalidInputError
+from .errors import DegenerateWeightsError, InvalidInputError, check_range
 from .frozen import freeze
 from .pointcloud import CloudXYZF
 from .se3 import (
@@ -36,6 +36,9 @@ if TYPE_CHECKING:
 
 _WEIGHT_SUM_TOL = 1e-9
 MAX_PARTICLES = 1 << 21
+# A weight changes by e when g, a sum of squared contact distances, changes by the temperature:
+# from (1 um)^2, below what a taxel resolves, to 1,000 m^2, a thousand contacts each MAX_LENGTH_M off.
+TEMPERATURE_M2 = (1e-12, 1e3)
 _CELL_BUDGET = 1 << 17  # cells in an object model's lookup grid, at most
 _CELL_CAP = 24  # candidates a grid cell may hold (< 128); cells that need more are left to the KD-tree
 _DOMINATORS = 2  # the points nearest a cell's centre, tried as beating each other candidate
@@ -304,19 +307,12 @@ class TrackerConfig:
     ess_fraction: float = 0.5
 
     def __post_init__(self):
-        if not (1 <= self.particle_count <= MAX_PARTICLES):
-            raise InvalidInputError(f"particle_count must lie in [1, {MAX_PARTICLES}], got {self.particle_count}")
-        bounds = (("sigma_translation", MAX_LENGTH_M, "m"), ("sigma_rotation", np.pi, "rad"))
-        for name, top, unit in bounds:
-            value = getattr(self, name)
-            if not (0 <= value <= top):  # written so that NaN fails it
-                raise InvalidInputError(f"{name} must lie in [0, {top:.6g}] {unit}, got {value}")
-        if not (self.activation_threshold >= 0):
-            raise InvalidInputError("activation_threshold must be nonnegative")
-        if not (self.temperature > 0):
-            raise InvalidInputError("temperature must be positive")
-        if not (0 < self.ess_fraction <= 1):
-            raise InvalidInputError("ess_fraction must lie in (0, 1]")
+        check_range("particle_count", self.particle_count, 1, MAX_PARTICLES)
+        check_range("sigma_translation", self.sigma_translation, 0, MAX_LENGTH_M, "m")
+        check_range("sigma_rotation", self.sigma_rotation, 0, np.pi, "rad")
+        check_range("temperature", self.temperature, *TEMPERATURE_M2, "m^2")
+        check_range("activation_threshold", self.activation_threshold, 0)
+        check_range("ess_fraction", self.ess_fraction, 0, 1, ends="(]")
 
     @staticmethod
     def from_dict(d: dict) -> "TrackerConfig":
@@ -412,8 +408,7 @@ def scale_weights(g_values, temperature: float) -> np.ndarray:
     Uses max-subtraction in the log domain so any finite g set normalizes
     without overflow. Infinite g yields zero weight.
     """
-    if temperature <= 0:
-        raise InvalidInputError(f"temperature must be positive, got {temperature}")
+    check_range("temperature", temperature, *TEMPERATURE_M2, "m^2")
     g = np.asarray(g_values, dtype=np.float64).reshape(-1)
     if g.size == 0:
         raise InvalidInputError("empty distance vector")

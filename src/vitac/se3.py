@@ -15,7 +15,7 @@ from .errors import InvalidInputError
 from .frozen import freeze
 
 _UNIT_TOL = 1e-9
-MAX_LENGTH_M = 1.0  # the largest length a grid pitch or a noise or prior scale may take, in meters
+MAX_LENGTH_M = 1.0  # the largest grid pitch, primitive, aperture, or noise or prior scale, in meters
 
 
 def quat_multiply(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ from .errors import (
     InsufficientDataError,
     InvalidInputError,
     SaturatedReadingError,
+    check_range,
 )
 from .frozen import freeze
 
@@ -26,6 +27,7 @@ PAD_ROWS = 16
 PAD_COLS = 16
 PAD_SHAPE = (PAD_ROWS, PAD_COLS)
 PAD_TAXELS = PAD_ROWS * PAD_COLS
+MAX_RAW_READING = 65535  # a raw frame holds uint16 readings
 
 
 @dataclass(frozen=True)
@@ -35,7 +37,7 @@ class TaxelResponseModel:
     a: reading gain per ln(Newton), must be positive.
     b: reading offset in counts at 1 N.
     f_min/f_sat: bounds of the log-linear region in Newtons.
-    r_max: largest representable reading (ADC full scale).
+    r_max: largest representable reading (ADC full scale), at most MAX_RAW_READING.
     """
 
     a: float = 100.0
@@ -45,16 +47,13 @@ class TaxelResponseModel:
     r_max: int = 1023
 
     def __post_init__(self):
-        if not (np.isfinite(self.a) and self.a > 0):
-            raise InvalidInputError(f"slope a must be positive, got {self.a}")
-        if not (np.isfinite(self.b)):
-            raise InvalidInputError(f"offset b must be finite, got {self.b}")
+        check_range("slope a", self.a, 0, ends="(]")
+        check_range("offset b", self.b)
         if not (0 < self.f_min < self.f_sat):
             raise InvalidInputError(
                 f"need 0 < f_min < f_sat, got f_min={self.f_min}, f_sat={self.f_sat}"
             )
-        if self.r_max <= 0:
-            raise InvalidInputError(f"r_max must be positive, got {self.r_max}")
+        check_range("r_max", self.r_max, 1, MAX_RAW_READING, "counts")
 
     @property
     def saturation_reading(self) -> float:
@@ -92,9 +91,7 @@ def reading_to_force(model: TaxelResponseModel, reading: float) -> float:
     Raises SaturatedReadingError for readings at or above the plateau,
     where the inverse is not unique.
     """
-    r = float(reading)
-    if not np.isfinite(r) or r < 0 or r > model.r_max:
-        raise InvalidInputError(f"reading {reading} outside [0, {model.r_max}]")
+    r = check_range("reading", float(reading), 0, model.r_max, "counts")
     if r >= model.saturation_reading:
         raise SaturatedReadingError(
             f"reading {r} is in the saturation plateau (>= {model.saturation_reading:.3f})"
@@ -186,9 +183,9 @@ class TactileFrame:
     def check(readings: np.ndarray, normalized: bool) -> None:
         """InvalidInputError unless the readings fit the frame's kind: raw counts, or normalized in [0, 1]."""
         if not normalized:
-            check_raw_readings(readings, 65535)
+            check_raw_readings(readings, MAX_RAW_READING)
         elif not np.all(np.isfinite(readings)) or np.any(readings < 0) or np.any(readings > 1):
-            raise InvalidInputError("normalized readings must lie in [0, 1]")
+            raise InvalidInputError("normalized readings must be within [0, 1]")
 
     def values(self) -> np.ndarray:
         """Readings as float64, row-major grid."""

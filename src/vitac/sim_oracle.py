@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jsonio
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_range
 from .frozen import freeze_mapping, read_only
 from .kinematics import (
     PRISMATIC,
@@ -28,8 +28,8 @@ from .kinematics import (
     taxel_points,
 )
 from .pointcloud import BASE_FRAME, CloudXYZF
-from .se3 import PoseSE3, matrix_to_quat, quat_slerp
-from .sensor_model import TactileFrame, TaxelResponseModel, force_to_reading
+from .se3 import MAX_LENGTH_M, PoseSE3, matrix_to_quat, quat_slerp
+from .sensor_model import PAD_COLS, PAD_ROWS, PAD_SHAPE, TactileFrame, TaxelResponseModel, force_to_reading
 from .stream_sync import (
     JOINTS_STREAM,
     Episode,
@@ -45,6 +45,9 @@ from .stream_sync import (
 # per camera point, so each bound keeps its largest input near 1 GB.
 MAX_OBJECT_POINTS = 1 << 23  # points of an object cloud that `simulate --object-points` asks for
 MAX_CAMERA_POINTS = 1 << 23  # camera points a scene's tick, and all the ticks of one run, hold
+# A primitive's lengths lie in [MIN_LENGTH_M, se3.MAX_LENGTH_M]: a micrometre is far below a taxel's
+# pitch, and far above where a face's area, the product of two lengths, underflows.
+MIN_LENGTH_M = 1e-6
 
 
 @dataclass(frozen=True)
@@ -58,16 +61,17 @@ class Primitive:
 
     def __post_init__(self):
         if self.kind == "box":
-            if len(self.size) != 3 or any(s <= 0 for s in self.size):
-                raise InvalidInputError("box needs three positive dimensions")
+            if len(self.size) != 3:
+                raise InvalidInputError("box needs three dimensions")
+            lengths = [("size", s) for s in self.size]
         elif self.kind == "cylinder":
-            if self.radius <= 0 or self.height <= 0:
-                raise InvalidInputError("cylinder needs positive radius and height")
+            lengths = [("radius", self.radius), ("height", self.height)]
         elif self.kind == "sphere":
-            if self.radius <= 0:
-                raise InvalidInputError("sphere needs a positive radius")
+            lengths = [("radius", self.radius)]
         else:
             raise InvalidInputError(f"unknown primitive kind {self.kind!r}")
+        for name, length in lengths:
+            check_range(f"{self.kind} {name}", length, MIN_LENGTH_M, MAX_LENGTH_M, "m")
 
     @staticmethod
     def box(lx: float, ly: float, lz: float) -> "Primitive":
@@ -120,8 +124,7 @@ class Primitive:
 
 def sample_object_cloud(primitive: Primitive, n: int, seed: int) -> np.ndarray:
     """n surface points, uniform by area; deterministic by seed."""
-    if n < 1:
-        raise InvalidInputError(f"n must be >= 1, got {n}")
+    check_range("n", n, 1)
     rng = np.random.default_rng(seed)
     if primitive.kind == "sphere":
         dirs = rng.normal(size=(n, 3))
@@ -183,7 +186,7 @@ def two_finger_gripper(gripper_pose: PoseSE3, grid: TaxelGrid):
             Link(fixed=PoseSE3.identity(), joint=PRISMATIC, axis=np.array([1.0, 0.0, 0.0])),
         )
     )
-    center = np.array([(grid.cols - 1) / 2.0 * grid.pitch, (grid.rows - 1) / 2.0 * grid.pitch, 0.0])
+    center = np.array([(PAD_COLS - 1) / 2.0 * grid.pitch, (PAD_ROWS - 1) / 2.0 * grid.pitch, 0.0])
     mounts = [
         PadMount(0, 0, PoseSE3(matrix_to_quat(_PAD_ROT_POS), -_PAD_ROT_POS @ center), grid),
         PadMount(1, 1, PoseSE3(matrix_to_quat(_PAD_ROT_NEG), -_PAD_ROT_NEG @ center), grid),
@@ -218,17 +221,12 @@ class SceneSpec:
         for keys in (traj, apert):
             if any(b[0] < a[0] for a, b in zip(keys, keys[1:])):
                 raise InvalidInputError("trajectory keys must be time-sorted")
-        if not all(g >= 0 for _, g in apert):  # written so that NaN fails these checks
-            raise InvalidInputError("aperture must be nonnegative")
-        if not (self.stiffness > 0):
-            raise InvalidInputError("stiffness must be positive")
-        if not (self.noise_sigma >= 0):
-            raise InvalidInputError("noise sigma must be nonnegative")
-        if self.seed < 0:
-            raise InvalidInputError(f"seed must be nonnegative, got {self.seed}")
-        n = self.n_camera_points
-        if not (1 <= n <= MAX_CAMERA_POINTS):
-            raise InvalidInputError(f"n_camera_points must lie in [1, {MAX_CAMERA_POINTS}], got {n}")
+        for _, gap in apert:
+            check_range("aperture gap", gap, 0, MAX_LENGTH_M, "m")
+        check_range("stiffness", self.stiffness, 0, unit="N/m", ends="(]")
+        check_range("noise_sigma", self.noise_sigma, 0, unit="counts")
+        check_range("seed", self.seed, 0)
+        check_range("n_camera_points", self.n_camera_points, 1, MAX_CAMERA_POINTS)
         object.__setattr__(self, "object_trajectory", traj)
         object.__setattr__(self, "aperture_trajectory", apert)
 
@@ -280,7 +278,7 @@ class SceneSpec:
 def _interp(keys, t: float, what: str, blend):
     """The value of time-sorted (t, value) keys at t; a single key holds for all time."""
     lo, hi = (keys[0][0], keys[-1][0]) if len(keys) > 1 else (-np.inf, np.inf)
-    if not (lo <= t <= hi):  # written so that NaN fails it
+    if not (lo <= t <= hi):
         raise InvalidInputError(f"t={t} outside {what} span [{lo}, {hi}]")
     if len(keys) == 1:
         return keys[0][1]
@@ -330,7 +328,7 @@ def simulate_contact(scene: SceneSpec, t: float) -> ContactSnapshot:
         pts_world = taxel_points(pad_pose, mount.grid)
         depth = -scene.obj.sdf(inv_obj.apply(pts_world))
         force = scene.stiffness * np.maximum(depth, 0.0)
-        grid = force.reshape(mount.grid.rows, mount.grid.cols)
+        grid = force.reshape(PAD_SHAPE)
         reading = force_to_reading(scene.sensor, grid)
         if scene.noise_sigma > 0:
             reading = reading + rng.normal(0.0, scene.noise_sigma, size=reading.shape)
@@ -390,8 +388,7 @@ def render_episode(scene: SceneSpec, rate_hz: float, duration_s: float):
     each whole period that fits in duration_s, at most stream_sync.MAX_TICKS of them, and
     all their clouds hold at most MAX_CAMERA_POINTS points.
     """
-    if not (0 < rate_hz < np.inf and 0 < duration_s < np.inf):  # written so that NaN fails it
-        raise InvalidInputError("rate and duration must be positive and finite")
+    check_range("duration", duration_s, 0, unit="s", ends="(]")  # tick_grid checks the rate
     tuples = []
     truth = []
     # the grid's last point in [0, duration] ends the last whole period, so it is no tick; the

@@ -28,6 +28,7 @@ from .errors import (
     InvalidInputError,
     StreamStarvedError,
     TruncatedFileError,
+    check_range,
 )
 from .kinematics import JointState
 from .pointcloud import CloudXYZF, FusedCloud
@@ -128,8 +129,7 @@ def tick_grid(rate_hz: float, start_us: int, end_us: int) -> range:
     multiples of a period of round(1e6 / rate_hz) whole microseconds. A rate
     whose period rounds to 0 (2 MHz and above) or overflows has no grid.
     """
-    if not (0 < rate_hz < np.inf):  # written so that NaN fails it
-        raise InvalidInputError(f"rate must be positive and finite, got {rate_hz}")
+    check_range("rate", rate_hz, 0, unit="Hz", ends="(]")
     if not (0.5 < 1e6 / rate_hz < np.inf):  # round() gives 0 for the one and fails on the other
         raise InvalidInputError(f"rate {rate_hz} Hz has no finite tick period of 1 us or more")
     period_us = round(1e6 / rate_hz)
@@ -165,8 +165,7 @@ def align(streams, rate_hz: float = DEFAULT_RATE_HZ, tolerance_us: int = DEFAULT
     stream has a sample within the tolerance; otherwise the tick lands in
     the drop report with the offending streams named.
     """
-    if tolerance_us < 0:
-        raise InvalidInputError("tolerance must be nonnegative")
+    check_range("tolerance", tolerance_us, 0, unit="us")
     if not streams:
         raise InvalidInputError("no streams configured")
     times = {}
@@ -334,8 +333,8 @@ def _encode_payload(payload) -> bytes:
 class _Reader:
     """Bounds-checked cursor over a byte buffer; reading past its end is a TruncatedFileError.
 
-    take returns views of the buffer, not copies; a payload decoded from a read-only
-    buffer keeps it alive, and one decoded from a writable buffer copies its arrays.
+    take returns views of the buffer, not copies; a payload decoded from it copies its arrays,
+    since the buffer is writable.
     """
 
     def __init__(self, buf: bytes, context: str):
@@ -407,12 +406,13 @@ def _header_fields(header: dict) -> tuple:
     """(rate_hz, tolerance_us, streams, metadata, tuple_count) of an episode header.
 
     A missing key, a value of the wrong type, a rate with no tick grid (such as "inf", a
-    string) or a stream id that is not a string is a KeyError, TypeError, ValueError or
-    OverflowError. The writer runs these checks too, so it refuses what the reader refuses.
+    string), a negative tuple_count or a stream id that is not a string is a KeyError,
+    TypeError, ValueError or OverflowError. The writer runs these checks too, so it refuses
+    what the reader refuses.
     """
     rate_hz, tolerance_us = float(header["rate_hz"]), int(header["tolerance_us"])
     streams, metadata = list(header["streams"]), dict(header.get("metadata", {}))
-    tuple_count = int(header.get("tuple_count", 0))
+    tuple_count = check_range("tuple_count", int(header.get("tuple_count", 0)), 0)
     tick_grid(rate_hz, 0, -1)
     if not all(isinstance(sid, str) for sid in streams):
         raise TypeError("stream ids must be strings")
@@ -478,10 +478,9 @@ def read_episode(path, keep=None) -> Episode:
     keep: a tuple of stream-id prefixes, such as (TACTILE_PREFIX, JOINTS_STREAM), or () for
     none; only the payloads of members whose stream ids start with one of them are built.
     Every other payload is skipped, which runs every check that building it runs, and its
-    member holds None with its stream id and timestamp. keep=None builds every payload, as a
-    read-only view of one buffer that the rest of the file is read into. Otherwise records
-    pass through one reused, writable buffer, so the payloads built are copies and memory
-    holds one record plus them.
+    member holds None with its stream id and timestamp; keep=None builds every payload. The
+    records pass through one reused, writable buffer, so the payloads built are copies and
+    memory holds one record plus them.
     """
     with open(path, "rb") as fh:
         if fh.read(len(EPISODE_MAGIC)) != EPISODE_MAGIC:
@@ -498,10 +497,6 @@ def read_episode(path, keep=None) -> Episode:
             raise EpisodeLoadError(f"{path}: header lacks {exc}") from None
         except (TypeError, ValueError, OverflowError) as exc:  # InvalidInputError is a ValueError
             raise EpisodeLoadError(f"{path}: bad header ({exc})") from None
-        if tuple_count < 0:
-            raise EpisodeLoadError(f"{path}: header tuple_count must be nonnegative, got {tuple_count}")
-        if keep is None:
-            r = _Reader(r.take(r.left).toreadonly(), r.context)
         tuples = []
         for i in range(tuple_count):
             r.context = f"{path} record {i}"

@@ -372,6 +372,14 @@ _PITCH_SCENE = {**_NAN_GAP_SCENE, "aperture_trajectory": [{"t": 0.0, "gap": 0.07
                 "grid": {"rows": 16, "cols": 16, "pitch": 1e300}}
 _GRID_LIST_CHAIN = {"links": [{"joint": "fixed", "fixed": _POSE}],
                     "mounts": [{"pad_id": 0, "link": 0, "transform": _POSE, "grid": []}]}
+_GRID_20_CHAIN = {**_GRID_LIST_CHAIN, "mounts": [{**_GRID_LIST_CHAIN["mounts"][0], "grid": {"rows": 20}}]}
+
+
+def _scene(obj: dict, **fields) -> str:
+    """The pitch scene's JSON with a good gap, its object replaced, and fields set."""
+    return json.dumps({**_PITCH_SCENE, "grid": {}, "object": obj, **fields})
+
+
 # (input flag, bad file content, text the error names); truth is JSON lines, so its
 # errors also name line 1
 BAD_JSON_DOCS = {
@@ -395,12 +403,16 @@ BAD_JSON_DOCS = {
     "config-sigma-translation-2m": ("--config", '{"sigma_translation": 2.0}',
                                     "sigma_translation must lie in [0, 1] m"),
     "config-extent-2m": ("--config", '{"prior": {"translation_half_extent": 2.0}}',
-                         "prior extents must be at most 1.0 m and 180 degrees, got 2.0 m"),
+                         "translation_half_extent must lie in [0, 1] m, got 2.0"),
     "config-angle-1e300": ("--config", '{"prior": {"rotation_half_angle_deg": 1e300}}',
-                           "prior extents must be at most 1.0 m and 180 degrees"),
+                           "rotation_half_angle_deg must lie in [0, 180] degrees, got 1e+300"),
     "config-prior-list": ("--config", '{"prior": []}', "prior must be a JSON object"),
+    "config-temperature-1e-300": ("--config", '{"temperature": 1e-300}',
+                                  "temperature must lie in [1e-12, 1000] m^2, got 1e-300"),
+    "config-temperature-1e300": ("--config", '{"temperature": 1e300}',
+                                 "temperature must lie in [1e-12, 1000] m^2, got 1e+300"),
     "config-extent-negative": ("--config", '{"prior": {"rotation_half_angle_deg": -5}}',
-                               "prior extents must be finite and nonnegative"),
+                               "rotation_half_angle_deg must lie in [0, 180] degrees, got -5.0"),
     "chain-link-no-fixed": ("--chain", '{"links": [{"joint": "fixed"}]}', "missing key 'fixed'"),
     "chain-link-one": ("--chain", json.dumps(
         {"links": [], "mounts": [{"pad_id": 0, "link": "one", "transform": _POSE}]}), "'one'"),
@@ -408,7 +420,26 @@ BAD_JSON_DOCS = {
     "chain-grid-list": ("--chain", json.dumps(_GRID_LIST_CHAIN), "expected a JSON object for TaxelGrid"),
     "scene-gap-nan": ("--scene", json.dumps(_NAN_GAP_SCENE), "number NaN is not finite"),
     "scene-no-object": ("--scene", '{"seed": 1}', "missing key 'object'"),
-    "scene-pitch-1e300": ("--scene", json.dumps(_PITCH_SCENE), "pitch must lie in (0, 1.0] m"),
+    "scene-pitch-1e300": ("--scene", json.dumps(_PITCH_SCENE), "pitch must lie in (0, 1] m, got 1e+300"),
+    # a primitive's lengths lie in [1e-6, 1] m: past either end the face areas overflow or underflow
+    "scene-box-1e300": ("--scene", _scene({"kind": "box", "size": [1e300, 1e300, 1e300]}),
+                        "box size must lie in [1e-06, 1] m, got 1e+300"),
+    "scene-box-1e-300": ("--scene", _scene({"kind": "box", "size": [0.04, 1e-300, 1e-300]}),
+                         "box size must lie in [1e-06, 1] m, got 1e-300"),
+    "scene-cylinder-1e300": ("--scene", _scene({"kind": "cylinder", "radius": 1e300, "height": 1e300}),
+                             "cylinder radius must lie in [1e-06, 1] m, got 1e+300"),
+    "scene-sphere-2m": ("--scene", _scene({"kind": "sphere", "radius": 2.0}),
+                        "sphere radius must lie in [1e-06, 1] m, got 2.0"),
+    "scene-gap-2m": ("--scene", _scene({"kind": "sphere", "radius": 0.05},
+                                       aperture_trajectory=[{"t": 0.0, "gap": 2.0}]),
+                     "aperture gap must lie in [0, 1] m, got 2.0"),
+    # a sensor whose r_max passes a raw frame's uint16 range wrapped its readings around
+    "scene-r-max-65536": ("--scene", _scene({"kind": "sphere", "radius": 0.05},
+                                            sensor={"a": 100.0, "b": 70000.0, "r_max": 65536}),
+                          "r_max must lie in [1, 65535] counts, got 65536"),
+    "scene-grid-20-rows": ("--scene", _scene({"kind": "sphere", "radius": 0.05}, grid={"rows": 20}),
+                           "grid must be the pad's 16 x 16, got 20 x 16"),
+    "chain-grid-20-rows": ("--chain", json.dumps(_GRID_20_CHAIN), "grid must be the pad's 16 x 16, got 20 x 16"),
     "scene-unclosed": ("--scene", '{"object": {"kind": "sphere", "radius": 0.1}',
                        "not a JSON document"),
     "calib-unclosed": ("--calib", '{"pad_id": 0', "not a JSON document"),
@@ -447,21 +478,25 @@ def test_bad_input_file_is_one_error_line(tmp_path, capsys, good_inputs, kind):
 
 # (input flag of the command, numeric flags and their values, text the error names)
 BAD_NUMBER_FLAGS = {
-    "sync-rate-nan": ("--joints", ["--rate", "nan"], "rate must be positive and finite"),
-    "sync-rate-inf": ("--joints", ["--rate", "inf"], "rate must be positive and finite"),
+    "sync-rate-nan": ("--joints", ["--rate", "nan"], "rate must be > 0 Hz, got nan"),
+    "sync-rate-inf": ("--joints", ["--rate", "inf"], "rate must be > 0 Hz, got inf"),
     "sync-rate-3mhz": ("--joints", ["--rate", "3e6"], "no finite tick period of 1 us or more"),
     "sync-rate-denormal": ("--joints", ["--rate", "1e-320"], "no finite tick period"),
-    "sync-tol-nan": ("--joints", ["--tol-ms", "nan"], "--tol-ms must be finite"),
-    "sync-tol-inf": ("--joints", ["--tol-ms", "inf"], "--tol-ms must be finite"),
-    "simulate-rate-nan": ("--scene", ["--rate", "nan"], "rate and duration must be positive"),
+    "sync-tol-nan": ("--joints", ["--tol-ms", "nan"], "--tol-ms must lie in [0, 9.22337e+15] ms, got nan"),
+    "sync-tol-inf": ("--joints", ["--tol-ms", "inf"], "--tol-ms must lie in [0, 9.22337e+15] ms, got inf"),
+    "sync-tol-1e308": ("--joints", ["--tol-ms", "1e308"], "--tol-ms must lie in [0, 9.22337e+15] ms, got 1e+308"),
+    "sync-tol-negative": ("--joints", ["--tol-ms", "-1"], "--tol-ms must lie in [0, 9.22337e+15] ms, got -1.0"),
+    "simulate-rate-nan": ("--scene", ["--rate", "nan"], "rate must be > 0 Hz, got nan"),
     "simulate-rate-3mhz": ("--scene", ["--rate", "3e6", "--dur", "1e-5"],
                            "no finite tick period of 1 us or more"),
-    "simulate-dur-nan": ("--scene", ["--dur", "nan"], "rate and duration must be positive"),
-    "simulate-dur-inf": ("--scene", ["--dur", "inf"], "rate and duration must be positive"),
-    "simulate-object-points-0": ("--scene", ["--object-points", "0"], "--object-points must be >= 1, got 0"),
-    "simulate-object-points-negative": ("--scene", ["--object-points", "-3"], "--object-points must be >= 1"),
+    "simulate-dur-nan": ("--scene", ["--dur", "nan"], "duration must be > 0 s, got nan"),
+    "simulate-dur-inf": ("--scene", ["--dur", "inf"], "duration must be > 0 s, got inf"),
+    "simulate-object-points-0": ("--scene", ["--object-points", "0"],
+                                 "--object-points must lie in [1, 8388608], got 0"),
+    "simulate-object-points-negative": ("--scene", ["--object-points", "-3"],
+                                        "--object-points must lie in [1, 8388608], got -3"),
     "simulate-object-points-huge": ("--scene", ["--object-points", "10000000000000000000"],
-                                    "--object-points must be at most 8388608, got 10000000000000000000"),
+                                    "--object-points must lie in [1, 8388608], got 10000000000000000000"),
     "fuse-nvis-0": ("--box", ["--nvis", "0"], "--nvis must be >= 1, got 0"),
     "fuse-nvis-negative": ("--box", ["--nvis", "-1"], "--nvis must be >= 1"),
 }
@@ -516,18 +551,17 @@ def test_simulate_with_no_object_points_writes_nothing(tmp_path, capsys, good_in
             "--truth", str(outs[1]), "--object-out", str(outs[2]), "--object-points", "0"]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err == "error: --object-points must be >= 1, got 0\n", err
+    assert err == "error: --object-points must lie in [1, 8388608], got 0\n", err
     assert not any(p.exists() for p in outs)
 
 
 @pytest.mark.parametrize("change", ["n_camera_points", "rows", "run"])
 def test_scene_past_a_size_bound_is_one_error_line_and_writes_nothing(tmp_path, capsys, good_inputs, change):
-    from vitac.kinematics import MAX_GRID_SIDE  # first, so that a tree without the bounds fails here
     from vitac.sim_oracle import MAX_CAMERA_POINTS
 
     doc = json.loads(good_inputs["--scene"].read_text())
-    if change == "rows":
-        doc["grid"]["rows"] = MAX_GRID_SIDE + 1
+    if change == "rows":  # a grid is the pad's 16 x 16 or nothing
+        doc["grid"]["rows"] = 17
     else:  # 2 ticks of half the bound and one point more, or one tick past the bound
         doc["n_camera_points"] = MAX_CAMERA_POINTS // 2 + 1 if change == "run" else 10**19
     scene = tmp_path / "scene.json"
@@ -537,8 +571,8 @@ def test_scene_past_a_size_bound_is_one_error_line_and_writes_nothing(tmp_path, 
             "--truth", str(outs[1]), "--object-out", str(outs[2])]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    bound = MAX_GRID_SIDE if change == "rows" else MAX_CAMERA_POINTS
-    assert err.startswith("error: ") and err.count("\n") == 1 and f"{bound}" in err, err
+    names = f"{scene}: grid must be the pad's 16 x 16, got 17 x 16" if change == "rows" else f"{MAX_CAMERA_POINTS}"
+    assert err.startswith("error: ") and err.count("\n") == 1 and names in err, err
     assert not any(p.exists() for p in outs)
 
 
@@ -627,7 +661,7 @@ BAD_VALUE_RECORDS = {
     "cloud-nan": ("camera/0", CloudXYZF(np.full((1, 4), 0.25), "base"),
                   struct.pack("<d", 0.25), struct.pack("<d", np.nan), "cloud contains non-finite values"),
     "tactile-above-1": ("tactile/0", TactileFrame(0, 0, np.full((16, 16), 0.75), normalized=True),
-                        struct.pack("<d", 0.75), struct.pack("<d", 1.5), "normalized readings must lie in [0, 1]"),
+                        struct.pack("<d", 0.75), struct.pack("<d", 1.5), "normalized readings must be within [0, 1]"),
 }
 
 

@@ -4,7 +4,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from test_stream_sync import PAYLOAD_CASES
 
 import vitac
 from vitac.frame_codec import WireFrame
@@ -14,7 +13,6 @@ from vitac.pose_tracker import ContactSet, ObjectModel, ParticleSet
 from vitac.se3 import PoseSE3
 from vitac.sensor_model import ConsistencyReport, PadCalibration, TactileFrame
 from vitac.sim_oracle import ContactSnapshot, GroundTruthTick
-from vitac.stream_sync import Episode, SyncedTuple, TimedSample, read_episode, write_episode
 
 _PTS = np.arange(12.0).reshape(4, 3) / 10
 _GRID = np.arange(256.0).reshape(16, 16)
@@ -65,18 +63,16 @@ def test_array_fields_are_frozen_copies(kind):
         assert np.shares_memory(getattr(obj, name), arr), f"{name} was copied"
 
 
-@pytest.mark.parametrize("kind", sorted(PAYLOAD_CASES))
-def test_episode_payloads_are_not_copied(tmp_path, kind):
-    member = TimedSample("s", 0, PAYLOAD_CASES[kind][0])
-    write_episode(Episode(10.0, 0, ["s"], [SyncedTuple(0, {"s": member})]), tmp_path / "e.vtep")
-    payload = read_episode(tmp_path / "e.vtep").tuples[0].members["s"].payload
-    (arr,) = [getattr(payload, f) for f in ("readings", "points", "positions") if hasattr(payload, f)]
-    assert not arr.flags.writeable and not arr.flags.owndata  # a view of the file's bytes
-
-
 def test_only_freeze_sets_arrays_read_only():
     src = Path(vitac.__file__).parent
     assert sorted(p.name for p in src.glob("*.py") if "setflags(" in p.read_text()) == ["frozen.py"]
+
+
+def test_only_check_range_words_a_range():
+    # every scalar precondition goes through errors.check_range, which words its message
+    src = Path(vitac.__file__).parent
+    assert sorted(p.name for p in src.glob("*.py") if "must lie in" in p.read_text()) == ["errors.py"]
+    assert not [p.name for p in src.glob("*.py") if "written so that NaN fails" in p.read_text()]
 
 
 def test_only_tick_grid_turns_a_rate_into_a_period():

@@ -1,4 +1,5 @@
 import os
+import re
 import sys
 import threading
 import time
@@ -153,7 +154,8 @@ def test_tracker_config_rejects_non_finite(field, value):
 @pytest.mark.parametrize("field, value", [("sigma_translation", 1.5), ("sigma_translation", -1e-3),
                                           ("sigma_rotation", 1e300), ("sigma_rotation", 3.2),
                                           ("particle_count", 0), ("particle_count", MAX_PARTICLES + 1),
-                                          ("particle_count", 2**64)])
+                                          ("particle_count", 2**64), ("temperature", 1e-300),
+                                          ("temperature", 1e300), ("temperature", 0.0)])
 def test_tracker_config_rejects_out_of_physical_range(field, value):
     with pytest.raises(InvalidInputError, match=field):
         TrackerConfig(**{field: value})
@@ -162,6 +164,15 @@ def test_tracker_config_rejects_out_of_physical_range(field, value):
 def test_tracker_config_range_ends_are_allowed():
     cfg = TrackerConfig(sigma_translation=1.0, sigma_rotation=np.pi, particle_count=MAX_PARTICLES)
     assert (cfg.sigma_translation, cfg.sigma_rotation) == (1.0, np.pi)
+    for tau in (1e-12, 1e3):
+        assert TrackerConfig(temperature=tau).temperature == tau
+        assert np.array_equal(scale_weights([0.0, 0.0], tau), [0.5, 0.5])
+
+
+@pytest.mark.parametrize("tau", [1e-300, 1e300, 1e-13, 1001.0, np.nan])
+def test_scale_weights_refuses_a_temperature_outside_its_range(tau):
+    with pytest.raises(InvalidInputError, match=re.escape(f"temperature must lie in [1e-12, 1000] m^2, got {tau}")):
+        scale_weights([0.0, 1.0], tau)
 
 
 def test_scale_weights_degenerate():
