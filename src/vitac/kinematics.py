@@ -130,23 +130,27 @@ def taxel_points(pad_pose: PoseSE3, grid: TaxelGrid) -> np.ndarray:
     return pad_pose.apply(local)
 
 
+def placed_taxels(chain: KinematicChain, joints: JointState, mounts):
+    """(mount, world taxel points) for every mount in order, all placed from one FK pass."""
+    link_poses = forward_kinematics(chain, joints)
+    for mount in mounts:
+        check_range(f"pad {mount.pad_id}'s link index", mount.link_index, 0, len(chain.links) - 1)
+        yield mount, taxel_points(link_poses[mount.link_index] @ mount.mount_transform, mount.grid)
+
+
 def tactile_point_cloud(frames, chain: KinematicChain, joints: JointState, mounts) -> CloudXYZF:
     """Tactile points for every mounted pad, positions from FK, values from readings.
 
     frames maps pad_id to a normalized TactileFrame; per-pad blocks are
     concatenated in mount order, each row-major within the pad.
     """
-    link_poses = forward_kinematics(chain, joints)
     blocks = []
-    for mount in mounts:
+    for mount, xyz in placed_taxels(chain, joints, mounts):
         frame = frames.get(mount.pad_id)
         if frame is None:
             raise InvalidInputError(f"no frame supplied for pad {mount.pad_id}")
         if not frame.normalized:
             raise InvalidInputError(f"frame for pad {mount.pad_id} is not normalized")
-        check_range(f"pad {mount.pad_id}'s link index", mount.link_index, 0, len(chain.links) - 1)
-        pad_pose = link_poses[mount.link_index] @ mount.mount_transform
-        xyz = taxel_points(pad_pose, mount.grid)
         blocks.append(np.column_stack([xyz, frame.values().ravel()]))
     if not blocks:
         return CloudXYZF.empty(BASE_FRAME)

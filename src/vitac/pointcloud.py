@@ -71,9 +71,6 @@ class AABB:
         if np.any(lo > hi):
             raise InvalidInputError("box min corner exceeds max corner")
 
-    def to_dict(self) -> dict:
-        return {"min": self.lo.tolist(), "max": self.hi.tolist()}
-
     @staticmethod
     def from_dict(d: dict) -> "AABB":
         return AABB(np.asarray(d["min"]), np.asarray(d["max"]))

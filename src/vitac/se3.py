@@ -11,11 +11,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_range
 from .frozen import freeze
 
 _UNIT_TOL = 1e-9
 MAX_LENGTH_M = 1.0  # the largest grid pitch, primitive, aperture, or noise or prior scale, in meters
+# A pose read from a file has each translation component in [-MAX_TRANSLATION_M, MAX_TRANSLATION_M]:
+# a kilometre is far past any workspace a pad reaches, and sums of its squares stay finite.
+MAX_TRANSLATION_M = 1e3
+# Below this norm the squares that np.linalg.norm sums are subnormal and lose bits, and past float
+# max they overflow; a quaternion whose norm lies outside is scaled by its largest component first.
+_MIN_PLAIN_NORM = float(np.sqrt(np.finfo(np.float64).tiny))
 
 
 def quat_multiply(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
@@ -149,10 +155,15 @@ class PoseSE3:
     def __post_init__(self):
         q = freeze(self, "q", 4, finite="pose components must be finite")
         freeze(self, "t", 3, finite="pose components must be finite")
-        norm = float(np.linalg.norm(q))
-        if norm == 0.0:
-            raise InvalidInputError("zero quaternion is not a rotation")
-        if abs(norm - 1.0) > _UNIT_TOL:
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(q))
+        if not _MIN_PLAIN_NORM <= norm < np.inf:
+            peak = float(np.max(np.abs(q)))
+            if peak == 0.0:
+                raise InvalidInputError("zero quaternion is not a rotation")
+            q = q / peak
+            norm = float(np.linalg.norm(q))
+        if q is not self.q or abs(norm - 1.0) > _UNIT_TOL:
             object.__setattr__(self, "q", q / norm)
             freeze(self, "q", 4)
 
@@ -200,7 +211,11 @@ class PoseSE3:
 
     @staticmethod
     def from_dict(d: dict) -> "PoseSE3":
-        return PoseSE3(np.asarray(d["q"], dtype=np.float64), np.asarray(d["t"], dtype=np.float64))
+        """The pose a file holds; each translation component must lie within MAX_TRANSLATION_M."""
+        pose = PoseSE3(np.asarray(d["q"], dtype=np.float64), np.asarray(d["t"], dtype=np.float64))
+        for x in pose.t:
+            check_range("pose translation", float(x), -MAX_TRANSLATION_M, MAX_TRANSLATION_M, "m")
+        return pose
 
     def __repr__(self):
         q = ", ".join(f"{v:.6g}" for v in self.q)

@@ -28,6 +28,10 @@ PAD_COLS = 16
 PAD_SHAPE = (PAD_ROWS, PAD_COLS)
 PAD_TAXELS = PAD_ROWS * PAD_COLS
 MAX_RAW_READING = 65535  # a raw frame holds uint16 readings
+# A calibration's gains lie in (0, MAX_GAIN] and its offsets, being raw readings, within
+# MAX_RAW_READING of 0: at a gain of 1e6 one count is far past any model's full scale, and
+# gain * (raw - offset) stays below 1e12.
+MAX_GAIN = 1e6
 
 
 @dataclass(frozen=True)
@@ -204,9 +208,11 @@ class PadCalibration:
     def __post_init__(self):
         if np.shape(self.gain) != PAD_SHAPE or np.shape(self.offset) != PAD_SHAPE:
             raise InvalidInputError(f"gain/offset must be {PAD_SHAPE}")
-        if not np.all(freeze(self, "gain", PAD_SHAPE) > 0):
-            raise InvalidInputError("all gains must be positive")
-        freeze(self, "offset", PAD_SHAPE, finite="offsets must be finite")
+        gain, offset = freeze(self, "gain", PAD_SHAPE), freeze(self, "offset", PAD_SHAPE)
+        for x in (gain.min(), gain.max()):
+            check_range("gain", float(x), 0, MAX_GAIN, ends="(]")
+        for x in (offset.min(), offset.max()):
+            check_range("offset", float(x), -MAX_RAW_READING, MAX_RAW_READING, "counts")
         object.__setattr__(self, "pad_id", int(self.pad_id))
 
     def to_dict(self) -> dict:

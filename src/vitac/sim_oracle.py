@@ -10,7 +10,7 @@ quantity is deterministic given the scene seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -24,8 +24,7 @@ from .kinematics import (
     Link,
     PadMount,
     TaxelGrid,
-    forward_kinematics,
-    taxel_points,
+    placed_taxels,
 )
 from .pointcloud import BASE_FRAME, CloudXYZF
 from .se3 import MAX_LENGTH_M, PoseSE3, matrix_to_quat, quat_slerp
@@ -50,6 +49,10 @@ MAX_CAMERA_POINTS = 1 << 23  # camera points a scene's tick, and all the ticks o
 MIN_LENGTH_M = 1e-6
 
 
+# Each primitive kind's length fields, as its constructor takes them; a box's size holds three.
+_LENGTHS = {"box": ("size",), "cylinder": ("radius", "height"), "sphere": ("radius",)}
+
+
 @dataclass(frozen=True)
 class Primitive:
     """Rigid object geometry in its own frame, centered at the origin."""
@@ -60,30 +63,29 @@ class Primitive:
     height: float = 0.0
 
     def __post_init__(self):
-        if self.kind == "box":
-            if len(self.size) != 3:
-                raise InvalidInputError("box needs three dimensions")
-            lengths = [("size", s) for s in self.size]
-        elif self.kind == "cylinder":
-            lengths = [("radius", self.radius), ("height", self.height)]
-        elif self.kind == "sphere":
-            lengths = [("radius", self.radius)]
-        else:
+        names = _LENGTHS.get(self.kind)
+        if names is None:
             raise InvalidInputError(f"unknown primitive kind {self.kind!r}")
-        for name, length in lengths:
-            check_range(f"{self.kind} {name}", length, MIN_LENGTH_M, MAX_LENGTH_M, "m")
+        if "size" in names and len(self.size) != 3:
+            raise InvalidInputError(f"{self.kind} needs three dimensions")
+        for name in names:
+            value = getattr(self, name)
+            value = tuple(map(float, value)) if name == "size" else float(value)
+            object.__setattr__(self, name, value)
+            for length in np.ravel(value):
+                check_range(f"{self.kind} {name}", length, MIN_LENGTH_M, MAX_LENGTH_M, "m")
 
     @staticmethod
     def box(lx: float, ly: float, lz: float) -> "Primitive":
-        return Primitive("box", size=(float(lx), float(ly), float(lz)))
+        return Primitive("box", size=(lx, ly, lz))
 
     @staticmethod
     def cylinder(radius: float, height: float) -> "Primitive":
-        return Primitive("cylinder", radius=float(radius), height=float(height))
+        return Primitive("cylinder", radius=radius, height=height)
 
     @staticmethod
     def sphere(radius: float) -> "Primitive":
-        return Primitive("sphere", radius=float(radius))
+        return Primitive("sphere", radius=radius)
 
     def sdf(self, pts: np.ndarray) -> np.ndarray:
         """Signed distance to the surface, negative inside."""
@@ -91,35 +93,21 @@ class Primitive:
         if self.kind == "sphere":
             return np.linalg.norm(pts, axis=1) - self.radius
         if self.kind == "box":
-            half = np.asarray(self.size) / 2.0
-            q = np.abs(pts) - half
-            outside = np.linalg.norm(np.maximum(q, 0.0), axis=1)
-            inside = np.minimum(np.max(q, axis=1), 0.0)
-            return outside + inside
+            return _rounded_box(np.abs(pts) - np.asarray(self.size) / 2.0)
         radial = np.linalg.norm(pts[:, :2], axis=1) - self.radius  # cylinder
-        axial = np.abs(pts[:, 2]) - self.height / 2.0
-        d = np.column_stack([radial, axial])
-        outside = np.linalg.norm(np.maximum(d, 0.0), axis=1)
-        inside = np.minimum(np.max(d, axis=1), 0.0)
-        return outside + inside
+        return _rounded_box(np.column_stack([radial, np.abs(pts[:, 2]) - self.height / 2.0]))
 
     def to_dict(self) -> dict:
-        if self.kind == "box":
-            return {"kind": "box", "size": list(self.size)}
-        if self.kind == "cylinder":
-            return {"kind": "cylinder", "radius": self.radius, "height": self.height}
-        return {"kind": "sphere", "radius": self.radius}
+        return {"kind": self.kind, **{name: getattr(self, name) for name in _LENGTHS[self.kind]}}
 
     @staticmethod
     def from_dict(d: dict) -> "Primitive":
-        kind = d["kind"]
-        if kind == "box":
-            return Primitive.box(*d["size"])
-        if kind == "cylinder":
-            return Primitive.cylinder(d["radius"], d["height"])
-        if kind == "sphere":
-            return Primitive.sphere(d["radius"])
-        raise InvalidInputError(f"unknown primitive kind {kind!r}")
+        return Primitive(d["kind"], **{name: d[name] for name in _LENGTHS.get(d["kind"], ())})
+
+
+def _rounded_box(q: np.ndarray) -> np.ndarray:
+    """Signed distance from rows of per-axis excesses q over a box's half extents."""
+    return np.linalg.norm(np.maximum(q, 0.0), axis=1) + np.minimum(np.max(q, axis=1), 0.0)
 
 
 def sample_object_cloud(primitive: Primitive, n: int, seed: int) -> np.ndarray:
@@ -139,14 +127,10 @@ def sample_object_cloud(primitive: Primitive, n: int, seed: int) -> np.ndarray:
         u = rng.uniform(-0.5, 0.5, size=(n, 2))
         pts = np.empty((n, 3))
         half = np.array([lx, ly, lz]) / 2.0
-        for f in range(6):
-            mask = faces == f
-            axis = f // 2
-            sign = -1.0 if f % 2 == 0 else 1.0
-            others = [i for i in range(3) if i != axis]
-            pts[mask, axis] = sign * half[axis]
-            pts[mask, others[0]] = u[mask, 0] * (2 * half[others[0]])
-            pts[mask, others[1]] = u[mask, 1] * (2 * half[others[1]])
+        rows, axis = np.arange(n), faces // 2
+        others = np.array([[1, 2], [0, 2], [0, 1]])[axis]
+        pts[rows, axis] = np.where(faces % 2 == 0, -1.0, 1.0) * half[axis]
+        pts[rows[:, None], others] = u * (2 * half[others])
         return pts
     r, h = primitive.radius, primitive.height  # cylinder
     lateral = 2 * np.pi * r * h
@@ -167,10 +151,12 @@ def sample_object_cloud(primitive: Primitive, n: int, seed: int) -> np.ndarray:
     return pts
 
 
-# Pad frames for a two-finger gripper closing along the gripper x axis.
-# Columns map pad axes into the gripper frame; z_pad is the inward normal.
-_PAD_ROT_POS = np.array([[0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
-_PAD_ROT_NEG = np.array([[0.0, 0.0, 1.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0]])
+# Pad frames for a two-finger gripper closing along the gripper x axis, pad i on link i: pad 0 at
+# +gap/2, pad 1 at -gap/2. Columns map pad axes into the gripper frame; z_pad is the inward normal.
+_PAD_ROTATIONS = (
+    np.array([[0.0, 0.0, -1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]),
+    np.array([[0.0, 0.0, 1.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0]]),
+)
 
 
 def two_finger_gripper(gripper_pose: PoseSE3, grid: TaxelGrid):
@@ -187,10 +173,8 @@ def two_finger_gripper(gripper_pose: PoseSE3, grid: TaxelGrid):
         )
     )
     center = np.array([(PAD_COLS - 1) / 2.0 * grid.pitch, (PAD_ROWS - 1) / 2.0 * grid.pitch, 0.0])
-    mounts = [
-        PadMount(0, 0, PoseSE3(matrix_to_quat(_PAD_ROT_POS), -_PAD_ROT_POS @ center), grid),
-        PadMount(1, 1, PoseSE3(matrix_to_quat(_PAD_ROT_NEG), -_PAD_ROT_NEG @ center), grid),
-    ]
+    mounts = [PadMount(i, i, PoseSE3(matrix_to_quat(rot), -rot @ center), grid)
+              for i, rot in enumerate(_PAD_ROTATIONS)]
     return chain, mounts
 
 
@@ -240,18 +224,12 @@ class SceneSpec:
         return _interp(self.aperture_trajectory, t, "aperture trajectory", _blend_scalars)
 
     def to_dict(self) -> dict:
-        return {
-            "object": self.obj.to_dict(),
-            "object_trajectory": [{"t": t, "pose": p.to_dict()} for t, p in self.object_trajectory],
-            "aperture_trajectory": [{"t": t, "gap": g} for t, g in self.aperture_trajectory],
-            "gripper_pose": self.gripper_pose.to_dict(),
-            "grid": self.grid.to_dict(),
-            "stiffness": self.stiffness,
-            "noise_sigma": self.noise_sigma,
-            "sensor": self.sensor.to_dict(),
-            "seed": self.seed,
-            "n_camera_points": self.n_camera_points,
-        }
+        """Every field in order, obj as "object"; value types write themselves, trajectories as keys."""
+        doc = {("object" if f.name == "obj" else f.name): getattr(self, f.name) for f in fields(self)}
+        doc = {key: value.to_dict() if hasattr(value, "to_dict") else value for key, value in doc.items()}
+        doc["object_trajectory"] = [{"t": t, "pose": p.to_dict()} for t, p in self.object_trajectory]
+        doc["aperture_trajectory"] = [{"t": t, "gap": g} for t, g in self.aperture_trajectory]
+        return doc
 
     @staticmethod
     def from_dict(d: dict) -> "SceneSpec":
@@ -318,14 +296,11 @@ def simulate_contact(scene: SceneSpec, t: float) -> ContactSnapshot:
     t_us = int(round(t * 1e6))
     joints = joints_for_aperture(gap, t_us)
     chain, mounts = scene.chain_and_mounts()
-    link_poses = forward_kinematics(chain, joints)
     inv_obj = pose_obj.inverse()
     rng = np.random.default_rng([scene.seed, t_us])
     forces = {}
     frames = {}
-    for mount in mounts:
-        pad_pose = link_poses[mount.link_index] @ mount.mount_transform
-        pts_world = taxel_points(pad_pose, mount.grid)
+    for mount, pts_world in placed_taxels(chain, joints, mounts):
         depth = -scene.obj.sdf(inv_obj.apply(pts_world))
         force = scene.stiffness * np.maximum(depth, 0.0)
         grid = force.reshape(PAD_SHAPE)

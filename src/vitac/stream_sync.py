@@ -201,11 +201,10 @@ def align(streams, rate_hz: float = DEFAULT_RATE_HZ, tolerance_us: int = DEFAULT
 
 
 def _nearest_index(sorted_ts, t: int) -> int:
+    """The index of the timestamp nearest t, the earlier on a tie; t is at most sorted_ts[-1]."""
     i = bisect.bisect_left(sorted_ts, t)
     if i == 0:
         return 0
-    if i == len(sorted_ts):
-        return i - 1
     return i - 1 if t - sorted_ts[i - 1] <= sorted_ts[i] - t else i
 
 

@@ -380,6 +380,11 @@ def _scene(obj: dict, **fields) -> str:
     return json.dumps({**_PITCH_SCENE, "grid": {}, "object": obj, **fields})
 
 
+def _calib(**fields) -> str:
+    """A default calibration's JSON with fields set."""
+    return json.dumps({**PadCalibration(pad_id=0).to_dict(), **fields})
+
+
 # (input flag, bad file content, text the error names); truth is JSON lines, so its
 # errors also name line 1
 BAD_JSON_DOCS = {
@@ -442,6 +447,23 @@ BAD_JSON_DOCS = {
     "chain-grid-20-rows": ("--chain", json.dumps(_GRID_20_CHAIN), "grid must be the pad's 16 x 16, got 20 x 16"),
     "scene-unclosed": ("--scene", '{"object": {"kind": "sphere", "radius": 0.1}',
                        "not a JSON document"),
+    "scene-box-two-sides": ("--scene", _scene({"kind": "box", "size": [0.04, 0.04]}),
+                            "box needs three dimensions"),
+    "scene-kind-wedge": ("--scene", _scene({"kind": "wedge", "size": [0.04] * 3}),
+                         "unknown primitive kind 'wedge'"),
+    "scene-no-aperture-keys": ("--scene", _scene({"kind": "sphere", "radius": 0.05}, aperture_trajectory=[]),
+                               "trajectories must have at least one key"),
+    "scene-keys-unsorted": ("--scene", _scene({"kind": "sphere", "radius": 0.05}, object_trajectory=[
+        {"t": 1.0, "pose": _POSE}, {"t": 0.0, "pose": _POSE}]), "trajectory keys must be time-sorted"),
+    # a pose translation lies within a kilometre of the origin, and a gain in (0, 1e6]: past them,
+    # the sdf's squares and gain * (raw - offset) overflowed with only a warning
+    "scene-t-1e300": ("--scene", _scene({"kind": "sphere", "radius": 0.05}, object_trajectory=[
+        {"t": 0.0, "pose": {**_POSE, "t": [1e300, 0.0, 0.0]}}]),
+                      "pose translation must lie in [-1000, 1000] m, got 1e+300"),
+    "calib-gain-3.6e306": ("--calib", _calib(gain=[[3.6e306] * 16] * 16), "gain must lie in (0, 1e+06], got 3.6e+306"),
+    "calib-offset-1e300": ("--calib", _calib(offset=[[-1e300] * 16] * 16),
+                           "offset must lie in [-65535, 65535] counts, got -1e+300"),
+    "calib-gain-shape": ("--calib", _calib(gain=[1.0] * 256), "gain/offset must be (16, 16)"),
     "calib-unclosed": ("--calib", '{"pad_id": 0', "not a JSON document"),
     "calib-no-gain": ("--calib", '{"pad_id": 0, "offset": [], "model": {"a": 1, "b": 0}}',
                       "missing key 'gain'"),
@@ -461,6 +483,9 @@ BAD_PLY_FILES = {
     "ply-blank-vertex-line": ("--object", _PLY_HEAD + "property double z\nend_header\n\n0 0 0\n",
                               "blank vertex line"),
     "ply-row-nan": ("--object", _PLY_HEAD + "property double z\nend_header\nnan 0 0\n", "non-finite"),
+    "ply-no-end-header": ("--object", _PLY_HEAD + "property double z\n", "missing end_header"),
+    "ply-no-z": ("--object", _PLY_HEAD + "property double f\nend_header\n0 0 0\n",
+                 "expected x,y,z properties, got ['x', 'y', 'f']"),
 }
 
 
@@ -782,6 +807,30 @@ def test_missing_file_is_usage_error(tmp_path, capsys):
     code = main(["decode", "--in", str(tmp_path / "nope.bin"), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "no such file" in capsys.readouterr().err
+
+
+def test_sync_cloud_that_is_no_directory_is_usage_error(tmp_path, capsys):
+    (tmp_path / "0.ply").write_text("")
+    assert main(["sync", "--cloud", str(tmp_path / "0.ply"), "--out", str(tmp_path / "ep.vtep")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no such directory" in err and err.count("\n") == 1, err
+
+
+def test_fuse_of_an_episode_without_joints_is_one_error_line(tmp_path, capsys):
+    scene = write_scene(tmp_path / "scene.json")
+    ep_path = tmp_path / "ep.vtep"
+    run_json(capsys, ["simulate", "--scene", str(tmp_path / "scene.json"), "--dur", "0.2", "--out", str(ep_path)])
+    ep = read_episode(ep_path)
+    tuples = [SyncedTuple(t.tick_time_us, {k: v for k, v in t.members.items() if k != JOINTS_STREAM})
+              for t in ep.tuples]
+    write_episode(Episode(ep.rate_hz, ep.tolerance_us, [s for s in ep.streams if s != JOINTS_STREAM], tuples),
+                  ep_path)
+    save_chain_file(tmp_path / "chain.json", *scene.chain_and_mounts())
+    (tmp_path / "box.json").write_text(json.dumps({"min": [-0.2] * 3, "max": [0.2] * 3}))
+    assert main(["fuse", "--episode", str(ep_path), "--chain", str(tmp_path / "chain.json"),
+                 "--box", str(tmp_path / "box.json"), "--out", str(tmp_path / "fused.vtep")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: episode has no joint stream; cannot place tactile points\n", err
 
 
 def test_domain_error_exit_code(tmp_path, capsys):

@@ -7,6 +7,7 @@ from vitac.frame_codec import (
     FRAME_LEN,
     HEADER_LEN,
     PAYLOAD_LEN,
+    BadMagicError,
     BadVersionError,
     CrcMismatchError,
     NeedMoreDataError,
@@ -120,6 +121,8 @@ def test_encode_rejects_out_of_range():
     frame = TactileFrame(0, 0, np.zeros((16, 16), dtype=int))
     with pytest.raises(InvalidInputError):
         encode_frame(frame, seq=2**32)
+    with pytest.raises(InvalidInputError, match="only raw frames can be encoded"):
+        encode_frame(TactileFrame(0, 0, np.zeros((16, 16)), normalized=True), seq=0)
 
 
 @pytest.mark.parametrize(
@@ -169,6 +172,15 @@ def test_stream_decoder_skips_bad_version_frame():
 def test_decode_short_input():
     with pytest.raises(NeedMoreDataError):
         decode_frame(b"\xa5\x5a\x01")
+
+
+def test_decode_bad_magic_and_unpack_wrong_payload_length():
+    data = bytearray(encode_frame(TactileFrame(0, 0, np.zeros((16, 16), dtype=int)), seq=0))
+    data[0] = 0x5A
+    with pytest.raises(BadMagicError):
+        decode_frame(bytes(data))
+    with pytest.raises(InvalidInputError, match=f"payload must be {PAYLOAD_LEN} bytes, got {PAYLOAD_LEN - 1}"):
+        unpack_readings(bytes(PAYLOAD_LEN - 1))
 
 
 def _stream_of(frames_and_seqs):

@@ -1,5 +1,6 @@
 """Every array or mapping a value type holds is read-only and shared with no writable caller value."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,16 @@ def test_only_check_range_words_a_range():
     src = Path(vitac.__file__).parent
     assert sorted(p.name for p in src.glob("*.py") if "must lie in" in p.read_text()) == ["errors.py"]
     assert not [p.name for p in src.glob("*.py") if "written so that NaN fails" in p.read_text()]
+
+
+def test_only_kinematics_places_taxels():
+    # the simulator and the tactile cloud both place their pads through kinematics.placed_taxels
+    src = Path(vitac.__file__).parent
+    users = sorted(p.name for p in src.glob("*.py") if re.search(r"\b(forward_kinematics|taxel_points)\(", p.read_text()))
+    assert users == ["kinematics.py"]
+    # and the primitive kinds' length fields are named on one line, sim_oracle's table
+    lines = [line for p in src.glob("*.py") for line in p.read_text().splitlines() if '"radius"' in line]
+    assert len(lines) == 1 and lines[0].startswith("_LENGTHS = ") and '"height"' in lines[0]
 
 
 def test_only_tick_grid_turns_a_rate_into_a_period():

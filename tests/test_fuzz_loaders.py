@@ -21,7 +21,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from vitac.cli import main
@@ -116,6 +116,12 @@ def mutated(draw, doc):
 
 
 JSON_LINES = ("--truth", "--poses", "--joints", "--tactile")
+# extreme values that once overflowed with only a RuntimeWarning and exit 0, tried on every run
+EXTREMES = {
+    "--scene": lambda doc: {**doc, "object_trajectory": [{"t": 0.0, "pose": {"q": [1.0, 0.0, 0.0, 0.0],
+                                                                          "t": [1e300, 0.0, 0.0]}}]},
+    "--calib": lambda doc: {**doc, "gain": [[3.6e306] * 16] * 16},
+}
 
 
 @pytest.mark.parametrize("flag", sorted(set(_READS) - {"--object"}))  # the PLY file is fuzzed below
@@ -135,6 +141,8 @@ def test_json_file_loads_or_is_one_error_line(good_inputs, tmp_path_factory, fla
         path.write_text(text)
         run_cli(_argv(good_inputs, flag, path, out))
 
+    if flag in EXTREMES:
+        check = example((EXTREMES[flag](docs[0]),), 1)(check)
     check()
 
 

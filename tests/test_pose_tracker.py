@@ -182,6 +182,8 @@ def test_scale_weights_degenerate():
         scale_weights([0.0, np.nan], 1.0)
     with pytest.raises(InvalidInputError):
         scale_weights([0.0], 0.0)
+    with pytest.raises(InvalidInputError, match="empty distance vector"):
+        scale_weights([], 1.0)
 
 
 def _uniform_particles(rng, k):
@@ -271,6 +273,18 @@ def test_resample_rejects_unnormalized():
     particles = ParticleSet(np.tile([1.0, 0, 0, 0], (3, 1)), np.zeros((3, 3)), np.ones(3))
     with pytest.raises(InvalidInputError):
         resample_systematic(particles, np.random.default_rng(0))
+    with pytest.raises(InvalidInputError, match="weights must be normalized"):
+        estimate(particles)
+
+
+@pytest.mark.parametrize("k_quats, k_trans, k_weights, message", [
+    (2, 3, 3, "quats, trans, weights must share the leading dimension"),
+    (3, 3, 2, "quats, trans, weights must share the leading dimension"),
+    (0, 0, 0, "particle set cannot be empty"),
+])
+def test_particle_set_refuses_mismatched_or_empty_arrays(k_quats, k_trans, k_weights, message):
+    with pytest.raises(InvalidInputError, match=message):
+        ParticleSet(np.tile([1.0, 0, 0, 0], (k_quats, 1)), np.zeros((k_trans, 3)), np.ones(k_weights))
 
 
 def test_estimate_identical_particles():
@@ -660,6 +674,13 @@ def test_particle_distances_property_bit_identical_to_kdtree(grid, scale, offset
 def test_contact_set_rejects_non_finite_points(bad):
     with pytest.raises(InvalidInputError):
         ContactSet(np.array([[0.0, 0.0, 0.0], [0.0, bad, 0.0]]))
+    with pytest.raises(InvalidInputError, match="object model contains non-finite points"):
+        ObjectModel(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, bad, 0.0]]))
+
+
+def test_object_model_needs_three_points():
+    with pytest.raises(InvalidInputError, match="object model needs >= 3 points, got 2"):
+        ObjectModel(np.zeros((2, 3)))
 
 
 def test_update_empty_contacts_is_predict_only():

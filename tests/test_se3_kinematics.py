@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,33 @@ def test_pose_rejects_bad_input():
         PoseSE3(np.zeros(4), np.zeros(3))
     with pytest.raises(InvalidInputError):
         PoseSE3(np.array([1, 0, 0, np.nan]), np.zeros(3))
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 5e-324])
+def test_pose_normalizes_a_quaternion_whose_squares_overflow_or_underflow(scale):
+    # np.linalg.norm of [1e200, 0, 0, 0] overflows to inf, and of [1e-200, 0, 0, 0] underflows to 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert PoseSE3([scale, 0.0, 0.0, 0.0]).q.tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert PoseSE3([0.0, scale, scale, 0.0]).q.tolist() == pytest.approx([0.0, 0.5**0.5, 0.5**0.5, 0.0])
+
+
+@pytest.mark.parametrize("t", [[1e300, 0.0, 0.0], [0.0, -1000.5, 0.0]])
+def test_pose_from_a_file_refuses_a_translation_past_a_kilometre(t):
+    with pytest.raises(InvalidInputError, match=r"pose translation must lie in \[-1000, 1000\] m"):
+        PoseSE3.from_dict({"q": [1.0, 0.0, 0.0, 0.0], "t": t})
+    assert PoseSE3.from_dict({"q": [1.0, 0.0, 0.0, 0.0], "t": [1000.0, -1000.0, 0.0]}).t.tolist() == [1000.0, -1000.0, 0.0]
+
+
+@pytest.mark.parametrize("joint, axis, message", [
+    (FIXED, [0.0, 0.0, 1.0], "fixed joints take no axis"),
+    (REVOLUTE, None, "revolute joint requires an axis"),
+    (PRISMATIC, None, "prismatic joint requires an axis"),
+    ("ball", None, "unknown joint type 'ball'"),
+])
+def test_link_refuses_a_joint_and_axis_that_do_not_match(joint, axis, message):
+    with pytest.raises(InvalidInputError, match=message):
+        Link(PoseSE3(), joint, axis)
 
 
 # --- forward kinematics ---------------------------------------------------------

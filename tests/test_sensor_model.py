@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,31 @@ def test_normalize_pad_mismatch():
     calib = PadCalibration(pad_id=1)
     with pytest.raises(CalibrationMismatchError):
         normalize_frame(calib, TactileFrame(0, 0, np.zeros((16, 16), dtype=int)))
+    with pytest.raises(InvalidInputError, match="frame is already normalized"):
+        normalize_frame(calib, TactileFrame(1, 0, np.zeros((16, 16)), normalized=True))
+
+
+@pytest.mark.parametrize("f_min, f_sat", [(0.0, 9.0), (9.0, 9.0), (10.0, 9.0), (np.nan, 9.0)])
+def test_response_model_needs_0_below_f_min_below_f_sat(f_min, f_sat):
+    with pytest.raises(InvalidInputError, match="need 0 < f_min < f_sat"):
+        TaxelResponseModel(a=100.0, b=50.0, f_min=f_min, f_sat=f_sat)
+
+
+# a gain lies in (0, 1e6] and an offset within a raw reading of 0, so gain * (raw - offset) stays finite
+@pytest.mark.parametrize("field, value, message", [
+    ("gain", 0.0, "gain must lie in (0, 1e+06], got 0.0"),
+    ("gain", 3.6e306, "gain must lie in (0, 1e+06], got 3.6e+306"),
+    ("gain", np.nan, "gain must lie in (0, 1e+06], got nan"),
+    ("offset", -65536.0, "offset must lie in [-65535, 65535] counts, got -65536.0"),
+    ("offset", np.inf, "offset must lie in [-65535, 65535] counts, got inf"),
+])
+def test_calibration_refuses_a_gain_or_offset_outside_its_range(field, value, message):
+    values = np.ones((16, 16))
+    values[3, 5] = value
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        PadCalibration(pad_id=0, **{field: values})
+    values[3, 5] = 1e6 if field == "gain" else -65535.0
+    assert getattr(PadCalibration(pad_id=0, **{field: values}), field)[3, 5] == values[3, 5]
 
 
 def test_calibration_file_roundtrip(tmp_path):

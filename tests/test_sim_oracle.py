@@ -78,6 +78,24 @@ def test_box_sampling_area_uniform():
             assert abs(count - expect) < 3 * sigma, f"face {side}"
 
 
+def test_box_sampling_matches_a_face_by_face_reference():
+    lx, ly, lz = 0.02, 0.05, 0.08
+    n, seed = 3000, 11
+    rng = np.random.default_rng(seed)  # the draws sample_object_cloud makes, in its order
+    areas = np.array([ly * lz, ly * lz, lx * lz, lx * lz, lx * ly, lx * ly])
+    faces = rng.choice(6, size=n, p=areas / areas.sum())
+    u = rng.uniform(-0.5, 0.5, size=(n, 2))
+    half = np.array([lx, ly, lz]) / 2.0
+    expected = np.empty((n, 3))
+    for f in range(6):
+        mask, axis = faces == f, f // 2
+        others = [i for i in range(3) if i != axis]
+        expected[mask, axis] = (-1.0 if f % 2 == 0 else 1.0) * half[axis]
+        expected[mask, others[0]] = u[mask, 0] * (2 * half[others[0]])
+        expected[mask, others[1]] = u[mask, 1] * (2 * half[others[1]])
+    assert np.array_equal(sample_object_cloud(Primitive.box(lx, ly, lz), n, seed), expected)
+
+
 def test_cylinder_sampling_on_surface():
     cyl = Primitive.cylinder(0.3, 0.8)
     pts = sample_object_cloud(cyl, 5000, seed=3)

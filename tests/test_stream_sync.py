@@ -99,6 +99,8 @@ def test_align_starved_stream():
     streams[camera_stream(0)] = []
     with pytest.raises(StreamStarvedError):
         align(streams)
+    with pytest.raises(InvalidInputError, match="no streams configured"):
+        align({})
 
 
 def test_align_unsorted_rejected():
@@ -447,6 +449,13 @@ def test_write_episode_timestamp_out_of_range(tmp_path):
     ep = Episode(10.0, 0, [JOINTS_STREAM], [SyncedTuple(0, {JOINTS_STREAM: member})])
     with pytest.raises(InvalidInputError, match="tick 0"):
         write_episode(ep, tmp_path / "big.vtep")
+
+
+def test_write_episode_refuses_a_payload_without_a_format(tmp_path):
+    member = TimedSample("misc", 0, {"positions": [0.0]})
+    ep = Episode(10.0, 0, ["misc"], [SyncedTuple(0, {"misc": member})])
+    with pytest.raises(InvalidInputError, match="unsupported payload type dict"):
+        write_episode(ep, tmp_path / "dict.vtep")
 
 
 def test_episode_stats_aligned():
