@@ -54,6 +54,7 @@ from .stream_sync import (
 )
 
 log = logging.getLogger("vitac")
+LOG_LEVELS = ("debug", "info", "warning", "error")
 
 DEFAULT_SEED = 0
 
@@ -357,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--seed", type=int, help="rng seed (default 0; simulate defaults to the scene's seed)"
     )
-    parser.add_argument("--log-level", default="warning", help="debug|info|warning|error")
+    parser.add_argument("--log-level", type=str.lower, choices=LOG_LEVELS, default="warning")
     parser.add_argument("--json", action="store_true", help="machine-readable report on stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -435,8 +436,10 @@ def _print_report(report: dict, as_json: bool) -> None:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    level = os.environ.get("VITAC_LOG", args.log_level)
-    logging.basicConfig(level=getattr(logging, level.upper(), logging.WARNING))
+    level = os.environ.get("VITAC_LOG", args.log_level).lower()
+    if level not in LOG_LEVELS:
+        parser.error(f"VITAC_LOG: invalid choice: {level!r} (choose from {', '.join(map(repr, LOG_LEVELS))})")
+    logging.basicConfig(level=level.upper())
     try:
         report = args.func(args)
     except OSError as exc:  # a path that cannot be opened: missing, a directory, no permission

@@ -16,7 +16,7 @@ from . import jsonio
 from .errors import InvalidInputError, check_range
 from .frozen import freeze
 from .pointcloud import BASE_FRAME, CloudXYZF
-from .se3 import MAX_LENGTH_M, PoseSE3
+from .se3 import MAX_LENGTH_M, UNIT_TOL, PoseSE3
 from .sensor_model import PAD_COLS, PAD_ROWS, PAD_TAXELS
 
 REVOLUTE = "revolute"
@@ -40,7 +40,7 @@ class Link:
         if self.axis is None:
             raise InvalidInputError(f"{self.joint} joint requires an axis")
         norm = float(np.linalg.norm(freeze(self, "axis", 3)))
-        if abs(norm - 1.0) > 1e-9:
+        if abs(norm - 1.0) > UNIT_TOL:
             raise InvalidInputError(f"joint axis must be unit norm, got |axis|={norm}")
 
 
@@ -152,9 +152,7 @@ def tactile_point_cloud(frames, chain: KinematicChain, joints: JointState, mount
         if not frame.normalized:
             raise InvalidInputError(f"frame for pad {mount.pad_id} is not normalized")
         blocks.append(np.column_stack([xyz, frame.values().ravel()]))
-    if not blocks:
-        return CloudXYZF.empty(BASE_FRAME)
-    return CloudXYZF(np.concatenate(blocks, axis=0), BASE_FRAME)
+    return CloudXYZF(np.concatenate([np.zeros((0, CloudXYZF.WIDTH)), *blocks]), BASE_FRAME)
 
 
 def _link_to_dict(link: Link) -> dict:

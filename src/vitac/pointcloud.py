@@ -21,15 +21,25 @@ BASE_FRAME = "base"
 
 
 @dataclass(frozen=True, eq=False)
-class CloudXYZF:
-    """N x 4 point set: xyz in meters plus one feature channel, in a named frame."""
+class _Cloud:
+    """N x WIDTH points in a named frame. Each subclass sets WIDTH and checks its rows, and no
+    subclass derives from another: code that takes a CloudXYZF accepts no FusedCloud."""
 
     points: np.ndarray
     frame: str
 
     def __post_init__(self):
-        self.check(freeze(self, "points", (-1, 4)))
+        self.check(freeze(self, "points", (-1, self.WIDTH)))
         object.__setattr__(self, "frame", str(self.frame))
+
+    def __len__(self):
+        return self.points.shape[0]
+
+
+class CloudXYZF(_Cloud):
+    """N x 4 point set: xyz in meters plus one feature channel, in a named frame."""
+
+    WIDTH = 4
 
     @staticmethod
     def check(points: np.ndarray) -> None:
@@ -38,16 +48,12 @@ class CloudXYZF:
 
     @staticmethod
     def empty(frame: str) -> "CloudXYZF":
-        return CloudXYZF(np.zeros((0, 4)), frame)
+        return CloudXYZF(np.zeros((0, CloudXYZF.WIDTH)), frame)
 
     @staticmethod
-    def from_xyz(xyz: np.ndarray, frame: str, feature=0.0) -> "CloudXYZF":
+    def from_xyz(xyz: np.ndarray, frame: str) -> "CloudXYZF":
         xyz = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
-        f = np.broadcast_to(np.asarray(feature, dtype=np.float64), (xyz.shape[0],))
-        return CloudXYZF(np.column_stack([xyz, f]), frame)
-
-    def __len__(self):
-        return self.points.shape[0]
+        return CloudXYZF(np.column_stack([xyz, np.zeros(xyz.shape[0])]), frame)
 
     @property
     def xyz(self) -> np.ndarray:
@@ -76,16 +82,10 @@ class AABB:
         return AABB(np.asarray(d["min"]), np.asarray(d["max"]))
 
 
-@dataclass(frozen=True, eq=False)
-class FusedCloud:
+class FusedCloud(_Cloud):
     """N x 6 visuo-tactile points: xyz, value, onehot_visual, onehot_tactile."""
 
-    points: np.ndarray
-    frame: str
-
-    def __post_init__(self):
-        self.check(freeze(self, "points", (-1, 6)))
-        object.__setattr__(self, "frame", str(self.frame))
+    WIDTH = 6
 
     @staticmethod
     def check(points: np.ndarray) -> None:
@@ -98,9 +98,6 @@ class FusedCloud:
             raise InvalidInputError("one-hot channels must sum to 1 per point")
         if np.any(points[flags[:, 0] == 1.0, 3] != 0.0):
             raise InvalidInputError("visual points must carry a zero value channel")
-
-    def __len__(self):
-        return self.points.shape[0]
 
     @property
     def n_visual(self) -> int:
@@ -186,9 +183,9 @@ def fps_indices(xyz: np.ndarray, k: int, seed: int, start: int | None = None) ->
     return selected
 
 
-def fps_downsample(cloud: CloudXYZF, k: int, seed: int, start: int | None = None) -> CloudXYZF:
-    """Down-sample to min(k, N) points by farthest point sampling."""
-    idx = fps_indices(cloud.xyz, k, seed, start=start)
+def fps_downsample(cloud: CloudXYZF, k: int, seed: int) -> CloudXYZF:
+    """Down-sample to min(k, N) points by farthest point sampling from a seeded start."""
+    idx = fps_indices(cloud.xyz, k, seed)
     return CloudXYZF(cloud.points[idx], cloud.frame)
 
 
@@ -209,7 +206,7 @@ def fuse(visual: CloudXYZF, tactile: CloudXYZF) -> FusedCloud:
             f"frame mismatch: visual {visual.frame!r} vs tactile {tactile.frame!r}"
         )
     nv, nt = len(visual), len(tactile)
-    out = np.zeros((nv + nt, 6))
+    out = np.zeros((nv + nt, FusedCloud.WIDTH))
     out[:nv, :3] = visual.xyz
     out[:nv, 4] = 1.0
     out[nv:, :3] = tactile.xyz
@@ -262,9 +259,9 @@ def read_cloud_ply(path) -> CloudXYZF:
             raise ValueError(f"expected {n} vertices, got {len(lines)}")
         if not all(line.strip() for line in lines):  # loadtxt would skip it
             raise ValueError("blank vertex line")
-        rows = np.loadtxt(lines, ndmin=2, usecols=range(len(props)), comments=None) if n else np.zeros((0, 4))
-        points = np.zeros((n, 4))
-        points[:, : min(len(props), 4)] = rows[:, :4]
+        rows = np.loadtxt(lines, ndmin=2, usecols=range(len(props)), comments=None) if n else np.zeros((0, 0))
+        points = np.zeros((n, CloudXYZF.WIDTH))
+        points[:, : rows.shape[1]] = rows[:, : CloudXYZF.WIDTH]
         return CloudXYZF(points, frame)
     except (IndexError, ValueError) as exc:  # UnicodeDecodeError and InvalidInputError are ValueErrors too
         raise InvalidInputError(f"{path}: {exc}") from None

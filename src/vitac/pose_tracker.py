@@ -27,6 +27,7 @@ from .se3 import (
     PoseSE3,
     quat_geodesic_angle,
     quat_multiply,
+    quat_normalize,
     quat_to_matrix,
     rotvec_to_quat,
 )
@@ -188,7 +189,7 @@ class _CellGrid:
         grid = self.count.reshape(self.shape)
         grid[[0, -1]] = grid[:, [0, -1]] = grid[:, :, [0, -1]] = 0
 
-    def cells(self, q: np.ndarray, work: _Work | None = None) -> np.ndarray:
+    def cells(self, q: np.ndarray, work: _Work) -> np.ndarray:
         """The flat index of each query's cell; queries outside the grid land on its outer layer.
 
         A grid coordinate t = (q - lo) / h is computed as (q - lo) * (1/h). Each of the three
@@ -197,7 +198,6 @@ class _CellGrid:
         query that far from a cell face, and the cell it picks instead, grown by 1e-6 of its
         width, still holds the query.
         """
-        work = work or _Work()
         n = len(q)
         t, i, cell = work.get("grid", n), work.get("ijk", n, np.intp), work.get("cell", n, np.intp)
         cell.fill(0)
@@ -210,8 +210,7 @@ class _CellGrid:
             cell += i
         return cell
 
-    def distances(self, q: np.ndarray, work: _Work | None = None) -> np.ndarray:
-        work = work or _Work()
+    def distances(self, q: np.ndarray, work: _Work) -> np.ndarray:
         n = len(q)
         cell = self.cells(q, work)
         count = np.take(self.count, cell, out=work.get("count", n, self.count.dtype), mode="clip")
@@ -367,9 +366,7 @@ def init_particles(
     axes /= np.linalg.norm(axes, axis=1, keepdims=True)
     angles = rng.uniform(0.0, rotation_half_angle, size=(count, 1))
     dq = rotvec_to_quat(axes * angles)
-    quats = quat_multiply(prior_center.q, dq)
-    quats /= np.linalg.norm(quats, axis=1, keepdims=True)
-    return ParticleSet.uniform(quats, trans)
+    return ParticleSet.uniform(quat_normalize(quat_multiply(prior_center.q, dq)), trans)
 
 
 def observe_model(obj: ObjectModel, pose: PoseSE3) -> np.ndarray:
@@ -431,8 +428,7 @@ def predict(particles: ParticleSet, config: TrackerConfig, rng: np.random.Genera
     k = len(particles)
     trans = particles.trans + rng.normal(0.0, config.sigma_translation, size=(k, 3))
     rotvecs = rng.normal(0.0, config.sigma_rotation, size=(k, 3))
-    quats = quat_multiply(particles.quats, rotvec_to_quat(rotvecs))
-    quats = quats / np.linalg.norm(quats, axis=1, keepdims=True)
+    quats = quat_normalize(quat_multiply(particles.quats, rotvec_to_quat(rotvecs)))
     return ParticleSet(quats, trans, particles.weights)
 
 

@@ -14,13 +14,13 @@ import numpy as np
 from .errors import InvalidInputError, check_range
 from .frozen import freeze
 
-_UNIT_TOL = 1e-9
+UNIT_TOL = 1e-9  # how far from 1 a unit quaternion's or joint axis's norm may lie
 MAX_LENGTH_M = 1.0  # the largest grid pitch, primitive, aperture, or noise or prior scale, in meters
 # A pose read from a file has each translation component in [-MAX_TRANSLATION_M, MAX_TRANSLATION_M]:
 # a kilometre is far past any workspace a pad reaches, and sums of its squares stay finite.
 MAX_TRANSLATION_M = 1e3
 # Below this norm the squares that np.linalg.norm sums are subnormal and lose bits, and past float
-# max they overflow; a quaternion whose norm lies outside is scaled by its largest component first.
+# max they overflow; quat_normalize first scales such a quaternion by its largest |component|.
 _MIN_PLAIN_NORM = float(np.sqrt(np.finfo(np.float64).tiny))
 
 
@@ -47,10 +47,18 @@ def quat_conjugate(q: np.ndarray) -> np.ndarray:
 
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
+    """Each quaternion along the last axis over its norm (see _MIN_PLAIN_NORM); a zero one is refused."""
     q = np.asarray(q, dtype=np.float64)
-    norm = np.linalg.norm(q, axis=-1, keepdims=True)
-    if np.any(norm == 0.0):
-        raise InvalidInputError("zero quaternion cannot be normalized")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(q, axis=-1, keepdims=True)
+    # min and max allocate nothing (a NaN fails the first test); the tracker calls this every step
+    if not (_MIN_PLAIN_NORM <= norm.min(initial=np.inf) and norm.max(initial=0.0) < np.inf):
+        ordinary = (norm >= _MIN_PLAIN_NORM) & (norm < np.inf)
+        peak = np.where(ordinary, 1.0, np.max(np.abs(q), axis=-1, keepdims=True))
+        if np.any(peak == 0.0):
+            raise InvalidInputError("zero quaternion is not a rotation")
+        q = q / peak
+        norm = np.linalg.norm(q, axis=-1, keepdims=True)
     return q / norm
 
 
@@ -156,16 +164,12 @@ class PoseSE3:
         q = freeze(self, "q", 4, finite="pose components must be finite")
         freeze(self, "t", 3, finite="pose components must be finite")
         with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(q))
+            norm = float(np.linalg.norm(q))  # np.dot on a 1-D array: keep its bits for ordinary poses
         if not _MIN_PLAIN_NORM <= norm < np.inf:
-            peak = float(np.max(np.abs(q)))
-            if peak == 0.0:
-                raise InvalidInputError("zero quaternion is not a rotation")
-            q = q / peak
-            norm = float(np.linalg.norm(q))
-        if q is not self.q or abs(norm - 1.0) > _UNIT_TOL:
+            object.__setattr__(self, "q", quat_normalize(q))
+        elif abs(norm - 1.0) > UNIT_TOL:
             object.__setattr__(self, "q", q / norm)
-            freeze(self, "q", 4)
+        freeze(self, "q", 4)  # no copy when q was unit already: freeze keeps a read-only array
 
     @staticmethod
     def identity() -> "PoseSE3":

@@ -32,6 +32,7 @@ MAX_RAW_READING = 65535  # a raw frame holds uint16 readings
 # MAX_RAW_READING of 0: at a gain of 1e6 one count is far past any model's full scale, and
 # gain * (raw - offset) stays below 1e12.
 MAX_GAIN = 1e6
+OUTLIER_SIGMA = 3.0  # consistency_stats flags a block sum this many standard deviations from the mean
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,7 @@ def force_to_reading(model: TaxelResponseModel, force) -> np.ndarray | float:
     with np.errstate(divide="ignore"):
         log_part = model.a * np.log(np.maximum(f, model.f_min)) + model.b
     ramp = np.where(f < model.f_min, f / model.f_min * r_low, log_part)
-    r = np.where(f >= model.f_sat, model.a * np.log(model.f_sat) + model.b, ramp)
+    r = np.where(f >= model.f_sat, model.saturation_reading, ramp)
     r = np.clip(r, 0.0, float(model.r_max))
     return float(r) if np.isscalar(force) or np.ndim(force) == 0 else r
 
@@ -270,11 +271,11 @@ class ConsistencyReport:
         return self.std / self.mean if self.mean != 0 else float("inf")
 
 
-def consistency_stats(frame: TactileFrame, outlier_sigma: float = 3.0) -> ConsistencyReport:
+def consistency_stats(frame: TactileFrame) -> ConsistencyReport:
     """Block sums over 2x2 taxel groups with two-pass outlier rejection.
 
     Pass 1 computes mean/std over all 64 sums; values beyond
-    ``outlier_sigma`` standard deviations are flagged and excluded, then
+    OUTLIER_SIGMA standard deviations are flagged and excluded, then
     mean/std are recomputed over the rest.
     """
     grid = frame.values()
@@ -282,7 +283,7 @@ def consistency_stats(frame: TactileFrame, outlier_sigma: float = 3.0) -> Consis
     flat = sums.ravel()
     mean1 = float(flat.mean())
     std1 = float(flat.std())
-    keep = np.abs(flat - mean1) <= outlier_sigma * std1
+    keep = np.abs(flat - mean1) <= OUTLIER_SIGMA * std1
     outlier_count = int(np.count_nonzero(~keep))
     kept = flat[keep] if outlier_count else flat
     return ConsistencyReport(

@@ -280,10 +280,10 @@ class _PayloadLayout:
     split: Callable
 
 
-def _cloud_layout(cls, width: int) -> _PayloadLayout:
+def _cloud_layout(cls) -> _PayloadLayout:
     return _PayloadLayout(
         cls, _U32, True,
-        body=lambda head: (_F8, (head[0], width)),
+        body=lambda head: (_F8, (head[0], cls.WIDTH)),
         build=lambda head, frame, body: cls(body, frame),
         check=lambda head, body: cls.check(body),
         split=lambda cloud: ((len(cloud),), cloud.points),
@@ -298,7 +298,7 @@ _PAYLOADS = {
         check=lambda head, body: TactileFrame.check(body, bool(head[1])),
         split=lambda f: ((f.pad_id, int(f.normalized), f.timestamp_us), f.readings),
     ),
-    2: _cloud_layout(CloudXYZF, 4),
+    2: _cloud_layout(CloudXYZF),
     3: _PayloadLayout(
         JointState, _TIME_COUNT, False,  # timestamp_us, joint count
         body=lambda head: (_F8, (head[1],)),
@@ -306,7 +306,7 @@ _PAYLOADS = {
         check=lambda head, body: JointState.check(body),
         split=lambda joints: ((joints.timestamp_us, len(joints.positions)), joints.positions),
     ),
-    4: _cloud_layout(FusedCloud, 6),
+    4: _cloud_layout(FusedCloud),
 }
 
 

@@ -847,6 +847,26 @@ def test_unknown_flag_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("env, flags", [(None, ["--log-level", "bogus"]), ("nonsense", [])], ids=["flag", "env"])
+def test_bad_log_level_is_usage_error(monkeypatch, capsys, good_inputs, env, flags):
+    if env is None:
+        monkeypatch.delenv("VITAC_LOG", raising=False)
+    else:
+        monkeypatch.setenv("VITAC_LOG", env)
+    with pytest.raises(SystemExit) as exc:
+        main(flags + ["stats", "--episode", str(good_inputs["--episode"])])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and f"invalid choice: '{env or flags[1]}'" in errors[0], errors
+
+
+def test_log_level_names_any_case(monkeypatch, capsys, good_inputs):
+    monkeypatch.setenv("VITAC_LOG", "Debug")
+    assert main(["--log-level", "ERROR", "stats", "--episode", str(good_inputs["--episode"])]) == 0
+    monkeypatch.delenv("VITAC_LOG")
+    assert main(["--log-level", "Info", "stats", "--episode", str(good_inputs["--episode"])]) == 0
+
+
 def test_text_report_mode(tmp_path, capsys):
     scene_path = tmp_path / "scene.json"
     write_scene(scene_path)

@@ -95,6 +95,18 @@ def test_only_tick_grid_turns_a_rate_into_a_period():
     assert users == ["stream_sync.py"] and text.count("round(1e6 /") == body.count("round(1e6 /")
 
 
+def test_only_se3_normalizes_a_quaternion_and_only_the_cloud_types_state_their_widths():
+    src = Path(vitac.__file__).parent
+    texts = {p.name: p.read_text() for p in src.glob("*.py")}
+    assert not [name for name, text in texts.items() if "np.linalg.norm(quats" in text]
+    # the largest-component rule for an extreme norm is stated once, in quat_normalize
+    assert [name for name, text in texts.items() if "np.max(np.abs(q)" in text] == ["se3.py"]
+    assert texts["se3.py"].count("np.max(np.abs(q)") == 1
+    # a cloud payload's row width is its type's WIDTH
+    calls = re.findall(r"_cloud_layout\(([^)]*)\)", texts["stream_sync.py"])
+    assert len(calls) == 3 and not [args for args in calls if "," in args]
+
+
 def test_truth_forces_are_read_only():
     tick = GroundTruthTick.from_dict({"t_us": 0, "pose": PoseSE3().to_dict(),
                                       "forces": {"0": _GRID[:2, :3].tolist()}})

@@ -6,9 +6,9 @@ nothing on stderr (a warning included) when it succeeds.
 
 The leaves of the generated documents range over every integer and every finite
 float, so that values which overflow a computation or pass a range check's end
-are drawn too. Sizes read from files, such as a scene's n_camera_points, are
-allocated up to their bounds, about 1 GB at most; the derandomized examples here
-draw none that large.
+are drawn too; a sampled set of edge magnitudes makes those more likely. Sizes
+read from files, such as a scene's n_camera_points, are allocated up to their
+bounds, about 1 GB at most; the derandomized examples here draw none that large.
 """
 
 import contextlib
@@ -16,6 +16,7 @@ import copy
 import io
 import json
 import struct
+import sys
 import warnings
 import zlib
 
@@ -74,8 +75,12 @@ KEYS = sorted({
     "object_trajectory", "aperture_trajectory", "seed", "particle_count", "sigma_rotation",
     "translation_half_extent", "rotation_half_angle_deg", "activation_threshold",
 })
+# magnitudes at the ends of what a range check or a float computation holds, drawn more often
+# than st.integers and st.floats draw them
+EDGES = st.sampled_from([0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-12, -1e-12, 1e6, -1e6, 1e300, -1e300,
+                         sys.float_info.max, -sys.float_info.max, 2**63, -(2**63), 2**64])
 LEAVES = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False, allow_infinity=False),
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False, allow_infinity=False), EDGES,
     st.sampled_from(["", "x", "nan", "1e400", "box", "cylinder", "sphere", "revolute",
                      "prismatic", "fixed", "0"]),
 )

@@ -470,7 +470,7 @@ def test_an_exception_in_the_workers_block_reaches_the_caller_after_the_join(mon
     cells = box_model._cells
     caller, distances, worker_in = threading.get_ident(), type(cells).distances, threading.Event()
 
-    def failing(self, q, work=None):
+    def failing(self, q, work):
         if threading.get_ident() == caller:
             assert worker_in.wait(5)  # the worker has taken the other block
             return distances(self, q, work)
@@ -621,7 +621,7 @@ def test_cell_index_holds_queries_on_cell_faces(box_model):
     steps = rng.choice([0.0, 0.5, *(s * 10.0**-k for s in (1, -1) for k in (3, 5, 7, 9, 12, 15))], size=faces.shape)
     q = cells.lo + (faces + steps) * h
     q = np.vstack([q, np.nextafter(q, np.inf), np.nextafter(q, -np.inf)])
-    ijk = np.stack(np.unravel_index(cells.cells(q), cells.shape), axis=1)
+    ijk = np.stack(np.unravel_index(cells.cells(q, pose_tracker._Work()), cells.shape), axis=1)
     local = q - cells.lo
     # each query lies in its cell grown by e, the growth the candidate lists cover
     assert np.all((local >= ijk * h - e) & (local <= (ijk + 1) * h + e))

@@ -129,6 +129,28 @@ def test_pose_normalizes_a_quaternion_whose_squares_overflow_or_underflow(scale)
         assert PoseSE3([0.0, scale, scale, 0.0]).q.tolist() == pytest.approx([0.0, 0.5**0.5, 0.5**0.5, 0.0])
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 5e-324])
+def test_quat_normalize_scales_only_the_rows_whose_squares_overflow_or_underflow(scale):
+    odd = np.array([[scale, 0.0, 0.0, 0.0], [0.0, scale, scale, 0.0], [-scale, scale, 0.0, scale]])
+    ordinary = np.random.default_rng(7).normal(size=(64, 4)) * np.geomspace(1e-100, 1e100, 64)[:, None]
+    stack = np.vstack([ordinary[:32], odd, ordinary[32:]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        unit = quat_normalize(stack)
+        assert quat_normalize(odd[0]).tolist() == [1.0, 0.0, 0.0, 0.0]
+        for i, q in enumerate(odd):  # alone, in the stack and as a pose, the same quaternion
+            assert np.array_equal(quat_normalize(q), unit[32 + i])
+            assert np.array_equal(PoseSE3(q).q, unit[32 + i])
+    assert np.allclose(np.linalg.norm(unit, axis=1), 1.0, rtol=0, atol=1e-15)
+    plain = ordinary / np.linalg.norm(ordinary, axis=-1, keepdims=True)
+    assert np.array_equal(np.vstack([unit[:32], unit[32 + len(odd):]]), plain)
+
+
+def test_quat_normalize_refuses_a_zero_row():
+    with pytest.raises(InvalidInputError, match="zero quaternion is not a rotation"):
+        quat_normalize(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]))
+
+
 @pytest.mark.parametrize("t", [[1e300, 0.0, 0.0], [0.0, -1000.5, 0.0]])
 def test_pose_from_a_file_refuses_a_translation_past_a_kilometre(t):
     with pytest.raises(InvalidInputError, match=r"pose translation must lie in \[-1000, 1000\] m"):
