@@ -48,6 +48,7 @@ from .stream_sync import (
     align,
     camera_stream,
     episode_stats,
+    map_ticks,
     read_episode,
     tactile_stream,
     write_episode,
@@ -238,16 +239,16 @@ def cmd_fuse(args) -> dict:
     chain, mounts = load_chain_file(_require_file(args.chain))
     box = jsonio.read_json(_require_file(args.box), AABB.from_dict)
     calibs = _load_calibrations(args.calib)
-    out_tuples = []
-    for tup in episode.tuples:
+
+    def fuse_tick(tup: SyncedTuple) -> SyncedTuple:
         clouds = [c for _, c in sorted(tup.clouds().items())]
         visual = crop_aabb(merge(clouds) if clouds else CloudXYZF.empty(BASE_FRAME), box)
         if len(visual):
             visual = fps_downsample(visual, args.nvis, seed=_seed(args))
         fused = fuse(visual, _tactile_cloud(tup, chain, mounts, calibs))
-        out_tuples.append(
-            SyncedTuple(tup.tick_time_us, {"fused": TimedSample("fused", tup.tick_time_us, fused)})
-        )
+        return SyncedTuple(tup.tick_time_us, {"fused": TimedSample("fused", tup.tick_time_us, fused)})
+
+    out_tuples = map_ticks(fuse_tick, episode.tuples)
     out = Episode(
         rate_hz=episode.rate_hz,
         tolerance_us=episode.tolerance_us,

@@ -40,9 +40,9 @@ CRC_OFFSET = HEADER_LEN + PAYLOAD_LEN
 FRAME_LEN = CRC_OFFSET + 2
 
 
-def crc16_ccitt_false(data: bytes, crc: int = 0xFFFF) -> int:
-    """CRC-16/CCITT-FALSE: polynomial 0x1021, MSB-first, no final xor."""
-    return binascii.crc_hqx(data, crc)
+def crc16_ccitt_false(data: bytes) -> int:
+    """CRC-16/CCITT-FALSE: polynomial 0x1021, MSB-first, init 0xFFFF, no final xor."""
+    return binascii.crc_hqx(data, 0xFFFF)
 
 
 class FrameDecodeError(VitacError):

@@ -61,6 +61,11 @@ class TaxelResponseModel:
         check_range("r_max", self.r_max, 1, MAX_RAW_READING, "counts")
 
     @property
+    def ramp_top_reading(self) -> float:
+        """a*ln(f_min) + b: where the linear ramp from zero meets the log-linear region."""
+        return self.a * np.log(self.f_min) + self.b
+
+    @property
     def saturation_reading(self) -> float:
         """Plateau value: the (clamped) reading at and beyond f_sat."""
         return min(self.a * np.log(self.f_sat) + self.b, float(self.r_max))
@@ -81,10 +86,9 @@ def force_to_reading(model: TaxelResponseModel, force) -> np.ndarray | float:
         raise InvalidInputError("force must be finite")
     if np.any(f < 0):
         raise InvalidInputError("force must be nonnegative")
-    r_low = model.a * np.log(model.f_min) + model.b
     with np.errstate(divide="ignore"):
         log_part = model.a * np.log(np.maximum(f, model.f_min)) + model.b
-    ramp = np.where(f < model.f_min, f / model.f_min * r_low, log_part)
+    ramp = np.where(f < model.f_min, f / model.f_min * model.ramp_top_reading, log_part)
     r = np.where(f >= model.f_sat, model.saturation_reading, ramp)
     r = np.clip(r, 0.0, float(model.r_max))
     return float(r) if np.isscalar(force) or np.ndim(force) == 0 else r
@@ -101,7 +105,7 @@ def reading_to_force(model: TaxelResponseModel, reading: float) -> float:
         raise SaturatedReadingError(
             f"reading {r} is in the saturation plateau (>= {model.saturation_reading:.3f})"
         )
-    r_low = model.a * np.log(model.f_min) + model.b
+    r_low = model.ramp_top_reading
     if r >= r_low:
         return float(np.exp((r - model.b) / model.a))
     # ramp region; only reachable when r_low > 0

@@ -13,7 +13,9 @@ import bisect
 import json
 import math
 import os
+import signal
 import struct
+import threading
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable
@@ -36,6 +38,7 @@ from .sensor_model import PAD_SHAPE, TactileFrame
 
 JOINTS_STREAM = "joints"
 TACTILE_PREFIX = "tactile/"  # tactile/<pad_id>
+CAMERA_PREFIX = "camera/"  # camera/<cam_id>
 
 EPISODE_MAGIC = b"VTEP"
 EPISODE_VERSION = 1
@@ -48,7 +51,7 @@ def tactile_stream(pad_id: int) -> str:
 
 
 def camera_stream(cam_id: int) -> str:
-    return f"camera/{cam_id}"
+    return f"{CAMERA_PREFIX}{cam_id}"
 
 
 @dataclass(frozen=True)
@@ -89,7 +92,7 @@ class SyncedTuple:
 
     def clouds(self) -> dict:
         """cam_id -> CloudXYZF for every camera member."""
-        return self._payloads("camera/", CloudXYZF)
+        return self._payloads(CAMERA_PREFIX, CloudXYZF)
 
     def joint_state(self):
         return self._payload(JOINTS_STREAM, JointState) if JOINTS_STREAM in self.members else None
@@ -505,3 +508,70 @@ def read_episode(path, keep=None) -> Episode:
                 raise ChecksumError(f"{r.context}: CRC32 mismatch")
             tuples.append(_decode_tuple(record[:n], r.context, keep))
     return Episode(rate_hz, tolerance_us, streams, tuples, metadata)
+
+
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _received(pipe, context: str):
+    """The next tuple in the pipe, or None when the pipe ends before a whole record."""
+    head = pipe.read(_U32.size)
+    if len(head) == _U32.size:
+        (n,) = _U32.unpack(head)
+        body = pipe.read(n)
+        if len(body) == n:
+            return _decode_tuple(memoryview(body), context)
+    return None
+
+
+def map_ticks(tick: Callable, tuples: list) -> list:
+    """[tick(t) for t in tuples], with the ticks split between this process and one forked worker.
+
+    tick maps a SyncedTuple to a SyncedTuple that write_episode takes and must change nothing
+    else, since what the worker changes stays in the worker. This process runs tick 0 before it
+    forks, so a process that ends within its first tick has started no worker. Of the ticks
+    after it, this process runs the 1st, 3rd, 5th, ... and the worker the 2nd, 4th, 6th, ...,
+    which it sends back through a pipe as .vtep records. After each of its own ticks this
+    process decodes, and so checks, the worker's next one, so the result is in tick order and
+    neither side holds more than about one record. A tick the worker does not deliver (it
+    raised, crashed or was killed) this process runs itself, so the result and the first error
+    raised are those of the serial loop. The worker never returns from here: it ends in
+    os._exit, and this process kills and reaps it before it returns or raises. The loop stays
+    serial without os.fork, on one CPU, with fewer than 3 ticks, or while another thread runs,
+    since a fork copies only the calling thread.
+    """
+    if not hasattr(os, "fork") or len(tuples) < 3 or _cpus() < 2 or threading.active_count() > 1:
+        return [tick(t) for t in tuples]
+    out, rest = [tick(tuples[0])], tuples[1:]
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare
+        os.close(read_end)
+        os.close(write_end)
+        return out + [tick(t) for t in rest]
+    if pid == 0:  # the worker
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                for tup in rest[1::2]:
+                    record = _encode_tuple(tick(tup))
+                    pipe.write(_U32.pack(len(record)))
+                    pipe.write(record)
+                    pipe.flush()
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    try:
+        with open(read_end, "rb") as pipe:
+            for i, tup in enumerate(rest, 1):
+                theirs = None if i % 2 else _received(pipe, f"worker tick {i}")
+                out.append(tick(tup) if theirs is None else theirs)
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    return out

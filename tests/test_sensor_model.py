@@ -70,6 +70,15 @@ def test_inverse_examples():
         reading_to_force(MODEL, MODEL.r_max + 1)
 
 
+def test_ramp_top_is_where_both_directions_leave_the_ramp():
+    m = TaxelResponseModel(a=100.0, b=50.0, f_min=2.0)
+    top = m.ramp_top_reading
+    assert top == 100.0 * np.log(2.0) + 50.0
+    assert force_to_reading(m, 2.0) == top and force_to_reading(m, 0.5) == 0.5 / 2.0 * top
+    assert reading_to_force(m, top) == pytest.approx(2.0, rel=1e-12)
+    assert reading_to_force(m, top / 4) == top / 4 * 2.0 / top
+
+
 def test_round_trip_interior():
     rng = np.random.default_rng(1)
     eps = 1e-6
