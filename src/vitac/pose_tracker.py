@@ -10,7 +10,7 @@ weights are left untouched.
 
 from __future__ import annotations
 
-import os
+import queue
 import threading
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -31,6 +31,7 @@ from .se3 import (
     quat_to_matrix,
     rotvec_to_quat,
 )
+from .stream_sync import cpus
 
 if TYPE_CHECKING:
     from scipy.spatial import cKDTree
@@ -58,32 +59,22 @@ def _in_two(run, items) -> None:
     before this returns or raises, and an exception it raised is re-raised here.
     """
     items = list(items)
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        cpus = os.cpu_count() or 1
-    if cpus < 2 or len(items) < 2:
+    if cpus() < 2 or len(items) < 2:
         return run(items)
-    left, lock, failed = iter(items), threading.Lock(), []
-
-    def take():  # one per runner: a generator may not run on two threads at once
-        while True:
-            with lock:
-                item = next(left, None)
-            if item is None:
-                return
-            yield item
+    left, failed = queue.SimpleQueue(), []
+    for item in items + [None, None]:  # a None ends each runner's iter(left.get, None)
+        left.put(item)
 
     def work():
         try:
-            run(take())
+            run(iter(left.get, None))
         except BaseException as e:
             failed.append(e)
 
     worker = threading.Thread(target=work, name="vitac-tracker", daemon=True)
     worker.start()
     try:
-        run(take())
+        run(iter(left.get, None))
     finally:
         worker.join()
     if failed:
@@ -256,11 +247,9 @@ class ObjectModel:
     _tree: cKDTree = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = freeze(self, "points", (-1, 3))
+        pts = freeze(self, "points", (-1, 3), finite="object model contains non-finite points")
         if pts.shape[0] < 3:
             raise InvalidInputError(f"object model needs >= 3 points, got {pts.shape[0]}")
-        if not np.all(np.isfinite(pts)):
-            raise InvalidInputError("object model contains non-finite points")
         from scipy.spatial import cKDTree  # here, so that commands which never track skip scipy
 
         # the cell grid's build and the queries it leaves to the tree (a few percent) use this tree

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import signal
+import stat
 import struct
 import threading
 import zlib
@@ -440,25 +441,29 @@ def write_episode(episode: Episode, path) -> None:
         fh.write(_EPISODE_HEAD.pack(EPISODE_MAGIC, EPISODE_VERSION, len(header)))
         fh.write(header)
         for tup in episode.tuples:
-            try:
-                payload = _encode_tuple(tup)
-            except struct.error as exc:
-                raise InvalidInputError(
-                    f"tick {tup.tick_time_us}: a value does not fit the episode format ({exc})"
-                ) from None
-            fh.write(_U32.pack(len(payload)))
-            fh.write(payload)
-            fh.write(_U32.pack(zlib.crc32(payload)))
+            _write_record(fh, tup)
+
+
+def _write_record(fh, tup: SyncedTuple) -> None:
+    """tup as one record on fh: its length, the tuple, then the tuple's CRC32."""
+    try:
+        payload = _encode_tuple(tup)
+    except struct.error as exc:
+        raise InvalidInputError(f"tick {tup.tick_time_us}: a value does not fit the episode format ({exc})") from None
+    fh.write(_U32.pack(len(payload)))
+    fh.write(payload)
+    fh.write(_U32.pack(zlib.crc32(payload)))
 
 
 class _FileReader(_Reader):
-    """A _Reader over an open file, whose takes are views of one reused, writable buffer that
-    the next take overwrites. A piece longer than what is left of the file is a
-    TruncatedFileError before anything is allocated for it."""
+    """A _Reader over an open file or pipe, whose takes are views of one reused, writable buffer
+    that the next take overwrites. A piece longer than what is left of a file is a
+    TruncatedFileError before anything is allocated for it; a pipe has no such bound."""
 
     def __init__(self, fh, context: str):
         self.fh = fh
-        self.left = os.fstat(fh.fileno()).st_size - fh.tell()
+        st = os.fstat(fh.fileno())
+        self.left = st.st_size - fh.tell() if stat.S_ISREG(st.st_mode) else math.inf
         self.context = context
         self.buf = bytearray()
 
@@ -472,6 +477,15 @@ class _FileReader(_Reader):
             raise TruncatedFileError(f"{self.context}: truncated")
         self.left -= n
         return out
+
+
+def _read_record(r: _Reader, keep=None) -> SyncedTuple:
+    """The tuple of the next record, decoded as _decode_tuple does once its CRC32 matches."""
+    (n,) = r.unpack(_U32)
+    record = r.take(n + _U32.size)  # the tuple, its CRC32
+    if zlib.crc32(record[:n]) != _U32.unpack_from(record, n)[0]:
+        raise ChecksumError(f"{r.context}: CRC32 mismatch")
+    return _decode_tuple(record[:n], r.context, keep)
 
 
 def read_episode(path, keep=None) -> Episode:
@@ -502,30 +516,25 @@ def read_episode(path, keep=None) -> Episode:
         tuples = []
         for i in range(tuple_count):
             r.context = f"{path} record {i}"
-            (n,) = r.unpack(_U32)
-            record = r.take(n + _U32.size)  # the tuple, its CRC32
-            if zlib.crc32(record[:n]) != _U32.unpack_from(record, n)[0]:
-                raise ChecksumError(f"{r.context}: CRC32 mismatch")
-            tuples.append(_decode_tuple(record[:n], r.context, keep))
+            tuples.append(_read_record(r, keep))
     return Episode(rate_hz, tolerance_us, streams, tuples, metadata)
 
 
-def _cpus() -> int:
+def cpus() -> int:
+    """The number of CPUs this process may run on: the one rule for fuse's fork and the tracker's thread."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
         return os.cpu_count() or 1
 
 
-def _received(pipe, context: str):
-    """The next tuple in the pipe, or None when the pipe ends before a whole record."""
-    head = pipe.read(_U32.size)
-    if len(head) == _U32.size:
-        (n,) = _U32.unpack(head)
-        body = pipe.read(n)
-        if len(body) == n:
-            return _decode_tuple(memoryview(body), context)
-    return None
+def _received(r: _FileReader, context: str):
+    """The next record's tuple, or None when the pipe ends within it or its CRC32 does not match."""
+    r.context = context
+    try:
+        return _read_record(r)
+    except (TruncatedFileError, ChecksumError):
+        return None
 
 
 def map_ticks(tick: Callable, tuples: list) -> list:
@@ -537,14 +546,14 @@ def map_ticks(tick: Callable, tuples: list) -> list:
     after it, this process runs the 1st, 3rd, 5th, ... and the worker the 2nd, 4th, 6th, ...,
     which it sends back through a pipe as .vtep records. After each of its own ticks this
     process decodes, and so checks, the worker's next one, so the result is in tick order and
-    neither side holds more than about one record. A tick the worker does not deliver (it
-    raised, crashed or was killed) this process runs itself, so the result and the first error
-    raised are those of the serial loop. The worker never returns from here: it ends in
-    os._exit, and this process kills and reaps it before it returns or raises. The loop stays
-    serial without os.fork, on one CPU, with fewer than 3 ticks, or while another thread runs,
-    since a fork copies only the calling thread.
+    neither side holds more than about one record. A tick the worker does not deliver whole (it
+    raised, crashed or was killed, or its record fails its CRC32) this process runs itself, so
+    the result and the first error raised are those of the serial loop. The worker never
+    returns from here: it ends in os._exit, and this process kills and reaps it before it
+    returns or raises. The loop stays serial without os.fork, on one CPU, with fewer than 3
+    ticks, or while another thread runs, since a fork copies only the calling thread.
     """
-    if not hasattr(os, "fork") or len(tuples) < 3 or _cpus() < 2 or threading.active_count() > 1:
+    if not hasattr(os, "fork") or len(tuples) < 3 or cpus() < 2 or threading.active_count() > 1:
         return [tick(t) for t in tuples]
     out, rest = [tick(tuples[0])], tuples[1:]
     read_end, write_end = os.pipe()
@@ -559,17 +568,16 @@ def map_ticks(tick: Callable, tuples: list) -> list:
             os.close(read_end)
             with open(write_end, "wb") as pipe:
                 for tup in rest[1::2]:
-                    record = _encode_tuple(tick(tup))
-                    pipe.write(_U32.pack(len(record)))
-                    pipe.write(record)
+                    _write_record(pipe, tick(tup))
                     pipe.flush()
         finally:
             os._exit(0)
     os.close(write_end)
     try:
         with open(read_end, "rb") as pipe:
+            r = _FileReader(pipe, "worker")
             for i, tup in enumerate(rest, 1):
-                theirs = None if i % 2 else _received(pipe, f"worker tick {i}")
+                theirs = None if i % 2 else _received(r, f"worker tick {i}")
                 out.append(tick(tup) if theirs is None else theirs)
     finally:
         os.kill(pid, signal.SIGKILL)

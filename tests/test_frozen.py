@@ -107,6 +107,20 @@ def test_only_se3_normalizes_a_quaternion_and_only_the_cloud_types_state_their_w
     assert len(calls) == 3 and not [args for args in calls if "," in args]
 
 
+
+def test_only_stream_sync_cpus_reads_the_affinity_mask():
+    # fuse's forked worker and the tracker's worker thread count CPUs by one rule
+    src = Path(vitac.__file__).parent
+    texts = {p.name: p.read_text() for p in src.glob("*.py")}
+    assert [name for name, text in texts.items() if "sched_getaffinity" in text] == ["stream_sync.py"]
+    assert texts["stream_sync.py"].count("sched_getaffinity") == 1
+
+
+def test_a_record_length_is_written_in_one_place():
+    # episode files and fuse's worker pipe both write their records through stream_sync._write_record
+    src = Path(vitac.__file__).parent
+    assert sum(p.read_text().count("_U32.pack(len(") for p in src.glob("*.py")) == 1
+
 def test_truth_forces_are_read_only():
     tick = GroundTruthTick.from_dict({"t_us": 0, "pose": PoseSE3().to_dict(),
                                       "forces": {"0": _GRID[:2, :3].tolist()}})

@@ -5,18 +5,31 @@ With two CPUs and at least 3 ticks, fuse runs tick 0, forks one worker, and then
 """
 
 import hashlib
+import io
 import json
 import os
 import signal
 import threading
 
+import numpy as np
 import pytest
 
 import vitac.cli
 from test_cli import write_scene
 from vitac.cli import main
-from vitac.kinematics import save_chain_file
-from vitac.stream_sync import Episode, SyncedTuple, TimedSample, read_episode, write_episode
+from vitac.kinematics import JointState, save_chain_file
+from vitac.sensor_model import TactileFrame
+from vitac.stream_sync import (
+    Episode,
+    SyncedTuple,
+    TimedSample,
+    _encode_tuple,
+    _FileReader,
+    _received,
+    _write_record,
+    read_episode,
+    write_episode,
+)
 
 
 @pytest.fixture(scope="module")
@@ -146,3 +159,47 @@ def test_first_tick_ends_before_the_fork(tmp_path, monkeypatch, capfd, inputs):
     monkeypatch.setattr(os, "fork", counted_fork)
     assert _fuse(monkeypatch, capfd, inputs, episode, tmp_path / "fused.vtep", cpus=2) == (0, "", 1)
     assert at_fork == [1]
+
+
+
+def _tick(k):
+    frame = TactileFrame(0, k, np.arange(256, dtype=np.uint16).reshape(16, 16) + k)
+    samples = [TimedSample("tactile/0", k, frame), TimedSample("joints", k, JointState([0.01 * k, -0.02], k))]
+    return SyncedTuple(k, {s.stream_id: s for s in samples})
+
+
+def _record(k) -> bytes:
+    buf = io.BytesIO()
+    _write_record(buf, _tick(k))
+    return buf.getvalue()
+
+
+def _through_pipe(records: bytes, count: int) -> list:
+    """The encoded tuples that _received reads, count times over, from a pipe that holds records
+    and then ends; None where it reads None."""
+    read_end, write_end = os.pipe()
+    with open(write_end, "wb") as pipe:
+        pipe.write(records)
+    with open(read_end, "rb") as pipe:
+        r = _FileReader(pipe, "pipe")
+        back = [_received(r, f"record {i}") for i in range(count)]
+    return [None if tup is None else _encode_tuple(tup) for tup in back]
+
+
+def test_pipe_records_read_back_equal():
+    tuples = [_encode_tuple(_tick(k)) for k in range(3)]
+    assert _through_pipe(b"".join(_record(k) for k in range(3)), 4) == tuples + [None]
+
+
+def test_pipe_record_with_a_flipped_byte_reads_as_none():
+    """fuse runs that tick itself; the records after it still read back."""
+    flipped = bytearray(_record(1))
+    flipped[len(flipped) // 2] ^= 0x01  # a byte of the readings
+    back = _through_pipe(_record(0) + flipped + _record(2), 3)
+    assert back == [_encode_tuple(_tick(0)), None, _encode_tuple(_tick(2))]
+
+
+@pytest.mark.parametrize("kept", [1, 4, 5, 100, -1])
+def test_pipe_that_ends_within_a_record_reads_as_none(kept):
+    """The pipe holds one whole record, then the first kept bytes of the next (-1: all but its last)."""
+    assert _through_pipe(_record(0) + _record(1)[:kept], 2) == [_encode_tuple(_tick(0)), None]
