@@ -34,7 +34,7 @@ from .pointcloud import (
     write_cloud_ply,
 )
 from .pose_tracker import ContactSet, ObjectModel, Tracker, TrackerConfig
-from .se3 import MAX_LENGTH_M, PoseSE3, quat_geodesic_angle
+from .se3 import PoseSE3, quat_geodesic_angle
 from .sensor_model import PadCalibration, TactileFrame, TaxelResponseModel, fit_response
 from .sim_oracle import MAX_OBJECT_POINTS, GroundTruth, SceneSpec, render_episode, sample_object_cloud
 from .stream_sync import (
@@ -261,33 +261,13 @@ def cmd_fuse(args) -> dict:
     return {"out": args.out, "tuples": len(out_tuples), "last_fused_points": n_last}
 
 
-def _tracker_setup(doc: dict) -> tuple:
-    """TrackerConfig and the Tracker prior arguments from a tracker config document."""
-    prior = doc.get("prior", {})
-    if not isinstance(prior, dict):
-        raise TypeError(f"prior must be a JSON object, got {type(prior).__name__}")
-    center = PoseSE3.from_dict(prior["center"]) if "center" in prior else PoseSE3.identity()
-    extent = check_range("translation_half_extent", float(prior.get("translation_half_extent", 0.03)),
-                         0, MAX_LENGTH_M, "m")
-    angle = check_range("rotation_half_angle_deg", float(prior.get("rotation_half_angle_deg", 20.0)),
-                        0, 180, "degrees")
-    return TrackerConfig.from_dict(doc), {
-        "prior_center": center,
-        "translation_half_extent": extent,
-        "rotation_half_angle": float(np.deg2rad(angle)),
-    }
-
-
 def cmd_track(args) -> dict:
     episode = read_episode(_require_file(args.episode), keep=(TACTILE_PREFIX, JOINTS_STREAM))
     obj_cloud = read_cloud_ply(_require_file(args.object))
     chain, mounts = load_chain_file(_require_file(args.chain))
     calibs = _load_calibrations(args.calib)
-    if args.config:
-        config, prior = jsonio.read_json(_require_file(args.config), _tracker_setup)
-    else:
-        config, prior = _tracker_setup({})
-    tracker = Tracker(obj=ObjectModel(obj_cloud.xyz), config=config, seed=_seed(args), **prior)
+    config = jsonio.read_json(_require_file(args.config), TrackerConfig.from_dict) if args.config else TrackerConfig()
+    tracker = Tracker(ObjectModel(obj_cloud.xyz), config, _seed(args))
 
     def steps():
         for tup in episode.tuples:

@@ -255,9 +255,6 @@ class ObjectModel:
         # the cell grid's build and the queries it leaves to the tree (a few percent) use this tree
         object.__setattr__(self, "_tree", cKDTree(pts, leafsize=8))
 
-    def __len__(self):
-        return self.points.shape[0]
-
     @cached_property
     def _cells(self) -> _CellGrid:
         # built on the first tracker step, so models that are never tracked skip it
@@ -282,10 +279,15 @@ class ContactSet:
         return ContactSet(cloud.xyz[cloud.feature > threshold])
 
 
+# a tracker document's key in its "prior" object -> the TrackerConfig field it sets
+_PRIOR_KEYS = {"center": "prior_center", "translation_half_extent": "translation_half_extent",
+               "rotation_half_angle_deg": "rotation_half_angle_deg"}
+
+
 @dataclass(frozen=True)
 class TrackerConfig:
-    """Filter settings. particle_count is at most MAX_PARTICLES: a step holds about 300 bytes
-    per particle, so the largest filter takes about 0.6 GB."""
+    """Filter settings and the prior that init_particles draws from. particle_count is at most
+    MAX_PARTICLES: a step holds about 300 bytes per particle, so the largest filter takes about 0.6 GB."""
 
     particle_count: int = 2048
     sigma_translation: float = 2e-3
@@ -293,6 +295,9 @@ class TrackerConfig:
     temperature: float = 1e-4
     activation_threshold: float = 0.05
     ess_fraction: float = 0.5
+    prior_center: PoseSE3 = field(default_factory=PoseSE3.identity)
+    translation_half_extent: float = 0.03
+    rotation_half_angle_deg: float = 20.0
 
     def __post_init__(self):
         check_range("particle_count", self.particle_count, 1, MAX_PARTICLES)
@@ -301,11 +306,19 @@ class TrackerConfig:
         check_range("temperature", self.temperature, *TEMPERATURE_M2, "m^2")
         check_range("activation_threshold", self.activation_threshold, 0)
         check_range("ess_fraction", self.ess_fraction, 0, 1, ends="(]")
+        check_range("translation_half_extent", self.translation_half_extent, 0, MAX_LENGTH_M, "m")
+        check_range("rotation_half_angle_deg", self.rotation_half_angle_deg, 0, 180, "degrees")
 
     @staticmethod
     def from_dict(d: dict) -> "TrackerConfig":
-        """Other keys, such as the CLI's ``prior``, are ignored."""
-        return jsonio.fields_from(TrackerConfig, d)
+        """The settings from d, the prior's from its ``prior`` object alone (``center`` is
+        prior_center); other keys are ignored."""
+        prior = d.get("prior", {})
+        if not isinstance(prior, dict):
+            raise TypeError(f"prior must be a JSON object, got {type(prior).__name__}")
+        doc = {key: value for key, value in d.items() if key not in _PRIOR_KEYS.values()}
+        doc.update((name, prior[key]) for key, name in _PRIOR_KEYS.items() if key in prior)
+        return jsonio.fields_from(TrackerConfig, doc, prior_center=PoseSE3.from_dict)
 
 
 @dataclass(frozen=True, eq=False)
@@ -542,25 +555,13 @@ def update(
 class Tracker:
     """Single-owner convenience wrapper: init once, step per tick, read the estimate."""
 
-    def __init__(
-        self,
-        obj: ObjectModel,
-        config: TrackerConfig,
-        prior_center: PoseSE3,
-        translation_half_extent,
-        rotation_half_angle: float,
-        seed: int = 0,
-    ):
+    def __init__(self, obj: ObjectModel, config: TrackerConfig, seed: int = 0):
         self.obj = obj
         self.config = config
         self.rng = np.random.default_rng(seed)
-        self.particles = init_particles(
-            prior_center,
-            translation_half_extent,
-            rotation_half_angle,
-            config.particle_count,
-            self.rng,
-        )
+        angle = float(np.deg2rad(config.rotation_half_angle_deg))
+        self.particles = init_particles(config.prior_center, config.translation_half_extent, angle,
+                                        config.particle_count, self.rng)
 
     def step(self, contacts: ContactSet) -> StepReport:
         self.particles, report = update(self.particles, contacts, self.obj, self.config, self.rng)

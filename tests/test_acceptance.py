@@ -226,10 +226,13 @@ def _run_tracking_seed(args):
     seed, model_pts, ticks, cfg_kwargs = args
     tracker = Tracker(
         ObjectModel(model_pts),
-        TrackerConfig(particle_count=2048, **cfg_kwargs),
-        prior_center=PoseSE3.identity(),
-        translation_half_extent=0.03,
-        rotation_half_angle=np.deg2rad(20.0),
+        TrackerConfig(
+            particle_count=2048,
+            prior_center=PoseSE3.identity(),
+            translation_half_extent=0.03,
+            rotation_half_angle_deg=20.0,
+            **cfg_kwargs,
+        ),
         seed=seed,
     )
     errs = []

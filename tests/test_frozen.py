@@ -121,6 +121,14 @@ def test_a_record_length_is_written_in_one_place():
     src = Path(vitac.__file__).parent
     assert sum(p.read_text().count("_U32.pack(len(") for p in src.glob("*.py")) == 1
 
+
+def test_only_the_tracker_config_names_the_prior():
+    # the tracker document's prior is read and range-checked by pose_tracker.TrackerConfig alone
+    src = Path(vitac.__file__).parent
+    for name in ("rotation_half_angle_deg", "translation_half_extent"):
+        assert [p.name for p in src.glob("*.py") if name in p.read_text()] == ["pose_tracker.py"], name
+
+
 def test_truth_forces_are_read_only():
     tick = GroundTruthTick.from_dict({"t_us": 0, "pose": PoseSE3().to_dict(),
                                       "forces": {"0": _GRID[:2, :3].tolist()}})

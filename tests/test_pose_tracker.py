@@ -95,9 +95,13 @@ def test_weight_distance_rigid_invariance():
 
 def test_weight_distance_empty_cases():
     contacts = ContactSet(np.zeros((0, 3)))
-    assert weight_distance(contacts, np.array([[0.0, 0, 0]])) == 0.0
-    with pytest.raises(InvalidInputError):
-        weight_distance(ContactSet(np.array([[0.0, 0, 0]])), np.zeros((0, 3)))
+    for distance in (weight_distance, weight_distance_bruteforce):
+        assert distance(contacts, np.array([[0.0, 0, 0]])) == 0.0
+        with pytest.raises(InvalidInputError):
+            distance(ContactSet(np.array([[0.0, 0, 0]])), np.zeros((0, 3)))
+    rng = np.random.default_rng(4)
+    g = particle_distances(_uniform_particles(rng, 5), contacts, random_model(rng, 20))
+    assert np.array_equal(g, np.zeros(5))
 
 
 def test_contacts_from_tactile_cloud():
@@ -145,7 +149,8 @@ def test_scale_weights_extreme_ratios_underflow_gracefully():
 
 @pytest.mark.parametrize("field, value", [("sigma_translation", np.nan), ("sigma_translation", np.inf),
                                           ("sigma_rotation", np.nan), ("temperature", np.nan),
-                                          ("activation_threshold", np.nan)])
+                                          ("activation_threshold", np.nan), ("translation_half_extent", np.nan),
+                                          ("rotation_half_angle_deg", np.inf)])
 def test_tracker_config_rejects_non_finite(field, value):
     with pytest.raises(InvalidInputError):
         TrackerConfig(**{field: value})
@@ -155,10 +160,26 @@ def test_tracker_config_rejects_non_finite(field, value):
                                           ("sigma_rotation", 1e300), ("sigma_rotation", 3.2),
                                           ("particle_count", 0), ("particle_count", MAX_PARTICLES + 1),
                                           ("particle_count", 2**64), ("temperature", 1e-300),
-                                          ("temperature", 1e300), ("temperature", 0.0)])
+                                          ("temperature", 1e300), ("temperature", 0.0),
+                                          ("translation_half_extent", 2.0), ("translation_half_extent", -1e-3),
+                                          ("rotation_half_angle_deg", 180.5), ("rotation_half_angle_deg", -5.0)])
 def test_tracker_config_rejects_out_of_physical_range(field, value):
     with pytest.raises(InvalidInputError, match=field):
         TrackerConfig(**{field: value})
+
+
+def test_tracker_config_reads_the_prior_from_its_prior_object_only():
+    center = {"q": [0.6, 0.0, 0.8, 0.0], "t": [0.01, 0.0, 0.0]}
+    cfg = TrackerConfig.from_dict({
+        "particle_count": 64, "translation_half_extent": 0.5, "rotation_half_angle_deg": 90.0, "prior_center": 1,
+        "prior": {"center": center, "translation_half_extent": 0.01, "rotation_half_angle_deg": 5,
+                  "particle_count": 8, "prior_center": 1},
+    })
+    assert (cfg.particle_count, cfg.translation_half_extent, cfg.rotation_half_angle_deg) == (64, 0.01, 5.0)
+    assert cfg.prior_center.to_dict() == center
+    default = TrackerConfig()
+    assert (default.translation_half_extent, default.rotation_half_angle_deg) == (0.03, 20.0)
+    assert default.prior_center.to_dict() == PoseSE3.identity().to_dict()
 
 
 def test_tracker_config_range_ends_are_allowed():
@@ -370,8 +391,8 @@ def test_particle_distances_bit_identical_to_kdtree_on_the_criterion_6_grasp(
 
 
 def test_particle_distances_bit_identical_to_kdtree_on_tracked_particles(box_model, grasp_contacts):
-    tracker = Tracker(box_model, TrackerConfig(particle_count=256), PoseSE3.identity(), 0.03,
-                      np.deg2rad(20.0), seed=3)
+    tracker = Tracker(box_model, TrackerConfig(particle_count=256, prior_center=PoseSE3.identity(),
+                                               translation_half_extent=0.03, rotation_half_angle_deg=20.0), seed=3)
     for _ in range(12):
         tracker.step(grasp_contacts)
     particles = tracker.particles
@@ -385,16 +406,18 @@ def test_tracker_run_bit_identical_to_the_kdtree_oracle_run(monkeypatch, box_mod
     # and estimate follow from g, so the two runs agree bit for bit only if every g does
     if kind == "static":
         contacts = [_episode_contacts(_grasp_scene(((0.0, PoseSE3.identity()),)), 1)[0][0]] * 12
-        config = TrackerConfig(particle_count=256)
+        config = TrackerConfig(particle_count=256, prior_center=PoseSE3.identity(), translation_half_extent=0.03,
+                               rotation_half_angle_deg=20.0)
     else:
         spin_end = PoseSE3.from_rotvec(np.deg2rad(50.0) * np.array([0.0, 0, 1.0]))
         scene = _grasp_scene(((0.0, PoseSE3.identity()), (5.0, spin_end)))
         contacts = [c for c, _ in _episode_contacts(scene, 12)]
-        config = TrackerConfig(particle_count=256, sigma_rotation=0.05)
+        config = TrackerConfig(particle_count=256, sigma_rotation=0.05, prior_center=PoseSE3.identity(),
+                               translation_half_extent=0.03, rotation_half_angle_deg=20.0)
     runs = []
     for distances in (particle_distances, _kdtree_particle_distances):
         monkeypatch.setattr(pose_tracker, "particle_distances", distances)
-        tracker = Tracker(box_model, config, PoseSE3.identity(), 0.03, np.deg2rad(20.0), seed=5)
+        tracker = Tracker(box_model, config, seed=5)
         reports = [tracker.step(c) for c in contacts]
         pose, diag = tracker.estimate()
         p = tracker.particles
@@ -449,8 +472,8 @@ def test_a_tracker_run_is_bit_identical_on_one_and_two_cpus(monkeypatch, box_mod
     runs, interval = [], sys.getswitchinterval()
     for n in (1, 2):
         started = _cpus(monkeypatch, n)
-        tracker = Tracker(box_model, TrackerConfig(particle_count=k), PoseSE3.identity(), 0.03,
-                          np.deg2rad(20.0), seed=7)
+        tracker = Tracker(box_model, TrackerConfig(particle_count=k, prior_center=PoseSE3.identity(),
+                                                   translation_half_extent=0.03, rotation_half_angle_deg=20.0), seed=7)
         sys.setswitchinterval(1e-5)  # the runners hand over the interpreter lock often, so that a race shows
         try:
             reports = [tracker.step(grasp_contacts) for _ in range(4)]
@@ -757,10 +780,11 @@ def test_tracker_deterministic():
     rng = np.random.default_rng(19)
     obj = random_model(rng, 120)
     contacts = ContactSet(obj.points[:25])
-    cfg = TrackerConfig(particle_count=128)
+    cfg = TrackerConfig(particle_count=128, prior_center=PoseSE3.identity(), translation_half_extent=0.02,
+                        rotation_half_angle_deg=float(np.rad2deg(0.2)))
     runs = []
     for _ in range(2):
-        tr = Tracker(obj, cfg, PoseSE3.identity(), 0.02, 0.2, seed=123)
+        tr = Tracker(obj, cfg, seed=123)
         for _ in range(5):
             tr.step(contacts)
         est, _ = tr.estimate()
