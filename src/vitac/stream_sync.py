@@ -400,6 +400,8 @@ def _decode_tuple(buf: memoryview, context: str, keep=None) -> SyncedTuple:
     members = {}
     for _ in range(n_members):
         sid = r.read_str()
+        if sid in members:
+            raise EpisodeLoadError(f"{r.context}: stream {sid!r} appears twice")
         (ts,) = r.unpack(_MEMBER_TS)
         members[sid] = TimedSample(sid, ts, _read_payload(r, keep is None or sid.startswith(keep)))
     return SyncedTuple(tick, members)
@@ -423,8 +425,9 @@ def _header_fields(header: dict) -> tuple:
 
 
 def write_episode(episode: Episode, path) -> None:
-    """episode as a .vtep file at path; a header that read_episode would refuse is an
-    InvalidInputError, and nothing is written."""
+    """episode as a .vtep file at path; a header that read_episode would refuse, or a tuple
+    whose stream ids are not the episode's streams, is an InvalidInputError, and nothing is
+    written."""
     header = {
         "rate_hz": episode.rate_hz,
         "tolerance_us": episode.tolerance_us,
@@ -437,11 +440,21 @@ def write_episode(episode: Episode, path) -> None:
         header = json.dumps(header, allow_nan=False).encode("utf-8")
     except (TypeError, ValueError, OverflowError) as exc:  # InvalidInputError is a ValueError
         raise InvalidInputError(f"{path}: bad header ({exc})") from None
+    streams = set(episode.streams)
+    for tup in episode.tuples:
+        _check_streams(tup, streams, InvalidInputError, f"{path}: tick {tup.tick_time_us}")
     with open(path, "wb") as fh:
         fh.write(_EPISODE_HEAD.pack(EPISODE_MAGIC, EPISODE_VERSION, len(header)))
         fh.write(header)
         for tup in episode.tuples:
             _write_record(fh, tup)
+
+
+def _check_streams(tup: SyncedTuple, streams: set, error: type, where: str) -> SyncedTuple:
+    """tup, when its stream ids are streams; else error(where: ...)."""
+    if tup.members.keys() != streams:
+        raise error(f"{where}: stream ids {sorted(tup.members)} are not the episode's streams {sorted(streams)}")
+    return tup
 
 
 def _write_record(fh, tup: SyncedTuple) -> None:
@@ -489,7 +502,8 @@ def _read_record(r: _Reader, keep=None) -> SyncedTuple:
 
 
 def read_episode(path, keep=None) -> Episode:
-    """The episode in the .vtep file at path.
+    """The episode in the .vtep file at path. A record whose stream ids repeat, or are not
+    the header's streams, is an EpisodeLoadError.
 
     keep: a tuple of stream-id prefixes, such as (TACTILE_PREFIX, JOINTS_STREAM), or () for
     none; only the payloads of members whose stream ids start with one of them are built.
@@ -513,10 +527,10 @@ def read_episode(path, keep=None) -> Episode:
             raise EpisodeLoadError(f"{path}: header lacks {exc}") from None
         except (TypeError, ValueError, OverflowError) as exc:  # InvalidInputError is a ValueError
             raise EpisodeLoadError(f"{path}: bad header ({exc})") from None
-        tuples = []
+        tuples, wanted = [], set(streams)
         for i in range(tuple_count):
             r.context = f"{path} record {i}"
-            tuples.append(_read_record(r, keep))
+            tuples.append(_check_streams(_read_record(r, keep), wanted, EpisodeLoadError, r.context))
     return Episode(rate_hz, tolerance_us, streams, tuples, metadata)
 
 

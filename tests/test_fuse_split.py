@@ -44,15 +44,16 @@ def inputs(tmp_path_factory):
 
 
 def _episode(inputs, tmp_path, n, bad=()):
-    """The first n ticks of the episode, with tactile/0 renamed tactile/bad<k> in each tick k of bad."""
+    """The first n ticks of the episode, with tactile/0's frame from pad 100 + k in each tick k of bad."""
     ep = read_episode(inputs / "ep.vtep")
     assert len(ep.tuples) == 10
     tuples = []
     for k, tup in enumerate(ep.tuples[:n]):
         members = dict(tup.members)
         if k in bad:
-            sid = f"tactile/bad{k}"
-            members[sid] = TimedSample(sid, tup.tick_time_us, members.pop("tactile/0").payload)
+            frame = members["tactile/0"].payload
+            members["tactile/0"] = TimedSample("tactile/0", tup.tick_time_us,
+                                               TactileFrame(100 + k, frame.timestamp_us, frame.readings))
         tuples.append(SyncedTuple(tup.tick_time_us, members))
     path = tmp_path / "ep.vtep"
     write_episode(Episode(ep.rate_hz, ep.tolerance_us, ep.streams, tuples), path)
@@ -84,14 +85,14 @@ def test_two_processes_write_the_serial_bytes(tmp_path, monkeypatch, capfd, inpu
     assert len(read_episode(split).tuples) == n
 
 
-# the ticks whose tactile/0 is renamed: tick 0 fails before the fork, and of the others the
-# even ones are the worker's
+# the ticks whose tactile/0 frame does not fit pad 0's calibration: tick 0 fails before the
+# fork, and of the others the even ones are the worker's
 @pytest.mark.parametrize("bad", [(0,), (1,), (2,), (1, 2), (2, 3), (4, 7)])
 def test_first_bad_tick_gives_the_serial_error(tmp_path, monkeypatch, capfd, inputs, bad):
     episode = _episode(inputs, tmp_path, 10, bad)
     code, err, _ = _fuse(monkeypatch, capfd, inputs, episode, tmp_path / "serial.vtep", cpus=1)
     assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
-    assert f"tactile/bad{bad[0]}" in err
+    assert f"frame pad {100 + bad[0]}\n" in err
     forks = int(bad[0] > 0)
     assert _fuse(monkeypatch, capfd, inputs, episode, tmp_path / "split.vtep", cpus=2) == (code, err, forks)
 

@@ -458,6 +458,41 @@ def test_write_episode_refuses_a_payload_without_a_format(tmp_path):
         write_episode(ep, tmp_path / "dict.vtep")
 
 
+@pytest.mark.parametrize("sids", [["tactile/7"], [JOINTS_STREAM, "tactile/7"], []])
+def test_write_episode_refuses_a_tuple_whose_stream_ids_are_not_the_episodes(tmp_path, sids):
+    joints = JointState([0.0], 0)
+    good = SyncedTuple(0, {JOINTS_STREAM: TimedSample(JOINTS_STREAM, 0, joints)})
+    bad = SyncedTuple(100_000, {sid: TimedSample(sid, 100_000, joints) for sid in sids})
+    path = tmp_path / "ep.vtep"
+    with pytest.raises(InvalidInputError, match=re.escape(
+            f"tick 100000: stream ids {sorted(sids)} are not the episode's streams ['joints']")):
+        write_episode(Episode(10.0, 0, [JOINTS_STREAM], [good, bad]), path)
+    assert not path.exists()
+
+
+# a record's stream ids -> the error that reading it gives
+BAD_RECORD_IDS = {
+    "repeated": (["joints", "joints"], "record 1: stream 'joints' appears twice"),
+    "other": (["tactile/7"], "record 1: stream ids ['tactile/7'] are not the episode's streams ['joints']"),
+    "extra": (["joints", "tactile/7"], "record 1: stream ids ['joints', 'tactile/7'] are not the episode's streams"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_RECORD_IDS))
+@pytest.mark.parametrize("keep", [None, ()])
+def test_episode_record_whose_stream_ids_are_not_the_headers_is_load_error(tmp_path, kind, keep):
+    sids, error = BAD_RECORD_IDS[kind]
+    joints = PAYLOAD_CASES["joints"][1]
+    body = struct.pack("<qH", 100_000, len(sids)) + b"".join(
+        struct.pack("<H", len(sid)) + sid.encode() + struct.pack("<q", 0) + joints for sid in sids)
+    bad = struct.pack("<I", len(body)) + body + struct.pack("<I", zlib.crc32(body))
+    header = {"rate_hz": 10.0, "tolerance_us": 0, "streams": ["joints"], "tuple_count": 2}
+    path = tmp_path / "ep.vtep"
+    path.write_bytes(_episode_bytes(header, _record(0, "joints", 0, joints) + bad))
+    with pytest.raises(EpisodeLoadError, match=re.escape(error)):
+        read_episode(path, keep)
+
+
 def test_episode_stats_aligned():
     ep = make_episode(30)
     stats = episode_stats(ep)
