@@ -38,7 +38,7 @@ MANIFEST = Path(__file__).with_name("golden.json")
 GRIP_ROT = np.array([[0.0, 0, -1], [0, 1, 0], [1, 0, 0]])
 _PRIOR = {"center": PoseSE3.identity().to_dict(), "translation_half_extent": 0.03, "rotation_half_angle_deg": 20.0}
 
-# (name, argv, the files it writes); the commands after SERIAL run once per CPU count
+# (name, argv, the files it writes); fuse and the commands after it run once per CPU count
 COMMANDS = [
     ("calibrate", ["calibrate", "--samples", "samples.csv", "--out", "calib.json", "--pad-id", "1"],
      ["calib.json"]),
@@ -60,7 +60,7 @@ COMMANDS = [
     *[(f"eval-{scene}", ["eval", "--poses", f"{scene}.poses.jsonl", "--truth", f"{scene}.truth.jsonl"], [])
       for scene in ("box", "rotating")],
 ]
-SERIAL = 8  # calibrate, decode, sync, stats and the four simulates
+SERIAL = [name for name, _, _ in COMMANDS].index("fuse")
 
 
 def versions() -> dict:

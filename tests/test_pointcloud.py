@@ -108,6 +108,11 @@ def test_crop_inclusive_boundary():
     assert len(crop_aabb(cloud, disjoint)) == 0
 
 
+def test_box_refuses_a_min_corner_above_its_max():
+    with pytest.raises(InvalidInputError, match="box min corner exceeds max corner"):
+        AABB([0.0, 0.0, 1.0], [1.0, 1.0, 0.5])
+
+
 def test_crop_idempotent():
     rng = np.random.default_rng(1)
     cloud = random_cloud(rng, 500)

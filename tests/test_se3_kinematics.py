@@ -20,7 +20,15 @@ from vitac.kinematics import (
     taxel_points,
 )
 from vitac.pointcloud import BASE_FRAME
-from vitac.se3 import PoseSE3, quat_multiply, quat_normalize, rotvec_to_quat
+from vitac.se3 import (
+    PoseSE3,
+    matrix_to_quat,
+    quat_multiply,
+    quat_normalize,
+    quat_slerp,
+    quat_to_matrix,
+    rotvec_to_quat,
+)
 from vitac.sensor_model import TactileFrame
 
 
@@ -105,6 +113,21 @@ def test_rotvec_roundtrip():
     v = rng.normal(size=3)
     p = PoseSE3.from_rotvec(v)
     assert np.allclose(p.rotation_matrix(), _axis_angle_matrix(v / np.linalg.norm(v), np.linalg.norm(v)), atol=1e-12)
+
+
+# near a half turn the matrix's trace is negative, and the quaternion read off its largest
+# diagonal entry has w < 0 about -x, so it is flipped
+@pytest.mark.parametrize("rotvec", [[0.3, -0.2, 0.1], [-(np.pi - 0.1), 0.0, 0.0], [0.0, 0.5, np.pi - 0.2]])
+def test_matrix_to_quat_inverts_quat_to_matrix_with_w_at_least_0(rotvec):
+    q = rotvec_to_quat(np.array(rotvec))
+    back = matrix_to_quat(quat_to_matrix(q))
+    assert back[0] >= 0.0 and np.allclose(back, q, atol=1e-12)
+
+
+def test_quat_slerp_takes_the_short_arc_when_the_dot_is_negative():
+    q1, q2 = rotvec_to_quat(np.array([0.0, 0.0, 0.2])), rotvec_to_quat(np.array([0.0, 0.0, 0.6]))
+    for end in (q2, -q2):
+        assert np.allclose(quat_slerp(q1, end, 0.5), rotvec_to_quat(np.array([0.0, 0.0, 0.4])), atol=1e-12)
 
 
 def test_pose_renormalizes_non_unit_quaternion():
