@@ -3,7 +3,9 @@
 Readers build their value with parse(doc). A document that is not UTF-8 JSON, holds a
 number that is not finite (NaN, Infinity, or one too large for a float), lacks a key that
 parse reads, or holds a value of the wrong type or shape raises InvalidInputError naming
-the file (and, for JSON lines, the line).
+the file (and, for JSON lines, the line). fields_from and fields_to map a dataclass from and
+to its document, one key per field; a key other than the field's name is declared on the
+field, as field(metadata={"key": ...}).
 """
 
 import json
@@ -78,16 +80,43 @@ def write_jsonl(path, docs) -> int:
     return n
 
 
+def _key(f) -> str:
+    """The document key of dataclass field f: its metadata "key", else its name."""
+    return f.metadata.get("key", f.name)
+
+
 def fields_from(cls, d: dict, *required: str, **convert):
-    """A dataclass from d: a key's value goes through convert[key], else its default's type;
-    a missing key takes the dataclass default, or is a KeyError for a field without one or
-    named in required. Other keys are ignored."""
+    """A dataclass from d, each field read from its key: the value goes through convert[field]
+    (None passes it as is), else its default's type; a missing key takes the dataclass
+    default, or is a KeyError naming the key for a field without one or named in required.
+    Other keys are ignored."""
     if not isinstance(d, dict):
         raise TypeError(f"expected a JSON object for {cls.__name__}, got {type(d).__name__}")
     kwargs = {}
     for f in fields(cls):
-        if f.name in d:
-            kwargs[f.name] = convert.get(f.name, type(f.default))(d[f.name])
+        key = _key(f)
+        if key in d:
+            conv = convert.get(f.name, type(f.default))
+            kwargs[f.name] = d[key] if conv is None else conv(d[key])
         elif f.name in required or (f.default is MISSING and f.default_factory is MISSING):
-            raise KeyError(f.name)
+            raise KeyError(key)
     return cls(**kwargs)
+
+
+def fields_to(obj, **convert) -> dict:
+    """Dataclass obj as the document fields_from reads, each field under its key: the value
+    goes through convert[field], else becomes its to_dict() or tolist() when it has one. A
+    field holding None is left out."""
+    doc = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if value is None:
+            continue
+        if f.name in convert:
+            value = convert[f.name](value)
+        elif hasattr(value, "to_dict"):
+            value = value.to_dict()
+        elif hasattr(value, "tolist"):
+            value = value.tolist()
+        doc[_key(f)] = value
+    return doc

@@ -8,7 +8,7 @@ order of a tactile frame.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,7 +44,7 @@ class Link:
             raise InvalidInputError(f"joint axis must be unit norm, got |axis|={norm}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KinematicChain:
     links: tuple
 
@@ -85,20 +85,20 @@ class TaxelGrid:
         check_range("pitch", self.pitch, 0, MAX_LENGTH_M, "m", "(]")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return jsonio.fields_to(self)
 
     @staticmethod
     def from_dict(d: dict) -> "TaxelGrid":
         return jsonio.fields_from(TaxelGrid, d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PadMount:
     """Placement of one sensor pad: which link, where on it, and its grid."""
 
     pad_id: int
-    link_index: int
-    mount_transform: PoseSE3 = field(default_factory=PoseSE3.identity)
+    link_index: int = field(metadata={"key": "link"})
+    mount_transform: PoseSE3 = field(default_factory=PoseSE3.identity, metadata={"key": "transform"})
     grid: TaxelGrid = field(default_factory=TaxelGrid)
 
 
@@ -155,43 +155,21 @@ def tactile_point_cloud(frames, chain: KinematicChain, joints: JointState, mount
     return CloudXYZF(np.concatenate([np.zeros((0, CloudXYZF.WIDTH)), *blocks]), BASE_FRAME)
 
 
-def _link_to_dict(link: Link) -> dict:
-    d = {"fixed": link.fixed.to_dict(), "joint": link.joint}
-    if link.axis is not None:
-        d["axis"] = link.axis.tolist()
-    return d
-
-
-def _link_from_dict(d: dict) -> Link:
-    return Link(PoseSE3.from_dict(d["fixed"]), joint=d.get("joint", FIXED), axis=d.get("axis"))
-
-
-def _mount_to_dict(mount: PadMount) -> dict:
-    return {
-        "pad_id": mount.pad_id,
-        "link": mount.link_index,
-        "transform": mount.mount_transform.to_dict(),
-        "grid": mount.grid.to_dict(),
-    }
-
-
-def _mount_from_dict(d: dict) -> PadMount:
-    return PadMount(
-        pad_id=int(d["pad_id"]),
-        link_index=int(d["link"]),
-        mount_transform=PoseSE3.from_dict(d["transform"]),
-        grid=TaxelGrid.from_dict(d.get("grid", {})),
-    )
-
-
 def _chain_from_dict(doc: dict) -> tuple[KinematicChain, list[PadMount]]:
-    chain = KinematicChain(tuple(_link_from_dict(d) for d in doc["links"]))
-    return chain, [_mount_from_dict(d) for d in doc.get("mounts", [])]
+    # Link checks its joint and axis itself, so they pass as read
+    chain = KinematicChain(
+        tuple(jsonio.fields_from(Link, d, fixed=PoseSE3.from_dict, joint=None, axis=None) for d in doc["links"])
+    )
+    return chain, [
+        jsonio.fields_from(PadMount, d, "mount_transform", pad_id=int, link_index=int,
+                           mount_transform=PoseSE3.from_dict, grid=TaxelGrid.from_dict)
+        for d in doc.get("mounts", [])
+    ]
 
 
 def save_chain_file(path, chain: KinematicChain, mounts) -> None:
-    links = [_link_to_dict(link) for link in chain.links]
-    jsonio.write_json(path, {"links": links, "mounts": [_mount_to_dict(m) for m in mounts]})
+    links = [jsonio.fields_to(link) for link in chain.links]
+    jsonio.write_json(path, {"links": links, "mounts": [jsonio.fields_to(m) for m in mounts]})
 
 
 def load_chain_file(path) -> tuple[KinematicChain, list[PadMount]]:

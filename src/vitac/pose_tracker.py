@@ -284,7 +284,7 @@ _PRIOR_KEYS = {"center": "prior_center", "translation_half_extent": "translation
                "rotation_half_angle_deg": "rotation_half_angle_deg"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrackerConfig:
     """Filter settings and the prior that init_particles draws from. particle_count is at most
     MAX_PARTICLES: a step holds about 300 bytes per particle, so the largest filter takes about 0.6 GB."""

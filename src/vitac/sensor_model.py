@@ -8,7 +8,8 @@ the ADC range ``[0, r_max]``.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -71,7 +72,7 @@ class TaxelResponseModel:
         return min(self.a * np.log(self.f_sat) + self.b, float(self.r_max))
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return jsonio.fields_to(self)
 
     @staticmethod
     def from_dict(d: dict) -> "TaxelResponseModel":
@@ -221,20 +222,15 @@ class PadCalibration:
         object.__setattr__(self, "pad_id", int(self.pad_id))
 
     def to_dict(self) -> dict:
-        return {
-            "pad_id": self.pad_id,
-            "gain": self.gain.tolist(),
-            "offset": self.offset.tolist(),
-            "model": self.model.to_dict(),
-        }
+        return jsonio.fields_to(self)
 
     @staticmethod
     def from_dict(d: dict) -> "PadCalibration":
-        return PadCalibration(
-            pad_id=int(d["pad_id"]),
-            gain=np.asarray(d["gain"], dtype=np.float64),
-            offset=np.asarray(d["offset"], dtype=np.float64),
-            model=TaxelResponseModel.from_dict(d["model"]),
+        """A file states every field: gain, offset and model have defaults only in Python."""
+        as_array = partial(np.asarray, dtype=np.float64)
+        return jsonio.fields_from(
+            PadCalibration, d, "gain", "offset", "model",
+            pad_id=int, gain=as_array, offset=as_array, model=TaxelResponseModel.from_dict,
         )
 
     def save(self, path) -> None:

@@ -10,7 +10,7 @@ quantity is deterministic given the scene seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -182,11 +182,11 @@ def joints_for_aperture(gap: float, timestamp_us: int = 0) -> JointState:
     return JointState(np.array([gap / 2.0, -gap]), timestamp_us)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SceneSpec:
     """Everything needed to render a deterministic contact episode."""
 
-    obj: Primitive
+    obj: Primitive = field(metadata={"key": "object"})
     object_trajectory: tuple  # ((t_seconds, PoseSE3), ...)
     aperture_trajectory: tuple  # ((t_seconds, gap_meters), ...)
     gripper_pose: PoseSE3 = field(default_factory=PoseSE3.identity)
@@ -224,19 +224,19 @@ class SceneSpec:
         return _interp(self.aperture_trajectory, t, "aperture trajectory", _blend_scalars)
 
     def to_dict(self) -> dict:
-        """Every field in order, obj as "object"; value types write themselves, trajectories as keys."""
-        doc = {("object" if f.name == "obj" else f.name): getattr(self, f.name) for f in fields(self)}
-        doc = {key: value.to_dict() if hasattr(value, "to_dict") else value for key, value in doc.items()}
-        doc["object_trajectory"] = [{"t": t, "pose": p.to_dict()} for t, p in self.object_trajectory]
-        doc["aperture_trajectory"] = [{"t": t, "gap": g} for t, g in self.aperture_trajectory]
-        return doc
+        """Every field in order; value types write themselves, trajectories as keys."""
+        return jsonio.fields_to(
+            self,
+            object_trajectory=lambda keys: [{"t": t, "pose": p.to_dict()} for t, p in keys],
+            aperture_trajectory=lambda keys: [{"t": t, "gap": g} for t, g in keys],
+        )
 
     @staticmethod
     def from_dict(d: dict) -> "SceneSpec":
-        """The file names obj "object"; keys it leaves out take the dataclass defaults."""
+        """Keys the file leaves out take the dataclass defaults."""
         return jsonio.fields_from(
             SceneSpec,
-            {**d, "obj": d["object"]},
+            d,
             obj=Primitive.from_dict,
             object_trajectory=lambda keys: tuple((k["t"], PoseSE3.from_dict(k["pose"])) for k in keys),
             aperture_trajectory=lambda keys: tuple((k["t"], k["gap"]) for k in keys),
@@ -273,7 +273,7 @@ def _blend_scalars(v0: float, v1: float, alpha: float) -> float:
     return (1.0 - alpha) * v0 + alpha * v1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContactSnapshot:
     """Simulator output for one instant."""
 
@@ -313,7 +313,7 @@ def simulate_contact(scene: SceneSpec, t: float) -> ContactSnapshot:
     return ContactSnapshot(t_us, pose_obj, gap, joints, forces, frames)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruthTick:
     t_us: int
     pose: PoseSE3
@@ -321,13 +321,6 @@ class GroundTruthTick:
 
     def __post_init__(self):
         freeze_mapping(self, "forces", read_only)
-
-    def to_dict(self) -> dict:
-        return {
-            "t_us": self.t_us,
-            "pose": self.pose.to_dict(),
-            "forces": {str(k): v.tolist() for k, v in self.forces.items()},
-        }
 
     @staticmethod
     def from_dict(d: dict) -> "GroundTruthTick":
@@ -338,7 +331,7 @@ class GroundTruthTick:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruth:
     ticks: tuple
 
@@ -346,7 +339,8 @@ class GroundTruth:
         return [(tick.t_us, tick.pose) for tick in self.ticks]
 
     def save_jsonl(self, path) -> None:
-        jsonio.write_jsonl(path, (tick.to_dict() for tick in self.ticks))
+        docs = (jsonio.fields_to(t, forces=lambda f: {str(k): v.tolist() for k, v in f.items()}) for t in self.ticks)
+        jsonio.write_jsonl(path, docs)
 
     @staticmethod
     def load_jsonl(path) -> "GroundTruth":

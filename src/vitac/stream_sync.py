@@ -113,17 +113,13 @@ class DroppedTick:
 @dataclass
 class DropReport:
     ticks_total: int = 0
-    dropped: list = field(default_factory=list)
-    per_stream: dict = field(default_factory=dict)
+    dropped: list = field(default_factory=list, metadata={"key": "dropped_ticks"})
+    per_stream: dict = field(default_factory=dict, metadata={"key": "drops_by_stream"})
 
     def to_metadata(self) -> dict:
-        return {
-            "ticks_total": self.ticks_total,
-            "dropped_ticks": [
-                {"tick_time_us": d.tick_time_us, "missing": list(d.missing)} for d in self.dropped
-            ],
-            "drops_by_stream": dict(self.per_stream),
-        }
+        return jsonio.fields_to(
+            self, dropped=lambda ticks: [jsonio.fields_to(d, missing=list) for d in ticks], per_stream=dict
+        )
 
 
 def tick_grid(rate_hz: float, start_us: int, end_us: int) -> range:

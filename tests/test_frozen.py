@@ -129,6 +129,13 @@ def test_only_the_tracker_config_names_the_prior():
         assert [p.name for p in src.glob("*.py") if name in p.read_text()] == ["pose_tracker.py"], name
 
 
+def test_only_jsonio_walks_a_dataclass_s_fields():
+    # every value type maps to and from its document through jsonio.fields_to and fields_from
+    src = Path(vitac.__file__).parent
+    users = sorted(p.name for p in src.glob("*.py") if re.search(r"\b(asdict|fields)\(", p.read_text()))
+    assert users == ["jsonio.py"]
+
+
 def test_truth_forces_are_read_only():
     tick = GroundTruthTick.from_dict({"t_us": 0, "pose": PoseSE3().to_dict(),
                                       "forces": {"0": _GRID[:2, :3].tolist()}})

@@ -1,0 +1,157 @@
+"""Value types map to and from their JSON documents through jsonio.fields_to and fields_from."""
+
+import json
+
+import numpy as np
+import pytest
+
+from vitac import jsonio
+from vitac.errors import InvalidInputError
+from vitac.kinematics import (
+    FIXED,
+    PRISMATIC,
+    REVOLUTE,
+    JointState,
+    KinematicChain,
+    Link,
+    PadMount,
+    load_chain_file,
+    save_chain_file,
+)
+from vitac.pose_tracker import TrackerConfig
+from vitac.se3 import PoseSE3
+from vitac.sensor_model import PadCalibration, TactileFrame, TaxelResponseModel
+from vitac.sim_oracle import ContactSnapshot, GroundTruth, GroundTruthTick, Primitive, SceneSpec
+from vitac.stream_sync import Episode, TimedSample, align, read_episode, write_episode
+
+_POSE = PoseSE3(np.array([0.9, 0.1, 0.2, 0.3]), np.array([0.01, -0.02, 0.3]))
+_RNG = np.random.default_rng(22)
+
+
+def _calibration():
+    model = TaxelResponseModel(a=80.5, b=12.25, r_max=4095)
+    return PadCalibration(2, _RNG.uniform(0.5, 2, (16, 16)), _RNG.uniform(-5, 5, (16, 16)), model)
+
+
+def _chain_doc(path):
+    # a prismatic, a revolute and a fixed link, and a mount that leaves out its grid
+    doc = {
+        "links": [
+            {"fixed": _POSE.to_dict(), "joint": PRISMATIC, "axis": [1.0, 0.0, 0.0]},
+            {"fixed": PoseSE3.identity().to_dict(), "joint": REVOLUTE, "axis": [0.0, 0.0, 1.0]},
+            {"fixed": _POSE.to_dict()},
+        ],
+        "mounts": [{"pad_id": 3, "link": 2, "transform": _POSE.to_dict()}],
+    }
+    path.write_text(json.dumps(doc))
+    return load_chain_file(path)
+
+
+def _scene(obj):
+    return SceneSpec(obj, ((0.0, PoseSE3.identity()), (1.0, _POSE)), ((0.0, 0.08), (1.0, 0.03)),
+                     gripper_pose=_POSE, stiffness=1500.0, noise_sigma=1.5, seed=3)
+
+
+def _truth():
+    forces = {0: _RNG.uniform(0, 5, (16, 16)), 1: np.zeros((16, 16))}
+    return GroundTruth((GroundTruthTick(0, PoseSE3.identity(), forces), GroundTruthTick(100_000, _POSE, forces)))
+
+
+def _synced_episode():
+    # the drop report that sync writes into an episode's header, with ticks dropped for each stream
+    times = {"a": (0, 100_000, 300_000, 400_000), "b": (0, 200_000, 400_000)}
+    streams = {sid: [TimedSample(sid, t, JointState([0.0], t)) for t in ts] for sid, ts in times.items()}
+    tuples, report = align(streams, 10.0, 1_000)
+    return Episode(10.0, 1_000, sorted(streams), tuples, {"drop_report": report.to_metadata()})
+
+
+# case -> (the value, made with a scratch path; write(value, path); read(path))
+CASES = {
+    "calibration": (lambda p: _calibration(), lambda v, p: v.save(p), PadCalibration.load),
+    "response-model": (lambda p: _calibration().model, lambda v, p: jsonio.write_json(p, v.to_dict()),
+                       lambda p: jsonio.read_json(p, TaxelResponseModel.from_dict)),
+    "chain": (_chain_doc, lambda v, p: save_chain_file(p, *v), load_chain_file),
+    **{f"scene-{kind}": (lambda p, obj=obj: _scene(obj), lambda v, p: v.save(p), SceneSpec.load)
+       for kind, obj in (("box", Primitive.box(0.04, 0.05, 0.06)), ("cylinder", Primitive.cylinder(0.02, 0.07)),
+                         ("sphere", Primitive.sphere(0.03)))},
+    "truth": (lambda p: _truth(), lambda v, p: v.save_jsonl(p), GroundTruth.load_jsonl),
+    "drop-report": (lambda p: _synced_episode(), lambda v, p: write_episode(v, p), read_episode),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_a_document_read_and_written_again_keeps_its_bytes(tmp_path, case):
+    make, write, read = CASES[case]
+    p1, p2, p3 = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+    write(make(tmp_path / "given"), p1)
+    write(read(p1), p2)
+    write(read(p2), p3)
+    assert p1.read_bytes() == p2.read_bytes() == p3.read_bytes()
+
+
+def test_documents_carry_the_declared_keys(tmp_path):
+    scene = json.loads(json.dumps(_scene(Primitive.sphere(0.03)).to_dict()))
+    assert list(scene)[:3] == ["object", "object_trajectory", "aperture_trajectory"] and "obj" not in scene
+
+    save_chain_file(tmp_path / "chain.json", *_chain_doc(tmp_path / "given.json"))
+    chain = json.loads((tmp_path / "chain.json").read_text())
+    assert [list(link) for link in chain["links"]] == [["fixed", "joint", "axis"]] * 2 + [["fixed", "joint"]]
+    assert chain["links"][2]["joint"] == FIXED
+    # a mount read without a grid is written with the default one
+    assert chain["mounts"] == [{"pad_id": 3, "link": 2, "transform": _POSE.to_dict(),
+                                "grid": {"rows": 16, "cols": 16, "pitch": 1.75e-3}}]
+
+    write_episode(_synced_episode(), tmp_path / "synced.vtep")
+    report = read_episode(tmp_path / "synced.vtep").metadata["drop_report"]
+    assert report == {
+        "ticks_total": 5,
+        "dropped_ticks": [{"tick_time_us": 100_000, "missing": ["b"]},
+                          {"tick_time_us": 200_000, "missing": ["a"]},
+                          {"tick_time_us": 300_000, "missing": ["b"]}],
+        "drops_by_stream": {"a": 1, "b": 2},
+    }
+
+    calib = _calibration().to_dict()
+    assert list(calib) == ["pad_id", "gain", "offset", "model"]
+    assert list(calib["model"]) == ["a", "b", "f_min", "f_sat", "r_max"]
+    # a field is read under its document key only
+    doc = {**_scene(Primitive.sphere(0.03)).to_dict(), "obj": {"kind": "box", "size": [0.1, 0.1, 0.1]}}
+    assert SceneSpec.from_dict(doc).obj.kind == "sphere"
+
+
+_LINK = {"fixed": _POSE.to_dict()}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"links": [_LINK], "mounts": [{"pad_id": 0, "link": 0}]}, "missing key 'transform'"),
+    ({"links": [_LINK], "mounts": [{"pad_id": 0, "transform": _POSE.to_dict()}]}, "missing key 'link'"),
+    ({"links": [_LINK], "mounts": [{"link": 0, "transform": _POSE.to_dict()}]}, "missing key 'pad_id'"),
+    ({"links": [[]]}, "expected a JSON object for Link, got list"),
+    ({"links": [_LINK], "mounts": [5]}, "expected a JSON object for PadMount, got int"),
+])
+def test_a_chain_file_error_names_the_key_as_the_file_spells_it(tmp_path, doc, message):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidInputError, match=message):
+        load_chain_file(path)
+
+
+_FORCES = {0: np.zeros((2, 2))}
+_IDENTITY_EQ = {
+    "TrackerConfig": TrackerConfig,
+    "PadMount": lambda: PadMount(0, 0),
+    "KinematicChain": lambda: KinematicChain((Link(_POSE, PRISMATIC, np.array([1.0, 0.0, 0.0])),)),
+    "SceneSpec": lambda: _scene(Primitive.sphere(0.03)),
+    "ContactSnapshot": lambda: ContactSnapshot(0, _POSE, 0.05, JointState([0.025, -0.05]), _FORCES,
+                                               {0: TactileFrame(0, 0, np.zeros((16, 16)))}),
+    "GroundTruthTick": lambda: GroundTruthTick(0, _POSE, _FORCES),
+    "GroundTruth": lambda: GroundTruth((GroundTruthTick(0, _POSE, _FORCES),)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_IDENTITY_EQ))
+def test_value_types_holding_poses_or_arrays_compare_and_hash_by_identity(kind):
+    # comparing field by field would compare arrays, which raises, and would hash read-only mappings
+    a, b = _IDENTITY_EQ[kind](), _IDENTITY_EQ[kind]()
+    assert a == a and a != b
+    assert len({a, a, b}) == 2
