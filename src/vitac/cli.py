@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, jsonio
+from . import __version__, frame_codec, jsonio
 from .errors import InvalidInputError, VitacError, check_range
 from .frame_codec import StreamDecoder
 from .kinematics import JointState, load_chain_file, tactile_point_cloud
@@ -35,7 +35,7 @@ from .pointcloud import (
 )
 from .pose_tracker import ContactSet, ObjectModel, Tracker, TrackerConfig
 from .se3 import PoseSE3, quat_geodesic_angle
-from .sensor_model import PadCalibration, TactileFrame, TaxelResponseModel, fit_response
+from .sensor_model import PadCalibration, TaxelResponseModel, fit_response
 from .sim_oracle import MAX_OBJECT_POINTS, GroundTruth, SceneSpec, render_episode, sample_object_cloud
 from .stream_sync import (
     DEFAULT_RATE_HZ,
@@ -124,31 +124,16 @@ def cmd_calibrate(args) -> dict:
 
 def cmd_decode(args) -> dict:
     decoder = StreamDecoder()
-    with open(_require_file(args.infile), "rb") as fin:
-        frames = (
-            {
-                "pad_id": frame.pad_id,
-                "seq": frame.seq,
-                "timestamp_us": frame.timestamp_us,
-                "readings": frame.readings.tolist(),
-            }
-            for chunk in iter(lambda: fin.read(65536), b"")
-            for frame in decoder.feed(chunk)
-        )
-        n = jsonio.write_jsonl(args.out, frames)
-    report = {"out": args.out, "frames": n}
-    report.update(decoder.diagnostics.to_dict())
-    return report
+    with open(_require_file(args.infile), "rb") as fin, open(args.out, "wb") as fout:
+        for chunk in iter(lambda: fin.read(65536), b""):
+            fout.write(frame_codec.frame_lines(decoder.feed(chunk)))
+    return {"out": args.out, **decoder.diagnostics.to_dict()}
 
 
 def _read_tactile_jsonl(path) -> dict:
     """stream_id -> samples from a decode-format jsonl file."""
     streams = {}
-
-    def parse(d):
-        return TactileFrame(d["pad_id"], d["timestamp_us"], np.asarray(d["readings"]))
-
-    for frame in jsonio.read_jsonl(path, parse):
+    for frame in frame_codec.read_frame_lines(path):
         sid = tactile_stream(frame.pad_id)
         streams.setdefault(sid, []).append(TimedSample(sid, frame.timestamp_us, frame))
     return streams
@@ -321,7 +306,10 @@ def cmd_eval(args) -> dict:
 
 def cmd_stats(args) -> dict:
     episode = read_episode(_require_file(args.episode), keep=())
-    stats = episode_stats(episode)
+    try:
+        stats = episode_stats(episode)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{args.episode}: {exc}") from None
     return {
         "duration_s": stats.duration_s,
         "tuples": stats.tuple_count,

@@ -14,16 +14,21 @@ Frame layout (338 bytes total):
 The stream decoder resynchronizes on the magic bytes: garbage is skipped
 one byte at a time, and a candidate frame that fails CRC costs only its
 two magic bytes before the scan resumes.
+
+`decode` writes each frame as one JSON line, and `sync` reads those lines
+back; frame_lines and read_frame_lines below define that line.
 """
 
 from __future__ import annotations
 
 import binascii
+import re
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import jsonio
 from .errors import InvalidInputError, VitacError, check_range
 from .frozen import freeze, read_only
 from .sensor_model import PAD_SHAPE, PAD_TAXELS, TactileFrame, check_raw_readings
@@ -232,3 +237,95 @@ class StreamDecoder:
     @property
     def pending_bytes(self) -> int:
         return len(self._buf)
+
+
+# ---------------------------------------------------------------- frame lines
+# The canonical line of a frame is json.dumps({"pad_id": P, "seq": S, "timestamp_us": T,
+# "readings": [[r, ...], ...]}) and "\n". Both directions work on many lines in one numpy
+# pass: a reading is at most 4 digits, written from a table and read back from the places of
+# the fixed separators around it.
+
+_LINE_HEAD = b'{"pad_id": %d, "seq": %d, "timestamp_us": %d, "readings": [['
+# what follows each taxel's reading: in a row, at a row's end, at the end
+_SEPS = [b"]]}\n" if i == PAD_TAXELS - 1 else b"], [" if i % PAD_SHAPE[1] == PAD_SHAPE[1] - 1 else b", "
+         for i in range(PAD_TAXELS)]
+# 8 bytes per reading, NUL-padded: its digits in the first 4 (by reading), the separator in the last 4 (by taxel)
+_WORD = np.dtype("<u8")
+_DIGIT_WORDS = np.frombuffer(b"".join((b"%d" % v).ljust(8, b"\0") for v in range(MAX_READING + 1)), _WORD)
+_SEP_WORDS = np.frombuffer(b"".join(b"\0" * 4 + sep.ljust(4, b"\0") for sep in _SEPS), _WORD)
+
+# A line is read in one pass when its head matches _HEAD (keys in order, no leading zeros),
+# deleting its digits leaves _SKELETON, every reading's digits are the canonical digits of a
+# value <= MAX_READING, and no other digit is left over; such a line is exactly frame_lines'
+# line for its frame.
+_NUMBER = rb"(0|[1-9][0-9]{0,19})"  # up to the 20 digits of a u64; a longer one goes through jsonio.loads
+_HEAD = re.compile(rb'\{"pad_id": %s, "seq": %s, "timestamp_us": %s, "readings": ' % ((_NUMBER,) * 3))
+_SEP_TEXT = b"".join(_SEPS)
+_SKELETON = (_LINE_HEAD % (0, 0, 0)).translate(None, b"0123456789") + _SEP_TEXT
+# the index in _SKELETON of the separator after each reading, and the non-digits from "[[" to the end
+_AFTER = len(_SKELETON) - len(_SEP_TEXT) + np.cumsum([0] + [len(sep) for sep in _SEPS[:-1]])
+_READINGS_SEPS = len(b"[[" + _SEP_TEXT)
+
+
+def frame_lines(frames: list) -> bytes:
+    """The canonical lines of frames (WireFrames, so every reading is at most MAX_READING),
+    byte for byte json.dumps of each frame's document and "\n"."""
+    if not frames:
+        return b""
+    heads = [_LINE_HEAD % (f.pad_id, f.seq, f.timestamp_us) for f in frames]
+    width = -(-max(map(len, heads)) // 8)  # in words
+    lines = np.empty((len(frames), width + PAD_TAXELS), _WORD)
+    lines[:, :width] = np.frombuffer(b"".join(h.ljust(8 * width, b"\0") for h in heads), _WORD).reshape(-1, width)
+    readings = np.stack([f.readings.reshape(PAD_TAXELS) for f in frames])
+    np.bitwise_or(_DIGIT_WORDS[readings], _SEP_WORDS, out=lines[:, width:])
+    return lines.tobytes().translate(None, b"\0")
+
+
+def _canonical_frames(lines: list) -> list:
+    """The TactileFrame of each canonical line among lines, None for every other line."""
+    out = [None] * len(lines)
+    # of each line that holds the skeleton: its index, (pad_id, timestamp_us), and the digits of its readings
+    found, heads, digits = [], [], []
+    for i, line in enumerate(lines):
+        m = _HEAD.match(line)
+        if m and line.translate(None, b"0123456789") == _SKELETON:
+            found.append(i)
+            heads.append((int(m[1]), int(m[3])))
+            digits.append(len(line) - m.end() - _READINGS_SEPS)
+    if not found:
+        return out
+    text = np.frombuffer(b"".join([lines[i] for i in found]), np.uint8)
+    # every line found holds the skeleton, so the places of its non-digits fall into rows of one length
+    seps = np.flatnonzero(text - np.uint8(ord("0")) >= 10).reshape(len(found), -1)  # a non-digit wraps to 10+
+    start = seps[:, _AFTER - 1] + 1
+    n_digits = seps[:, _AFTER] - start
+    del seps
+    # the 4 bytes from each reading's start, first byte lowest; shifting out all but its digits
+    # leaves them as the low digits of a 4-digit number, which two multiply-adds combine
+    words = np.ndarray((len(text) - 3,), np.dtype("<u4"), text, 0, (1,)).take(start)
+    words <<= (8 * (4 - np.clip(n_digits, 1, 4))).astype(np.uint32)
+    words &= np.uint32(0x0F0F0F0F)
+    words = (words * np.uint32(10) + (words >> np.uint32(8))) & np.uint32(0x00FF00FF)
+    values = (words * np.uint32(100) + (words >> np.uint32(16))) & np.uint32(0xFFFF)
+    canonical = 1 + (values >= 10) + (values >= 100) + (values >= 1000)
+    good = np.all((n_digits == canonical) & (values <= MAX_READING), axis=1)
+    good &= n_digits.sum(axis=1) == digits  # and no digit sits inside a separator
+    readings = read_only(values, np.uint16, (-1, *PAD_SHAPE))
+    for i, (pad_id, timestamp_us), row, ok in zip(found, heads, readings, good):
+        if ok:
+            out[i] = TactileFrame(pad_id, timestamp_us, row)
+    return out
+
+
+def _frame_from_doc(doc) -> TactileFrame:
+    return TactileFrame(doc["pad_id"], doc["timestamp_us"], np.asarray(doc["readings"]))
+
+
+def read_frame_lines(path) -> list:
+    """The TactileFrames of a JSON-lines file, one per nonblank line, in line order.
+
+    A line may be any JSON object holding pad_id, timestamp_us and readings. Canonical lines
+    are read in blocks by numpy; every other line goes through jsonio.loads, with the same
+    frames and the same "<file>:<line>" errors as if every line did.
+    """
+    return jsonio.read_jsonl(path, _frame_from_doc, batch=_canonical_frames)

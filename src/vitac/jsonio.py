@@ -11,6 +11,7 @@ field, as field(metadata={"key": ...}).
 import json
 import math
 from dataclasses import MISSING, fields
+from itertools import islice
 
 from .errors import InvalidInputError
 
@@ -49,15 +50,31 @@ def read_json(path, parse):
             raise _error(str(path), "document", exc) from None
 
 
-def read_jsonl(path, parse) -> list:
-    """parse(doc) for the object on every nonblank line of a JSON-lines file."""
+# The lines read_jsonl hands to batch at a time. Parsing frame lines takes about 13 KB of numpy
+# temporaries a line (1.6 MB for 128 lines); 32-line blocks run as fast and keep sync's peak
+# memory where the line-by-line read had it.
+BLOCK_LINES = 32
+
+
+def read_jsonl(path, parse, batch=None) -> list:
+    """parse(doc) for the object on every nonblank line of a JSON-lines file.
+
+    batch, when given, takes a list of up to BLOCK_LINES lines and returns one entry per
+    line: the value parse(loads(line)) would give, or None for a line it leaves to
+    parse(loads(line)) in its turn. It must not raise, so the first bad line is still the
+    one an error names.
+    """
     out = []
     lineno = 0
     with open(path, "rb") as fh:  # json.loads decodes each line, so a bad byte names its line
         try:
-            for lineno, line in enumerate(fh, 1):
-                if line.strip():
-                    out.append(parse(loads(line)))
+            for block in iter(lambda: list(islice(fh, BLOCK_LINES)), []):
+                values = batch(block) if batch else [None] * len(block)
+                for lineno, (line, value) in enumerate(zip(block, values), lineno + 1):
+                    if value is not None:
+                        out.append(value)
+                    elif line.strip():
+                        out.append(parse(loads(line)))
         except _BAD_DOC as exc:
             raise _error(f"{path}:{lineno}", "line", exc) from None
     return out

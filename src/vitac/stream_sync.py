@@ -234,20 +234,27 @@ class EpisodeStats:
 
 
 def episode_stats(episode: Episode) -> EpisodeStats:
-    """Duration, drop counts inferred from the tick grid, and max member skew."""
+    """Duration, drop counts inferred from the tick grid, and max member skew.
+
+    A metadata drop_report, or its drops_by_stream, that is not a JSON object is an
+    InvalidInputError."""
     tuples = episode.tuples
     first, last = (tuples[0].tick_time_us, tuples[-1].tick_time_us) if tuples else (0, -1)
     grid = tick_grid(episode.rate_hz, first, last)
     expected = max(0, -(-(grid.stop - grid.start) // grid.step))  # len(grid) overflows past 2**63 ticks
     max_skew = max((t.max_skew_us() for t in tuples), default=0)
-    drops_meta = episode.metadata.get("drop_report", {})
+    drops = episode.metadata.get("drop_report", {})
+    if isinstance(drops, dict):
+        drops = drops.get("drops_by_stream", {})
+    if not isinstance(drops, dict):
+        raise InvalidInputError("metadata drop_report and its drops_by_stream must be JSON objects")
     return EpisodeStats(
         duration_s=(last - first) / 1e6 if tuples else 0.0,
         tuple_count=len(tuples),
         expected_ticks=expected,
         dropped_ticks=expected - len(tuples),
         max_skew_us=int(max_skew),
-        drops_by_stream=dict(drops_meta.get("drops_by_stream", {})),
+        drops_by_stream=dict(drops),
     )
 
 

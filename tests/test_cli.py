@@ -656,6 +656,16 @@ def test_stats_rate_without_tick_grid_is_one_error_line(tmp_path, capsys, good_i
     assert str(path) in err
 
 
+@pytest.mark.parametrize("drop_report", [5, {"drops_by_stream": [1]}], ids=["drop_report", "drops_by_stream"])
+def test_stats_drop_report_not_an_object_is_one_error_line(tmp_path, capsys, drop_report):
+    path = tmp_path / "d.vtep"
+    write_episode(Episode(10.0, 0, [], [], {"drop_report": drop_report}), path)
+    assert main(["stats", "--episode", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: metadata drop_report and its drops_by_stream must be JSON objects\n"
+    )
+
+
 def _patched_record(path, sid, payload, old, new):
     """A one-tuple episode whose record has the bytes old replaced by new, under a valid CRC."""
     write_episode(Episode(10.0, 0, [sid], [SyncedTuple(0, {sid: TimedSample(sid, 0, payload)})]), path)
