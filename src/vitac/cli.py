@@ -307,18 +307,9 @@ def cmd_eval(args) -> dict:
 def cmd_stats(args) -> dict:
     episode = read_episode(_require_file(args.episode), keep=())
     try:
-        stats = episode_stats(episode)
+        return jsonio.fields_to(episode_stats(episode))
     except InvalidInputError as exc:
         raise InvalidInputError(f"{args.episode}: {exc}") from None
-    return {
-        "duration_s": stats.duration_s,
-        "tuples": stats.tuple_count,
-        "expected_ticks": stats.expected_ticks,
-        "dropped_ticks": stats.dropped_ticks,
-        "drop_rate": stats.drop_rate,
-        "max_skew_us": stats.max_skew_us,
-        "drops_by_stream": stats.drops_by_stream,
-    }
 
 
 def build_parser() -> argparse.ArgumentParser:

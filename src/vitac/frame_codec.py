@@ -31,12 +31,10 @@ import numpy as np
 from . import jsonio
 from .errors import InvalidInputError, VitacError, check_range
 from .frozen import freeze, read_only
-from .sensor_model import PAD_SHAPE, PAD_TAXELS, TactileFrame, check_raw_readings
+from .sensor_model import MAX_READING, PAD_SHAPE, PAD_TAXELS, READING_BITS, TactileFrame, check_raw_readings
 
 MAGIC = b"\xa5\x5a"
 VERSION = 1
-READING_BITS = 10
-MAX_READING = (1 << READING_BITS) - 1
 # magic, version, pad_id, seq, timestamp_us: bytes [0, HEADER_LEN)
 _HEADER = struct.Struct("<2sBBIQ")
 HEADER_LEN = _HEADER.size
@@ -162,7 +160,7 @@ class DecodeDiagnostics:
     bad_versions: int = 0
 
     def to_dict(self) -> dict:
-        return dict(self.__dict__)
+        return jsonio.fields_to(self)
 
 
 class StreamDecoder:

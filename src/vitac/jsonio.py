@@ -4,8 +4,8 @@ Readers build their value with parse(doc). A document that is not UTF-8 JSON, ho
 number that is not finite (NaN, Infinity, or one too large for a float), lacks a key that
 parse reads, or holds a value of the wrong type or shape raises InvalidInputError naming
 the file (and, for JSON lines, the line). fields_from and fields_to map a dataclass from and
-to its document, one key per field; a key other than the field's name is declared on the
-field, as field(metadata={"key": ...}).
+to its document, one key per field; a key other than the field's name, or a path of keys
+into nested objects, is declared on the field, as field(metadata={"key": ...}).
 """
 
 import json
@@ -97,24 +97,45 @@ def write_jsonl(path, docs) -> int:
     return n
 
 
-def _key(f) -> str:
-    """The document key of dataclass field f: its metadata "key", else its name."""
+def _key(f):
+    """The document key, or path of keys, of dataclass field f: its metadata "key", else its name."""
     return f.metadata.get("key", f.name)
 
 
+def json_object(key, value) -> dict:
+    """value, which a document holds under key, when it is a JSON object; else a TypeError."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{key} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _convert(key, value, conv):
+    """conv(value), or value itself for conv None. int and float take a JSON number, not a bool
+    or a string, and int one without a fractional part."""
+    if conv in (int, float):
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or (conv is int and value % 1):
+            raise TypeError(f"{key} must be {'an integer' if conv is int else 'a number'}, got {value!r}")
+    return value if conv is None else conv(value)
+
+
 def fields_from(cls, d: dict, *required: str, **convert):
-    """A dataclass from d, each field read from its key: the value goes through convert[field]
-    (None passes it as is), else its default's type; a missing key takes the dataclass
-    default, or is a KeyError naming the key for a field without one or named in required.
-    Other keys are ignored."""
+    """A dataclass from d, each field read from its key or path of keys (a missing object on the
+    path reads as {}): the value goes through _convert with convert[field], else with its
+    default's type, or passes as is for a field without a default; a missing key takes the
+    dataclass default, or is a KeyError naming the key for a field without one or named in
+    required. Other keys are ignored."""
     if not isinstance(d, dict):
         raise TypeError(f"expected a JSON object for {cls.__name__}, got {type(d).__name__}")
     kwargs = {}
     for f in fields(cls):
-        key = _key(f)
-        if key in d:
-            conv = convert.get(f.name, type(f.default))
-            kwargs[f.name] = d[key] if conv is None else conv(d[key])
+        key, doc = _key(f), d
+        if isinstance(key, tuple):
+            *outer, key = key
+            for name in outer:
+                doc = json_object(name, doc.get(name, {}))
+        if key in doc:
+            conv = convert.get(f.name, None if f.default is MISSING else type(f.default))
+            kwargs[f.name] = _convert(key, doc[key], conv)
         elif f.name in required or (f.default is MISSING and f.default_factory is MISSING):
             raise KeyError(key)
     return cls(**kwargs)
@@ -123,7 +144,7 @@ def fields_from(cls, d: dict, *required: str, **convert):
 def fields_to(obj, **convert) -> dict:
     """Dataclass obj as the document fields_from reads, each field under its key: the value
     goes through convert[field], else becomes its to_dict() or tolist() when it has one. A
-    field holding None is left out."""
+    field holding None is left out; no written document has a field keyed by a path."""
     doc = {}
     for f in fields(obj):
         value = getattr(obj, f.name)

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import jsonio
 from .errors import InvalidInputError, check_range
 from .frozen import freeze
 from .se3 import PoseSE3
@@ -68,8 +69,8 @@ class CloudXYZF(_Cloud):
 class AABB:
     """Axis-aligned box: inclusive min/max corners in meters."""
 
-    lo: np.ndarray
-    hi: np.ndarray
+    lo: np.ndarray = field(metadata={"key": "min"})
+    hi: np.ndarray = field(metadata={"key": "max"})
 
     def __post_init__(self):
         lo = freeze(self, "lo", 3, finite="box corners must be finite")
@@ -79,7 +80,7 @@ class AABB:
 
     @staticmethod
     def from_dict(d: dict) -> "AABB":
-        return AABB(np.asarray(d["min"]), np.asarray(d["max"]))
+        return jsonio.fields_from(AABB, d)
 
 
 class FusedCloud(_Cloud):

@@ -279,11 +279,6 @@ class ContactSet:
         return ContactSet(cloud.xyz[cloud.feature > threshold])
 
 
-# a tracker document's key in its "prior" object -> the TrackerConfig field it sets
-_PRIOR_KEYS = {"center": "prior_center", "translation_half_extent": "translation_half_extent",
-               "rotation_half_angle_deg": "rotation_half_angle_deg"}
-
-
 @dataclass(frozen=True, eq=False)
 class TrackerConfig:
     """Filter settings and the prior that init_particles draws from. particle_count is at most
@@ -295,9 +290,9 @@ class TrackerConfig:
     temperature: float = 1e-4
     activation_threshold: float = 0.05
     ess_fraction: float = 0.5
-    prior_center: PoseSE3 = field(default_factory=PoseSE3.identity)
-    translation_half_extent: float = 0.03
-    rotation_half_angle_deg: float = 20.0
+    prior_center: PoseSE3 = field(default_factory=PoseSE3.identity, metadata={"key": ("prior", "center")})
+    translation_half_extent: float = field(default=0.03, metadata={"key": ("prior", "translation_half_extent")})
+    rotation_half_angle_deg: float = field(default=20.0, metadata={"key": ("prior", "rotation_half_angle_deg")})
 
     def __post_init__(self):
         check_range("particle_count", self.particle_count, 1, MAX_PARTICLES)
@@ -311,14 +306,8 @@ class TrackerConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "TrackerConfig":
-        """The settings from d, the prior's from its ``prior`` object alone (``center`` is
-        prior_center); other keys are ignored."""
-        prior = d.get("prior", {})
-        if not isinstance(prior, dict):
-            raise TypeError(f"prior must be a JSON object, got {type(prior).__name__}")
-        doc = {key: value for key, value in d.items() if key not in _PRIOR_KEYS.values()}
-        doc.update((name, prior[key]) for key, name in _PRIOR_KEYS.items() if key in prior)
-        return jsonio.fields_from(TrackerConfig, doc, prior_center=PoseSE3.from_dict)
+        """The settings from d, the prior's three from its ``prior`` object alone; other keys are ignored."""
+        return jsonio.fields_from(TrackerConfig, d, prior_center=PoseSE3.from_dict)
 
 
 @dataclass(frozen=True, eq=False)

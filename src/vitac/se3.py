@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import jsonio
 from .errors import InvalidInputError, check_range
 from .frozen import freeze
 
@@ -211,12 +212,12 @@ class PoseSE3:
         return float(quat_geodesic_angle(self.q, other.q))
 
     def to_dict(self) -> dict:
-        return {"q": [float(v) for v in self.q], "t": [float(v) for v in self.t]}
+        return jsonio.fields_to(self)
 
     @staticmethod
     def from_dict(d: dict) -> "PoseSE3":
         """The pose a file holds; each translation component must lie within MAX_TRANSLATION_M."""
-        pose = PoseSE3(np.asarray(d["q"], dtype=np.float64), np.asarray(d["t"], dtype=np.float64))
+        pose = jsonio.fields_from(PoseSE3, d, "q", "t")
         for x in pose.t:
             check_range("pose translation", float(x), -MAX_TRANSLATION_M, MAX_TRANSLATION_M, "m")
         return pose

@@ -28,6 +28,8 @@ PAD_ROWS = 16
 PAD_COLS = 16
 PAD_SHAPE = (PAD_ROWS, PAD_COLS)
 PAD_TAXELS = PAD_ROWS * PAD_COLS
+READING_BITS = 10  # the pad's ADC resolution
+MAX_READING = (1 << READING_BITS) - 1  # its full scale, TaxelResponseModel's default r_max
 MAX_RAW_READING = 65535  # a raw frame holds uint16 readings
 # A calibration's gains lie in (0, MAX_GAIN] and its offsets, being raw readings, within
 # MAX_RAW_READING of 0: at a gain of 1e6 one count is far past any model's full scale, and
@@ -50,7 +52,7 @@ class TaxelResponseModel:
     b: float = 50.0
     f_min: float = 1.0
     f_sat: float = 9.0
-    r_max: int = 1023
+    r_max: int = MAX_READING
 
     def __post_init__(self):
         check_range("slope a", self.a, 0, ends="(]")

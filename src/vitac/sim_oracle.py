@@ -317,18 +317,15 @@ def simulate_contact(scene: SceneSpec, t: float) -> ContactSnapshot:
 class GroundTruthTick:
     t_us: int
     pose: PoseSE3
-    forces: dict  # pad_id -> (rows, cols) float Newtons
+    forces: dict = field(default_factory=dict)  # pad_id -> (rows, cols) float Newtons
 
     def __post_init__(self):
         freeze_mapping(self, "forces", read_only)
 
     @staticmethod
     def from_dict(d: dict) -> "GroundTruthTick":
-        return GroundTruthTick(
-            t_us=int(d["t_us"]),
-            pose=PoseSE3.from_dict(d["pose"]),
-            forces={int(k): v for k, v in d.get("forces", {}).items()},
-        )
+        return jsonio.fields_from(GroundTruthTick, d, t_us=int, pose=PoseSE3.from_dict,
+                                  forces=lambda f: {int(k): v for k, v in jsonio.json_object("forces", f).items()})
 
 
 @dataclass(frozen=True, eq=False)

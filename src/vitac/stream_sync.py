@@ -222,15 +222,12 @@ class Episode:
 @dataclass(frozen=True)
 class EpisodeStats:
     duration_s: float
-    tuple_count: int
+    tuple_count: int = field(metadata={"key": "tuples"})
     expected_ticks: int
     dropped_ticks: int
+    drop_rate: float  # dropped_ticks / expected_ticks, 0.0 when no tick is expected
     max_skew_us: int
     drops_by_stream: dict
-
-    @property
-    def drop_rate(self) -> float:
-        return self.dropped_ticks / self.expected_ticks if self.expected_ticks else 0.0
 
 
 def episode_stats(episode: Episode) -> EpisodeStats:
@@ -242,6 +239,7 @@ def episode_stats(episode: Episode) -> EpisodeStats:
     first, last = (tuples[0].tick_time_us, tuples[-1].tick_time_us) if tuples else (0, -1)
     grid = tick_grid(episode.rate_hz, first, last)
     expected = max(0, -(-(grid.stop - grid.start) // grid.step))  # len(grid) overflows past 2**63 ticks
+    dropped = expected - len(tuples)
     max_skew = max((t.max_skew_us() for t in tuples), default=0)
     drops = episode.metadata.get("drop_report", {})
     if isinstance(drops, dict):
@@ -252,7 +250,8 @@ def episode_stats(episode: Episode) -> EpisodeStats:
         duration_s=(last - first) / 1e6 if tuples else 0.0,
         tuple_count=len(tuples),
         expected_ticks=expected,
-        dropped_ticks=expected - len(tuples),
+        dropped_ticks=dropped,
+        drop_rate=dropped / expected if expected else 0.0,
         max_skew_us=int(max_skew),
         drops_by_stream=dict(drops),
     )

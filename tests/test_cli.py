@@ -471,6 +471,10 @@ BAD_JSON_DOCS = {
                          "missing key 'a'"),
     "truth-unclosed": ("--truth", '{"t_us": 0, "pose": ', "not a JSON line"),
     "truth-no-pose": ("--truth", '{"t_us": 0}', "missing key 'pose'"),
+    # a truth line's forces, when given, map pad ids to force grids
+    **{f"truth-forces-{kind}": ("--truth", json.dumps({"t_us": 0, "pose": _POSE, "forces": value}),
+                                f"forces must be a JSON object, got {kind}")
+       for kind, value in (("list", [1, 2]), ("int", 7), ("str", "none"), ("NoneType", None))},
 }
 _PLY_HEAD = "ply\nformat ascii 1.0\nelement vertex 1\nproperty double x\nproperty double y\n"
 BAD_PLY_FILES = {

@@ -1,5 +1,6 @@
 """Every array or mapping a value type holds is read-only and shared with no writable caller value."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -134,6 +135,27 @@ def test_only_jsonio_walks_a_dataclass_s_fields():
     src = Path(vitac.__file__).parent
     users = sorted(p.name for p in src.glob("*.py") if re.search(r"\b(asdict|fields)\(", p.read_text()))
     assert users == ["jsonio.py"]
+
+
+def test_every_document_method_maps_through_jsonio():
+    # to_dict calls jsonio.fields_to and from_dict jsonio.fields_from, so each key is declared once,
+    # on its field; Primitive's per-kind table is the one exception
+    src = Path(vitac.__file__).parent
+    mapper = {"to_dict": "fields_to", "from_dict": "fields_from"}
+    hand_mapped = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and node.name != "Primitive"):
+            for method in cls.body:
+                if isinstance(method, ast.FunctionDef) and method.name in mapper:
+                    calls = {ast.unparse(call.func) for call in ast.walk(method) if isinstance(call, ast.Call)}
+                    if f"jsonio.{mapper[method.name]}" not in calls:
+                        hand_mapped.append(f"{cls.name}.{method.name}")
+    assert hand_mapped == []
+    # the tracker document's prior keys are declared on TrackerConfig's fields, not in a second table
+    tree = ast.parse((src / "pose_tracker.py").read_text())
+    assert "_PRIOR_KEYS" not in {t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets
+                                 if isinstance(t, ast.Name)}
 
 
 def test_truth_forces_are_read_only():

@@ -57,6 +57,11 @@ def _truth():
     return GroundTruth((GroundTruthTick(0, PoseSE3.identity(), forces), GroundTruthTick(100_000, _POSE, forces)))
 
 
+def _truth_without_forces(path):
+    path.write_text(json.dumps({"t_us": 0, "pose": _POSE.to_dict()}) + "\n")
+    return GroundTruth.load_jsonl(path)
+
+
 def _synced_episode():
     # the drop report that sync writes into an episode's header, with ticks dropped for each stream
     times = {"a": (0, 100_000, 300_000, 400_000), "b": (0, 200_000, 400_000)}
@@ -75,6 +80,9 @@ CASES = {
        for kind, obj in (("box", Primitive.box(0.04, 0.05, 0.06)), ("cylinder", Primitive.cylinder(0.02, 0.07)),
                          ("sphere", Primitive.sphere(0.03)))},
     "truth": (lambda p: _truth(), lambda v, p: v.save_jsonl(p), GroundTruth.load_jsonl),
+    "truth-no-forces": (_truth_without_forces, lambda v, p: v.save_jsonl(p), GroundTruth.load_jsonl),
+    "pose": (lambda p: _POSE, lambda v, p: jsonio.write_json(p, v.to_dict()),
+             lambda p: jsonio.read_json(p, PoseSE3.from_dict)),
     "drop-report": (lambda p: _synced_episode(), lambda v, p: write_episode(v, p), read_episode),
 }
 
@@ -155,3 +163,66 @@ def test_value_types_holding_poses_or_arrays_compare_and_hash_by_identity(kind):
     a, b = _IDENTITY_EQ[kind](), _IDENTITY_EQ[kind]()
     assert a == a and a != b
     assert len({a, a, b}) == 2
+
+
+_SCENE = _scene(Primitive.sphere(0.03)).to_dict()
+_READERS = {
+    "config": lambda p: jsonio.read_json(p, TrackerConfig.from_dict),
+    "model": lambda p: jsonio.read_json(p, TaxelResponseModel.from_dict),
+    "calibration": PadCalibration.load,
+    "scene": SceneSpec.load,
+    "chain": load_chain_file,
+}
+
+
+def _chain(link) -> dict:
+    return {"links": [_LINK, _LINK], "mounts": [{"pad_id": 0, "link": link, "transform": _POSE.to_dict()}]}
+
+
+# (reader, document, error): an int or float field takes a JSON number, an int field one without a
+# fractional part; the error names the key as the file spells it and the value's repr
+BAD_NUMBERS = {
+    "count-true": ("config", {"particle_count": True}, "particle_count must be an integer, got True"),
+    "count-string": ("config", {"particle_count": "64"}, "particle_count must be an integer, got '64'"),
+    "count-fraction": ("config", {"particle_count": 2048.9}, "particle_count must be an integer, got 2048.9"),
+    "count-null": ("config", {"particle_count": None}, "particle_count must be an integer, got None"),
+    "count-list": ("config", {"particle_count": [16]}, "particle_count must be an integer, got [16]"),
+    "sigma-string": ("config", {"sigma_rotation": "wide"}, "sigma_rotation must be a number, got 'wide'"),
+    "sigma-false": ("config", {"sigma_rotation": False}, "sigma_rotation must be a number, got False"),
+    "prior-angle-true": ("config", {"prior": {"rotation_half_angle_deg": True}},
+                         "rotation_half_angle_deg must be a number, got True"),
+    "r-max-fraction": ("model", {"a": 1.0, "b": 0.0, "r_max": 1023.5}, "r_max must be an integer, got 1023.5"),
+    "a-string": ("model", {"a": "1", "b": 0.0}, "a must be a number, got '1'"),
+    "pad-id-string": ("calibration", {"pad_id": "0", "gain": [], "offset": []}, "pad_id must be an integer, got '0'"),
+    "seed-true": ("scene", {**_SCENE, "seed": True}, "seed must be an integer, got True"),
+    "points-string": ("scene", {**_SCENE, "n_camera_points": "100"}, "n_camera_points must be an integer, got '100'"),
+    "link-true": ("chain", _chain(True), "link must be an integer, got True"),
+    "link-fraction": ("chain", _chain(0.5), "link must be an integer, got 0.5"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_NUMBERS))
+def test_a_number_field_refuses_what_is_not_its_kind_of_json_number(tmp_path, kind):
+    reader, doc, message = BAD_NUMBERS[kind]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidInputError) as info:
+        _READERS[reader](path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_a_whole_float_reads_as_an_int_and_an_int_as_a_float(tmp_path):
+    config = TrackerConfig.from_dict({"particle_count": 2048.0, "prior": {"rotation_half_angle_deg": 20}})
+    assert config.particle_count == 2048 and type(config.particle_count) is int
+    assert config.rotation_half_angle_deg == 20.0 and type(config.rotation_half_angle_deg) is float
+    (tmp_path / "chain.json").write_text(json.dumps(_chain(1.0)))
+    link = load_chain_file(tmp_path / "chain.json")[1][0].link_index
+    assert link == 1 and type(link) is int
+
+
+def test_a_key_path_reads_a_missing_enclosing_object_as_empty():
+    default = TrackerConfig()
+    for doc in ({}, {"prior": {}}):
+        config = TrackerConfig.from_dict(doc)
+        assert (config.translation_half_extent, config.rotation_half_angle_deg) == (0.03, 20.0)
+        assert config.prior_center.to_dict() == default.prior_center.to_dict()
