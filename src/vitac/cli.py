@@ -34,7 +34,7 @@ from .pointcloud import (
     write_cloud_ply,
 )
 from .pose_tracker import ContactSet, ObjectModel, Tracker, TrackerConfig
-from .se3 import PoseSE3, quat_geodesic_angle
+from .se3 import quat_geodesic_angle
 from .sensor_model import PadCalibration, TaxelResponseModel, fit_response
 from .sim_oracle import MAX_OBJECT_POINTS, GroundTruth, SceneSpec, render_episode, sample_object_cloud
 from .stream_sync import (
@@ -161,8 +161,8 @@ def _read_cloud_dir(path) -> dict:
 
 def _read_joints_jsonl(path) -> dict:
     def parse(d):
-        ts = int(d["timestamp_us"])
-        return TimedSample(JOINTS_STREAM, ts, JointState(np.asarray(d["positions"]), ts))
+        ts = jsonio.number("timestamp_us", d["timestamp_us"], int)
+        return TimedSample(JOINTS_STREAM, ts, JointState(jsonio.numbers("positions", d["positions"]), ts))
 
     return {JOINTS_STREAM: jsonio.read_jsonl(path, parse)}
 
@@ -274,12 +274,9 @@ def cmd_track(args) -> dict:
     return {"out": args.out, "steps": n_steps, "particles": config.particle_count}
 
 
-def _read_poses_jsonl(path) -> dict:
-    return dict(jsonio.read_jsonl(path, lambda d: (int(d["t_us"]), PoseSE3.from_dict(d["pose"]))))
-
-
 def cmd_eval(args) -> dict:
-    estimates = _read_poses_jsonl(_require_file(args.poses))
+    # a poses line holds t_us and pose as a truth line does, so both files have one reader
+    estimates = dict(GroundTruth.load_jsonl(_require_file(args.poses)).poses())
     truth = GroundTruth.load_jsonl(_require_file(args.truth))
     trans_sq = []
     rot_deg = []

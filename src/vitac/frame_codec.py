@@ -316,7 +316,9 @@ def _canonical_frames(lines: list) -> list:
 
 
 def _frame_from_doc(doc) -> TactileFrame:
-    return TactileFrame(doc["pad_id"], doc["timestamp_us"], np.asarray(doc["readings"]))
+    return TactileFrame(jsonio.number("pad_id", doc["pad_id"], int),
+                        jsonio.number("timestamp_us", doc["timestamp_us"], int),
+                        jsonio.numbers("readings", doc["readings"]))
 
 
 def read_frame_lines(path) -> list:

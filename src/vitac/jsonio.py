@@ -5,13 +5,17 @@ number that is not finite (NaN, Infinity, or one too large for a float), lacks a
 parse reads, or holds a value of the wrong type or shape raises InvalidInputError naming
 the file (and, for JSON lines, the line). fields_from and fields_to map a dataclass from and
 to its document, one key per field; a key other than the field's name, or a path of keys
-into nested objects, is declared on the field, as field(metadata={"key": ...}).
+into nested objects, is declared on the field, as field(metadata={"key": ...}). Every number a
+document holds is read by number, or, in an array, by numbers: the one rule for what a JSON
+number is.
 """
 
 import json
 import math
 from dataclasses import MISSING, fields
 from itertools import islice
+
+import numpy as np
 
 from .errors import InvalidInputError
 
@@ -109,19 +113,66 @@ def json_object(key, value) -> dict:
     return value
 
 
+def number(key, value, kind=float):
+    """kind(value) for value, which a document holds under key, when it is a JSON number: never a
+    bool or a string, and for kind int one without a fractional part; else a TypeError naming key."""
+    if type(value) is kind:  # the common case, and the one the joints reader runs per line
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (kind is int and value % 1):
+        raise TypeError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    return kind(value)
+
+
+_NUMBER_TYPES = frozenset((int, float))  # the types json.loads gives a number
+
+
+def _all_numbers(array: list) -> bool:
+    """Whether array, a JSON array nested to any depth, has only JSON numbers for leaves."""
+    if _NUMBER_TYPES.issuperset(map(type, array)):
+        return True
+    return type(array[0]) is list and all(type(row) is list and _all_numbers(row) for row in array)
+
+
+def _leaves(value):
+    """The leaves of a JSON array nested to any depth, depth first."""
+    for item in value:
+        if type(item) is list:
+            yield from _leaves(item)
+        else:
+            yield item
+
+
+def numbers(key, value) -> np.ndarray:
+    """value, which a document holds under key, as a float64 array when it is a JSON array nested
+    to any depth whose leaves are all JSON numbers, never a bool or a string, and whose arrays at
+    one depth have one length; else a TypeError naming key."""
+    if type(value) is not list:
+        raise TypeError(f"{key} must be an array of numbers, got {value!r}")
+    if not _all_numbers(value):
+        for leaf in _leaves(value):
+            if type(leaf) not in _NUMBER_TYPES:
+                raise TypeError(f"{key} must hold numbers only, got {leaf!r}")
+    try:
+        return np.array(value, dtype=np.float64)
+    except (ValueError, OverflowError) as exc:  # ragged, or an integer past float's range
+        raise TypeError(f"{key} must be an array of numbers ({exc})") from None
+
+
 def _convert(key, value, conv):
-    """conv(value), or value itself for conv None. int and float take a JSON number, not a bool
-    or a string, and int one without a fractional part."""
+    """conv(value), or value itself for conv None; int and float go through number, and np.ndarray
+    through numbers."""
     if conv in (int, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or (conv is int and value % 1):
-            raise TypeError(f"{key} must be {'an integer' if conv is int else 'a number'}, got {value!r}")
+        return number(key, value, conv)
+    if conv is np.ndarray:
+        return numbers(key, value)
     return value if conv is None else conv(value)
 
 
 def fields_from(cls, d: dict, *required: str, **convert):
     """A dataclass from d, each field read from its key or path of keys (a missing object on the
-    path reads as {}): the value goes through _convert with convert[field], else with its
-    default's type, or passes as is for a field without a default; a missing key takes the
+    path reads as {}): the value goes through _convert with convert[field] (np.ndarray for an
+    array of numbers), else with its default's type, or passes as is for a field without a
+    default; a missing key takes the
     dataclass default, or is a KeyError naming the key for a field without one or named in
     required. Other keys are ignored."""
     if not isinstance(d, dict):

@@ -156,9 +156,9 @@ def tactile_point_cloud(frames, chain: KinematicChain, joints: JointState, mount
 
 
 def _chain_from_dict(doc: dict) -> tuple[KinematicChain, list[PadMount]]:
-    # Link checks its joint and axis itself, so they pass as read
+    # Link checks its joint itself, so it passes as read
     chain = KinematicChain(
-        tuple(jsonio.fields_from(Link, d, fixed=PoseSE3.from_dict, joint=None, axis=None) for d in doc["links"])
+        tuple(jsonio.fields_from(Link, d, fixed=PoseSE3.from_dict, joint=None, axis=np.ndarray) for d in doc["links"])
     )
     return chain, [
         jsonio.fields_from(PadMount, d, "mount_transform", pad_id=int, link_index=int,

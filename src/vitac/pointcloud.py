@@ -80,7 +80,7 @@ class AABB:
 
     @staticmethod
     def from_dict(d: dict) -> "AABB":
-        return jsonio.fields_from(AABB, d)
+        return jsonio.fields_from(AABB, d, lo=np.ndarray, hi=np.ndarray)
 
 
 class FusedCloud(_Cloud):
@@ -246,7 +246,7 @@ def read_cloud_ply(path) -> CloudXYZF:
                 if parts[:2] == ["comment", "frame"]:
                     frame = parts[2] if len(parts) > 2 else ""
                 elif parts[:2] == ["element", "vertex"]:
-                    n = int(parts[2])
+                    n = check_range("vertex count", int(parts[2]), 0)
                 elif parts[0] == "property":
                     props.append(parts[2])
             else:

@@ -9,7 +9,6 @@ the ADC range ``[0, r_max]``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -229,10 +228,9 @@ class PadCalibration:
     @staticmethod
     def from_dict(d: dict) -> "PadCalibration":
         """A file states every field: gain, offset and model have defaults only in Python."""
-        as_array = partial(np.asarray, dtype=np.float64)
         return jsonio.fields_from(
             PadCalibration, d, "gain", "offset", "model",
-            pad_id=int, gain=as_array, offset=as_array, model=TaxelResponseModel.from_dict,
+            pad_id=int, gain=np.ndarray, offset=np.ndarray, model=TaxelResponseModel.from_dict,
         )
 
     def save(self, path) -> None:

@@ -102,7 +102,10 @@ class Primitive:
 
     @staticmethod
     def from_dict(d: dict) -> "Primitive":
-        return Primitive(d["kind"], **{name: d[name] for name in _LENGTHS.get(d["kind"], ())})
+        """The kind and each of its lengths are read; another kind's lengths are not."""
+        names = _LENGTHS.get(jsonio.json_object("object", d).get("kind"), ())
+        doc = {key: d[key] for key in ("kind", *names) if key in d}
+        return jsonio.fields_from(Primitive, doc, *names, size=np.ndarray)
 
 
 def _rounded_box(q: np.ndarray) -> np.ndarray:
@@ -238,8 +241,10 @@ class SceneSpec:
             SceneSpec,
             d,
             obj=Primitive.from_dict,
-            object_trajectory=lambda keys: tuple((k["t"], PoseSE3.from_dict(k["pose"])) for k in keys),
-            aperture_trajectory=lambda keys: tuple((k["t"], k["gap"]) for k in keys),
+            object_trajectory=lambda keys: tuple((jsonio.number("t", k["t"]), PoseSE3.from_dict(k["pose"]))
+                                                 for k in keys),
+            aperture_trajectory=lambda keys: tuple((jsonio.number("t", k["t"]), jsonio.number("gap", k["gap"]))
+                                                   for k in keys),
             gripper_pose=PoseSE3.from_dict,
             grid=TaxelGrid.from_dict,
             sensor=TaxelResponseModel.from_dict,
@@ -325,7 +330,8 @@ class GroundTruthTick:
     @staticmethod
     def from_dict(d: dict) -> "GroundTruthTick":
         return jsonio.fields_from(GroundTruthTick, d, t_us=int, pose=PoseSE3.from_dict,
-                                  forces=lambda f: {int(k): v for k, v in jsonio.json_object("forces", f).items()})
+                                  forces=lambda f: {int(k): jsonio.numbers(f"forces {k}", v)
+                                                  for k, v in jsonio.json_object("forces", f).items()})
 
 
 @dataclass(frozen=True, eq=False)

@@ -412,17 +412,18 @@ def _decode_tuple(buf: memoryview, context: str, keep=None) -> SyncedTuple:
 def _header_fields(header: dict) -> tuple:
     """(rate_hz, tolerance_us, streams, metadata, tuple_count) of an episode header.
 
-    A missing key, a value of the wrong type, a rate with no tick grid (such as "inf", a
-    string), a negative tuple_count or a stream id that is not a string is a KeyError,
-    TypeError, ValueError or OverflowError. The writer runs these checks too, so it refuses
-    what the reader refuses.
+    A missing key, a value of the wrong type (the counts take JSON integers, the rate a JSON
+    number, streams an array of strings and metadata an object), a rate with no tick grid or a
+    negative tuple_count is a KeyError, TypeError, ValueError or OverflowError. The writer runs
+    these checks too, so it refuses what the reader refuses.
     """
-    rate_hz, tolerance_us = float(header["rate_hz"]), int(header["tolerance_us"])
-    streams, metadata = list(header["streams"]), dict(header.get("metadata", {}))
-    tuple_count = check_range("tuple_count", int(header.get("tuple_count", 0)), 0)
+    rate_hz = jsonio.number("rate_hz", header["rate_hz"])
+    tolerance_us = jsonio.number("tolerance_us", header["tolerance_us"], int)
+    streams, metadata = header["streams"], jsonio.json_object("metadata", header.get("metadata", {}))
+    tuple_count = check_range("tuple_count", jsonio.number("tuple_count", header.get("tuple_count", 0), int), 0)
     tick_grid(rate_hz, 0, -1)
-    if not all(isinstance(sid, str) for sid in streams):
-        raise TypeError("stream ids must be strings")
+    if not isinstance(streams, list) or not all(isinstance(sid, str) for sid in streams):
+        raise TypeError(f"streams must be an array of strings, got {streams!r}")
     return rate_hz, tolerance_us, streams, metadata, tuple_count
 
 
@@ -433,7 +434,7 @@ def write_episode(episode: Episode, path) -> None:
     header = {
         "rate_hz": episode.rate_hz,
         "tolerance_us": episode.tolerance_us,
-        "streams": list(episode.streams),
+        "streams": episode.streams,
         "metadata": episode.metadata,
         "tuple_count": len(episode.tuples),
     }
@@ -505,7 +506,8 @@ def _read_record(r: _Reader, keep=None) -> SyncedTuple:
 
 def read_episode(path, keep=None) -> Episode:
     """The episode in the .vtep file at path. A record whose stream ids repeat, or are not
-    the header's streams, is an EpisodeLoadError.
+    the header's streams, or a byte after the header's tuple_count records, is an
+    EpisodeLoadError.
 
     keep: a tuple of stream-id prefixes, such as (TACTILE_PREFIX, JOINTS_STREAM), or () for
     none; only the payloads of members whose stream ids start with one of them are built.
@@ -533,6 +535,8 @@ def read_episode(path, keep=None) -> Episode:
         for i in range(tuple_count):
             r.context = f"{path} record {i}"
             tuples.append(_check_streams(_read_record(r, keep), wanted, EpisodeLoadError, r.context))
+        if fh.read(1):
+            raise EpisodeLoadError(f"{path}: bytes after the last of its {tuple_count} records")
     return Episode(rate_hz, tolerance_us, streams, tuples, metadata)
 
 

@@ -289,7 +289,7 @@ BAD_JSON_LINES = {
     "tactile-65541": ("--tactile", json.dumps({**_FRAME, "readings": [[65541] * 16] * 16}),
                       "65535"),
     "poses-no-pose": ("--poses", '{"t_us": 0}', "'pose'"),
-    "poses-not-object": ("--poses", "[0, 1]", "list indices"),
+    "poses-not-object": ("--poses", "[0, 1]", "expected a JSON object for GroundTruthTick, got list"),
     "poses-not-utf8": ("--poses", b'{"t_us": 0, "pose": "\xff"}', "utf-8"),
 }
 _GOOD_LINE = {
@@ -487,6 +487,8 @@ BAD_PLY_FILES = {
     "ply-blank-vertex-line": ("--object", _PLY_HEAD + "property double z\nend_header\n\n0 0 0\n",
                               "blank vertex line"),
     "ply-row-nan": ("--object", _PLY_HEAD + "property double z\nend_header\nnan 0 0\n", "non-finite"),
+    "ply-vertex-negative": ("--object", _PLY_HEAD.replace("vertex 1", "vertex -1") + "property double z\nend_header\n",
+                            "vertex count must be >= 0, got -1"),
     "ply-no-end-header": ("--object", _PLY_HEAD + "property double z\n", "missing end_header"),
     "ply-no-z": ("--object", _PLY_HEAD + "property double f\nend_header\n0 0 0\n",
                  "expected x,y,z properties, got ['x', 'y', 'f']"),
@@ -503,6 +505,88 @@ def test_bad_input_file_is_one_error_line(tmp_path, capsys, good_inputs, kind):
     where = f"{path}:1" if flag == "--truth" else f"{path}"
     assert err.startswith(f"error: {where}: ") and err.count("\n") == 1, err
     assert names in err, err
+
+
+def _number_leaves(doc, path=()):
+    """The path of every JSON number in doc, depth first."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _number_leaves(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _number_leaves(value, path + (i,))
+    elif type(doc) in (int, float):
+        yield path
+
+
+def _at(doc, path):
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+def _replaced(doc, path, value):
+    """A copy of doc with value at path."""
+    if not path:
+        return value
+    copy = dict(doc) if isinstance(doc, dict) else list(doc)
+    copy[path[0]] = _replaced(doc[path[0]], path[1:], value)
+    return copy
+
+
+def _write_doc(flag, path, doc) -> None:
+    """doc as the file flag reads: a JSON document, one JSON line, or an episode header without records."""
+    if flag == "--episode":
+        raw = json.dumps(doc).encode()
+        path.write_bytes(b"VTEP" + struct.pack("<HI", 1, len(raw)) + raw)
+    else:
+        path.write_text(json.dumps(doc) + "\n")
+
+
+# reader -> (input flag, a good document or line, None for good_inputs' file). Every number in it
+# is read, so the free-form episode metadata and keys that no reader reads, such as a frame line's
+# seq, are left out. The calibration's model and the scene's sensor are response models. The frame
+# line is not canonical, so it goes through the document parse, not the batch.
+GOOD_DOCS = {
+    "tracker-config": ("--config", None),
+    "calibration": ("--calib", None),
+    "chain": ("--chain", None),
+    "box": ("--box", None),
+    "scene": ("--scene", None),
+    "truth-line": ("--truth", {"t_us": 0, "pose": _POSE, "forces": {"0": [[0.5, 1.0], [0.0, 2.0]]}}),
+    "poses-line": ("--poses", {"t_us": 0, "pose": _POSE}),
+    "joints-line": ("--joints", {"timestamp_us": 0, "positions": [0.025, -0.05]}),
+    "frame-line": ("--tactile", {"timestamp_us": 0, "pad_id": 0, "readings": _READINGS}),
+    "vtep-header": ("--episode", {"rate_hz": 10.0, "tolerance_us": 0, "streams": [], "metadata": {}, "tuple_count": 0}),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(GOOD_DOCS))
+def test_every_number_a_file_holds_refuses_a_bool_or_a_string(tmp_path, capsys, good_inputs, reader):
+    # each number leaf, scalar or array element, replaced once by true and once by its JSON text
+    # as a string, is one error line that names the nearest key
+    flag, doc = GOOD_DOCS[reader]
+    doc = doc or json.loads(good_inputs[flag].read_text())
+    path = tmp_path / "doc"
+    if flag == "--episode":
+        argv = ["stats", "--episode", str(path)]
+    else:
+        argv = _argv(good_inputs, flag, path, tmp_path / "out")
+    _write_doc(flag, path, doc)
+    assert main(argv) == 0
+    capsys.readouterr()
+    leaves = list(_number_leaves(doc))
+    assert leaves
+    missed = []
+    for leaf in leaves:
+        key = next(step for step in reversed(leaf) if isinstance(step, str))
+        for bad in (True, json.dumps(_at(doc, leaf))):
+            _write_doc(flag, path, _replaced(doc, leaf, bad))
+            code = main(argv)
+            err = capsys.readouterr().err
+            if not (code == 1 and err.startswith("error: ") and err.count("\n") == 1 and f"{key} must" in err):
+                missed.append(("/".join(map(str, leaf)), bad, code, err))
+    assert missed == []
 
 
 # (input flag of the command, numeric flags and their values, text the error names)

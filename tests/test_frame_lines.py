@@ -18,6 +18,7 @@ from vitac.frame_codec import (
     MAX_READING,
     WireFrame,
     _canonical_frames,
+    _frame_from_doc,
     encode_frame,
     frame_lines,
     read_frame_lines,
@@ -89,8 +90,8 @@ def test_decode_of_a_capture_without_frames_writes_an_empty_file(tmp_path, capsy
 
 
 def per_line(path) -> list:
-    """What sync read every tactile line with before the batch reader: jsonio.loads, line by line."""
-    return jsonio.read_jsonl(path, lambda d: TactileFrame(d["pad_id"], d["timestamp_us"], np.asarray(d["readings"])))
+    """Every tactile line read without the batch: jsonio.loads and the document parse, line by line."""
+    return jsonio.read_jsonl(path, _frame_from_doc)
 
 
 def outcome(read, path):

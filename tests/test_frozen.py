@@ -139,19 +139,20 @@ def test_only_jsonio_walks_a_dataclass_s_fields():
 
 def test_every_document_method_maps_through_jsonio():
     # to_dict calls jsonio.fields_to and from_dict jsonio.fields_from, so each key is declared once,
-    # on its field; Primitive's per-kind table is the one exception
+    # on its field; Primitive.to_dict, which writes its kind's lengths from a per-kind table, is the
+    # one exception
     src = Path(vitac.__file__).parent
     mapper = {"to_dict": "fields_to", "from_dict": "fields_from"}
     hand_mapped = []
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text())
-        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and node.name != "Primitive"):
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
             for method in cls.body:
                 if isinstance(method, ast.FunctionDef) and method.name in mapper:
                     calls = {ast.unparse(call.func) for call in ast.walk(method) if isinstance(call, ast.Call)}
                     if f"jsonio.{mapper[method.name]}" not in calls:
                         hand_mapped.append(f"{cls.name}.{method.name}")
-    assert hand_mapped == []
+    assert hand_mapped == ["Primitive.to_dict"]
     # the tracker document's prior keys are declared on TrackerConfig's fields, not in a second table
     tree = ast.parse((src / "pose_tracker.py").read_text())
     assert "_PRIOR_KEYS" not in {t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets

@@ -257,6 +257,23 @@ def test_episode_truncation(tmp_path):
         read_episode(path)
 
 
+@pytest.mark.parametrize("extra", ["garbage", "record"])
+def test_episode_bytes_after_the_last_record_are_a_load_error(tmp_path, extra):
+    # appended garbage, or a whole record that a tuple_count one too low leaves out
+    ep = make_episode(5)
+    path = tmp_path / "x.vtep"
+    write_episode(ep, path)
+    if extra == "garbage":
+        path.write_bytes(path.read_bytes() + b"\0")
+    else:
+        data = path.read_bytes()
+        (n,) = struct.unpack("<I", data[6:10])
+        header = json.dumps({**json.loads(data[10 : 10 + n]), "tuple_count": 4}).encode()
+        path.write_bytes(data[:6] + struct.pack("<I", len(header)) + header + data[10 + n :])
+    with pytest.raises(EpisodeLoadError, match=f"^{re.escape(str(path))}: bytes after the last of its"):
+        read_episode(path)
+
+
 def test_episode_corruption(tmp_path):
     ep = make_episode(5)
     path = tmp_path / "c.vtep"
@@ -369,6 +386,12 @@ BAD_HEADERS = {
     "rate_hz-3e6": json.dumps({**_HEADER, "rate_hz": 3e6}).encode(),
     "tuple_count-negative": json.dumps({**_HEADER, "tuple_count": -5}).encode(),
     "streams-not-strings": json.dumps({**_HEADER, "streams": [1]}).encode(),
+    # each number takes a JSON number, and a count one without a fractional part
+    "rate_hz-true": json.dumps({**_HEADER, "rate_hz": True}).encode(),
+    "tolerance_us-fraction": json.dumps({**_HEADER, "tolerance_us": 1.5}).encode(),
+    "tuple_count-fraction": json.dumps({**_HEADER, "tuple_count": 1.5}).encode(),
+    "streams-string": json.dumps({**_HEADER, "streams": "ab"}).encode(),
+    "metadata-pairs": json.dumps({**_HEADER, "metadata": [["a", 1]]}).encode(),
     **{
         f"no-{key}": json.dumps({k: v for k, v in _HEADER.items() if k != key}).encode()
         for key in ("rate_hz", "tolerance_us", "streams")
@@ -393,6 +416,8 @@ UNWRITABLE_HEADERS = {
     "rate_hz-string": {"rate_hz": "fast"},
     "tolerance_us-nan": {"tolerance_us": float("nan")},
     "streams-not-strings": {"streams": [1]},
+    "streams-string": {"streams": "ab"},
+    "metadata-pairs": {"metadata": [["a", 1]]},
     "metadata-nan": {"metadata": {"x": float("nan")}},
     "metadata-infinity": {"metadata": {"x": [float("inf")]}},
 }
