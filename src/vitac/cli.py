@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__, frame_codec, jsonio
 from .errors import InvalidInputError, VitacError, check_range
 from .frame_codec import StreamDecoder
-from .kinematics import JointState, load_chain_file, tactile_point_cloud
+from .kinematics import load_chain_file, read_joint_lines, tactile_point_cloud
 from .pointcloud import (
     AABB,
     BASE_FRAME,
@@ -160,11 +160,7 @@ def _read_cloud_dir(path) -> dict:
 
 
 def _read_joints_jsonl(path) -> dict:
-    def parse(d):
-        ts = jsonio.number("timestamp_us", d["timestamp_us"], int)
-        return TimedSample(JOINTS_STREAM, ts, JointState(jsonio.numbers("positions", d["positions"]), ts))
-
-    return {JOINTS_STREAM: jsonio.read_jsonl(path, parse)}
+    return {JOINTS_STREAM: [TimedSample(JOINTS_STREAM, j.timestamp_us, j) for j in read_joint_lines(path)]}
 
 
 def cmd_sync(args) -> dict:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import binascii
 import re
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ import numpy as np
 from . import jsonio
 from .errors import InvalidInputError, VitacError, check_range
 from .frozen import freeze, read_only
-from .sensor_model import MAX_READING, PAD_SHAPE, PAD_TAXELS, READING_BITS, TactileFrame, check_raw_readings
+from .sensor_model import MAX_PAD_ID, MAX_READING, PAD_SHAPE, PAD_TAXELS, READING_BITS, TactileFrame, check_raw_readings
 
 MAGIC = b"\xa5\x5a"
 VERSION = 1
@@ -82,6 +83,39 @@ class WireFrame:
         freeze(self, "readings", PAD_SHAPE, np.uint16)
 
 
+@dataclass(frozen=True, eq=False)
+class FrameBatch(Sequence):
+    """Frames as columns: each frame's (pad_id, seq, timestamp_us) header, and the readings
+    of all of them as one read-only (n, 16, 16) uint16 array, range-checked once.
+
+    As a sequence its items are WireFrames, each built when it is read.
+    """
+
+    headers: tuple
+    readings: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "headers", tuple(self.headers))
+        readings = np.asarray(self.readings)
+        if readings.shape != (len(self.headers), *PAD_SHAPE):
+            raise InvalidInputError(f"readings must be {len(self.headers)} frames of {PAD_SHAPE}, got {readings.shape}")
+        if len(readings):
+            check_raw_readings(readings, MAX_READING)
+        freeze(self, "readings", (-1, *PAD_SHAPE), np.uint16)
+
+    @staticmethod
+    def of(frames) -> "FrameBatch":
+        """The batch of a sequence of WireFrames."""
+        return FrameBatch([(f.pad_id, f.seq, f.timestamp_us) for f in frames],
+                          np.array([f.readings for f in frames], np.uint16).reshape(-1, *PAD_SHAPE))
+
+    def __len__(self) -> int:
+        return len(self.headers)
+
+    def __getitem__(self, i: int) -> WireFrame:
+        return WireFrame(*self.headers[i], self.readings[i])
+
+
 def pack_readings(readings: np.ndarray) -> bytes:
     """Pack 256 10-bit readings MSB-first into 320 bytes."""
     flat = np.asarray(readings).reshape(PAD_TAXELS)
@@ -121,7 +155,7 @@ def encode_frame(frame: TactileFrame, seq: int) -> bytes:
     if frame.normalized:
         raise InvalidInputError("only raw frames can be encoded")
     check_range("seq", seq, 0, (1 << 32) - 1)
-    check_range("pad_id", frame.pad_id, 0, 255)
+    check_range("pad_id", frame.pad_id, 0, MAX_PAD_ID)
     check_range("timestamp_us", frame.timestamp_us, 0, (1 << 64) - 1, "us")
     body = _HEADER.pack(MAGIC, VERSION, frame.pad_id, seq, frame.timestamp_us)
     body += pack_readings(frame.readings)
@@ -176,8 +210,8 @@ class StreamDecoder:
         self._garbage = False  # the bytes skipped last were garbage, not a bad candidate's magic
         self.diagnostics = DecodeDiagnostics()
 
-    def feed(self, chunk: bytes) -> list[WireFrame]:
-        """The frames completed by chunk. Their readings are read-only rows of one array."""
+    def feed(self, chunk: bytes) -> FrameBatch:
+        """The frames completed by chunk, as one batch."""
         buf = self._buf
         buf.extend(chunk)
         starts, headers = [], []  # of each valid frame
@@ -211,13 +245,9 @@ class StreamDecoder:
                     self.diagnostics.bad_versions += 1
                     self._skip(2)
                     pos += 2
-        frames = []
-        if starts:
-            payloads = np.add(starts, HEADER_LEN)
-            readings = read_only(_unpack(np.frombuffer(buf, np.uint8), payloads), np.uint16)
-            frames = [WireFrame(*header, row) for header, row in zip(headers, readings)]
+        readings = _unpack(np.frombuffer(buf, np.uint8), np.array(starts, np.intp) + HEADER_LEN)
         del buf[:pos]
-        return frames
+        return FrameBatch(headers, readings)
 
     def _skip(self, n: int) -> None:
         self._garbage = False
@@ -265,17 +295,18 @@ _AFTER = len(_SKELETON) - len(_SEP_TEXT) + np.cumsum([0] + [len(sep) for sep in 
 _READINGS_SEPS = len(b"[[" + _SEP_TEXT)
 
 
-def frame_lines(frames: list) -> bytes:
-    """The canonical lines of frames (WireFrames, so every reading is at most MAX_READING),
-    byte for byte json.dumps of each frame's document and "\n"."""
+def frame_lines(frames) -> bytes:
+    """The canonical lines of frames (a FrameBatch, or WireFrames), byte for byte json.dumps
+    of each frame's document and "\n"."""
+    if not isinstance(frames, FrameBatch):
+        frames = FrameBatch.of(frames)
     if not frames:
         return b""
-    heads = [_LINE_HEAD % (f.pad_id, f.seq, f.timestamp_us) for f in frames]
+    heads = [_LINE_HEAD % header for header in frames.headers]
     width = -(-max(map(len, heads)) // 8)  # in words
-    lines = np.empty((len(frames), width + PAD_TAXELS), _WORD)
+    lines = np.empty((len(heads), width + PAD_TAXELS), _WORD)
     lines[:, :width] = np.frombuffer(b"".join(h.ljust(8 * width, b"\0") for h in heads), _WORD).reshape(-1, width)
-    readings = np.stack([f.readings.reshape(PAD_TAXELS) for f in frames])
-    np.bitwise_or(_DIGIT_WORDS[readings], _SEP_WORDS, out=lines[:, width:])
+    np.bitwise_or(_DIGIT_WORDS[frames.readings.reshape(-1, PAD_TAXELS)], _SEP_WORDS, out=lines[:, width:])
     return lines.tobytes().translate(None, b"\0")
 
 

@@ -10,16 +10,19 @@ from .errors import InvalidInputError
 def read_only(value, dtype=np.float64, shape=None) -> np.ndarray:
     """value as a read-only array of the given dtype, reshaped when shape is given.
 
-    The value is copied unless it is already a read-only ndarray (such as the readings that
-    the stream decoder unpacks), so no caller keeps a writable alias of the result.
+    A read-only ndarray (such as a row of the readings that the stream decoder unpacks) is not
+    copied unless its dtype changes, and one that already has the dtype and shape is returned as
+    it is. Every other value is copied, so no caller keeps a writable alias of the result.
     """
     if isinstance(value, np.ndarray) and not value.flags.writeable:
-        arr = np.asarray(value, dtype=dtype)
+        arr = np.asarray(value, dtype=dtype)  # value itself when it has the dtype
     else:
         arr = np.array(value, dtype=dtype)
     if shape is not None:
-        arr = arr.reshape(shape)
-    arr.setflags(write=False)
+        reshaped = arr.reshape(shape)
+        arr = arr if reshaped.shape == arr.shape else reshaped
+    if arr is not value:
+        arr.setflags(write=False)
     return arr
 
 

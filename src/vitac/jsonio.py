@@ -113,6 +113,13 @@ def json_object(key, value) -> dict:
     return value
 
 
+def json_array(key, value) -> list:
+    """value, which a document holds under key, when it is a JSON array; else a TypeError."""
+    if not isinstance(value, list):
+        raise TypeError(f"{key} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
 def number(key, value, kind=float):
     """kind(value) for value, which a document holds under key, when it is a JSON number: never a
     bool or a string, and for kind int one without a fractional part; else a TypeError naming key."""

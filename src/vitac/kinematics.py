@@ -8,13 +8,14 @@ order of a tactile frame.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import jsonio
 from .errors import InvalidInputError, check_range
-from .frozen import freeze
+from .frozen import freeze, read_only
 from .pointcloud import BASE_FRAME, CloudXYZF
 from .se3 import MAX_LENGTH_M, UNIT_TOL, PoseSE3
 from .sensor_model import PAD_COLS, PAD_ROWS, PAD_TAXELS
@@ -67,8 +68,56 @@ class JointState:
 
     @staticmethod
     def check(positions: np.ndarray) -> None:
-        if not np.all(np.isfinite(positions)):
+        if not np.isfinite(positions).all():
             raise InvalidInputError("joint positions must be finite")
+
+
+# The canonical joint line is json.dumps({"timestamp_us": T, "positions": [x, ...]}) and "\n":
+# T an integer, each x a JSON number. Such lines are read in blocks, each x as json and then
+# jsonio.numbers read it: float(x), which for an integer is float(int(x)) (both round to the
+# nearest float) except for "-0", which json reads as the int 0, so as 0.0, never -0.0.
+_JSON_NUMBER = rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
+_JOINT_LINE = re.compile(rb'\{"timestamp_us": (-?(?:0|[1-9][0-9]{0,18})), "positions": \[(%s(?:, %s)*)\]\}\n?'
+                         % (_JSON_NUMBER, _JSON_NUMBER))
+
+
+def _canonical_joints(lines: list) -> list:
+    """The JointState of each canonical line among lines, None for every other line."""
+    found, stamps, tokens, ends = [], [], [], []
+    for i, line in enumerate(lines):
+        m = _JOINT_LINE.fullmatch(line)
+        if m:
+            found.append(i)
+            stamps.append(int(m[1]))
+            tokens += m[2].split(b", ")
+            ends.append(len(tokens))
+    out = [None] * len(lines)
+    if not found:
+        return out
+    if b"-0" in tokens:
+        tokens = [b"0" if t == b"-0" else t for t in tokens]
+    block = read_only(list(map(float, tokens)))
+    starts = [0, *ends[:-1]]
+    finite = np.logical_and.reduceat(np.isfinite(block), starts)
+    for i, stamp, start, end, ok in zip(found, stamps, starts, ends, finite):
+        if ok:  # a number too large for a float is left to json, which refuses it
+            out[i] = JointState(block[start:end], stamp)
+    return out
+
+
+def _joint_from_doc(doc) -> JointState:
+    stamp = jsonio.number("timestamp_us", doc["timestamp_us"], int)
+    return JointState(jsonio.numbers("positions", doc["positions"]), stamp)
+
+
+def read_joint_lines(path) -> list:
+    """The JointStates of a JSON-lines file, one per nonblank line, in line order.
+
+    A line may be any JSON object holding timestamp_us and positions. Canonical lines are read
+    in blocks; every other line goes through jsonio.loads, with the same states and the same
+    "<file>:<line>" errors as if every line did.
+    """
+    return jsonio.read_jsonl(path, _joint_from_doc, batch=_canonical_joints)
 
 
 @dataclass(frozen=True)
@@ -157,13 +206,14 @@ def tactile_point_cloud(frames, chain: KinematicChain, joints: JointState, mount
 
 def _chain_from_dict(doc: dict) -> tuple[KinematicChain, list[PadMount]]:
     # Link checks its joint itself, so it passes as read
+    links = jsonio.json_array("links", doc["links"])
     chain = KinematicChain(
-        tuple(jsonio.fields_from(Link, d, fixed=PoseSE3.from_dict, joint=None, axis=np.ndarray) for d in doc["links"])
+        tuple(jsonio.fields_from(Link, d, fixed=PoseSE3.from_dict, joint=None, axis=np.ndarray) for d in links)
     )
     return chain, [
         jsonio.fields_from(PadMount, d, "mount_transform", pad_id=int, link_index=int,
                            mount_transform=PoseSE3.from_dict, grid=TaxelGrid.from_dict)
-        for d in doc.get("mounts", [])
+        for d in jsonio.json_array("mounts", doc.get("mounts", []))
     ]
 
 

@@ -30,6 +30,7 @@ PAD_TAXELS = PAD_ROWS * PAD_COLS
 READING_BITS = 10  # the pad's ADC resolution
 MAX_READING = (1 << READING_BITS) - 1  # its full scale, TaxelResponseModel's default r_max
 MAX_RAW_READING = 65535  # a raw frame holds uint16 readings
+MAX_PAD_ID = 255  # a pad id is one byte, in a wire frame and in a .vtep tactile record
 # A calibration's gains lie in (0, MAX_GAIN] and its offsets, being raw readings, within
 # MAX_RAW_READING of 0: at a gain of 1e6 one count is far past any model's full scale, and
 # gain * (raw - offset) stays below 1e12.

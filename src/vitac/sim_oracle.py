@@ -28,7 +28,7 @@ from .kinematics import (
 )
 from .pointcloud import BASE_FRAME, CloudXYZF
 from .se3 import MAX_LENGTH_M, PoseSE3, matrix_to_quat, quat_slerp
-from .sensor_model import PAD_COLS, PAD_ROWS, PAD_SHAPE, TactileFrame, TaxelResponseModel, force_to_reading
+from .sensor_model import MAX_PAD_ID, PAD_COLS, PAD_ROWS, PAD_SHAPE, TactileFrame, TaxelResponseModel, force_to_reading
 from .stream_sync import (
     JOINTS_STREAM,
     Episode,
@@ -330,8 +330,18 @@ class GroundTruthTick:
     @staticmethod
     def from_dict(d: dict) -> "GroundTruthTick":
         return jsonio.fields_from(GroundTruthTick, d, t_us=int, pose=PoseSE3.from_dict,
-                                  forces=lambda f: {int(k): jsonio.numbers(f"forces {k}", v)
+                                  forces=lambda f: {_pad_key(k): jsonio.numbers(f"forces {k}", v)
                                                   for k, v in jsonio.json_object("forces", f).items()})
+
+
+_PAD_KEYS = {str(pad_id): pad_id for pad_id in range(MAX_PAD_ID + 1)}
+
+
+def _pad_key(key: str) -> int:
+    """The pad id that a key of a truth line's forces names, which must be the id's decimal text."""
+    if key in _PAD_KEYS:
+        return _PAD_KEYS[key]
+    raise ValueError(f"forces keys must be pad ids in [0, {MAX_PAD_ID}] written in decimal, got {key!r}")
 
 
 @dataclass(frozen=True, eq=False)

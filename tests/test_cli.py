@@ -475,6 +475,16 @@ BAD_JSON_DOCS = {
     **{f"truth-forces-{kind}": ("--truth", json.dumps({"t_us": 0, "pose": _POSE, "forces": value}),
                                 f"forces must be a JSON object, got {kind}")
        for kind, value in (("list", [1, 2]), ("int", 7), ("str", "none"), ("NoneType", None))},
+    # and each of its keys is the decimal text of a pad id, as GroundTruth.save_jsonl writes it
+    **{f"truth-forces-key-{name}": ("--truth", json.dumps({"t_us": 0, "pose": _POSE, "forces": {key: [[1.0]]}}),
+                                    f"forces keys must be pad ids in [0, 255] written in decimal, got {key!r}")
+       for name, key in (("underscore", "1_0"), ("space", " 1"), ("x", "x"), ("256", "256"), ("leading-zero", "01"),
+                         ("minus-1", "-1"), ("empty", ""))},
+    # a chain's links and mounts are arrays, and a missing mounts array means no mounts
+    **{f"chain-{key}-{kind}": ("--chain", json.dumps({"links": [], key: value}),
+                               f"{key} must be a JSON array, got {kind}")
+       for key in ("links", "mounts")
+       for kind, value in (("dict", {}), ("int", 5), ("str", "none"), ("NoneType", None))},
 }
 _PLY_HEAD = "ply\nformat ascii 1.0\nelement vertex 1\nproperty double x\nproperty double y\n"
 BAD_PLY_FILES = {

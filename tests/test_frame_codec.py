@@ -10,12 +10,15 @@ from vitac.frame_codec import (
     BadMagicError,
     BadVersionError,
     CrcMismatchError,
+    FrameBatch,
+    FrameDecodeError,
     NeedMoreDataError,
     StreamDecoder,
     WireFrame,
     crc16_ccitt_false,
     decode_frame,
     encode_frame,
+    frame_lines,
     pack_readings,
     unpack_readings,
 )
@@ -290,3 +293,55 @@ def test_stream_decoder_burst_resync():
     # every intact frame after the burst is recovered
     assert seqs[:3] == [0, 1, 2]
     assert seqs[-3:] == [3, 4, 5]
+
+
+def _wire_fields(w) -> tuple:
+    return w.pad_id, w.seq, w.timestamp_us, w.readings.dtype.str, w.readings.flags.writeable, w.readings.tobytes()
+
+
+def test_each_batch_item_is_decode_frame_of_its_bytes():
+    # over random chunkings of a stream with junk and flipped bytes, the batches' items are the
+    # WireFrames that decode_frame gives for the frames that survive, and every batch is read-only
+    rng = np.random.default_rng(12)
+    frames = [(random_frame(rng), i) for i in range(24)]
+    stream, offsets = bytearray(), []
+    for f, seq in frames:
+        stream += rng.integers(0, 0xA5, int(rng.integers(0, 9)), dtype=np.uint8).tobytes()  # junk, no magic
+        offsets.append(len(stream))
+        stream += encode_frame(f, seq)
+    for _ in range(25):
+        data = bytearray(stream)
+        for at in rng.integers(0, len(data), int(rng.integers(0, 5))):
+            data[at] ^= int(rng.integers(1, 256))
+        want = []
+        for at in offsets:
+            try:
+                want.append(decode_frame(bytes(data[at : at + FRAME_LEN])))
+            except FrameDecodeError:
+                pass
+        cuts = np.sort(rng.integers(0, len(data) + 1, int(rng.integers(1, 30)))).tolist()
+        dec, got = StreamDecoder(), []
+        for lo, hi in zip([0, *cuts], [*cuts, len(data)]):
+            batch = dec.feed(bytes(data[lo:hi]))
+            assert isinstance(batch, FrameBatch)
+            assert batch.readings.shape == (len(batch), 16, 16) and batch.readings.dtype == np.uint16
+            assert not batch.readings.flags.writeable
+            assert all(isinstance(w, WireFrame) for w in batch)
+            got.extend(batch)
+        assert [_wire_fields(w) for w in got] == [_wire_fields(w) for w in want]
+        assert dec.diagnostics.frames == len(want)
+
+
+def test_frame_batch_is_a_sequence_of_wire_frames():
+    rng = np.random.default_rng(13)
+    frames = [WireFrame(i, 10 + i, 1000 * i, rng.integers(0, 1024, (16, 16))) for i in range(5)]
+    batch = FrameBatch.of(frames)
+    assert len(batch) == 5 and [w.seq for w in batch] == [10, 11, 12, 13, 14]
+    assert _wire_fields(batch[-1]) == _wire_fields(frames[-1])
+    assert frame_lines(batch) == frame_lines(frames) == frame_lines(frames[:2]) + frame_lines(frames[2:])
+    empty = StreamDecoder().feed(b"")
+    assert len(empty) == 0 and empty.readings.shape == (0, 16, 16) and frame_lines(empty) == b""
+    with pytest.raises(InvalidInputError, match="raw readings must be integers in \\[0, 1023\\]"):
+        FrameBatch([(0, 0, 0)], np.full((1, 16, 16), 1024))
+    with pytest.raises(InvalidInputError, match=r"readings must be 2 frames of \(16, 16\), got \(1, 16, 16\)"):
+        FrameBatch([(0, 0, 0)] * 2, np.zeros((1, 16, 16)))

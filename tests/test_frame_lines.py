@@ -238,3 +238,18 @@ def test_decode_then_sync_sends_no_tactile_line_through_jsonio_loads(tmp_path, m
     monkeypatch.setattr(jsonio, "loads", refuse)
     assert main(["--json", "sync", "--tactile", str(lines), "--out", str(episode)]) == 0
     assert json.loads(capsys.readouterr().out)["tuples"] == 74  # 10 Hz ticks from 0.1 s, when all 4 pads have begun, to 7.4 s
+
+
+def test_decode_builds_no_wire_frame(tmp_path, monkeypatch, capsys):
+    """decode writes each chunk's lines from the decoder's frame batch; a per-frame object fails here."""
+    rng = np.random.default_rng(9)
+    frames = [TactileFrame(i % 4, 25_000 * i, rng.choice(EDGE_READINGS, (16, 16))) for i in range(300)]
+    raw, lines = tmp_path / "raw.bin", tmp_path / "frames.jsonl"
+    raw.write_bytes(b"".join(encode_frame(f, i) for i, f in enumerate(frames)))
+    built = []
+    monkeypatch.setattr(WireFrame, "__post_init__", lambda self: built.append(self))
+    assert main(["--json", "decode", "--in", str(raw), "--out", str(lines)]) == 0
+    assert json.loads(capsys.readouterr().out)["frames"] == 300 and built == []
+    monkeypatch.undo()
+    assert [(f.pad_id, f.timestamp_us, f.readings.tolist()) for f in read_frame_lines(lines)] == [
+        (f.pad_id, f.timestamp_us, f.readings.tolist()) for f in frames]

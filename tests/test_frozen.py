@@ -58,11 +58,19 @@ def test_array_fields_are_frozen_copies(kind):
         before = stored.copy()
         arr.flat[0] += 1
         assert np.array_equal(stored, before), f"{name} changed with the caller's array"
-    # an input that is already read-only is stored as it is
-    read_only = {name: _read_only(v, getattr(obj, name).dtype) for name, v in values.items()}
+    # an input that is already read-only, of the field's own dtype and shape, is stored as it is
+    dtypes = {name: getattr(obj, name).dtype for name in values}
+    read_only = {name: _read_only(v, dtypes[name]) for name, v in values.items()}
     obj = build(read_only)
     for name, arr in read_only.items():
-        assert np.shares_memory(getattr(obj, name), arr), f"{name} was copied"
+        assert getattr(obj, name) is arr, f"{name} was not stored as it is"
+    # a read-only input of another dtype is copied
+    other = {name: _read_only(v, np.float32 if dtypes[name] == np.float64 else np.int64) for name, v in values.items()}
+    obj = build(other)
+    for name, arr in other.items():
+        stored = getattr(obj, name)
+        assert stored.dtype == dtypes[name] and not stored.flags.writeable, name
+        assert not np.shares_memory(stored, arr), f"{name} was not copied"
 
 
 def test_only_freeze_sets_arrays_read_only():
