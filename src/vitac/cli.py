@@ -140,7 +140,8 @@ def _read_tactile_jsonl(path) -> dict:
 
 
 def _read_cloud_dir(path) -> dict:
-    """PLY files named {cam}_{timestamp_us}.ply (or {timestamp_us}.ply for cam 0)."""
+    """PLY files named {cam}_{timestamp_us}.ply (or {timestamp_us}.ply for cam 0): cam in ASCII
+    digits, timestamp_us in ASCII digits after an optional "-"."""
     streams = {}
     for ply in sorted(Path(path).glob("*.ply")):
         stem = ply.stem
@@ -148,14 +149,10 @@ def _read_cloud_dir(path) -> dict:
             cam_s, ts_s = stem.split("_", 1)
         else:
             cam_s, ts_s = "0", stem
-        try:
-            cam_id, ts = int(cam_s), int(ts_s)
-        except ValueError:
-            raise InvalidInputError(
-                f"{ply.name}: cloud files must be named <cam>_<timestamp_us>.ply"
-            )
-        sid = camera_stream(cam_id)
-        streams.setdefault(sid, []).append(TimedSample(sid, ts, read_cloud_ply(ply)))
+        if not all(s.isascii() and s.isdigit() for s in (cam_s, ts_s.removeprefix("-"))):
+            raise InvalidInputError(f"{ply.name}: cloud files must be named <cam>_<timestamp_us>.ply")
+        sid = camera_stream(int(cam_s))
+        streams.setdefault(sid, []).append(TimedSample(sid, int(ts_s), read_cloud_ply(ply)))
     return streams
 
 

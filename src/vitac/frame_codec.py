@@ -155,7 +155,6 @@ def encode_frame(frame: TactileFrame, seq: int) -> bytes:
     if frame.normalized:
         raise InvalidInputError("only raw frames can be encoded")
     check_range("seq", seq, 0, (1 << 32) - 1)
-    check_range("pad_id", frame.pad_id, 0, MAX_PAD_ID)
     check_range("timestamp_us", frame.timestamp_us, 0, (1 << 64) - 1, "us")
     body = _HEADER.pack(MAGIC, VERSION, frame.pad_id, seq, frame.timestamp_us)
     body += pack_readings(frame.readings)
@@ -341,7 +340,7 @@ def _canonical_frames(lines: list) -> list:
     good &= n_digits.sum(axis=1) == digits  # and no digit sits inside a separator
     readings = read_only(values, np.uint16, (-1, *PAD_SHAPE))
     for i, (pad_id, timestamp_us), row, ok in zip(found, heads, readings, good):
-        if ok:
+        if ok and pad_id <= MAX_PAD_ID:  # TactileFrame refuses a larger id, which the line's own read reports
             out[i] = TactileFrame(pad_id, timestamp_us, row)
     return out
 

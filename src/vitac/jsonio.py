@@ -5,14 +5,16 @@ number that is not finite (NaN, Infinity, or one too large for a float), lacks a
 parse reads, or holds a value of the wrong type or shape raises InvalidInputError naming
 the file (and, for JSON lines, the line). fields_from and fields_to map a dataclass from and
 to its document, one key per field; a key other than the field's name, or a path of keys
-into nested objects, is declared on the field, as field(metadata={"key": ...}). Every number a
-document holds is read by number, or, in an array, by numbers: the one rule for what a JSON
-number is.
+into nested objects, is declared on the field, as field(metadata={"key": ...}), and each field
+is read by its declared type. Every number a document holds is read by number, or, in an array,
+by numbers: the one rule for what a JSON number is.
 """
 
 import json
 import math
+import typing
 from dataclasses import MISSING, fields
+from functools import cache
 from itertools import islice
 
 import numpy as np
@@ -175,15 +177,29 @@ def _convert(key, value, conv):
     return value if conv is None else conv(value)
 
 
+@cache
+def _conversions(cls) -> dict:
+    """The conversion of each field of dataclass cls, by name, from its declared type: int, float
+    and np.ndarray, Optional or not, go through _convert, a type with from_dict through it, and
+    anything else passes as read (None) for the type's own checks."""
+    out = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        args = typing.get_args(hint)
+        if len(args) == 2 and type(None) in args:  # X | None reads as X
+            hint = args[args[0] is type(None)]
+        out[name] = hint if hint in (int, float, np.ndarray) else getattr(hint, "from_dict", None)
+    return out
+
+
 def fields_from(cls, d: dict, *required: str, **convert):
     """A dataclass from d, each field read from its key or path of keys (a missing object on the
-    path reads as {}): the value goes through _convert with convert[field] (np.ndarray for an
-    array of numbers), else with its default's type, or passes as is for a field without a
-    default; a missing key takes the
-    dataclass default, or is a KeyError naming the key for a field without one or named in
-    required. Other keys are ignored."""
+    path reads as {}): the value goes through _convert with convert[field], given where the
+    document form differs from the type, else with its declared type's conversion; a missing key
+    takes the dataclass default, or is a KeyError naming the key for a field without one or named
+    in required. Other keys are ignored."""
     if not isinstance(d, dict):
         raise TypeError(f"expected a JSON object for {cls.__name__}, got {type(d).__name__}")
+    conversions = _conversions(cls)
     kwargs = {}
     for f in fields(cls):
         key, doc = _key(f), d
@@ -192,8 +208,7 @@ def fields_from(cls, d: dict, *required: str, **convert):
             for name in outer:
                 doc = json_object(name, doc.get(name, {}))
         if key in doc:
-            conv = convert.get(f.name, None if f.default is MISSING else type(f.default))
-            kwargs[f.name] = _convert(key, doc[key], conv)
+            kwargs[f.name] = _convert(key, doc[key], convert.get(f.name, conversions[f.name]))
         elif f.name in required or (f.default is MISSING and f.default_factory is MISSING):
             raise KeyError(key)
     return cls(**kwargs)

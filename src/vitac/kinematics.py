@@ -205,16 +205,9 @@ def tactile_point_cloud(frames, chain: KinematicChain, joints: JointState, mount
 
 
 def _chain_from_dict(doc: dict) -> tuple[KinematicChain, list[PadMount]]:
-    # Link checks its joint itself, so it passes as read
-    links = jsonio.json_array("links", doc["links"])
-    chain = KinematicChain(
-        tuple(jsonio.fields_from(Link, d, fixed=PoseSE3.from_dict, joint=None, axis=np.ndarray) for d in links)
-    )
-    return chain, [
-        jsonio.fields_from(PadMount, d, "mount_transform", pad_id=int, link_index=int,
-                           mount_transform=PoseSE3.from_dict, grid=TaxelGrid.from_dict)
-        for d in jsonio.json_array("mounts", doc.get("mounts", []))
-    ]
+    chain = KinematicChain(tuple(jsonio.fields_from(Link, d) for d in jsonio.json_array("links", doc["links"])))
+    return chain, [jsonio.fields_from(PadMount, d, "mount_transform")
+                   for d in jsonio.json_array("mounts", doc.get("mounts", []))]
 
 
 def save_chain_file(path, chain: KinematicChain, mounts) -> None:

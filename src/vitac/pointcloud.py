@@ -80,7 +80,7 @@ class AABB:
 
     @staticmethod
     def from_dict(d: dict) -> "AABB":
-        return jsonio.fields_from(AABB, d, lo=np.ndarray, hi=np.ndarray)
+        return jsonio.fields_from(AABB, d)
 
 
 class FusedCloud(_Cloud):

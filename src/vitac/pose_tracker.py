@@ -307,7 +307,7 @@ class TrackerConfig:
     @staticmethod
     def from_dict(d: dict) -> "TrackerConfig":
         """The settings from d, the prior's three from its ``prior`` object alone; other keys are ignored."""
-        return jsonio.fields_from(TrackerConfig, d, prior_center=PoseSE3.from_dict)
+        return jsonio.fields_from(TrackerConfig, d)
 
 
 @dataclass(frozen=True, eq=False)

@@ -217,7 +217,7 @@ class PoseSE3:
     @staticmethod
     def from_dict(d: dict) -> "PoseSE3":
         """The pose a file holds; each translation component must lie within MAX_TRANSLATION_M."""
-        pose = jsonio.fields_from(PoseSE3, d, "q", "t", q=np.ndarray, t=np.ndarray)
+        pose = jsonio.fields_from(PoseSE3, d, "q", "t")
         for x in pose.t:
             check_range("pose translation", float(x), -MAX_TRANSLATION_M, MAX_TRANSLATION_M, "m")
         return pose

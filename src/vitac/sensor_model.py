@@ -30,7 +30,7 @@ PAD_TAXELS = PAD_ROWS * PAD_COLS
 READING_BITS = 10  # the pad's ADC resolution
 MAX_READING = (1 << READING_BITS) - 1  # its full scale, TaxelResponseModel's default r_max
 MAX_RAW_READING = 65535  # a raw frame holds uint16 readings
-MAX_PAD_ID = 255  # a pad id is one byte, in a wire frame and in a .vtep tactile record
+MAX_PAD_ID = 255  # a wire frame holds a pad id in one byte (a .vtep tactile head in a u16)
 # A calibration's gains lie in (0, MAX_GAIN] and its offsets, being raw readings, within
 # MAX_RAW_READING of 0: at a gain of 1e6 one count is far past any model's full scale, and
 # gain * (raw - offset) stays below 1e12.
@@ -183,21 +183,23 @@ class TactileFrame:
         r = np.asarray(self.readings)
         if r.shape != PAD_SHAPE:
             raise InvalidInputError(f"readings must be {PAD_SHAPE}, got {r.shape}")
-        if self.normalized:
-            self.check(freeze(self, "readings", PAD_SHAPE), True)
-        else:
-            self.check(r, False)
-            freeze(self, "readings", PAD_SHAPE, np.uint16)
         object.__setattr__(self, "pad_id", int(self.pad_id))
+        if self.normalized:
+            self.check(self.pad_id, freeze(self, "readings", PAD_SHAPE), True)
+        else:
+            self.check(self.pad_id, r, False)
+            freeze(self, "readings", PAD_SHAPE, np.uint16)
         object.__setattr__(self, "timestamp_us", int(self.timestamp_us))
 
     @staticmethod
-    def check(readings: np.ndarray, normalized: bool) -> None:
-        """InvalidInputError unless the readings fit the frame's kind: raw counts, or normalized in [0, 1]."""
+    def check(pad_id: int, readings: np.ndarray, normalized: bool) -> None:
+        """InvalidInputError unless the readings fit the frame's kind, raw counts or normalized in
+        [0, 1], and pad_id lies in [0, MAX_PAD_ID]."""
         if not normalized:
             check_raw_readings(readings, MAX_RAW_READING)
         elif not np.all(np.isfinite(readings)) or np.any(readings < 0) or np.any(readings > 1):
             raise InvalidInputError("normalized readings must be within [0, 1]")
+        check_range("pad_id", pad_id, 0, MAX_PAD_ID)
 
     def values(self) -> np.ndarray:
         """Readings as float64, row-major grid."""
@@ -221,7 +223,7 @@ class PadCalibration:
             check_range("gain", float(x), 0, MAX_GAIN, ends="(]")
         for x in (offset.min(), offset.max()):
             check_range("offset", float(x), -MAX_RAW_READING, MAX_RAW_READING, "counts")
-        object.__setattr__(self, "pad_id", int(self.pad_id))
+        object.__setattr__(self, "pad_id", check_range("pad_id", int(self.pad_id), 0, MAX_PAD_ID))
 
     def to_dict(self) -> dict:
         return jsonio.fields_to(self)
@@ -229,10 +231,7 @@ class PadCalibration:
     @staticmethod
     def from_dict(d: dict) -> "PadCalibration":
         """A file states every field: gain, offset and model have defaults only in Python."""
-        return jsonio.fields_from(
-            PadCalibration, d, "gain", "offset", "model",
-            pad_id=int, gain=np.ndarray, offset=np.ndarray, model=TaxelResponseModel.from_dict,
-        )
+        return jsonio.fields_from(PadCalibration, d, "gain", "offset", "model")
 
     def save(self, path) -> None:
         jsonio.write_json(path, self.to_dict())

@@ -240,14 +240,10 @@ class SceneSpec:
         return jsonio.fields_from(
             SceneSpec,
             d,
-            obj=Primitive.from_dict,
             object_trajectory=lambda keys: tuple((jsonio.number("t", k["t"]), PoseSE3.from_dict(k["pose"]))
                                                  for k in keys),
             aperture_trajectory=lambda keys: tuple((jsonio.number("t", k["t"]), jsonio.number("gap", k["gap"]))
                                                    for k in keys),
-            gripper_pose=PoseSE3.from_dict,
-            grid=TaxelGrid.from_dict,
-            sensor=TaxelResponseModel.from_dict,
         )
 
     def save(self, path) -> None:
@@ -325,13 +321,14 @@ class GroundTruthTick:
     forces: dict = field(default_factory=dict)  # pad_id -> (rows, cols) float Newtons
 
     def __post_init__(self):
+        for pad_id in self.forces:
+            check_range("pad_id", pad_id, 0, MAX_PAD_ID)
         freeze_mapping(self, "forces", read_only)
 
     @staticmethod
     def from_dict(d: dict) -> "GroundTruthTick":
-        return jsonio.fields_from(GroundTruthTick, d, t_us=int, pose=PoseSE3.from_dict,
-                                  forces=lambda f: {_pad_key(k): jsonio.numbers(f"forces {k}", v)
-                                                  for k, v in jsonio.json_object("forces", f).items()})
+        return jsonio.fields_from(GroundTruthTick, d, forces=lambda f: {
+            _pad_key(k): jsonio.numbers(f"forces {k}", v) for k, v in jsonio.json_object("forces", f).items()})
 
 
 _PAD_KEYS = {str(pad_id): pad_id for pad_id in range(MAX_PAD_ID + 1)}

@@ -81,7 +81,9 @@ class SyncedTuple:
         for sid in self.members:
             if sid.startswith(prefix):
                 try:
-                    key = int(sid[len(prefix) :])
+                    key = int(n := sid[len(prefix) :])
+                    if key < 0 or str(key) != n:  # only canonical decimal text: no sign, no leading zero
+                        raise ValueError
                 except ValueError:
                     raise InvalidInputError(f"stream {sid!r}: expected {prefix}<integer>") from None
                 out[key] = self._payload(sid, kind)
@@ -301,7 +303,7 @@ _PAYLOADS = {
         TactileFrame, struct.Struct("<HBq"), False,  # pad_id, normalized, timestamp_us
         body=lambda head: (_READING_DTYPES[bool(head[1])], PAD_SHAPE),
         build=lambda head, frame, body: TactileFrame(head[0], head[2], body, normalized=bool(head[1])),
-        check=lambda head, body: TactileFrame.check(body, bool(head[1])),
+        check=lambda head, body: TactileFrame.check(head[0], body, bool(head[1])),
         split=lambda f: ((f.pad_id, int(f.normalized), f.timestamp_us), f.readings),
     ),
     2: _cloud_layout(CloudXYZF),

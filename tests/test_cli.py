@@ -288,6 +288,8 @@ BAD_JSON_LINES = {
     "tactile-ragged": ("--tactile", json.dumps({**_FRAME, "readings": [[1, 2], [3]]}), ""),
     "tactile-65541": ("--tactile", json.dumps({**_FRAME, "readings": [[65541] * 16] * 16}),
                       "65535"),
+    "tactile-pad-minus-2": ("--tactile", json.dumps({**_FRAME, "pad_id": -2}), "pad_id must lie in [0, 255], got -2"),
+    "tactile-pad-256": ("--tactile", json.dumps({**_FRAME, "pad_id": 256}), "pad_id must lie in [0, 255], got 256"),
     "poses-no-pose": ("--poses", '{"t_us": 0}', "'pose'"),
     "poses-not-object": ("--poses", "[0, 1]", "expected a JSON object for GroundTruthTick, got list"),
     "poses-not-utf8": ("--poses", b'{"t_us": 0, "pose": "\xff"}', "utf-8"),
@@ -464,6 +466,7 @@ BAD_JSON_DOCS = {
     "calib-offset-1e300": ("--calib", _calib(offset=[[-1e300] * 16] * 16),
                            "offset must lie in [-65535, 65535] counts, got -1e+300"),
     "calib-gain-shape": ("--calib", _calib(gain=[1.0] * 256), "gain/offset must be (16, 16)"),
+    "calib-pad-256": ("--calib", _calib(pad_id=256), "pad_id must lie in [0, 255], got 256"),
     "calib-unclosed": ("--calib", '{"pad_id": 0', "not a JSON document"),
     "calib-no-gain": ("--calib", '{"pad_id": 0, "offset": [], "model": {"a": 1, "b": 0}}',
                       "missing key 'gain'"),
@@ -795,6 +798,9 @@ BAD_VALUE_RECORDS = {
                   struct.pack("<d", 0.25), struct.pack("<d", np.nan), "cloud contains non-finite values"),
     "tactile-above-1": ("tactile/0", TactileFrame(0, 0, np.full((16, 16), 0.75), normalized=True),
                         struct.pack("<d", 0.75), struct.pack("<d", 1.5), "normalized readings must be within [0, 1]"),
+    # a tactile head stores its pad id in a u16, past the pad ids a frame holds
+    "tactile-pad-300": ("tactile/7", TactileFrame(7, 0, np.zeros((16, 16))), b"\x01" + struct.pack("<HBq", 7, 0, 0),
+                        b"\x01" + struct.pack("<HBq", 300, 0, 0), "pad_id must lie in [0, 255], got 300"),
 }
 
 
@@ -809,7 +815,7 @@ def test_stats_bad_payload_value_names_the_record(tmp_path, capsys, kind):
 
 # the good episode with one member moved: tactile/0 to tactile/x, or the cloud of
 # camera/0 or the joint state replaced by tactile/0's frame
-@pytest.mark.parametrize("sid", ["tactile/x", "camera/0", "joints"])
+@pytest.mark.parametrize("sid", ["tactile/x", "camera/0", "joints", "tactile/01", "tactile/1_0"])
 def test_fuse_member_that_does_not_fit_its_stream_is_one_error_line(tmp_path, capsys, good_inputs, sid):
     episode = read_episode(good_inputs["--episode"])
     tuples = []
@@ -865,6 +871,16 @@ def test_calibrate_samples_that_are_no_csv_text_are_one_error_line(tmp_path, cap
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("pad_id", ["256", "-1"])
+def test_calibrate_pad_id_out_of_range_is_one_error_line_and_writes_nothing(tmp_path, capsys, pad_id):
+    path = tmp_path / "samples.csv"
+    path.write_text("".join(f"{f},{100.0 * np.log(f) + 50.0}\n" for f in (2.0, 4.0, 8.0)))
+    out = tmp_path / "c.json"
+    assert main(["calibrate", "--samples", str(path), "--out", str(out), "--pad-id", pad_id]) == 1
+    assert capsys.readouterr().err == f"error: pad_id must lie in [0, 255], got {pad_id}\n"
+    assert not out.exists()
+
+
 def test_calibrate_defaults_are_the_response_model_defaults(tmp_path):
     model = TaxelResponseModel()
     args = build_parser().parse_args(["calibrate", "--samples", "s.csv", "--out", "c.json"])
@@ -893,6 +909,21 @@ def test_sync_cloud_bare_timestamp_name_is_camera_0(tmp_path, capsys):
     d = _clouds(tmp_path, ["0.ply", "100000.ply"])
     report = run_json(capsys, ["sync", "--cloud", str(d), "--out", str(tmp_path / "ep.vtep")])
     assert report["streams"] == ["camera/0"] and report["tuples"] == 2
+
+
+def test_sync_cloud_names_may_hold_leading_zeros(tmp_path, capsys):
+    d = _clouds(tmp_path, ["01_0000000.ply", "001_0100000.ply"])
+    report = run_json(capsys, ["sync", "--cloud", str(d), "--out", str(tmp_path / "ep.vtep")])
+    assert report["streams"] == ["camera/1"] and report["tuples"] == 2
+
+
+# <cam> is ASCII digits and <timestamp_us> ASCII digits after an optional "-"
+@pytest.mark.parametrize("name", ["0_1_000.ply", "0_ 200000.ply", "0_+300000.ply", "\u0663_100000.ply",
+                                  "-1_100000.ply", "0_--5.ply", "0_.ply", "_5.ply", "1e5.ply"])
+def test_sync_cloud_name_that_is_not_decimal_is_one_error_line(tmp_path, capsys, name):
+    d = _clouds(tmp_path, [name])
+    assert main(["sync", "--cloud", str(d), "--out", str(tmp_path / "ep.vtep")]) == 1
+    assert capsys.readouterr().err == f"error: {name}: cloud files must be named <cam>_<timestamp_us>.ply\n"
 
 
 @pytest.mark.parametrize("argv, names", [

@@ -130,6 +130,7 @@ LINE_MUTATIONS = {
     "no-space": lambda line: json.dumps(json.loads(line), separators=(",", ":")),
     "pad_id-leading-zero": lambda line: line.replace('"pad_id": 2', '"pad_id": 02'),
     "pad_id-negative": lambda line: line.replace('"pad_id": 2', '"pad_id": -2'),
+    "pad_id-256": lambda line: line.replace('"pad_id": 2', '"pad_id": 256'),
     "timestamp-float": lambda line: line.replace(', "readings"', '.0, "readings"'),
     "value-07": lambda line: _set_first_reading(line, "07"),
     "value-1024": lambda line: _set_first_reading(line, "1024"),

@@ -167,6 +167,18 @@ def test_every_document_method_maps_through_jsonio():
                                  if isinstance(t, ast.Name)}
 
 
+def test_only_a_field_whose_document_form_differs_from_its_type_is_given_a_conversion():
+    # fields_from reads every other field by its declared type, so no call site restates it
+    src = Path(vitac.__file__).parent
+    given = []
+    for path in sorted(src.glob("*.py")):
+        for call in ast.walk(ast.parse(path.read_text())):
+            if isinstance(call, ast.Call) and ast.unparse(call.func) == "jsonio.fields_from":
+                given += [(ast.unparse(call.args[0]), str(kw.arg)) for kw in call.keywords]
+    assert sorted(given) == [("GroundTruthTick", "forces"), ("Primitive", "size"),
+                             ("SceneSpec", "aperture_trajectory"), ("SceneSpec", "object_trajectory")]
+
+
 def test_truth_forces_are_read_only():
     tick = GroundTruthTick.from_dict({"t_us": 0, "pose": PoseSE3().to_dict(),
                                       "forces": {"0": _GRID[:2, :3].tolist()}})

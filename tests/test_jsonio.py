@@ -1,6 +1,7 @@
 """Value types map to and from their JSON documents through jsonio.fields_to and fields_from."""
 
 import json
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -226,3 +227,31 @@ def test_a_key_path_reads_a_missing_enclosing_object_as_empty():
         config = TrackerConfig.from_dict(doc)
         assert (config.translation_half_extent, config.rotation_half_angle_deg) == (0.03, 20.0)
         assert config.prior_center.to_dict() == default.prior_center.to_dict()
+
+
+@dataclass(frozen=True)
+class _Settings:
+    ratio: float = 1  # an int default
+    label: str = "a"
+
+
+@dataclass(frozen=True, eq=False)
+class _Placed:
+    pose: PoseSE3 = field(default_factory=PoseSE3.identity)
+
+
+def test_a_float_field_with_an_int_default_reads_a_fraction():
+    assert jsonio.fields_from(_Settings, {"ratio": 0.5}).ratio == 0.5
+    assert type(jsonio.fields_from(_Settings, {"ratio": 2}).ratio) is float
+
+
+def test_a_field_of_a_type_without_a_reader_keeps_its_value_as_read():
+    # the type's own __post_init__, where it has one, checks it; fields_from does not coerce it
+    assert jsonio.fields_from(_Settings, {"label": 5}).label == 5
+
+
+def test_a_default_factory_field_reads_through_its_type_s_from_dict():
+    placed = jsonio.fields_from(_Placed, {"pose": _POSE.to_dict()})
+    assert isinstance(placed.pose, PoseSE3) and placed.pose.to_dict() == _POSE.to_dict()
+    with pytest.raises(KeyError, match="'t'"):
+        jsonio.fields_from(_Placed, {"pose": {"q": [1.0, 0.0, 0.0, 0.0]}})

@@ -148,6 +148,17 @@ def test_frame_validation():
     assert f.readings.dtype == np.uint16
 
 
+@pytest.mark.parametrize("pad_id", [-4, -1, 256, 300])
+def test_a_pad_id_lies_in_the_wire_frame_s_byte(pad_id):
+    # frames and calibrations hold one pad-id rule, so a calibration always has frames it can match
+    message = re.escape(f"pad_id must lie in [0, 255], got {pad_id}")
+    with pytest.raises(InvalidInputError, match=message):
+        TactileFrame(pad_id, 0, np.zeros((16, 16)))
+    with pytest.raises(InvalidInputError, match=message):
+        PadCalibration(pad_id=pad_id)
+    assert TactileFrame(255, 0, np.zeros((16, 16))).pad_id == PadCalibration(pad_id=255).pad_id == 255
+
+
 def test_raw_reading_beyond_uint16_rejected():
     grid = np.zeros((16, 16), dtype=np.int64)
     grid[4, 7] = 65541  # would wrap to 5 as uint16

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from vitac.se3 import PoseSE3, matrix_to_quat
 from vitac.sensor_model import PadCalibration, force_to_reading, normalize_frame, reading_to_force
 from vitac.sim_oracle import (
     GroundTruth,
+    GroundTruthTick,
     Primitive,
     SceneSpec,
     joints_for_aperture,
@@ -391,6 +393,13 @@ def test_ground_truth_jsonl_roundtrip(tmp_path):
         assert np.allclose(a.pose.q, b.pose.q, atol=0)
         for pad in a.forces:
             assert np.allclose(a.forces[pad], b.forces[pad], atol=0)
+
+
+@pytest.mark.parametrize("pad_id", [256, -1])
+def test_a_truth_tick_holds_forces_of_pad_ids_only(pad_id):
+    # so every tick that can be built saves a truth file that load_jsonl reads
+    with pytest.raises(InvalidInputError, match=re.escape(f"pad_id must lie in [0, 255], got {pad_id}")):
+        GroundTruthTick(0, PoseSE3(), {0: np.zeros((16, 16)), pad_id: np.zeros((16, 16))})
 
 
 def test_scene_json_roundtrip(tmp_path):

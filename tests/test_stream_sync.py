@@ -456,6 +456,10 @@ def test_episode_string_not_utf8_is_load_error(tmp_path, kind):
 # members whose stream id does not fit their accessor: (stream id, payload, accessor)
 BAD_MEMBERS = {
     "tactile-id-not-a-number": ("tactile/x", PAYLOAD_CASES["tactile-raw"][0], "tactile_frames"),
+    # a stream's number is canonical decimal text: ASCII digits, no sign, no leading zero
+    **{f"tactile-id-{name}": (f"tactile/{n}", PAYLOAD_CASES["tactile-raw"][0], "tactile_frames")
+       for name, n in (("leading-zero", "01"), ("underscore", "1_0"), ("plus", "+1"), ("minus", "-1"),
+                       ("space", " 1"), ("arabic-indic", "\u0663"), ("empty", ""))},
     "tactile-frame-under-camera": ("camera/0", PAYLOAD_CASES["tactile-raw"][0], "clouds"),
     "tactile-frame-under-joints": (JOINTS_STREAM, PAYLOAD_CASES["tactile-raw"][0], "joint_state"),
 }
@@ -465,7 +469,7 @@ BAD_MEMBERS = {
 def test_member_that_does_not_fit_its_stream_is_invalid(kind):
     sid, payload, accessor = BAD_MEMBERS[kind]
     members = {sid: TimedSample(sid, 0, payload), "s": TimedSample("s", 0, PAYLOAD_CASES["cloud"][0])}
-    with pytest.raises(InvalidInputError, match=sid):
+    with pytest.raises(InvalidInputError, match=re.escape(repr(sid))):
         getattr(SyncedTuple(0, members), accessor)()
 
 
