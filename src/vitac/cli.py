@@ -80,8 +80,14 @@ def _require_dir(path: str) -> Path:
 
 
 def _load_calibrations(paths) -> dict:
-    calibs = [PadCalibration.load(_require_file(path)) for path in paths or []]
-    return {c.pad_id: c for c in calibs}
+    """pad_id -> PadCalibration of the --calib files, at most one file per pad."""
+    calibs, sources = {}, {}
+    for path in paths or []:
+        calib = PadCalibration.load(_require_file(path))
+        if calib.pad_id in calibs:
+            raise InvalidInputError(f"{path}: pad {calib.pad_id} is also calibrated by {sources[calib.pad_id]}")
+        calibs[calib.pad_id], sources[calib.pad_id] = calib, path
+    return calibs
 
 
 def _tactile_cloud(tup: SyncedTuple, chain, mounts, calibs: dict) -> CloudXYZF:
@@ -141,8 +147,8 @@ def _read_tactile_jsonl(path) -> dict:
 
 def _read_cloud_dir(path) -> dict:
     """PLY files named {cam}_{timestamp_us}.ply (or {timestamp_us}.ply for cam 0): cam in ASCII
-    digits, timestamp_us in ASCII digits after an optional "-"."""
-    streams = {}
+    digits, timestamp_us in ASCII digits after an optional "-", no two naming one camera and time."""
+    streams, names = {}, {}
     for ply in sorted(Path(path).glob("*.ply")):
         stem = ply.stem
         if "_" in stem:
@@ -151,8 +157,12 @@ def _read_cloud_dir(path) -> dict:
             cam_s, ts_s = "0", stem
         if not all(s.isascii() and s.isdigit() for s in (cam_s, ts_s.removeprefix("-"))):
             raise InvalidInputError(f"{ply.name}: cloud files must be named <cam>_<timestamp_us>.ply")
-        sid = camera_stream(int(cam_s))
-        streams.setdefault(sid, []).append(TimedSample(sid, int(ts_s), read_cloud_ply(ply)))
+        cam, ts = int(cam_s), int(ts_s)
+        if (cam, ts) in names:
+            raise InvalidInputError(f"{ply.name}: camera {cam} at {ts} us is also in {names[cam, ts]}")
+        names[cam, ts] = ply.name
+        sid = camera_stream(cam)
+        streams.setdefault(sid, []).append(TimedSample(sid, ts, read_cloud_ply(ply)))
     return streams
 
 
@@ -162,9 +172,12 @@ def _read_joints_jsonl(path) -> dict:
 
 def cmd_sync(args) -> dict:
     check_range("--tol-ms", args.tol_ms, 0, 2**63 / 1000, "ms")  # 2**63 us spans every int64 .vtep tick
-    streams = {}
+    streams, sources = {}, {}
     for path in args.tactile or []:
-        streams.update(_read_tactile_jsonl(_require_file(path)))
+        for sid, samples in _read_tactile_jsonl(_require_file(path)).items():
+            if sid in streams:
+                raise InvalidInputError(f"{path}: stream {sid} is also in {sources[sid]}")
+            streams[sid], sources[sid] = samples, path
     if args.cloud:
         streams.update(_read_cloud_dir(_require_dir(args.cloud)))
     if args.joints:
@@ -247,23 +260,23 @@ def cmd_track(args) -> dict:
     config = jsonio.read_json(_require_file(args.config), TrackerConfig.from_dict) if args.config else TrackerConfig()
     tracker = Tracker(ObjectModel(obj_cloud.xyz), config, _seed(args))
 
-    def steps():
-        for tup in episode.tuples:
-            cloud = _tactile_cloud(tup, chain, mounts, calibs)
-            report = tracker.step(ContactSet.from_tactile_cloud(cloud, config.activation_threshold))
-            pose, diag = tracker.estimate()
-            yield {
-                "t_us": tup.tick_time_us,
-                "pose": pose.to_dict(),
-                "ess": report.ess,
-                "n_contacts": report.n_contacts,
-                "resampled": report.resampled,
-                "min_g": report.min_g,
-                "translation_cov_trace": diag.translation_cov_trace,
-                "rotation_spread_rad": diag.rotation_spread_rad,
-            }
+    def step(tup: SyncedTuple) -> dict:
+        cloud = _tactile_cloud(tup, chain, mounts, calibs)
+        report = tracker.step(ContactSet.from_tactile_cloud(cloud, config.activation_threshold))
+        pose, diag = tracker.estimate()
+        return {
+            "t_us": tup.tick_time_us,
+            "pose": pose.to_dict(),
+            "ess": report.ess,
+            "n_contacts": report.n_contacts,
+            "resampled": report.resampled,
+            "min_g": report.min_g,
+            "translation_cov_trace": diag.translation_cov_trace,
+            "rotation_spread_rad": diag.rotation_spread_rad,
+        }
 
-    n_steps = jsonio.write_jsonl(args.out, steps())
+    steps = [step(tup) for tup in episode.tuples]  # all of them before the file opens, so a failure writes nothing
+    n_steps = jsonio.write_jsonl(args.out, steps)
     return {"out": args.out, "steps": n_steps, "particles": config.particle_count}
 
 

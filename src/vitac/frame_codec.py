@@ -116,16 +116,6 @@ class FrameBatch(Sequence):
         return WireFrame(*self.headers[i], self.readings[i])
 
 
-def pack_readings(readings: np.ndarray) -> bytes:
-    """Pack 256 10-bit readings MSB-first into 320 bytes."""
-    flat = np.asarray(readings).reshape(PAD_TAXELS)
-    check_raw_readings(flat, MAX_READING)
-    flat = flat.astype(np.uint16)
-    shifts = np.arange(READING_BITS - 1, -1, -1)
-    bits = ((flat[:, None] >> shifts) & 1).astype(np.uint8).ravel()
-    return np.packbits(bits).tobytes()
-
-
 # Reading i fills payload bits [10 i, 10 i + 10), MSB-first. They lie in bytes _BYTE[i] and
 # _BYTE[i] + 1 (a reading starts at bit 0, 2, 4 or 6 of a byte), read as a big-endian word
 # whose low _SHIFT[i] bits belong to the next reading.
@@ -148,6 +138,16 @@ def unpack_readings(payload: bytes) -> np.ndarray:
     if len(payload) != PAYLOAD_LEN:
         raise InvalidInputError(f"payload must be {PAYLOAD_LEN} bytes, got {len(payload)}")
     return _unpack(np.frombuffer(payload, dtype=np.uint8), [0])[0]
+
+
+def pack_readings(readings: np.ndarray) -> bytes:
+    """Pack 256 10-bit readings MSB-first into 320 bytes, into the words _unpack reads."""
+    flat = np.asarray(readings).reshape(PAD_TAXELS)
+    check_raw_readings(flat, MAX_READING)
+    words = flat.astype(np.uint16) << _SHIFT
+    payload = np.zeros(PAYLOAD_LEN, np.uint8)
+    np.bitwise_or.at(payload, np.r_[_BYTE, _BYTE + 1], np.r_[words >> 8, words].astype(np.uint8))
+    return payload.tobytes()
 
 
 def encode_frame(frame: TactileFrame, seq: int) -> bytes:
@@ -222,11 +222,11 @@ class StreamDecoder:
                     # keep a trailing first-magic-byte, it may pair with the next chunk
                     end = len(buf) - (pos < len(buf) and buf[-1] == MAGIC[0])
                     if end > pos:
-                        self._skip_garbage(end - pos)
+                        self._skip(end - pos, garbage=True)
                     pos = end
                     break
                 if start > pos:
-                    self._skip_garbage(start - pos)
+                    self._skip(start - pos, garbage=True)
                     pos = start
                 if len(buf) - pos < FRAME_LEN:
                     break
@@ -248,18 +248,11 @@ class StreamDecoder:
         del buf[:pos]
         return FrameBatch(headers, readings)
 
-    def _skip(self, n: int) -> None:
-        self._garbage = False
+    def _skip(self, n: int, garbage: bool = False) -> None:
+        """Count n skipped bytes as a resync event, unless they are garbage that continues a garbage run."""
         self.diagnostics.bytes_skipped += n
-        self.diagnostics.resync_events += 1
-
-    def _skip_garbage(self, n: int) -> None:
-        """Skip bytes up to a magic or the buffer's end: a run that a chunk boundary splits is one event."""
-        if self._garbage:
-            self.diagnostics.bytes_skipped += n
-        else:
-            self._skip(n)
-        self._garbage = True
+        self.diagnostics.resync_events += not (garbage and self._garbage)
+        self._garbage = garbage
 
     @property
     def pending_bytes(self) -> int:
@@ -286,7 +279,7 @@ _SEP_WORDS = np.frombuffer(b"".join(b"\0" * 4 + sep.ljust(4, b"\0") for sep in _
 # value <= MAX_READING, and no other digit is left over; such a line is exactly frame_lines'
 # line for its frame.
 _NUMBER = rb"(0|[1-9][0-9]{0,19})"  # up to the 20 digits of a u64; a longer one goes through jsonio.loads
-_HEAD = re.compile(rb'\{"pad_id": %s, "seq": %s, "timestamp_us": %s, "readings": ' % ((_NUMBER,) * 3))
+_HEAD = re.compile(re.escape(_LINE_HEAD.removesuffix(b"[[")).replace(b"%d", _NUMBER))
 _SEP_TEXT = b"".join(_SEPS)
 _SKELETON = (_LINE_HEAD % (0, 0, 0)).translate(None, b"0123456789") + _SEP_TEXT
 # the index in _SKELETON of the separator after each reading, and the non-digits from "[[" to the end

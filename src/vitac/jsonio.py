@@ -125,7 +125,7 @@ def json_array(key, value) -> list:
 def number(key, value, kind=float):
     """kind(value) for value, which a document holds under key, when it is a JSON number: never a
     bool or a string, and for kind int one without a fractional part; else a TypeError naming key."""
-    if type(value) is kind:  # the common case, and the one the joints reader runs per line
+    if type(value) is kind:  # the common case; canonical frame and joint lines are read in batches, not here
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)) or (kind is int and value % 1):
         raise TypeError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
@@ -135,20 +135,14 @@ def number(key, value, kind=float):
 _NUMBER_TYPES = frozenset((int, float))  # the types json.loads gives a number
 
 
-def _all_numbers(array: list) -> bool:
-    """Whether array, a JSON array nested to any depth, has only JSON numbers for leaves."""
-    if _NUMBER_TYPES.issuperset(map(type, array)):
-        return True
-    return type(array[0]) is list and all(type(row) is list and _all_numbers(row) for row in array)
-
-
-def _leaves(value):
-    """The leaves of a JSON array nested to any depth, depth first."""
-    for item in value:
+def _check_numbers(key, array: list) -> None:
+    """A TypeError naming key at the first leaf of array, a JSON array nested to any depth, that is
+    not a JSON number, depth first."""
+    for item in array:
         if type(item) is list:
-            yield from _leaves(item)
-        else:
-            yield item
+            _check_numbers(key, item)
+        elif type(item) not in _NUMBER_TYPES:
+            raise TypeError(f"{key} must hold numbers only, got {item!r}")
 
 
 def numbers(key, value) -> np.ndarray:
@@ -157,10 +151,7 @@ def numbers(key, value) -> np.ndarray:
     one depth have one length; else a TypeError naming key."""
     if type(value) is not list:
         raise TypeError(f"{key} must be an array of numbers, got {value!r}")
-    if not _all_numbers(value):
-        for leaf in _leaves(value):
-            if type(leaf) not in _NUMBER_TYPES:
-                raise TypeError(f"{key} must hold numbers only, got {leaf!r}")
+    _check_numbers(key, value)
     try:
         return np.array(value, dtype=np.float64)
     except (ValueError, OverflowError) as exc:  # ragged, or an integer past float's range

@@ -18,7 +18,7 @@ from .errors import InvalidInputError, check_range
 from .frozen import freeze, read_only
 from .pointcloud import BASE_FRAME, CloudXYZF
 from .se3 import MAX_LENGTH_M, UNIT_TOL, PoseSE3
-from .sensor_model import PAD_COLS, PAD_ROWS, PAD_TAXELS
+from .sensor_model import MAX_PAD_ID, PAD_COLS, PAD_ROWS, PAD_TAXELS
 
 REVOLUTE = "revolute"
 PRISMATIC = "prismatic"
@@ -150,6 +150,9 @@ class PadMount:
     mount_transform: PoseSE3 = field(default_factory=PoseSE3.identity, metadata={"key": "transform"})
     grid: TaxelGrid = field(default_factory=TaxelGrid)
 
+    def __post_init__(self):
+        check_range("pad_id", self.pad_id, 0, MAX_PAD_ID)
+
 
 def forward_kinematics(chain: KinematicChain, joints: JointState) -> list[PoseSE3]:
     """Pose of every link in the base frame; the implicit base pose is identity."""
@@ -206,8 +209,13 @@ def tactile_point_cloud(frames, chain: KinematicChain, joints: JointState, mount
 
 def _chain_from_dict(doc: dict) -> tuple[KinematicChain, list[PadMount]]:
     chain = KinematicChain(tuple(jsonio.fields_from(Link, d) for d in jsonio.json_array("links", doc["links"])))
-    return chain, [jsonio.fields_from(PadMount, d, "mount_transform")
-                   for d in jsonio.json_array("mounts", doc.get("mounts", []))]
+    mounts = [jsonio.fields_from(PadMount, d, "mount_transform")
+              for d in jsonio.json_array("mounts", doc.get("mounts", []))]
+    pads = [m.pad_id for m in mounts]
+    for i, pad in enumerate(pads):
+        if pad in pads[:i]:
+            raise InvalidInputError(f"pad {pad} is mounted twice")
+    return chain, mounts
 
 
 def save_chain_file(path, chain: KinematicChain, mounts) -> None:

@@ -375,6 +375,7 @@ _PITCH_SCENE = {**_NAN_GAP_SCENE, "aperture_trajectory": [{"t": 0.0, "gap": 0.07
 _GRID_LIST_CHAIN = {"links": [{"joint": "fixed", "fixed": _POSE}],
                     "mounts": [{"pad_id": 0, "link": 0, "transform": _POSE, "grid": []}]}
 _GRID_20_CHAIN = {**_GRID_LIST_CHAIN, "mounts": [{**_GRID_LIST_CHAIN["mounts"][0], "grid": {"rows": 20}}]}
+_MOUNT = {**_GRID_LIST_CHAIN["mounts"][0], "grid": {}}
 
 
 def _scene(obj: dict, **fields) -> str:
@@ -483,6 +484,11 @@ BAD_JSON_DOCS = {
                                     f"forces keys must be pad ids in [0, 255] written in decimal, got {key!r}")
        for name, key in (("underscore", "1_0"), ("space", " 1"), ("x", "x"), ("256", "256"), ("leading-zero", "01"),
                          ("minus-1", "-1"), ("empty", ""))},
+    # a mount holds a pad id, and a chain mounts each pad at most once
+    "chain-mount-pad-256": ("--chain", json.dumps({**_GRID_LIST_CHAIN, "mounts": [{**_MOUNT, "pad_id": 256}]}),
+                            "pad_id must lie in [0, 255], got 256"),
+    "chain-pad-mounted-twice": ("--chain", json.dumps({**_GRID_LIST_CHAIN, "mounts": [_MOUNT, _MOUNT]}),
+                                "pad 0 is mounted twice"),
     # a chain's links and mounts are arrays, and a missing mounts array means no mounts
     **{f"chain-{key}-{kind}": ("--chain", json.dumps({"links": [], key: value}),
                                f"{key} must be a JSON array, got {kind}")
@@ -926,6 +932,34 @@ def test_sync_cloud_name_that_is_not_decimal_is_one_error_line(tmp_path, capsys,
     assert capsys.readouterr().err == f"error: {name}: cloud files must be named <cam>_<timestamp_us>.ply\n"
 
 
+def test_sync_cloud_names_of_one_camera_and_time_are_one_error_line(tmp_path, capsys):
+    d = _clouds(tmp_path, ["1_0.ply", "01_0.ply"])
+    assert main(["sync", "--cloud", str(d), "--out", str(tmp_path / "ep.vtep")]) == 1
+    assert capsys.readouterr().err == "error: 1_0.ply: camera 1 at 0 us is also in 01_0.ply\n"
+    assert not (tmp_path / "ep.vtep").exists()
+
+
+def test_sync_of_two_tactile_files_holding_one_pad_is_one_error_line(tmp_path, capsys):
+    first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    first.write_text(_GOOD_LINE["--tactile"] + "\n")
+    second.write_text(json.dumps({**_FRAME, "timestamp_us": 3}) + "\n")
+    out = tmp_path / "ep.vtep"
+    assert main(["sync", "--tactile", str(first), "--tactile", str(second), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {second}: stream tactile/0 is also in {first}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--box", "--config"])  # fuse, track
+def test_two_calibrations_of_one_pad_are_one_error_line(tmp_path, capsys, good_inputs, flag):
+    calib = tmp_path / "calib.json"
+    PadCalibration(pad_id=0).save(calib)
+    out = tmp_path / "out"
+    # the command's good inputs hold pad 0's calibration already
+    assert main(_argv(good_inputs, flag, good_inputs[flag], out) + ["--calib", str(calib)]) == 1
+    assert capsys.readouterr().err == f"error: {calib}: pad 0 is also calibrated by {good_inputs['--calib']}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, names", [
     (["sync"], "no input streams given"),
     (["sync", "--cloud", "{clouds}"], "a_b.ply: cloud files must be named"),
@@ -955,21 +989,30 @@ def test_sync_cloud_that_is_no_directory_is_usage_error(tmp_path, capsys):
     assert err.startswith("error: ") and "no such directory" in err and err.count("\n") == 1, err
 
 
-def test_fuse_of_an_episode_without_joints_is_one_error_line(tmp_path, capsys):
-    scene = write_scene(tmp_path / "scene.json")
-    ep_path = tmp_path / "ep.vtep"
-    run_json(capsys, ["simulate", "--scene", str(tmp_path / "scene.json"), "--dur", "0.2", "--out", str(ep_path)])
-    ep = read_episode(ep_path)
+def _episode_without_joints(good_inputs, path):
+    ep = read_episode(good_inputs["--episode"])
     tuples = [SyncedTuple(t.tick_time_us, {k: v for k, v in t.members.items() if k != JOINTS_STREAM})
               for t in ep.tuples]
-    write_episode(Episode(ep.rate_hz, ep.tolerance_us, [s for s in ep.streams if s != JOINTS_STREAM], tuples),
-                  ep_path)
-    save_chain_file(tmp_path / "chain.json", *scene.chain_and_mounts())
-    (tmp_path / "box.json").write_text(json.dumps({"min": [-0.2] * 3, "max": [0.2] * 3}))
-    assert main(["fuse", "--episode", str(ep_path), "--chain", str(tmp_path / "chain.json"),
-                 "--box", str(tmp_path / "box.json"), "--out", str(tmp_path / "fused.vtep")]) == 1
+    write_episode(Episode(ep.rate_hz, ep.tolerance_us, [s for s in ep.streams if s != JOINTS_STREAM], tuples), path)
+    return path
+
+
+def test_fuse_of_an_episode_without_joints_is_one_error_line(tmp_path, capsys, good_inputs):
+    ep_path = _episode_without_joints(good_inputs, tmp_path / "ep.vtep")
+    out = tmp_path / "fused.vtep"
+    assert main(_argv(good_inputs, "--box", good_inputs["--box"], out) + ["--episode", str(ep_path)]) == 1
     err = capsys.readouterr().err
     assert err == "error: episode has no joint stream; cannot place tactile points\n", err
+    assert not out.exists()
+
+
+def test_track_of_an_episode_without_joints_is_one_error_line_and_writes_nothing(tmp_path, capsys, good_inputs):
+    ep_path = _episode_without_joints(good_inputs, tmp_path / "ep.vtep")
+    out = tmp_path / "poses.jsonl"
+    assert main(_argv(good_inputs, "--object", good_inputs["--object"], out) + ["--episode", str(ep_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: episode has no joint stream; cannot place tactile points\n", err
+    assert not out.exists()
 
 
 def test_domain_error_exit_code(tmp_path, capsys):

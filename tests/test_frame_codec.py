@@ -56,11 +56,16 @@ def test_crc_matches_bitwise_reference():
         assert crc16_ccitt_false(data) == _crc16_bitwise(data)
 
 
+def _packed_reference(readings) -> bytes:
+    """The payload of readings built bit by bit, independently of the codec's packing."""
+    bits = "".join(format(int(r), "010b") for r in np.ravel(readings))
+    return np.packbits([int(b) for b in bits]).tobytes()
+
+
 def test_encode_frame_known_answer():
     # expected bytes built field by field, independently of the codec's packing
     readings = (np.arange(256).reshape(16, 16) * 37) % 1024
-    bits = "".join(format(int(r), "010b") for r in readings.ravel())
-    payload = np.packbits([int(b) for b in bits]).tobytes()
+    payload = _packed_reference(readings)
     body = (
         b"\xa5\x5a"
         + (1).to_bytes(1, "little")
@@ -102,6 +107,14 @@ def test_pack_unpack_roundtrip():
     for _ in range(100):
         readings = rng.integers(0, 1024, size=(16, 16))
         assert np.array_equal(unpack_readings(pack_readings(readings)), readings)
+
+
+def test_pack_unpack_every_value_at_every_taxel():
+    # frame v holds (v + i) % 1024 at taxel i, so the 1024 frames put every value at every taxel
+    for readings in (np.arange(1024)[:, None] + np.arange(256)) % 1024:
+        packed = pack_readings(readings.reshape(16, 16))
+        assert packed == _packed_reference(readings)
+        assert np.array_equal(unpack_readings(packed).ravel(), readings)
 
 
 def test_encode_decode_roundtrip():
