@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -402,7 +403,11 @@ def main(argv=None) -> int:
     level = os.environ.get("VITAC_LOG", args.log_level).lower()
     if level not in LOG_LEVELS:
         parser.error(f"VITAC_LOG: invalid choice: {level!r} (choose from {', '.join(map(repr, LOG_LEVELS))})")
-    logging.basicConfig(level=level.upper())
+    log.setLevel(level.upper())
+    handler = logging.StreamHandler(sys.stderr)  # the stderr of this call, which a caller may have redirected
+    handler.setFormatter(logging.Formatter(logging.BASIC_FORMAT))
+    log.addHandler(handler)
+    start = time.perf_counter()
     try:
         report = args.func(args)
     except OSError as exc:  # a path that cannot be opened: missing, a directory, no permission
@@ -411,6 +416,9 @@ def main(argv=None) -> int:
     except VitacError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        log.debug("%s took %.3f s", args.command, time.perf_counter() - start)
+        log.removeHandler(handler)
     _print_report(report, args.json)
     return 0
 

@@ -10,6 +10,7 @@ bit-exact.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import json
 import math
 import os
@@ -18,6 +19,7 @@ import stat
 import struct
 import threading
 import zlib
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -266,8 +268,15 @@ _TIME_COUNT = struct.Struct("<qH")  # a tuple's tick and member count; a joint s
 _MEMBER_TS = struct.Struct("<q")
 _STR_LEN = struct.Struct("<H")  # a string is its UTF-8 length, then its bytes
 _TAG = struct.Struct("<B")
+_I8 = np.dtype("<i8")  # a tick, member timestamp or payload stamp, read and written as a column
 _F8 = np.dtype("<f8")
 _READING_DTYPES = (np.dtype("<u2"), _F8)  # a tactile payload's raw and normalized readings
+
+# A run of records that share one layout is read and written in blocks (see _Run) of at most
+# BLOCK_RECORDS records and BLOCK_BYTES bytes, so a larger record is a block of one.
+BLOCK_RECORDS = 64
+BLOCK_BYTES = 1 << 18
+_PIPE_STEP = 1 << 20  # the most that one read from a pipe asks for
 
 
 @dataclass(frozen=True)
@@ -275,13 +284,16 @@ class _PayloadLayout:
     """One payload tag: the tag byte, the frame name when named, the head, then the body.
 
     The body is an array whose dtype and shape follow from the head. build makes the value
-    type from (head, frame, body), check runs its checks on the body without making it, and
-    split gives the (head, body) of a value to encode.
+    type from (head, frame, body), check runs its checks on the body, or on the bodies of many
+    records stacked along its first axis, without making it, and split gives the (head, body)
+    of a value to encode. stamp is the index in the head of the payload's own timestamp, the
+    one head field that differs between the records of a run.
     """
 
     cls: type
     head: struct.Struct
     named: bool
+    stamp: int | None
     body: Callable
     build: Callable
     check: Callable
@@ -290,7 +302,7 @@ class _PayloadLayout:
 
 def _cloud_layout(cls) -> _PayloadLayout:
     return _PayloadLayout(
-        cls, _U32, True,
+        cls, _U32, True, None,
         body=lambda head: (_F8, (head[0], cls.WIDTH)),
         build=lambda head, frame, body: cls(body, frame),
         check=lambda head, body: cls.check(body),
@@ -300,7 +312,7 @@ def _cloud_layout(cls) -> _PayloadLayout:
 
 _PAYLOADS = {
     1: _PayloadLayout(
-        TactileFrame, struct.Struct("<HBq"), False,  # pad_id, normalized, timestamp_us
+        TactileFrame, struct.Struct("<HBq"), False, 2,  # pad_id, normalized, timestamp_us
         body=lambda head: (_READING_DTYPES[bool(head[1])], PAD_SHAPE),
         build=lambda head, frame, body: TactileFrame(head[0], head[2], body, normalized=bool(head[1])),
         check=lambda head, body: TactileFrame.check(head[0], body, bool(head[1])),
@@ -308,7 +320,7 @@ _PAYLOADS = {
     ),
     2: _cloud_layout(CloudXYZF),
     3: _PayloadLayout(
-        JointState, _TIME_COUNT, False,  # timestamp_us, joint count
+        JointState, _TIME_COUNT, False, 0,  # timestamp_us, joint count
         body=lambda head: (_F8, (head[1],)),
         build=lambda head, frame, body: JointState(body, head[0]),
         check=lambda head, body: JointState.check(body),
@@ -367,25 +379,6 @@ class _Reader:
             raise EpisodeLoadError(f"{self.context}: a stream id or frame name is not UTF-8") from None
 
 
-def _read_payload(r: _Reader, build: bool):
-    """The next payload; when not build, skip it: run every check that building runs, return None."""
-    (tag,) = r.unpack(_TAG)
-    layout = _PAYLOADS.get(tag)
-    if layout is None:
-        raise EpisodeLoadError(f"{r.context}: unknown payload tag {tag}")
-    frame = r.read_str() if layout.named else None
-    head = r.unpack(layout.head)
-    dtype, shape = layout.body(head)
-    body = np.frombuffer(r.take(dtype.itemsize * math.prod(shape)), dtype).reshape(shape)
-    try:
-        if build:
-            return layout.build(head, frame, body)
-        layout.check(head, body)
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"{r.context}: {exc}") from None
-    return None
-
-
 def _encode_tuple(tup: SyncedTuple) -> bytes:
     parts = [_TIME_COUNT.pack(tup.tick_time_us, len(tup.members))]
     for sid in sorted(tup.members):
@@ -396,9 +389,10 @@ def _encode_tuple(tup: SyncedTuple) -> bytes:
     return b"".join(parts)
 
 
-def _decode_tuple(buf: memoryview, context: str, keep=None) -> SyncedTuple:
+def _decode_tuple(buf: memoryview, context: str, keep=None, run=None) -> SyncedTuple:
     """The record's tuple. The payload of a member whose stream id starts with none of the keep
-    prefixes is skipped, and so checked, and the member holds None; keep=None builds them all."""
+    prefixes is skipped, which runs every check that building it runs, and the member holds
+    None; keep=None builds them all. A _Run given as run notes where each member's fields lie."""
     r = _Reader(buf, context)
     tick, n_members = r.unpack(_TIME_COUNT)
     members = {}
@@ -406,9 +400,155 @@ def _decode_tuple(buf: memoryview, context: str, keep=None) -> SyncedTuple:
         sid = r.read_str()
         if sid in members:
             raise EpisodeLoadError(f"{r.context}: stream {sid!r} appears twice")
+        ts_at = r.pos
         (ts,) = r.unpack(_MEMBER_TS)
-        members[sid] = TimedSample(sid, ts, _read_payload(r, keep is None or sid.startswith(keep)))
+        (tag,) = r.unpack(_TAG)
+        layout = _PAYLOADS.get(tag)
+        if layout is None:
+            raise EpisodeLoadError(f"{r.context}: unknown payload tag {tag}")
+        frame = r.read_str() if layout.named else None
+        head_at = r.pos
+        head = r.unpack(layout.head)
+        dtype, shape = layout.body(head)
+        body = np.frombuffer(r.take(dtype.itemsize * math.prod(shape)), dtype).reshape(shape)
+        if run is not None:
+            run.member(sid, ts_at, ts, layout, frame, head, head_at)
+        payload = None
+        try:
+            if keep is None or sid.startswith(keep):
+                payload = layout.build(head, frame, body)
+            else:
+                layout.check(head, body)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{r.context}: {exc}") from None
+        members[sid] = TimedSample(sid, ts, payload)
     return SyncedTuple(tick, members)
+
+
+class _Run:
+    """The layout that a run of consecutive records shares, as the walker (_decode_tuple) notes it
+    in the run's first record: every byte of a record of the run is that record's, except the
+    fields that vary. Those are its CRC32, the int64s (the tick, each member's timestamp and each
+    payload's stamp) and each payload's body. The records after the first are then read and
+    written a block at a time, as one (records, bytes) array whose varying fields are numpy
+    columns. Offsets count from the start of a record, its length.
+    """
+
+    def __init__(self):
+        self.ints = [_U32.size]  # the offsets of the varying int64s, the tick's first
+        self.members = []  # (sid, layout, frame, head, index of its timestamp in ints) per member
+        self.bodies = []  # (offset, dtype, shape) of each member's body
+        self.heads = [0]  # the tick, then each member's timestamp and head fields
+        self.vary = [0]  # where the varying int64s lie in heads, in the order of ints
+
+    def member(self, sid: str, ts_at: int, ts: int, layout: _PayloadLayout, frame, head: tuple, head_at: int) -> None:
+        """Note a member whose timestamp ts and payload head lie at ts_at and head_at in the tuple."""
+        self.members.append((sid, layout, frame, head, len(self.ints)))
+        self.vary.append(len(self.heads))
+        self.ints.append(_U32.size + ts_at)
+        head_at += _U32.size
+        if layout.stamp is not None:  # the stamp's offset is the size of the head fields before it
+            self.vary.append(len(self.heads) + 1 + layout.stamp)
+            self.ints.append(head_at + struct.Struct(layout.head.format[: 1 + layout.stamp]).size)
+        self.heads += (ts, *head)
+        self.bodies.append((head_at + layout.head.size, *layout.body(head)))
+
+    def seal(self, *record) -> None:
+        """Take the pieces of the first record's bytes, once the walker has noted its members."""
+        self.size = sum(map(len, record))
+        self.most = min(BLOCK_RECORDS, BLOCK_BYTES // self.size)  # 0 for a record past BLOCK_BYTES
+        if not self.most:
+            return
+        self.row = np.frombuffer(b"".join(record), np.uint8)
+        self.int_bytes = (np.array(self.ints)[:, None] + np.arange(_I8.itemsize)).ravel()
+        varies = np.zeros(self.size, bool)
+        varies[self.int_bytes] = varies[-_U32.size :] = True
+        for at, dtype, shape in self.bodies:
+            varies[at : at + dtype.itemsize * math.prod(shape)] = True
+        self.fixed = np.flatnonzero(~varies)
+        self.fixed_bytes = self.row[self.fixed]
+        self.fixed_heads = np.delete(np.arange(len(self.heads)), self.vary)
+        self.fixed_values = np.array(self.heads, np.int64)[self.fixed_heads]
+
+    def _columns(self, rows: np.ndarray):
+        """The (records, *shape) view of rows of each member's body."""
+        for at, dtype, shape in self.bodies:
+            yield rows[:, at : at + dtype.itemsize * math.prod(shape)].view(dtype).reshape(len(rows), *shape)
+
+    def decode(self, rows: np.ndarray, keep):
+        """The tuples of rows, records of the run that hold its fixed bytes, as _read_record reads
+        each; None when one fails its CRC32 or a payload check. A payload skipped is checked once
+        for all rows, and a payload kept is built on a row of one read-only copy of its column."""
+        crcs = rows[:, -_U32.size :].view("<u4")[:, 0].tolist()
+        if any(zlib.crc32(row) != crc for row, crc in zip(rows[:, _U32.size : -_U32.size], crcs)):
+            return None
+        columns = []
+        try:
+            for (sid, layout, _, head, _), body in zip(self.members, self._columns(rows)):
+                if keep is None or sid.startswith(keep):
+                    body = body.copy()
+                    body.flags.writeable = False
+                    columns.append(body)
+                else:
+                    layout.check(head, body.reshape(-1, *body.shape[2:]))
+                    columns.append(None)
+            tuples = []
+            for i, ints in enumerate(np.ascontiguousarray(rows[:, self.int_bytes]).view(_I8).tolist()):
+                members = {}
+                for (sid, layout, frame, head, at), column in zip(self.members, columns):
+                    payload = None
+                    if column is not None:
+                        if (k := layout.stamp) is not None:  # the stamp follows the member's timestamp in ints
+                            head = (*head[:k], ints[at + 1], *head[k + 1 :])
+                        payload = layout.build(head, frame, column[i])
+                    members[sid] = TimedSample(sid, ints[at], payload)
+                tuples.append(SyncedTuple(ints[0], members))
+        except InvalidInputError:
+            return None
+        return tuples
+
+    def _split(self, tup: SyncedTuple):
+        """(heads, bodies) of tup, as the run notes them, when its payloads have the run's types and
+        frame names, else None."""
+        heads, bodies = [tup.tick_time_us], []
+        for sid, layout, frame, _, _ in self.members:
+            sample = tup.members[sid]
+            payload = sample.payload
+            if type(payload) is not layout.cls or (layout.named and payload.frame != frame):
+                return None
+            head, body = layout.split(payload)
+            heads.append(sample.timestamp_us)
+            heads += head
+            bodies.append(body)
+        return heads, bodies
+
+    def encode(self, tuples: list):
+        """(n, block): the first n of tuples have the run's layout, and block holds their records
+        as _write_record writes each, or is None when a value does not fit its field."""
+        heads, bodies = [], []
+        for tup in tuples:
+            if (split := self._split(tup)) is None:
+                break
+            heads += split[0]
+            bodies.append(split[1])
+        if not bodies:
+            return 0, None
+        try:  # array takes what struct takes, through __index__, and refuses the rest
+            heads = np.frombuffer(array("q", heads), np.int64).reshape(len(bodies), -1)
+        except (OverflowError, TypeError):
+            return len(bodies), None
+        same = (heads[:, self.fixed_heads] == self.fixed_values).all(axis=1)
+        n = len(bodies) if same.all() else int(same.argmin())
+        if not n:
+            return 0, None
+        block = np.empty((n, self.size), np.uint8)
+        block[:] = self.row
+        block[:, self.int_bytes] = np.ascontiguousarray(heads[:n, self.vary], _I8).view(np.uint8)
+        for column, body in zip(self._columns(block), zip(*bodies[:n])):
+            column[...] = body
+        crcs = [zlib.crc32(row) for row in block[:, _U32.size : -_U32.size]]
+        block[:, -_U32.size :] = np.array(crcs, "<u4").view(np.uint8).reshape(n, -1)
+        return n, block
 
 
 def _header_fields(header: dict) -> tuple:
@@ -429,10 +569,34 @@ def _header_fields(header: dict) -> tuple:
     return rate_hz, tolerance_us, streams, metadata, tuple_count
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """A binary file that replaces path once the with block ends without an error.
+
+    It is a new file beside the file path names (a symbolic link stays one), made with the mode
+    a plain open gives, and an error removes it, so a failed write leaves path as it was. A path
+    that exists and is not a regular file, such as /dev/null or a directory, is opened as it is.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as fh:
+            yield fh
+        return
+    path = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def write_episode(episode: Episode, path) -> None:
-    """episode as a .vtep file at path; a header that read_episode would refuse, or a tuple
-    whose stream ids are not the episode's streams, is an InvalidInputError, and nothing is
-    written."""
+    """episode as a .vtep file at path. A header that read_episode would refuse, a tuple whose
+    stream ids are not the episode's streams, or a value that does not fit its field is an
+    InvalidInputError whose message starts with path, and path is left as it was."""
     header = {
         "rate_hz": episode.rate_hz,
         "tolerance_us": episode.tolerance_us,
@@ -448,11 +612,13 @@ def write_episode(episode: Episode, path) -> None:
     streams = set(episode.streams)
     for tup in episode.tuples:
         _check_streams(tup, streams, InvalidInputError, f"{path}: tick {tup.tick_time_us}")
-    with open(path, "wb") as fh:
-        fh.write(_EPISODE_HEAD.pack(EPISODE_MAGIC, EPISODE_VERSION, len(header)))
-        fh.write(header)
-        for tup in episode.tuples:
-            _write_record(fh, tup)
+    try:
+        with _replacing(path) as fh:
+            fh.write(_EPISODE_HEAD.pack(EPISODE_MAGIC, EPISODE_VERSION, len(header)))
+            fh.write(header)
+            _write_records(fh, episode.tuples)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
 
 
 def _check_streams(tup: SyncedTuple, streams: set, error: type, where: str) -> SyncedTuple:
@@ -462,21 +628,45 @@ def _check_streams(tup: SyncedTuple, streams: set, error: type, where: str) -> S
     return tup
 
 
-def _write_record(fh, tup: SyncedTuple) -> None:
-    """tup as one record on fh: its length, the tuple, then the tuple's CRC32."""
+def _write_record(fh, tup: SyncedTuple) -> bytes:
+    """tup as one record on fh: its length, the tuple, then the tuple's CRC32. Returns the record."""
     try:
         payload = _encode_tuple(tup)
     except struct.error as exc:
         raise InvalidInputError(f"tick {tup.tick_time_us}: a value does not fit the episode format ({exc})") from None
-    fh.write(_U32.pack(len(payload)))
-    fh.write(payload)
-    fh.write(_U32.pack(zlib.crc32(payload)))
+    record = b"".join((_U32.pack(len(payload)), payload, _U32.pack(zlib.crc32(payload))))
+    fh.write(record)
+    return record
+
+
+def _write_records(fh, tuples: list) -> None:
+    """tuples, whose stream ids are all one set, as records on fh, the bytes that _write_record
+    writes for each. The first record of a run is written alone, and the rest of the run a block
+    at a time; a block in which a value does not fit is written record by record, which raises
+    the error of the first record that holds one."""
+    i = 0
+    while i < len(tuples):
+        run, record = _Run(), _write_record(fh, tuples[i])
+        _decode_tuple(memoryview(record)[_U32.size : -_U32.size], "", (), run)
+        run.seal(record)
+        i += 1
+        while run.most and i < len(tuples):
+            n, block = run.encode(tuples[i : i + run.most])
+            if not n:
+                break
+            if block is None:
+                for tup in tuples[i : i + n]:
+                    _write_record(fh, tup)
+            else:
+                fh.write(block)
+            i += n
 
 
 class _FileReader(_Reader):
-    """A _Reader over an open file or pipe, whose takes are views of one reused, writable buffer
-    that the next take overwrites. A piece longer than what is left of a file is a
-    TruncatedFileError before anything is allocated for it; a pipe has no such bound."""
+    """A _Reader over an open file or pipe, whose takes are views of a writable buffer that the
+    next take may overwrite. A piece longer than what is left of a file is a TruncatedFileError
+    before anything is allocated for it; a file's takes share one buffer. A pipe has no such
+    bound, so each take's buffer grows only as bytes arrive, by at most _PIPE_STEP a read."""
 
     def __init__(self, fh, context: str):
         self.fh = fh
@@ -488,6 +678,14 @@ class _FileReader(_Reader):
     def take(self, n: int) -> memoryview:
         if n > self.left:
             raise TruncatedFileError(f"{self.context}: truncated")
+        if self.left == math.inf:
+            self.buf = bytearray()
+            while len(self.buf) < n:
+                piece = self.fh.read(min(n - len(self.buf), _PIPE_STEP))
+                if not piece:
+                    raise TruncatedFileError(f"{self.context}: truncated")
+                self.buf += piece
+            return memoryview(self.buf)
         if n > len(self.buf):
             self.buf = bytearray(n)
         out = memoryview(self.buf)[:n]
@@ -496,14 +694,43 @@ class _FileReader(_Reader):
         self.left -= n
         return out
 
+    def give_back(self, n: int) -> None:
+        """Undo the taking of the last n bytes of a file."""
+        self.fh.seek(-n, os.SEEK_CUR)
+        self.left += n
 
-def _read_record(r: _Reader, keep=None) -> SyncedTuple:
-    """The tuple of the next record, decoded as _decode_tuple does once its CRC32 matches."""
-    (n,) = r.unpack(_U32)
+
+def _read_record(r: _Reader, keep=None, run=None) -> SyncedTuple:
+    """The tuple of the next record, decoded as _decode_tuple does once its CRC32 matches; a
+    _Run given as run is sealed with the record."""
+    length = bytes(r.take(_U32.size))
+    (n,) = _U32.unpack(length)
     record = r.take(n + _U32.size)  # the tuple, its CRC32
     if zlib.crc32(record[:n]) != _U32.unpack_from(record, n)[0]:
         raise ChecksumError(f"{r.context}: CRC32 mismatch")
-    return _decode_tuple(record[:n], r.context, keep)
+    tup = _decode_tuple(record[:n], r.context, keep, run)
+    if run is not None:
+        run.seal(length, record)
+    return tup
+
+
+def _read_block(r: _FileReader, run: _Run, keep, most: int):
+    """The tuples of up to most of the records next in the file, read as one block while they
+    hold run's fixed bytes: [] when the next record does not, and None, with the block's bytes
+    given back, when a record of the block fails its CRC32 or a check."""
+    k = min(most, run.most, r.left // run.size)
+    if not k:
+        return []
+    same_length = r.take(_U32.size) == run.row[: _U32.size].tobytes()
+    r.give_back(_U32.size)
+    if not same_length:  # the run ends before a block of records of another length is read
+        return []
+    rows = np.frombuffer(r.take(k * run.size), np.uint8).reshape(k, run.size)
+    same = (rows[:, run.fixed] == run.fixed_bytes).all(axis=1)
+    n = k if same.all() else int(same.argmin())
+    tuples = run.decode(rows[:n], keep) if n else []
+    r.give_back((k - n if tuples is not None else k) * run.size)
+    return tuples
 
 
 def read_episode(path, keep=None) -> Episode:
@@ -514,9 +741,10 @@ def read_episode(path, keep=None) -> Episode:
     keep: a tuple of stream-id prefixes, such as (TACTILE_PREFIX, JOINTS_STREAM), or () for
     none; only the payloads of members whose stream ids start with one of them are built.
     Every other payload is skipped, which runs every check that building it runs, and its
-    member holds None with its stream id and timestamp; keep=None builds every payload. The
-    records pass through one reused, writable buffer, so the payloads built are copies and
-    memory holds one record plus them.
+    member holds None with its stream id and timestamp; keep=None builds every payload.
+    Records are read a block at a time (see _Run), with the values and errors of a read record
+    by record: a block in which a record fails is read again record by record, and so is the
+    rest of the file. Memory holds one block plus the payloads built.
     """
     with open(path, "rb") as fh:
         if fh.read(len(EPISODE_MAGIC)) != EPISODE_MAGIC:
@@ -533,10 +761,17 @@ def read_episode(path, keep=None) -> Episode:
             raise EpisodeLoadError(f"{path}: header lacks {exc}") from None
         except (TypeError, ValueError, OverflowError) as exc:  # InvalidInputError is a ValueError
             raise EpisodeLoadError(f"{path}: bad header ({exc})") from None
-        tuples, wanted = [], set(streams)
-        for i in range(tuple_count):
-            r.context = f"{path} record {i}"
-            tuples.append(_check_streams(_read_record(r, keep), wanted, EpisodeLoadError, r.context))
+        tuples, wanted, run, blocks = [], set(streams), None, r.left < math.inf  # a pipe gives nothing back
+        while len(tuples) < tuple_count:
+            r.context = f"{path} record {len(tuples)}"
+            if run is not None:
+                block = _read_block(r, run, keep, tuple_count - len(tuples))
+                if block:
+                    tuples += block
+                    continue
+                blocks = block is not None
+            run = _Run() if blocks else None
+            tuples.append(_check_streams(_read_record(r, keep, run), wanted, EpisodeLoadError, r.context))
         if fh.read(1):
             raise EpisodeLoadError(f"{path}: bytes after the last of its {tuple_count} records")
     return Episode(rate_hz, tolerance_us, streams, tuples, metadata)

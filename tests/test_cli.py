@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -1047,6 +1048,39 @@ def test_log_level_names_any_case(monkeypatch, capsys, good_inputs):
     assert main(["--log-level", "ERROR", "stats", "--episode", str(good_inputs["--episode"])]) == 0
     monkeypatch.delenv("VITAC_LOG")
     assert main(["--log-level", "Info", "stats", "--episode", str(good_inputs["--episode"])]) == 0
+
+
+@pytest.mark.parametrize("old", [None, b"an older episode"], ids=["no-out", "old-out"])
+def test_sync_that_fails_while_writing_leaves_out_as_it_was(tmp_path, capsys, old):
+    # the 50 Hz tick after 9223372036854760000 passes 2**63 - 1 us, where the first record is written
+    frames = tmp_path / "frames.jsonl"
+    frames.write_text("".join(json.dumps({**_FRAME, "seq": i, "timestamp_us": 2**63 - 30_000 + i * 20_000}) + "\n"
+                              for i in range(4)))
+    out = tmp_path / "ep.vtep"
+    if old is not None:
+        out.write_bytes(old)
+    assert main(["sync", "--tactile", str(frames), "--rate", "50", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    tick = 9223372036854780000
+    assert err == f"error: {out}: tick {tick}: a value does not fit the episode format (argument out of range)\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["ep.vtep"] if old else []) + ["frames.jsonl"]
+    assert old is None or out.read_bytes() == old
+
+
+def test_log_level_debug_logs_one_line_per_command(monkeypatch, capsys, good_inputs):
+    argv = ["--json", "stats", "--episode", str(good_inputs["--episode"])]
+    reports = []
+    for env, flags, logged in [(None, ["--log-level", "debug"], True), ("debug", [], True), (None, [], False),
+                               ("DEBUG", [], True), (None, [], False)]:
+        if env is None:
+            monkeypatch.delenv("VITAC_LOG", raising=False)
+        else:
+            monkeypatch.setenv("VITAC_LOG", env)
+        assert main(flags + argv) == 0
+        out, err = capsys.readouterr()
+        reports.append(out)
+        assert re.fullmatch(r"DEBUG:vitac:stats took \d+\.\d{3} s\n" if logged else "", err), err
+    assert len(set(reports)) == 1
 
 
 def test_text_report_mode(tmp_path, capsys):

@@ -9,7 +9,9 @@ import io
 import json
 import os
 import signal
+import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,6 +192,21 @@ def _through_pipe(records: bytes, count: int) -> list:
 def test_pipe_records_read_back_equal():
     tuples = [_encode_tuple(_tick(k)) for k in range(3)]
     assert _through_pipe(b"".join(_record(k) for k in range(3)), 4) == tuples + [None]
+
+
+def test_a_pipe_record_length_allocates_only_what_arrives():
+    """A length of 64 MiB followed by 100 bytes and the pipe's end: the buffer grows with the bytes."""
+    read_end, write_end = os.pipe()
+    with open(write_end, "wb") as pipe:
+        pipe.write(struct.pack("<I", 64 << 20) + bytes(100))
+    tracemalloc.start()
+    try:
+        with open(read_end, "rb") as pipe:
+            assert _received(_FileReader(pipe, "pipe"), "record 0") is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_pipe_record_with_a_flipped_byte_reads_as_none():

@@ -19,12 +19,14 @@ import struct
 import sys
 import warnings
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from vitac import stream_sync
 from vitac.cli import main
 from vitac.errors import VitacError
 from vitac.frame_codec import FRAME_LEN, StreamDecoder, WireFrame, crc16_ccitt_false, encode_frame
@@ -34,6 +36,7 @@ from vitac.sensor_model import TactileFrame
 from vitac.stream_sync import Episode, SyncedTuple, TimedSample, read_episode, write_episode
 
 from test_cli import _READS, _argv, good_inputs  # noqa: F401 (good_inputs is a fixture)
+from test_stream_sync import _values
 
 FUZZ = settings(derandomize=True, database=None, max_examples=30, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
@@ -247,50 +250,79 @@ def test_wire_stream_never_raises(tmp_path_factory, parts, chunk):
 
 # ------------------------------------------------------------ .vtep episodes
 
+EPISODE_RECORDS = 2 * stream_sync.BLOCK_RECORDS + 3  # enough for three blocks
+
+
 def _episode_parts(tmp_path_factory):
-    """(header document, record body) of a one-tuple episode holding every payload type."""
-    members = {
-        "tactile/0": TactileFrame(0, 5, np.arange(256).reshape(16, 16)),
-        "tactile/1": TactileFrame(1, 6, np.full((16, 16), 0.5), normalized=True),
-        "camera/0": CloudXYZF(np.arange(8.0).reshape(2, 4), "base"),
-        "fused": FusedCloud(np.array([[0.0, 0, 0, 0.5, 0, 1]]), "base"),
-        "joints": JointState([0.01, -0.02], 7),
-    }
-    tup = SyncedTuple(0, {sid: TimedSample(sid, 0, p) for sid, p in members.items()})
+    """(header document, record bodies) of an episode whose tuples hold every payload type, in
+    one layout, so that it is read in blocks."""
+    tuples = []
+    for k in range(EPISODE_RECORDS):
+        members = {
+            "tactile/0": TactileFrame(0, 5 + k, (np.arange(256) + k).reshape(16, 16) % 1024),
+            "tactile/1": TactileFrame(1, 6 - k, np.full((16, 16), 0.5), normalized=True),
+            "camera/0": CloudXYZF(np.arange(8.0).reshape(2, 4) * k, "base"),
+            "fused": FusedCloud(np.array([[0.0, 0, k, 0.5, 0, 1]]), "base"),
+            "joints": JointState([0.01 * k, -0.02], 7 * k),
+        }
+        tuples.append(SyncedTuple(k * 100_000, {sid: TimedSample(sid, k, p) for sid, p in members.items()}))
     path = tmp_path_factory.getbasetemp() / "base.vtep"
-    write_episode(Episode(10.0, 0, sorted(members), [tup]), path)
+    write_episode(Episode(10.0, 0, sorted(tuples[0].members), tuples), path)
     data = path.read_bytes()
     n_header = struct.unpack("<I", data[6:10])[0]
-    return json.loads(data[10 : 10 + n_header]), data[14 + n_header : -4]
+    bodies, pos = [], 10 + n_header
+    while pos < len(data):
+        (n,) = struct.unpack_from("<I", data, pos)
+        bodies.append(data[pos + 4 : pos + 4 + n])
+        pos += n + 8
+    return json.loads(data[10 : 10 + n_header]), bodies
 
 
 @st.composite
-def episode_bytes(draw, header, body):
+def episode_bytes(draw, header, bodies):
     header = draw(mutated(header)) if draw(st.booleans()) else header
-    body = bytearray(body)
+    k = draw(st.integers(0, len(bodies) - 1))
+    body = bytearray(bodies[k])
     for _ in range(draw(st.integers(0, 3))):
         at = draw(st.integers(0, len(body)))
         body[at : at + draw(st.integers(0, 4))] = draw(st.binary(max_size=4))
+    crc = zlib.crc32(body) ^ (draw(st.integers(0, 9)) == 0)  # now and then a CRC32 that does not match
     raw = json.dumps(header).encode()
     data = b"VTEP" + struct.pack("<HI", 1, len(raw)) + raw
-    data += struct.pack("<I", len(body)) + body + struct.pack("<I", zlib.crc32(body))
+    data += b"".join(struct.pack("<I", len(b)) + b + struct.pack("<I", zlib.crc32(b)) for b in bodies[:k])
+    data += struct.pack("<I", len(body)) + body + struct.pack("<I", crc)
+    data += b"".join(struct.pack("<I", len(b)) + b + struct.pack("<I", zlib.crc32(b)) for b in bodies[k + 1 :])
     if draw(st.integers(0, 9)) == 0:
         data = data[: draw(st.integers(0, len(data)))]
     return data
 
 
+def outcome(path, keep):
+    """read_episode(path, keep)'s tuples as plain values, or the type and message of its error."""
+    try:
+        return _values(read_episode(path, keep=keep).tuples)
+    except VitacError as exc:
+        return type(exc), str(exc)
+
+
 def test_episode_loads_or_is_one_error_line(tmp_path_factory):
-    header, body = _episode_parts(tmp_path_factory)
+    header, bodies = _episode_parts(tmp_path_factory)
     path = tmp_path_factory.getbasetemp() / "fuzzed.vtep"
 
     @FUZZ
-    @given(episode_bytes(header, body))
+    @given(episode_bytes(header, bodies))
     def check(data):
         path.write_bytes(data)
         full = verdict(read_episode, path)
         # a skipped payload runs every check a built one does: same verdict, same message
         assert verdict(read_episode, path, keep=()) == full
         assert verdict(read_episode, path, keep=("tactile/",)) == full
+        # read in blocks, the records give what a loop of _read_record gives: with no block read,
+        # read_episode reads every record with _read_record
+        for keep in (None, (), ("tactile/",)):
+            blocks = outcome(path, keep)
+            with mock.patch.object(stream_sync, "_read_block", lambda *args: None):
+                assert outcome(path, keep) == blocks
         run_cli(["stats", "--episode", str(path)])
 
     check()

@@ -1,5 +1,6 @@
 import ast
 import json
+import os
 import re
 import struct
 import tracemalloc
@@ -8,8 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vitac
+from vitac import stream_sync
 from vitac.errors import (
     ChecksumError,
     EpisodeLoadError,
@@ -476,8 +480,10 @@ def test_member_that_does_not_fit_its_stream_is_invalid(kind):
 def test_write_episode_timestamp_out_of_range(tmp_path):
     member = TimedSample(JOINTS_STREAM, 0, JointState([0.0], 2**63))
     ep = Episode(10.0, 0, [JOINTS_STREAM], [SyncedTuple(0, {JOINTS_STREAM: member})])
+    path = tmp_path / "big.vtep"
     with pytest.raises(InvalidInputError, match="tick 0"):
-        write_episode(ep, tmp_path / "big.vtep")
+        write_episode(ep, path)
+    assert not path.exists()
 
 
 def test_write_episode_refuses_a_payload_without_a_format(tmp_path):
@@ -671,3 +677,147 @@ def test_episode_record_length_past_the_file_end_allocates_nothing(tmp_path, kee
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# ------------------------------------------------------------ records in blocks
+
+def _records_one_by_one(tuples) -> bytes:
+    """The records of tuples, each its u32 length, _encode_tuple's bytes and their CRC32."""
+    out = b""
+    for tup in tuples:
+        body = stream_sync._encode_tuple(tup)
+        out += struct.pack("<I", len(body)) + body + struct.pack("<I", zlib.crc32(body))
+    return out
+
+
+def _episode_file(ep: Episode) -> bytes:
+    """The bytes that write_episode writes for ep, from _records_one_by_one."""
+    header = {"rate_hz": ep.rate_hz, "tolerance_us": ep.tolerance_us, "streams": ep.streams,
+              "metadata": ep.metadata, "tuple_count": len(ep.tuples)}
+    return _episode_bytes(header, _records_one_by_one(ep.tuples))
+
+
+def _values(tuples) -> list:
+    """tuples as plain values, each array as its dtype, shape and bytes, to compare two reads."""
+    def value(payload):
+        if payload is None:
+            return None
+        fields = vars(payload).items()
+        return type(payload), {k: (v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+                               for k, v in fields}
+    return [(t.tick_time_us, {sid: (m.timestamp_us, value(m.payload)) for sid, m in t.members.items()})
+            for t in tuples]
+
+
+def _fused(rng, n, frame):
+    visual = rng.integers(0, 2, n).astype(float)
+    return FusedCloud(np.column_stack([rng.normal(size=(n, 3)), rng.uniform(size=n) * (1 - visual),
+                                       visual, 1 - visual]), frame)
+
+
+_STAMPS = st.sampled_from([0, 1, -1, 2**63 - 1, -(2**63), 123_456_789])
+
+
+@st.composite
+def layout_changing_episodes(draw):
+    """An episode of runs of records, each run with its own joint count, tactile kind and pad,
+    cloud size and frame name, and payload type on stream "misc"; a run may be longer than a
+    block, and its values vary from record to record."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tuples = []
+    for _ in range(draw(st.integers(1, 4))):
+        joints, points = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        normalized, pad = draw(st.booleans()), draw(st.sampled_from([0, 3, 255]))
+        frame = draw(st.sampled_from(["base", "cam0", "cam1", ""]))  # cam0 and cam1 differ in one byte
+        misc = draw(st.sampled_from(["joints", "cloud", "fused", "tactile"]))
+        for _ in range(draw(st.sampled_from([1, 2, stream_sync.BLOCK_RECORDS, stream_sync.BLOCK_RECORDS + 5]))):
+            tick, stamp = draw(_STAMPS), int(rng.integers(-(2**63), 2**63 - 1))
+            readings = rng.uniform(0, 1, (16, 16)) if normalized else rng.integers(0, 1024, (16, 16))
+            payloads = {
+                "camera/0": CloudXYZF(rng.normal(size=(points, 4)), frame),
+                JOINTS_STREAM: JointState(rng.normal(size=joints), stamp),
+                "misc": {"joints": lambda: JointState(rng.normal(size=joints), tick),
+                         "cloud": lambda: CloudXYZF(rng.normal(size=(points, 4)), frame),
+                         "fused": lambda: _fused(rng, points, frame),
+                         "tactile": lambda: TactileFrame(pad, stamp, readings, normalized)}[misc](),
+                tactile_stream(0): TactileFrame(pad, tick, readings, normalized),
+            }
+            tuples.append(SyncedTuple(tick, {sid: TimedSample(sid, stamp + k, p)
+                                             for k, (sid, p) in enumerate(payloads.items())}))
+    return Episode(50.0, 0, sorted(tuples[0].members), tuples, {"runs": "mixed"})
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(layout_changing_episodes())
+def test_blocks_write_and_read_what_records_one_by_one_do(tmp_path_factory, ep):
+    path = tmp_path_factory.getbasetemp() / "runs.vtep"
+    write_episode(ep, path)
+    assert path.read_bytes() == _episode_file(ep)
+    assert _values(read_episode(path).tuples) == _values(ep.tuples)
+    skipped = read_episode(path, keep=())
+    assert [(t.tick_time_us, {sid: m.timestamp_us for sid, m in t.members.items()}) for t in skipped.tuples] == [
+        (t.tick_time_us, {sid: m.timestamp_us for sid, m in t.members.items()}) for t in ep.tuples]
+    kept = read_episode(path, keep=(JOINTS_STREAM,)).tuples
+    assert [t.members[JOINTS_STREAM].payload.positions.tobytes() for t in kept] == [
+        t.members[JOINTS_STREAM].payload.positions.tobytes() for t in ep.tuples]
+
+
+def test_kept_payloads_share_one_read_only_copy_of_their_block_column(tmp_path):
+    ep = make_episode(stream_sync.BLOCK_RECORDS + 7)
+    ep.tuples[:] = [SyncedTuple(t.tick_time_us, {sid: m for sid, m in t.members.items() if sid != camera_stream(0)})
+                    for t in ep.tuples]  # so that every record has one layout
+    ep.streams.remove(camera_stream(0))
+    path = tmp_path / "k.vtep"
+    write_episode(ep, path)
+    frames = [t.members[tactile_stream(0)].payload.readings for t in read_episode(path).tuples]
+    assert not any(f.flags.writeable for f in frames)
+    assert frames[1].base is frames[2].base and frames[1].base is not frames[0].base  # record 0 is the walker's
+    assert frames[-1].base is not frames[1].base  # the last 7 records are a second block
+
+
+@pytest.mark.parametrize("at", [0, 1, stream_sync.BLOCK_RECORDS + 3])
+@pytest.mark.parametrize("value", [2**63, -(2**63) - 1, 1.5])
+def test_a_member_timestamp_that_does_not_fit_is_the_records_error(tmp_path, at, value):
+    joints = JointState([0.0], 0)
+    tuples = [SyncedTuple(k, {JOINTS_STREAM: TimedSample(JOINTS_STREAM, value if k == at else k, joints)})
+              for k in range(2 * stream_sync.BLOCK_RECORDS)]
+    path = tmp_path / "big.vtep"
+    error = f"{path}: tick {at}: a value does not fit the episode format"
+    with pytest.raises(InvalidInputError, match=re.escape(error)):
+        write_episode(Episode(10.0, 0, [JOINTS_STREAM], tuples), path)
+    assert not path.exists() and list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_write_leaves_the_file_it_would_replace(tmp_path):
+    path = tmp_path / "ep.vtep"
+    path.write_bytes(b"old")
+    bad = SyncedTuple(0, {JOINTS_STREAM: TimedSample(JOINTS_STREAM, 2**63, JointState([0.0], 0))})
+    with pytest.raises(InvalidInputError):
+        write_episode(Episode(10.0, 0, [JOINTS_STREAM], [bad]), path)
+    assert path.read_bytes() == b"old" and list(tmp_path.iterdir()) == [path]
+    write_episode(make_episode(3), path)
+    assert path.read_bytes() == _episode_file(make_episode(3))
+    assert path.stat().st_mode & 0o777 == 0o666 & ~_umask()
+
+
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+def test_reading_an_episode_holds_about_one_block(tmp_path):
+    rng = np.random.default_rng(1)
+    tuples = [SyncedTuple(k, {"camera/0": TimedSample("camera/0", k, CloudXYZF(rng.normal(size=(600, 4)), "base"))})
+              for k in range(200)]
+    path = tmp_path / "long.vtep"
+    write_episode(Episode(10.0, 0, ["camera/0"], tuples), path)
+    assert path.stat().st_size > 3_800_000  # about 19 KB a record
+    tracemalloc.start()
+    try:
+        back = read_episode(path, keep=())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(back.tuples) == 200
+    assert peak < 3 * stream_sync.BLOCK_BYTES
