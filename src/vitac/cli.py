@@ -44,6 +44,7 @@ from .stream_sync import (
     JOINTS_STREAM,
     TACTILE_PREFIX,
     Episode,
+    SampleColumns,
     SyncedTuple,
     TimedSample,
     align,
@@ -138,11 +139,15 @@ def cmd_decode(args) -> dict:
 
 
 def _read_tactile_jsonl(path) -> dict:
-    """stream_id -> samples from a decode-format jsonl file."""
+    """stream_id -> samples from a decode-format jsonl file, in the order the pads first appear."""
+    frames = frame_codec.read_frame_lines(path)
+    by_pad = np.argsort(frames.pad_ids, kind="stable")  # each pad's frames in line order
+    pads = frames.pad_ids[by_pad]
+    groups = np.split(by_pad, np.flatnonzero(pads[1:] != pads[:-1]) + 1) if len(frames) else []
     streams = {}
-    for frame in frame_codec.read_frame_lines(path):
-        sid = tactile_stream(frame.pad_id)
-        streams.setdefault(sid, []).append(TimedSample(sid, frame.timestamp_us, frame))
+    for rows in sorted(groups, key=lambda rows: rows[0]):
+        sid = tactile_stream(frames.pad_ids.item(rows[0]))
+        streams[sid] = SampleColumns(sid, frames.timestamps[rows], frames, rows)
     return streams
 
 
@@ -168,7 +173,8 @@ def _read_cloud_dir(path) -> dict:
 
 
 def _read_joints_jsonl(path) -> dict:
-    return {JOINTS_STREAM: [TimedSample(JOINTS_STREAM, j.timestamp_us, j) for j in read_joint_lines(path)]}
+    joints = read_joint_lines(path)
+    return {JOINTS_STREAM: SampleColumns(JOINTS_STREAM, joints.timestamps, joints, np.arange(len(joints)))}
 
 
 def cmd_sync(args) -> dict:
@@ -180,13 +186,13 @@ def cmd_sync(args) -> dict:
                 raise InvalidInputError(f"{path}: stream {sid} is also in {sources[sid]}")
             streams[sid], sources[sid] = samples, path
     if args.cloud:
-        streams.update(_read_cloud_dir(_require_dir(args.cloud)))
+        clouds = _read_cloud_dir(_require_dir(args.cloud))
+        streams.update({sid: SampleColumns.of(sid, samples) for sid, samples in clouds.items()})
     if args.joints:
         streams.update(_read_joints_jsonl(_require_file(args.joints)))
     if not streams:
         raise InvalidInputError("no input streams given")
-    for samples in streams.values():
-        samples.sort(key=lambda s: s.timestamp_us)
+    streams = {sid: samples.sorted() for sid, samples in streams.items()}
     tolerance_us = int(args.tol_ms * 1000)
     tuples, report = align(streams, rate_hz=args.rate, tolerance_us=tolerance_us)
     episode = Episode(

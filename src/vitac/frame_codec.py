@@ -22,7 +22,6 @@ back; frame_lines and read_frame_lines below define that line.
 from __future__ import annotations
 
 import binascii
-import re
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -31,8 +30,17 @@ import numpy as np
 
 from . import jsonio
 from .errors import InvalidInputError, VitacError, check_range
-from .frozen import freeze, read_only
-from .sensor_model import MAX_PAD_ID, MAX_READING, PAD_SHAPE, PAD_TAXELS, READING_BITS, TactileFrame, check_raw_readings
+from .frozen import freeze, int_column, owned
+from .sensor_model import (
+    MAX_PAD_ID,
+    MAX_RAW_READING,
+    MAX_READING,
+    PAD_SHAPE,
+    PAD_TAXELS,
+    READING_BITS,
+    TactileFrame,
+    check_raw_readings,
+)
 
 MAGIC = b"\xa5\x5a"
 VERSION = 1
@@ -274,17 +282,29 @@ _WORD = np.dtype("<u8")
 _DIGIT_WORDS = np.frombuffer(b"".join((b"%d" % v).ljust(8, b"\0") for v in range(MAX_READING + 1)), _WORD)
 _SEP_WORDS = np.frombuffer(b"".join(b"\0" * 4 + sep.ljust(4, b"\0") for sep in _SEPS), _WORD)
 
-# A line is read in one pass when its head matches _HEAD (keys in order, no leading zeros),
-# deleting its digits leaves _SKELETON, every reading's digits are the canonical digits of a
-# value <= MAX_READING, and no other digit is left over; such a line is exactly frame_lines'
-# line for its frame.
-_NUMBER = rb"(0|[1-9][0-9]{0,19})"  # up to the 20 digits of a u64; a longer one goes through jsonio.loads
-_HEAD = re.compile(re.escape(_LINE_HEAD.removesuffix(b"[[")).replace(b"%d", _NUMBER))
-_SEP_TEXT = b"".join(_SEPS)
-_SKELETON = (_LINE_HEAD % (0, 0, 0)).translate(None, b"0123456789") + _SEP_TEXT
-# the index in _SKELETON of the separator after each reading, and the non-digits from "[[" to the end
-_AFTER = len(_SKELETON) - len(_SEP_TEXT) + np.cumsum([0] + [len(sep) for sep in _SEPS[:-1]])
-_READINGS_SEPS = len(b"[[" + _SEP_TEXT)
+# A line is read in one pass when deleting its digits leaves _SKELETON, its pad_id and readings
+# are the canonical digits of values <= MAX_PAD_ID and <= MAX_READING, its seq and timestamp_us
+# are 1 to 20 digits without a leading zero (a u64; a longer number goes through jsonio.loads),
+# and no other digit is left over; such a line is exactly frame_lines' line for its frame.
+_TEMPLATE = _LINE_HEAD % (0, 0, 0) + b"".join(b"0" + sep for sep in _SEPS)  # every number one digit
+_SKELETON = _TEMPLATE.replace(b"0", b"")
+# the gap holding each number, gap g lying between non-digits g and g + 1: pad_id and the
+# readings, the numbers of at most 4 digits, then seq and timestamp_us
+_GAPS = (np.flatnonzero(np.frombuffer(_TEMPLATE, np.uint8) == ord("0")) - np.arange(3 + PAD_TAXELS) - 1)[
+    np.r_[0, 3 : 3 + PAD_TAXELS, 1, 2]]
+_SHORT = 1 + PAD_TAXELS
+# By a gap's size, one more than its digits (a short number's 0 to 4 digits, and 5 for more):
+# the shift that keeps only a short number's digits of the 4 bytes from its start, and the least
+# value it may have and the span above it, so that value - least, wrapping below least, is at
+# most span for a canonical number <= MAX_READING; and whether a long number's count is 1 to 20.
+_SHIFT_BY_SIZE = np.array([0, 24, 24, 16, 8, 0, 0], np.uint32)
+_LEAST_BY_SIZE = np.array([0, 2**32 - 1, 0, 10, 100, 1000, 2**32 - 1], np.uint32)
+_SPAN_BY_SIZE = np.array([0, 0, 9, 89, 899, MAX_READING - 1000, 0], np.uint32)
+_LONG_BY_SIZE = (np.arange(23) >= 2) & (np.arange(23) <= 21)
+_BACK = np.arange(-20, 0)  # a long number's 20 digit places, from the separator after it
+_TENS = 10 ** np.arange(9, -1, -1)  # a 10-digit half of a long number
+_ZEROS = ord("0") * int(_TENS.sum())  # what the half's places hold in text that reads 0
+_HIGH_HALF_MAX = (2**63 - 1) // 10**10  # a long number below this high half times 10**10 fits an int64
 
 
 def frame_lines(frames) -> bytes:
@@ -302,40 +322,106 @@ def frame_lines(frames) -> bytes:
     return lines.tobytes().translate(None, b"\0")
 
 
-def _canonical_frames(lines: list) -> list:
-    """The TactileFrame of each canonical line among lines, None for every other line."""
-    out = [None] * len(lines)
-    # of each line that holds the skeleton: its index, (pad_id, timestamp_us), and the digits of its readings
-    found, heads, digits = [], [], []
-    for i, line in enumerate(lines):
-        m = _HEAD.match(line)
-        if m and line.translate(None, b"0123456789") == _SKELETON:
-            found.append(i)
-            heads.append((int(m[1]), int(m[3])))
-            digits.append(len(line) - m.end() - _READINGS_SEPS)
-    if not found:
-        return out
-    text = np.frombuffer(b"".join([lines[i] for i in found]), np.uint8)
-    # every line found holds the skeleton, so the places of its non-digits fall into rows of one length
-    seps = np.flatnonzero(text - np.uint8(ord("0")) >= 10).reshape(len(found), -1)  # a non-digit wraps to 10+
-    start = seps[:, _AFTER - 1] + 1
-    n_digits = seps[:, _AFTER] - start
-    del seps
-    # the 4 bytes from each reading's start, first byte lowest; shifting out all but its digits
-    # leaves them as the low digits of a 4-digit number, which two multiply-adds combine
-    words = np.ndarray((len(text) - 3,), np.dtype("<u4"), text, 0, (1,)).take(start)
-    words <<= (8 * (4 - np.clip(n_digits, 1, 4))).astype(np.uint32)
-    words &= np.uint32(0x0F0F0F0F)
-    words = (words * np.uint32(10) + (words >> np.uint32(8))) & np.uint32(0x00FF00FF)
-    values = (words * np.uint32(100) + (words >> np.uint32(16))) & np.uint32(0xFFFF)
-    canonical = 1 + (values >= 10) + (values >= 100) + (values >= 1000)
-    good = np.all((n_digits == canonical) & (values <= MAX_READING), axis=1)
-    good &= n_digits.sum(axis=1) == digits  # and no digit sits inside a separator
-    readings = read_only(values, np.uint16, (-1, *PAD_SHAPE))
-    for i, (pad_id, timestamp_us), row, ok in zip(found, heads, readings, good):
-        if ok and pad_id <= MAX_PAD_ID:  # TactileFrame refuses a larger id, which the line's own read reports
-            out[i] = TactileFrame(pad_id, timestamp_us, row)
-    return out
+@dataclass(frozen=True, eq=False)
+class FrameColumns(Sequence):
+    """Raw tactile frames as columns: their pad ids, their timestamps (int64, or objects when one
+    does not fit), and their readings as one read-only (n, 16, 16) uint16 array.
+
+    As a sequence its items are TactileFrames, each built when it is read.
+    """
+
+    pad_ids: np.ndarray
+    timestamps: np.ndarray
+    readings: np.ndarray
+
+    def __post_init__(self):
+        pad_ids = freeze(self, "pad_ids", -1, np.int64)
+        for pad_id in (pad_ids.min(), pad_ids.max()) if len(pad_ids) else ():
+            check_range("pad_id", int(pad_id), 0, MAX_PAD_ID)
+        object.__setattr__(self, "timestamps", int_column(self.timestamps))
+        check_raw_readings(np.asarray(self.readings), MAX_RAW_READING)
+        freeze(self, "readings", (-1, *PAD_SHAPE), np.uint16)
+        if not len(pad_ids) == len(self.timestamps) == len(self.readings):
+            raise InvalidInputError("frame columns must have one length")
+
+    @staticmethod
+    def of(frames) -> "FrameColumns":
+        """The columns of a sequence of raw TactileFrames."""
+        return FrameColumns([f.pad_id for f in frames], int_column([f.timestamp_us for f in frames]),
+                            owned(np.array([f.readings for f in frames], np.uint16).reshape(-1, *PAD_SHAPE)))
+
+    @staticmethod
+    def concat(chunks) -> "FrameColumns":
+        """The frames of chunks, a list of FrameColumns, one after another."""
+        if len(chunks) == 1:
+            return chunks[0]
+        if not chunks:
+            return FrameColumns.of([])
+        return FrameColumns(*(owned(np.concatenate([getattr(c, name) for c in chunks]))
+                              for name in ("pad_ids", "timestamps", "readings")))
+
+    @staticmethod
+    def canonical(lines: list) -> tuple:
+        """(frames, read): the columns of the canonical lines among lines, and for each line
+        whether it is one. All the lines are parsed together by numpy."""
+        lengths = np.fromiter(map(len, lines), np.intp, len(lines))
+        ends = np.cumsum(lengths)
+        text = np.frombuffer(b"".join(lines), np.uint8)
+        seps = np.flatnonzero(text - np.uint8(ord("0")) >= 10)  # a non-digit wraps to 10+
+        nondigits = text[seps]
+        read = np.zeros(len(lines), bool)
+        if len(seps) == len(_SKELETON) * len(lines) and nondigits.tobytes() == _SKELETON * len(lines):
+            found, at = np.arange(len(lines)), seps.reshape(len(lines), -1)  # every line holds the skeleton
+            ok = at[:, 0] == ends - lengths
+        else:
+            counts = np.diff(np.searchsorted(seps, ends), prepend=0)
+            held = np.repeat(counts == len(_SKELETON), counts)
+            if not held.any():
+                return FrameColumns.of([]), read
+            # the lines found hold as many non-digits as the skeleton, so their places fall into rows of one length
+            found, at = np.flatnonzero(counts == len(_SKELETON)), seps[held].reshape(-1, len(_SKELETON))
+            ok = at[:, 0] == ends[found] - lengths[found]
+            ok &= (nondigits[held].reshape(at.shape) == np.frombuffer(_SKELETON, np.uint8)).all(axis=1)
+        before = at[:, _GAPS]  # the non-digit before each number
+        size = at[:, _GAPS + 1] - before
+        ok &= size.sum(axis=1) == lengths[found] - len(_SKELETON) + len(_GAPS)  # no digit sits elsewhere
+        # the 4 bytes from each short number's start, first byte lowest; shifting out all but its
+        # digits leaves them as the low digits of a 4-digit number, which two multiply-adds combine
+        short = size[:, :_SHORT]
+        words = np.ndarray((len(text) - 4,), np.dtype("<u4"), text, 1, (1,)).take(before[:, :_SHORT])
+        words <<= _SHIFT_BY_SIZE.take(short, mode="clip")
+        words &= 0x0F0F0F0F
+        spill = words >> 8
+        words *= 10
+        words += spill
+        words &= 0x00FF00FF
+        np.right_shift(words, 16, out=spill)
+        words *= 100
+        words += spill
+        words &= 0xFFFF
+        np.subtract(words, _LEAST_BY_SIZE.take(short, mode="clip"), out=spill)
+        ok &= (spill <= _SPAN_BY_SIZE.take(short, mode="clip")).all(axis=1) & (words[:, 0] <= MAX_PAD_ID)
+        long = size[:, _SHORT:]  # seq and timestamp_us
+        leading_zero = (long > 2) & (text[before[:, _SHORT:] + 1] == ord("0"))
+        ok &= (_LONG_BY_SIZE.take(long, mode="clip") & ~leading_zero).all(axis=1)
+        # the timestamp's digits in 20 places before the separator after it, '0' before them
+        places = np.where(_BACK >= 1 - long[:, -1:], text[at[:, _GAPS[-1] + 1, None] + _BACK], ord("0"))
+        high, low = (places[ok, :10] @ _TENS - _ZEROS), (places[ok, 10:] @ _TENS - _ZEROS)
+        if (high < _HIGH_HALF_MAX).all():
+            timestamps = owned(high * 10**10 + low)
+        else:
+            timestamps = int_column((high.astype(object) * 10**10 + low.astype(object)).tolist())
+        read[found[ok]] = True
+        readings = owned(words[ok, 1:].astype(np.uint16).reshape(-1, *PAD_SHAPE))
+        return FrameColumns(words[ok, 0], timestamps, readings), read
+
+    def __len__(self) -> int:
+        return len(self.pad_ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return FrameColumns(self.pad_ids[i], self.timestamps[i], self.readings[i])
+        return TactileFrame(self.pad_ids.item(i), self.timestamps.item(i), self.readings[i])
 
 
 def _frame_from_doc(doc) -> TactileFrame:
@@ -344,11 +430,11 @@ def _frame_from_doc(doc) -> TactileFrame:
                         jsonio.numbers("readings", doc["readings"]))
 
 
-def read_frame_lines(path) -> list:
-    """The TactileFrames of a JSON-lines file, one per nonblank line, in line order.
+def read_frame_lines(path) -> FrameColumns:
+    """The raw TactileFrames of a JSON-lines file, one per nonblank line, in line order, as columns.
 
     A line may be any JSON object holding pad_id, timestamp_us and readings. Canonical lines
     are read in blocks by numpy; every other line goes through jsonio.loads, with the same
     frames and the same "<file>:<line>" errors as if every line did.
     """
-    return jsonio.read_jsonl(path, _frame_from_doc, batch=_canonical_frames)
+    return jsonio.read_jsonl(path, _frame_from_doc, FrameColumns)

@@ -26,6 +26,25 @@ def read_only(value, dtype=np.float64, shape=None) -> np.ndarray:
     return arr
 
 
+def owned(arr: np.ndarray) -> np.ndarray:
+    """arr, a new array that its caller alone holds, made read-only in place rather than copied."""
+    arr.setflags(write=False)
+    return arr
+
+
+def int_column(values) -> np.ndarray:
+    """values, a sequence of integers, as a read-only column: int64 when numpy reads every one as
+    an int64, else an object array of the values as they are (such as a timestamp past 2**63). An
+    int64 or object array is kept as it is."""
+    if isinstance(values, np.ndarray) and values.dtype in (np.int64, object):
+        return read_only(values, values.dtype, -1)
+    arr = np.array(values) if len(values) else np.zeros(0, np.int64)
+    if arr.dtype != np.int64 or arr.ndim != 1:
+        arr = np.empty(len(values), object)
+        arr[:] = list(values)
+    return owned(arr)
+
+
 def freeze(obj, name: str, shape, dtype=np.float64, finite: str | None = None) -> np.ndarray:
     """Store obj.<name> as read_only(obj.<name>, dtype, shape), and return it.
 

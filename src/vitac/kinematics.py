@@ -9,13 +9,14 @@ order of a tactile frame.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import jsonio
 from .errors import InvalidInputError, check_range
-from .frozen import freeze, read_only
+from .frozen import freeze, int_column, owned
 from .pointcloud import BASE_FRAME, CloudXYZF
 from .se3 import MAX_LENGTH_M, UNIT_TOL, PoseSE3
 from .sensor_model import MAX_PAD_ID, PAD_COLS, PAD_ROWS, PAD_TAXELS
@@ -81,28 +82,96 @@ _JOINT_LINE = re.compile(rb'\{"timestamp_us": (-?(?:0|[1-9][0-9]{0,18})), "posit
                          % (_JSON_NUMBER, _JSON_NUMBER))
 
 
-def _canonical_joints(lines: list) -> list:
-    """The JointState of each canonical line among lines, None for every other line."""
-    found, stamps, tokens, ends = [], [], [], []
-    for i, line in enumerate(lines):
-        m = _JOINT_LINE.fullmatch(line)
-        if m:
-            found.append(i)
-            stamps.append(int(m[1]))
-            tokens += m[2].split(b", ")
-            ends.append(len(tokens))
-    out = [None] * len(lines)
-    if not found:
-        return out
-    if b"-0" in tokens:
-        tokens = [b"0" if t == b"-0" else t for t in tokens]
-    block = read_only(list(map(float, tokens)))
-    starts = [0, *ends[:-1]]
-    finite = np.logical_and.reduceat(np.isfinite(block), starts)
-    for i, stamp, start, end, ok in zip(found, stamps, starts, ends, finite):
-        if ok:  # a number too large for a float is left to json, which refuses it
-            out[i] = JointState(block[start:end], stamp)
-    return out
+@dataclass(frozen=True, eq=False)
+class JointColumns(Sequence):
+    """Joint states as columns: their timestamps (int64, or objects when one does not fit), and
+    all their positions one after another in one read-only float64 array, state i's at
+    values[starts[i] : starts[i + 1]], so that states may hold different joint counts.
+
+    As a sequence its items are JointStates, each built when it is read.
+    """
+
+    timestamps: np.ndarray
+    values: np.ndarray
+    starts: np.ndarray  # one more than there are states
+
+    def __post_init__(self):
+        object.__setattr__(self, "timestamps", int_column(self.timestamps))
+        JointState.check(freeze(self, "values", -1))
+        starts = freeze(self, "starts", -1, np.intp)
+        if (len(starts) != len(self.timestamps) + 1 or np.any(np.diff(starts) < 0)
+                or not 0 <= starts[0] <= starts[-1] <= len(self.values)):
+            raise InvalidInputError("joint columns must hold one span of values per timestamp")
+
+    @staticmethod
+    def of(states) -> "JointColumns":
+        """The columns of a sequence of JointStates."""
+        return JointColumns(int_column([s.timestamp_us for s in states]),
+                            owned(np.concatenate([s.positions for s in states])) if states else np.zeros(0),
+                            np.cumsum([0, *(len(s.positions) for s in states)]))
+
+    @staticmethod
+    def concat(chunks) -> "JointColumns":
+        """The states of chunks, a list of JointColumns, one after another."""
+        if len(chunks) == 1:
+            return chunks[0]
+        if not chunks:
+            return JointColumns.of([])
+        values = [c.values[c.starts[0] : c.starts[-1]] for c in chunks]
+        offsets = np.cumsum([0, *map(len, values)])
+        starts = [c.starts[1:] - c.starts[0] + offset for c, offset in zip(chunks, offsets)]
+        return JointColumns(np.concatenate([c.timestamps for c in chunks]), owned(np.concatenate(values)),
+                            np.concatenate([[0], *starts]))
+
+    @staticmethod
+    def canonical(lines: list) -> tuple:
+        """(states, read): the columns of the canonical lines among lines, and for each line
+        whether it is one."""
+        found, stamps, tokens, ends = [], [], [], []
+        for i, line in enumerate(lines):
+            m = _JOINT_LINE.fullmatch(line)
+            if m:
+                found.append(i)
+                stamps.append(int(m[1]))
+                tokens += m[2].split(b", ")
+                ends.append(len(tokens))
+        read = np.zeros(len(lines), bool)
+        if not found:
+            return JointColumns.of([]), read
+        if b"-0" in tokens:
+            tokens = [b"0" if t == b"-0" else t for t in tokens]
+        values = np.array(list(map(float, tokens)))
+        counts = np.diff(ends, prepend=0)
+        finite = np.logical_and.reduceat(np.isfinite(values), np.cumsum(counts) - counts)
+        if not finite.all():  # a number too large for a float is left to json, which refuses it
+            values, counts = values[np.repeat(finite, counts)], counts[finite]
+            stamps = [stamp for stamp, ok in zip(stamps, finite) if ok]
+        read[np.array(found)[finite]] = True
+        return JointColumns(int_column(stamps), owned(values), np.cumsum([0, *counts])), read
+
+    def counts(self, rows) -> np.ndarray:
+        """The joint count of each state at rows, an index array."""
+        return self.starts[rows + 1] - self.starts[rows]
+
+    def positions(self, rows) -> np.ndarray:
+        """(k, j): the positions of the leading states at rows, an index array, that hold as many
+        joints, j, as the first."""
+        counts = self.counts(rows)
+        same = counts == counts[0]
+        k = len(rows) if same.all() else int(same.argmin())
+        return self.values[self.starts[rows[:k], None] + np.arange(counts[0])]
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            r = range(len(self))[i]
+            if r.step != 1:
+                return JointColumns.of([self[j] for j in r])
+            return JointColumns(self.timestamps[i], self.values, self.starts[r.start : r.start + len(r) + 1])
+        i = range(len(self))[i]
+        return JointState(self.values[self.starts.item(i) : self.starts.item(i + 1)], self.timestamps.item(i))
 
 
 def _joint_from_doc(doc) -> JointState:
@@ -110,14 +179,14 @@ def _joint_from_doc(doc) -> JointState:
     return JointState(jsonio.numbers("positions", doc["positions"]), stamp)
 
 
-def read_joint_lines(path) -> list:
-    """The JointStates of a JSON-lines file, one per nonblank line, in line order.
+def read_joint_lines(path) -> JointColumns:
+    """The JointStates of a JSON-lines file, one per nonblank line, in line order, as columns.
 
     A line may be any JSON object holding timestamp_us and positions. Canonical lines are read
     in blocks; every other line goes through jsonio.loads, with the same states and the same
     "<file>:<line>" errors as if every line did.
     """
-    return jsonio.read_jsonl(path, _joint_from_doc, batch=_canonical_joints)
+    return jsonio.read_jsonl(path, _joint_from_doc, JointColumns)
 
 
 @dataclass(frozen=True)

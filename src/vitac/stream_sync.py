@@ -9,7 +9,6 @@ bit-exact.
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import json
 import math
@@ -20,6 +19,7 @@ import struct
 import threading
 import zlib
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -35,7 +35,9 @@ from .errors import (
     TruncatedFileError,
     check_range,
 )
-from .kinematics import JointState
+from .frame_codec import FrameColumns
+from .frozen import int_column
+from .kinematics import JointColumns, JointState
 from .pointcloud import CloudXYZF, FusedCloud
 from .sensor_model import PAD_SHAPE, TactileFrame
 
@@ -62,6 +64,38 @@ class TimedSample:
     stream_id: str
     timestamp_us: int
     payload: object
+
+
+@dataclass(frozen=True, eq=False)
+class SampleColumns(Sequence):
+    """A stream's samples as columns: sample i lies at timestamps[i] (int64, or objects when one
+    does not fit) and holds payloads[rows[i]]. payloads is any sequence of payloads, such as the
+    FrameColumns and JointColumns that the line readers give, or a list.
+
+    As a sequence its items are TimedSamples, each built when it is read.
+    """
+
+    stream_id: str
+    timestamps: np.ndarray
+    payloads: Sequence
+    rows: np.ndarray
+
+    @staticmethod
+    def of(stream_id: str, samples) -> "SampleColumns":
+        """The columns of a sequence of TimedSamples."""
+        return SampleColumns(stream_id, int_column([s.timestamp_us for s in samples]),
+                             [s.payload for s in samples], np.arange(len(samples)))
+
+    def sorted(self) -> "SampleColumns":
+        """The samples in time order, samples of one time in the order they had."""
+        order = np.argsort(self.timestamps, kind="stable")
+        return SampleColumns(self.stream_id, self.timestamps[order], self.payloads, self.rows[order])
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i: int) -> TimedSample:
+        return TimedSample(self.stream_id, self.timestamps.item(i), self.payloads[self.rows.item(i)])
 
 
 @dataclass(frozen=True)
@@ -163,53 +197,80 @@ DEFAULT_TOLERANCE_US = 50_000
 def align(streams, rate_hz: float = DEFAULT_RATE_HZ, tolerance_us: int = DEFAULT_TOLERANCE_US):
     """Match samples to a fixed tick grid; returns (tuples, drop_report).
 
-    streams: mapping stream_id -> time-sorted sequence of TimedSample.
-    Ticks are those of tick_grid over the interval where every stream has
-    data, at most MAX_TICKS of them. A tick is emitted only when every
-    stream has a sample within the tolerance; otherwise the tick lands in
-    the drop report with the offending streams named.
+    streams: mapping stream_id -> time-sorted sequence of TimedSample, such as a SampleColumns;
+    any other sequence is turned into columns once. Ticks are those of tick_grid over the
+    interval where every stream has data, at most MAX_TICKS of them. A tick is emitted only when
+    every stream has a sample within the tolerance: the nearest, the earlier on a tie. Otherwise
+    the tick lands in the drop report with the offending streams named. tuples is a SyncedColumns.
     """
     check_range("tolerance", tolerance_us, 0, unit="us")
     if not streams:
         raise InvalidInputError("no streams configured")
-    times = {}
+    columns = {}
     for sid, samples in streams.items():
-        ts = [s.timestamp_us for s in samples]
-        if not ts:
+        samples = samples if isinstance(samples, SampleColumns) else SampleColumns.of(sid, samples)
+        ts = samples.timestamps
+        if not len(ts):
             raise StreamStarvedError(f"stream {sid!r} has no samples")
-        if any(b < a for a, b in zip(ts, ts[1:])):
+        if np.any(ts[1:] < ts[:-1]):
             raise InvalidInputError(f"stream {sid!r} timestamps are not sorted")
-        times[sid] = ts
-    window_start = max(ts[0] for ts in times.values())
-    window_end = min(ts[-1] for ts in times.values())
-    tuples = []
-    report = DropReport(per_stream={sid: 0 for sid in streams})
-    for tick in limit_ticks(tick_grid(rate_hz, window_start, window_end)):
-        members = {}
-        missing = []
-        for sid, samples in streams.items():
-            idx = _nearest_index(times[sid], tick)
-            sample = samples[idx]
-            if abs(sample.timestamp_us - tick) <= tolerance_us:
-                members[sid] = sample
-            else:
-                missing.append(sid)
-        report.ticks_total += 1
-        if missing:
-            report.dropped.append(DroppedTick(tick, tuple(missing)))
-            for sid in missing:
-                report.per_stream[sid] += 1
-        else:
-            tuples.append(SyncedTuple(tick, members))
-    return tuples, report
+        columns[sid] = samples
+    window_start = max(c.timestamps.item(0) for c in columns.values())
+    window_end = min(c.timestamps.item(-1) for c in columns.values())
+    ticks = limit_ticks(tick_grid(rate_hz, window_start, window_end))
+    # int64 holds every difference of a tick and a sample when each stream spans less than 2**63
+    wide = any(c.timestamps.dtype != np.int64 or c.timestamps.item(-1) - c.timestamps.item(0) >= 2**63
+               for c in columns.values())
+    grid = np.array(ticks, object if wide else np.int64)
+    tolerance = tolerance_us if wide else min(math.floor(tolerance_us), 2**63 - 1)
+    kept, nearest, within = np.ones(len(grid), bool), {}, {}
+    for sid, c in columns.items():
+        ts = c.timestamps.astype(object) if wide else c.timestamps
+        i = np.searchsorted(ts, grid)  # each tick is at most the stream's last timestamp
+        before = np.maximum(i - 1, 0)
+        i = np.where((i > 0) & (grid - ts[before] <= ts[i] - grid), before, i)
+        within[sid] = np.abs(ts[i] - grid) <= tolerance
+        nearest[sid] = i
+        kept &= within[sid]
+    report = DropReport(len(grid), per_stream={sid: int(np.count_nonzero(~ok)) for sid, ok in within.items()})
+    for k in np.flatnonzero(~kept).tolist():
+        report.dropped.append(DroppedTick(grid.item(k), tuple(sid for sid, ok in within.items() if not ok[k])))
+    return SyncedColumns(grid[kept], {sid: (columns[sid], nearest[sid][kept]) for sid in columns}), report
 
 
-def _nearest_index(sorted_ts, t: int) -> int:
-    """The index of the timestamp nearest t, the earlier on a tie; t is at most sorted_ts[-1]."""
-    i = bisect.bisect_left(sorted_ts, t)
-    if i == 0:
-        return 0
-    return i - 1 if t - sorted_ts[i - 1] <= sorted_ts[i] - t else i
+@dataclass(frozen=True, eq=False)
+class SyncedColumns(Sequence):
+    """Synchronized ticks as columns: tick i is at ticks[i] and holds, of each stream, the sample
+    samples[indices[i]] for (samples, indices) = streams[stream_id]; samples is a SampleColumns.
+
+    As a sequence its items are SyncedTuples, each built when it is read.
+    """
+
+    ticks: np.ndarray
+    streams: dict
+
+    def __len__(self) -> int:
+        return len(self.ticks)
+
+    def __getitem__(self, i: int) -> SyncedTuple:
+        members = {sid: samples[indices.item(i)] for sid, (samples, indices) in self.streams.items()}
+        return SyncedTuple(self.ticks.item(i), members)
+
+    @staticmethod
+    def of(tuples, sids) -> "SyncedColumns":
+        """The columns of a sequence of SyncedTuples that each hold the streams sids."""
+        rows = np.arange(len(tuples))
+        return SyncedColumns(int_column([t.tick_time_us for t in tuples]),
+                             {sid: (SampleColumns.of(sid, [t.members[sid] for t in tuples]), rows) for sid in sids})
+
+    def columns(self, sids, ticks: slice) -> tuple:
+        """(ticks, members) of the ticks in the slice, as _Run.encode takes them, for the streams sids."""
+        members = []
+        for sid in sids:
+            samples, indices = self.streams[sid]
+            at = indices[ticks]
+            members.append((samples.timestamps[at], samples.payloads, samples.rows[at]))
+        return self.ticks[ticks], members
 
 
 @dataclass
@@ -287,7 +348,9 @@ class _PayloadLayout:
     type from (head, frame, body), check runs its checks on the body, or on the bodies of many
     records stacked along its first axis, without making it, and split gives the (head, body)
     of a value to encode. stamp is the index in the head of the payload's own timestamp, the
-    one head field that differs between the records of a run.
+    one head field that differs between the records of a run. columns, when given, is the type
+    that holds many such values as columns, and gather(columns, rows) gives their heads as one
+    column per field and their bodies stacked, of the leading rows whose bodies share a shape.
     """
 
     cls: type
@@ -298,6 +361,8 @@ class _PayloadLayout:
     build: Callable
     check: Callable
     split: Callable
+    columns: type | None = None
+    gather: Callable | None = None
 
 
 def _cloud_layout(cls) -> _PayloadLayout:
@@ -317,6 +382,8 @@ _PAYLOADS = {
         build=lambda head, frame, body: TactileFrame(head[0], head[2], body, normalized=bool(head[1])),
         check=lambda head, body: TactileFrame.check(head[0], body, bool(head[1])),
         split=lambda f: ((f.pad_id, int(f.normalized), f.timestamp_us), f.readings),
+        columns=FrameColumns,  # raw frames only, so normalized is 0
+        gather=lambda c, rows: ((c.pad_ids[rows], np.zeros(len(rows), np.int64), c.timestamps[rows]), c.readings[rows]),
     ),
     2: _cloud_layout(CloudXYZF),
     3: _PayloadLayout(
@@ -325,6 +392,8 @@ _PAYLOADS = {
         build=lambda head, frame, body: JointState(body, head[0]),
         check=lambda head, body: JointState.check(body),
         split=lambda joints: ((joints.timestamp_us, len(joints.positions)), joints.positions),
+        columns=JointColumns,
+        gather=lambda c, rows: ((c.timestamps[rows], c.counts(rows)), c.positions(rows)),
     ),
     4: _cloud_layout(FusedCloud),
 }
@@ -507,48 +576,61 @@ class _Run:
             return None
         return tuples
 
-    def _split(self, tup: SyncedTuple):
-        """(heads, bodies) of tup, as the run notes them, when its payloads have the run's types and
-        frame names, else None."""
-        heads, bodies = [tup.tick_time_us], []
-        for sid, layout, frame, _, _ in self.members:
-            sample = tup.members[sid]
-            payload = sample.payload
-            if type(payload) is not layout.cls or (layout.named and payload.frame != frame):
-                return None
-            head, body = layout.split(payload)
-            heads.append(sample.timestamp_us)
-            heads += head
+    def encode(self, ticks, members):
+        """(n, block): the first n of the records given have the run's layout, and block holds their
+        records as _write_record writes each, or is None when a value does not fit its field. The
+        records are given as their ticks and, per member of the run, the (timestamps, payloads,
+        rows) of their samples, the sample of record i holding payloads[rows[i]]."""
+        k, heads, bodies = len(ticks), [ticks], []
+        for (_, layout, frame, _, _), (stamps, payloads, rows) in zip(self.members, members):
+            head, body = _gather(layout, frame, payloads, rows)
+            k = min(k, len(body))
+            heads += (stamps, *head)
             bodies.append(body)
-        return heads, bodies
-
-    def encode(self, tuples: list):
-        """(n, block): the first n of tuples have the run's layout, and block holds their records
-        as _write_record writes each, or is None when a value does not fit its field."""
-        heads, bodies = [], []
-        for tup in tuples:
-            if (split := self._split(tup)) is None:
-                break
-            heads += split[0]
-            bodies.append(split[1])
-        if not bodies:
+        if not k:
             return 0, None
-        try:  # array takes what struct takes, through __index__, and refuses the rest
-            heads = np.frombuffer(array("q", heads), np.int64).reshape(len(bodies), -1)
+        try:
+            heads = np.column_stack([_int64s(column[:k]) for column in heads])
         except (OverflowError, TypeError):
-            return len(bodies), None
+            return k, None
         same = (heads[:, self.fixed_heads] == self.fixed_values).all(axis=1)
-        n = len(bodies) if same.all() else int(same.argmin())
+        n = k if same.all() else int(same.argmin())
         if not n:
             return 0, None
         block = np.empty((n, self.size), np.uint8)
         block[:] = self.row
         block[:, self.int_bytes] = np.ascontiguousarray(heads[:n, self.vary], _I8).view(np.uint8)
-        for column, body in zip(self._columns(block), zip(*bodies[:n])):
-            column[...] = body
+        for column, body in zip(self._columns(block), bodies):
+            column[...] = body[:n]
         crcs = [zlib.crc32(row) for row in block[:, _U32.size : -_U32.size]]
         block[:, -_U32.size :] = np.array(crcs, "<u4").view(np.uint8).reshape(n, -1)
         return n, block
+
+
+def _int64s(values) -> np.ndarray:
+    """values, a sequence of integers, as int64. array takes what struct takes, through __index__,
+    and refuses the rest with an OverflowError or TypeError."""
+    if isinstance(values, np.ndarray):
+        if values.dtype == np.int64:
+            return values
+        values = values.tolist()
+    return np.frombuffer(array("q", values), np.int64)
+
+
+def _gather(layout: _PayloadLayout, frame, payloads, rows) -> tuple:
+    """(heads, bodies) of payloads[rows] as layout.split gives them, heads as one column per head
+    field, for the leading rows whose payloads have layout's type and frame name."""
+    if layout.columns is not None and isinstance(payloads, layout.columns):
+        return layout.gather(payloads, rows)
+    heads, bodies = [], []
+    for row in rows:
+        payload = payloads[row]
+        if type(payload) is not layout.cls or (layout.named and payload.frame != frame):
+            break
+        head, body = layout.split(payload)
+        heads.append(head)
+        bodies.append(body)
+    return list(zip(*heads)), bodies
 
 
 def _header_fields(header: dict) -> tuple:
@@ -609,9 +691,13 @@ def write_episode(episode: Episode, path) -> None:
         header = json.dumps(header, allow_nan=False).encode("utf-8")
     except (TypeError, ValueError, OverflowError) as exc:  # InvalidInputError is a ValueError
         raise InvalidInputError(f"{path}: bad header ({exc})") from None
-    streams = set(episode.streams)
-    for tup in episode.tuples:
-        _check_streams(tup, streams, InvalidInputError, f"{path}: tick {tup.tick_time_us}")
+    streams, tuples = set(episode.streams), episode.tuples
+    if isinstance(tuples, SyncedColumns):  # its ticks share one set of stream ids
+        if len(tuples):
+            _check_streams(tuples.streams, streams, InvalidInputError, f"{path}: tick {tuples.ticks.item(0)}")
+    else:
+        for tup in tuples:
+            _check_streams(tup.members, streams, InvalidInputError, f"{path}: tick {tup.tick_time_us}")
     try:
         with _replacing(path) as fh:
             fh.write(_EPISODE_HEAD.pack(EPISODE_MAGIC, EPISODE_VERSION, len(header)))
@@ -621,11 +707,10 @@ def write_episode(episode: Episode, path) -> None:
         raise InvalidInputError(f"{path}: {exc}") from None
 
 
-def _check_streams(tup: SyncedTuple, streams: set, error: type, where: str) -> SyncedTuple:
-    """tup, when its stream ids are streams; else error(where: ...)."""
-    if tup.members.keys() != streams:
-        raise error(f"{where}: stream ids {sorted(tup.members)} are not the episode's streams {sorted(streams)}")
-    return tup
+def _check_streams(sids: dict, streams: set, error: type, where: str) -> None:
+    """error(where: ...) unless the keys of sids are the stream ids streams."""
+    if sids.keys() != streams:
+        raise error(f"{where}: stream ids {sorted(sids)} are not the episode's streams {sorted(streams)}")
 
 
 def _write_record(fh, tup: SyncedTuple) -> bytes:
@@ -634,29 +719,36 @@ def _write_record(fh, tup: SyncedTuple) -> bytes:
         payload = _encode_tuple(tup)
     except struct.error as exc:
         raise InvalidInputError(f"tick {tup.tick_time_us}: a value does not fit the episode format ({exc})") from None
+    except UnicodeEncodeError as exc:  # a lone surrogate
+        raise InvalidInputError(f"tick {tup.tick_time_us}: a stream id or frame name is not UTF-8 ({exc})") from None
     record = b"".join((_U32.pack(len(payload)), payload, _U32.pack(zlib.crc32(payload))))
     fh.write(record)
     return record
 
 
-def _write_records(fh, tuples: list) -> None:
-    """tuples, whose stream ids are all one set, as records on fh, the bytes that _write_record
-    writes for each. The first record of a run is written alone, and the rest of the run a block
-    at a time; a block in which a value does not fit is written record by record, which raises
-    the error of the first record that holds one."""
+def _write_records(fh, tuples) -> None:
+    """tuples, a list of SyncedTuples or a SyncedColumns whose stream ids are all one set, as
+    records on fh, the bytes that _write_record writes for each. The first record of a run is
+    written alone, and the rest of the run a block at a time, from columns; a block in which a
+    value does not fit is written record by record, which raises the error of the first record
+    that holds one."""
     i = 0
     while i < len(tuples):
         run, record = _Run(), _write_record(fh, tuples[i])
         _decode_tuple(memoryview(record)[_U32.size : -_U32.size], "", (), run)
         run.seal(record)
+        sids = [member[0] for member in run.members]
         i += 1
         while run.most and i < len(tuples):
-            n, block = run.encode(tuples[i : i + run.most])
+            if isinstance(tuples, SyncedColumns):
+                n, block = run.encode(*tuples.columns(sids, slice(i, i + run.most)))
+            else:
+                n, block = run.encode(*SyncedColumns.of(tuples[i : i + run.most], sids).columns(sids, slice(None)))
             if not n:
                 break
             if block is None:
-                for tup in tuples[i : i + n]:
-                    _write_record(fh, tup)
+                for k in range(i, i + n):
+                    _write_record(fh, tuples[k])
             else:
                 fh.write(block)
             i += n
@@ -771,7 +863,8 @@ def read_episode(path, keep=None) -> Episode:
                     continue
                 blocks = block is not None
             run = _Run() if blocks else None
-            tuples.append(_check_streams(_read_record(r, keep, run), wanted, EpisodeLoadError, r.context))
+            tuples.append(_read_record(r, keep, run))
+            _check_streams(tuples[-1].members, wanted, EpisodeLoadError, r.context)
         if fh.read(1):
             raise EpisodeLoadError(f"{path}: bytes after the last of its {tuple_count} records")
     return Episode(rate_hz, tolerance_us, streams, tuples, metadata)

@@ -16,8 +16,8 @@ from vitac.cli import main
 from vitac.errors import InvalidInputError
 from vitac.frame_codec import (
     MAX_READING,
+    FrameColumns,
     WireFrame,
-    _canonical_frames,
     _frame_from_doc,
     encode_frame,
     frame_lines,
@@ -162,7 +162,7 @@ def test_mutated_line_reads_as_line_by_line(tmp_path, kind):
     lines[2] = LINE_MUTATIONS[kind](lines[2])
     path = tmp_path / "frames.jsonl"
     _write(path, lines)
-    assert _canonical_frames([path.read_bytes().splitlines(keepends=True)[2]]) == [None]
+    assert FrameColumns.canonical([path.read_bytes().splitlines(keepends=True)[2]])[1].tolist() == [False]
     assert outcome(read_frame_lines, path) == outcome(per_line, path)
 
 
@@ -194,8 +194,9 @@ def test_a_line_the_batch_reads_is_read_as_json_reads_it(edits):
             line[at] = byte
         else:
             del line[at]
-    (frame,) = _canonical_frames([bytes(line)])
-    if frame is not None:
+    frames, read = FrameColumns.canonical([bytes(line)])
+    if read[0]:
+        frame = frames[0]
         doc = jsonio.loads(bytes(line))
         assert (frame.pad_id, frame.timestamp_us, frame.readings.tolist()) == (
             doc["pad_id"], doc["timestamp_us"], doc["readings"])
@@ -203,8 +204,8 @@ def test_a_line_the_batch_reads_is_read_as_json_reads_it(edits):
 
 def test_canonical_lines_take_the_batch_path():
     lines = [line.encode() + b"\n" for line in _canonical_text(40)]
-    batch = _canonical_frames(lines)
-    assert None not in batch
+    batch, read = FrameColumns.canonical(lines)
+    assert read.all() and len(batch) == len(lines)
     want = [jsonio.loads(line) for line in lines]
     for frame, doc in zip(batch, want):
         assert (frame.pad_id, frame.timestamp_us) == (doc["pad_id"], doc["timestamp_us"])

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from vitac import jsonio
 from vitac.cli import main
 from vitac.errors import InvalidInputError
-from vitac.kinematics import _canonical_joints, _joint_from_doc, read_joint_lines
+from vitac.kinematics import JointColumns, _joint_from_doc, read_joint_lines
 
 
 def per_line(path) -> list:
@@ -131,7 +131,8 @@ NUMBERS = INTEGERS | FRACTIONS | FLOATS
 @given(st.lists(NUMBERS, min_size=1, max_size=6), st.integers(0, 2**63 - 1))
 def test_a_line_the_batch_reads_is_read_as_json_reads_it(tokens, stamp):
     line = b'{"timestamp_us": %d, "positions": [%s]}\n' % (stamp, ", ".join(tokens).encode())
-    (state,) = _canonical_joints([line])
+    states, read = JointColumns.canonical([line])
+    state = states[0] if read[0] else None
     try:
         doc = jsonio.loads(line)
     except ValueError:
