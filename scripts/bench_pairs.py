@@ -3,13 +3,14 @@
 Usage (from the repository root):
 
     python3 scripts/bench_pairs.py --against REV --workload ingest_noisy --pairs 10 \
-        [--first-seed 1] [--seconds 20] [--trace 0|1] [--scratch DIR]
+        [--first-seed 1] [--scratch DIR]
 
 The script exports REV with `git archive` into a scratch directory (removed at
 the end), then runs
 `perfbench/run.py` of that tree and of the working tree, each on its own
-source, for N pairs of seeds `first-seed`, `first-seed + 1`, ... Each pair runs
-both trees on the same seed, one after the other; an even seed runs REV first
+source, for N pairs of seeds `first-seed`, `first-seed + 1`, ..., each run
+as long as BENCHMARK.json's `run_seconds`. Each pair runs both trees on the
+same seed, one after the other; an even seed runs REV first
 and an odd seed the working tree first. It prints each pair's metrics, each
 side's median and quartiles, how many pairs the working tree won by each
 metric's direction in BENCHMARK.json, and the reference-task times that
@@ -43,10 +44,9 @@ def export(rev: str, scratch: Path) -> Path:
     return tree
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """The result of one run.py run of tree, with the reference-task times it printed."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -84,25 +84,23 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20)
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--scratch", type=Path, default=None, help="where to export the revision")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     scratch = args.scratch or Path(tempfile.gettempdir())
     scratch.mkdir(parents=True, exist_ok=True)
     trees = {"parent": export(args.against, scratch), "change": ROOT}
     print(f"{args.workload}: {args.against} (parent) against the working tree (change), "
-          f"{args.pairs} pairs of {args.seconds:g} s runs, trace {args.trace}")
+          f"{args.pairs} pairs of {spec['run_seconds']:g} s runs")
     pairs = []
     try:
         for seed in range(args.first_seed, args.first_seed + args.pairs):
             order = ("parent", "change") if seed % 2 == 0 else ("change", "parent")
-            pairs.append({side: run(trees[side], args.workload, seed, args.seconds, args.trace) for side in order})
+            pairs.append({side: run(trees[side], args.workload, seed, spec["run_seconds"]) for side in order})
             report_pair(pairs[-1], seed, order)
     finally:
         shutil.rmtree(trees["parent"])

@@ -168,7 +168,7 @@ class JointColumns(Sequence):
         if isinstance(i, slice):
             r = range(len(self))[i]
             if r.step != 1:
-                return JointColumns.of([self[j] for j in r])
+                raise ValueError("joint columns take slices of step 1 only")
             return JointColumns(self.timestamps[i], self.values, self.starts[r.start : r.start + len(r) + 1])
         i = range(len(self))[i]
         return JointState(self.values[self.starts.item(i) : self.starts.item(i + 1)], self.timestamps.item(i))

@@ -698,11 +698,12 @@ def write_episode(episode: Episode, path) -> None:
     else:
         for tup in tuples:
             _check_streams(tup.members, streams, InvalidInputError, f"{path}: tick {tup.tick_time_us}")
+        tuples = SyncedColumns.of(tuples, sorted(streams))
     try:
         with _replacing(path) as fh:
             fh.write(_EPISODE_HEAD.pack(EPISODE_MAGIC, EPISODE_VERSION, len(header)))
             fh.write(header)
-            _write_records(fh, episode.tuples)
+            _write_records(fh, tuples)
     except InvalidInputError as exc:
         raise InvalidInputError(f"{path}: {exc}") from None
 
@@ -726,12 +727,11 @@ def _write_record(fh, tup: SyncedTuple) -> bytes:
     return record
 
 
-def _write_records(fh, tuples) -> None:
-    """tuples, a list of SyncedTuples or a SyncedColumns whose stream ids are all one set, as
-    records on fh, the bytes that _write_record writes for each. The first record of a run is
-    written alone, and the rest of the run a block at a time, from columns; a block in which a
-    value does not fit is written record by record, which raises the error of the first record
-    that holds one."""
+def _write_records(fh, tuples: SyncedColumns) -> None:
+    """tuples as records on fh, the bytes that _write_record writes for each. The first record
+    of a run is written alone, and the rest of the run a block at a time, from columns; a block in
+    which a value does not fit is written record by record, which raises the error of the first
+    record that holds one."""
     i = 0
     while i < len(tuples):
         run, record = _Run(), _write_record(fh, tuples[i])
@@ -740,10 +740,7 @@ def _write_records(fh, tuples) -> None:
         sids = [member[0] for member in run.members]
         i += 1
         while run.most and i < len(tuples):
-            if isinstance(tuples, SyncedColumns):
-                n, block = run.encode(*tuples.columns(sids, slice(i, i + run.most)))
-            else:
-                n, block = run.encode(*SyncedColumns.of(tuples[i : i + run.most], sids).columns(sids, slice(None)))
+            n, block = run.encode(*tuples.columns(sids, slice(i, i + run.most)))
             if not n:
                 break
             if block is None:

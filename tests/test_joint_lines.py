@@ -106,6 +106,15 @@ def test_line_endings_read_as_line_by_line(tmp_path, kind):
     assert len(read_joint_lines(path)) == 6
 
 
+def test_a_slice_of_the_columns_holds_its_states(tmp_path):
+    path = tmp_path / "joints.jsonl"
+    _write(path, _lines())
+    states = read_joint_lines(path)
+    assert outcome(lambda _: states[2:5], path) == outcome(read_joint_lines, path)[2:5]
+    with pytest.raises(ValueError, match="step 1 only"):
+        states[::2]
+
+
 def test_first_bad_line_is_named(tmp_path):
     bad = 2 * jsonio.BLOCK_LINES + 5  # in the third block, after two read in one pass each
     lines = _lines(4 * jsonio.BLOCK_LINES)
