@@ -35,12 +35,26 @@ ROOT = Path(__file__).resolve().parent.parent
 REFERENCE_LINE = "reference task s (nominal "
 
 
-def export(rev: str, scratch: Path) -> Path:
-    """The tree of rev, written under scratch by git archive."""
-    tree = Path(tempfile.mkdtemp(prefix=f"rev-{rev[:12]}-", dir=scratch))
-    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, capture_output=True)
-    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-        tar.extractall(tree, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+def resolve(rev: str) -> str:
+    """The commit that rev names; one error line and exit 2 when it names none."""
+    found = subprocess.run(["git", "rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}"], cwd=ROOT,
+                           capture_output=True, text=True)
+    if found.returncode != 0:
+        print(f"error: --against {rev!r} names no commit", file=sys.stderr)
+        raise SystemExit(2)
+    return found.stdout.strip()
+
+
+def export(commit: str, scratch: Path) -> Path:
+    """The tree of commit, written under scratch by git archive; nothing is left when that fails."""
+    tree = Path(tempfile.mkdtemp(prefix=f"rev-{commit[:12]}-", dir=scratch))
+    try:
+        archive = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT, check=True, capture_output=True)
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tree, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+    except BaseException:
+        shutil.rmtree(tree)
+        raise
     return tree
 
 
@@ -89,11 +103,12 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
+    commit = resolve(args.against)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     scratch = args.scratch or Path(tempfile.gettempdir())
     scratch.mkdir(parents=True, exist_ok=True)
-    trees = {"parent": export(args.against, scratch), "change": ROOT}
+    trees = {"parent": export(commit, scratch), "change": ROOT}
     print(f"{args.workload}: {args.against} (parent) against the working tree (change), "
           f"{args.pairs} pairs of {spec['run_seconds']:g} s runs")
     pairs = []

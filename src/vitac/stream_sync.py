@@ -9,6 +9,7 @@ bit-exact.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import json
 import math
@@ -36,7 +37,7 @@ from .errors import (
     check_range,
 )
 from .frame_codec import FrameColumns
-from .frozen import int_column
+from .frozen import int_column, owned
 from .kinematics import JointColumns, JointState
 from .pointcloud import CloudXYZF, FusedCloud
 from .sensor_model import PAD_SHAPE, TactileFrame
@@ -135,11 +136,6 @@ class SyncedTuple:
 
     def joint_state(self):
         return self._payload(JOINTS_STREAM, JointState) if JOINTS_STREAM in self.members else None
-
-    def max_skew_us(self) -> int:
-        if not self.members:
-            return 0
-        return max(abs(s.timestamp_us - self.tick_time_us) for s in self.members.values())
 
 
 @dataclass(frozen=True)
@@ -252,7 +248,9 @@ class SyncedColumns(Sequence):
     def __len__(self) -> int:
         return len(self.ticks)
 
-    def __getitem__(self, i: int) -> SyncedTuple:
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return SyncedColumns(self.ticks[i], {sid: (samples, at[i]) for sid, (samples, at) in self.streams.items()})
         members = {sid: samples[indices.item(i)] for sid, (samples, indices) in self.streams.items()}
         return SyncedTuple(self.ticks.item(i), members)
 
@@ -262,6 +260,19 @@ class SyncedColumns(Sequence):
         rows = np.arange(len(tuples))
         return SyncedColumns(int_column([t.tick_time_us for t in tuples]),
                              {sid: (SampleColumns.of(sid, [t.members[sid] for t in tuples]), rows) for sid in sids})
+
+    @staticmethod
+    def concat(parts: list, sids) -> "SyncedColumns":
+        """The ticks of parts, one after another: SyncedColumns of the streams sids, in each of which
+        tick i holds sample i and payload i, as SyncedColumns.of and _Run.decode give them. No
+        payload is copied: a stream's payloads are those of each part in turn."""
+        starts = np.cumsum([0, *map(len, parts)]).tolist()
+        rows, streams = np.arange(starts[-1]), {}
+        for sid in sids:
+            samples = [part.streams[sid][0] for part in parts]
+            payloads = samples[0].payloads if len(parts) == 1 else _Chain([s.payloads for s in samples], starts)
+            streams[sid] = (SampleColumns(sid, _joined([s.timestamps for s in samples]), payloads, rows), rows)
+        return SyncedColumns(_joined([part.ticks for part in parts]), streams)
 
     def columns(self, sids, ticks: slice) -> tuple:
         """(ticks, members) of the ticks in the slice, as _Run.encode takes them, for the streams sids."""
@@ -273,6 +284,33 @@ class SyncedColumns(Sequence):
         return self.ticks[ticks], members
 
 
+def _joined(columns: list) -> np.ndarray:
+    """columns, integer columns, one after another as one read-only column."""
+    return owned(np.concatenate(columns)) if columns else np.zeros(0, np.int64)
+
+
+class _Chain(Sequence):
+    """The items of pieces, sequences of which piece k starts at item starts[k], one after another."""
+
+    def __init__(self, pieces: list, starts: list):
+        self.pieces = pieces
+        self.starts = starts
+
+    def __len__(self) -> int:
+        return self.starts[-1]
+
+    def __getitem__(self, i: int):
+        k = bisect.bisect_right(self.starts, i) - 1
+        return self.pieces[k][i - self.starts[k]]
+
+    def piece(self, rows: np.ndarray) -> tuple:
+        """(piece, at): the piece that holds item rows[0], and where in it lie the leading rows it holds."""
+        k = bisect.bisect_right(self.starts, rows[0]) - 1
+        inside = (rows >= self.starts[k]) & (rows < self.starts[k + 1])
+        n = len(rows) if inside.all() else int(inside.argmin())
+        return self.pieces[k], rows[:n] - self.starts[k]
+
+
 @dataclass
 class Episode:
     """Ordered synchronized tuples plus the configuration that produced them."""
@@ -280,7 +318,7 @@ class Episode:
     rate_hz: float
     tolerance_us: int
     streams: list
-    tuples: list
+    tuples: Sequence  # of SyncedTuples: a list, or a SyncedColumns as align and read_episode give
     metadata: dict = field(default_factory=dict)
 
 
@@ -298,28 +336,44 @@ class EpisodeStats:
 def episode_stats(episode: Episode) -> EpisodeStats:
     """Duration, drop counts inferred from the tick grid, and max member skew.
 
-    A metadata drop_report, or its drops_by_stream, that is not a JSON object is an
-    InvalidInputError."""
-    tuples = episode.tuples
-    first, last = (tuples[0].tick_time_us, tuples[-1].tick_time_us) if tuples else (0, -1)
-    grid = tick_grid(episode.rate_hz, first, last)
-    expected = max(0, -(-(grid.stop - grid.start) // grid.step))  # len(grid) overflows past 2**63 ticks
-    dropped = expected - len(tuples)
-    max_skew = max((t.max_skew_us() for t in tuples), default=0)
+    A list of tuples is turned into columns once, as write_episode does. A tick that does not lie
+    on the grid after the tick before it, or a metadata drop_report, or its drops_by_stream, that
+    is not a JSON object is an InvalidInputError."""
+    tuples = _synced_columns(episode, "")
+    ticks, period = tuples.ticks, tick_grid(episode.rate_hz, 0, -1).step
+    off = ticks % period != 0
+    off[1:] |= ticks[1:] <= ticks[:-1]
+    if off.any():
+        raise InvalidInputError(f"tick {ticks.item(off.argmax())}: each tick must lie on the {period} us grid, "
+                                "after the tick before it")
+    first, last = (ticks.item(0), ticks.item(-1)) if len(ticks) else (0, 0)
+    expected = (last - first) // period + 1 if len(ticks) else 0
+    skews = [_largest_gap(samples.timestamps[indices], ticks) for samples, indices in tuples.streams.values()]
     drops = episode.metadata.get("drop_report", {})
     if isinstance(drops, dict):
         drops = drops.get("drops_by_stream", {})
     if not isinstance(drops, dict):
         raise InvalidInputError("metadata drop_report and its drops_by_stream must be JSON objects")
     return EpisodeStats(
-        duration_s=(last - first) / 1e6 if tuples else 0.0,
-        tuple_count=len(tuples),
+        duration_s=(last - first) / 1e6,
+        tuple_count=len(ticks),
         expected_ticks=expected,
-        dropped_ticks=dropped,
-        drop_rate=dropped / expected if expected else 0.0,
-        max_skew_us=int(max_skew),
+        dropped_ticks=expected - len(ticks),
+        drop_rate=(expected - len(ticks)) / expected if expected else 0.0,
+        max_skew_us=max(skews, default=0),
         drops_by_stream=dict(drops),
     )
+
+
+def _largest_gap(a: np.ndarray, b: np.ndarray) -> int:
+    """The largest |a[i] - b[i]| of two integer columns, exact for any values: two int64 columns
+    are compared as uint64 with their sign bits flipped, which keeps their order and cannot wrap."""
+    if not len(a):
+        return 0
+    if a.dtype == b.dtype == np.int64:
+        a, b = (column.view(np.uint64) ^ np.uint64(1 << 63) for column in (a, b))
+        return int((np.maximum(a, b) - np.minimum(a, b)).max())
+    return int(np.abs(a.astype(object) - b.astype(object)).max())
 
 
 # The record formats. A record is a u32 length, the tuple, then the tuple's CRC32 as a u32.
@@ -348,9 +402,12 @@ class _PayloadLayout:
     type from (head, frame, body), check runs its checks on the body, or on the bodies of many
     records stacked along its first axis, without making it, and split gives the (head, body)
     of a value to encode. stamp is the index in the head of the payload's own timestamp, the
-    one head field that differs between the records of a run. columns, when given, is the type
-    that holds many such values as columns, and gather(columns, rows) gives their heads as one
-    column per field and their bodies stacked, of the leading rows whose bodies share a shape.
+    one head field that differs between the records of a run. build_block(head, frame, stamps,
+    bodies) gives the values of a block of a run's records, as a sequence: head is the first
+    record's, stamps their stamps as a column (None without a stamp), and bodies their bodies,
+    stacked and read-only. columns, when given, is the type that holds many such values as
+    columns, and gather(columns, rows) gives their heads as one column per field and their
+    bodies stacked, of the leading rows whose bodies share a shape.
     """
 
     cls: type
@@ -361,6 +418,7 @@ class _PayloadLayout:
     build: Callable
     check: Callable
     split: Callable
+    build_block: Callable
     columns: type | None = None
     gather: Callable | None = None
 
@@ -372,7 +430,15 @@ def _cloud_layout(cls) -> _PayloadLayout:
         build=lambda head, frame, body: cls(body, frame),
         check=lambda head, body: cls.check(body),
         split=lambda cloud: ((len(cloud),), cloud.points),
+        build_block=lambda head, frame, stamps, bodies: [cls(body, frame) for body in bodies],
     )
+
+
+def _tactile_block(head, frame, stamps, bodies):
+    """A block's raw frames as FrameColumns, and its normalized frames as a list."""
+    if head[1]:
+        return [TactileFrame(head[0], stamp, body, normalized=True) for stamp, body in zip(stamps.tolist(), bodies)]
+    return FrameColumns(np.full(len(bodies), head[0]), stamps, bodies)
 
 
 _PAYLOADS = {
@@ -382,6 +448,7 @@ _PAYLOADS = {
         build=lambda head, frame, body: TactileFrame(head[0], head[2], body, normalized=bool(head[1])),
         check=lambda head, body: TactileFrame.check(head[0], body, bool(head[1])),
         split=lambda f: ((f.pad_id, int(f.normalized), f.timestamp_us), f.readings),
+        build_block=_tactile_block,
         columns=FrameColumns,  # raw frames only, so normalized is 0
         gather=lambda c, rows: ((c.pad_ids[rows], np.zeros(len(rows), np.int64), c.timestamps[rows]), c.readings[rows]),
     ),
@@ -392,6 +459,8 @@ _PAYLOADS = {
         build=lambda head, frame, body: JointState(body, head[0]),
         check=lambda head, body: JointState.check(body),
         split=lambda joints: ((joints.timestamp_us, len(joints.positions)), joints.positions),
+        build_block=lambda head, frame, stamps, bodies: JointColumns(
+            stamps, bodies.reshape(-1), np.arange(len(bodies) + 1) * head[1]),
         columns=JointColumns,
         gather=lambda c, rows: ((c.timestamps[rows], c.counts(rows)), c.positions(rows)),
     ),
@@ -545,36 +614,26 @@ class _Run:
             yield rows[:, at : at + dtype.itemsize * math.prod(shape)].view(dtype).reshape(len(rows), *shape)
 
     def decode(self, rows: np.ndarray, keep):
-        """The tuples of rows, records of the run that hold its fixed bytes, as _read_record reads
-        each; None when one fails its CRC32 or a payload check. A payload skipped is checked once
-        for all rows, and a payload kept is built on a row of one read-only copy of its column."""
+        """The records of rows, records of the run that hold its fixed bytes, as a SyncedColumns
+        with the values and checks of _read_record; None when one fails its CRC32 or a payload
+        check. A payload skipped is checked once for all rows, and the payloads kept are built
+        from one read-only copy of their column (layout.build_block)."""
         crcs = rows[:, -_U32.size :].view("<u4")[:, 0].tolist()
         if any(zlib.crc32(row) != crc for row, crc in zip(rows[:, _U32.size : -_U32.size], crcs)):
             return None
-        columns = []
+        ints, at_rows, streams = np.ascontiguousarray(rows[:, self.int_bytes]).view(_I8), np.arange(len(rows)), {}
         try:
-            for (sid, layout, _, head, _), body in zip(self.members, self._columns(rows)):
+            for (sid, layout, frame, head, at), body in zip(self.members, self._columns(rows)):
                 if keep is None or sid.startswith(keep):
-                    body = body.copy()
-                    body.flags.writeable = False
-                    columns.append(body)
+                    stamps = ints[:, at + 1] if layout.stamp is not None else None  # the stamp follows the timestamp
+                    payloads = layout.build_block(head, frame, stamps, owned(body.copy()))
                 else:
                     layout.check(head, body.reshape(-1, *body.shape[2:]))
-                    columns.append(None)
-            tuples = []
-            for i, ints in enumerate(np.ascontiguousarray(rows[:, self.int_bytes]).view(_I8).tolist()):
-                members = {}
-                for (sid, layout, frame, head, at), column in zip(self.members, columns):
-                    payload = None
-                    if column is not None:
-                        if (k := layout.stamp) is not None:  # the stamp follows the member's timestamp in ints
-                            head = (*head[:k], ints[at + 1], *head[k + 1 :])
-                        payload = layout.build(head, frame, column[i])
-                    members[sid] = TimedSample(sid, ints[at], payload)
-                tuples.append(SyncedTuple(ints[0], members))
+                    payloads = [None] * len(rows)
+                streams[sid] = (SampleColumns(sid, ints[:, at], payloads, at_rows), at_rows)
         except InvalidInputError:
             return None
-        return tuples
+        return SyncedColumns(ints[:, 0], streams)
 
     def encode(self, ticks, members):
         """(n, block): the first n of the records given have the run's layout, and block holds their
@@ -620,6 +679,10 @@ def _int64s(values) -> np.ndarray:
 def _gather(layout: _PayloadLayout, frame, payloads, rows) -> tuple:
     """(heads, bodies) of payloads[rows] as layout.split gives them, heads as one column per head
     field, for the leading rows whose payloads have layout's type and frame name."""
+    if isinstance(payloads, _Chain):  # the leading rows in one piece of columns, or the items one by one
+        piece, at = payloads.piece(rows)
+        if not isinstance(piece, list):
+            payloads, rows = piece, at
     if layout.columns is not None and isinstance(payloads, layout.columns):
         return layout.gather(payloads, rows)
     heads, bodies = [], []
@@ -691,14 +754,7 @@ def write_episode(episode: Episode, path) -> None:
         header = json.dumps(header, allow_nan=False).encode("utf-8")
     except (TypeError, ValueError, OverflowError) as exc:  # InvalidInputError is a ValueError
         raise InvalidInputError(f"{path}: bad header ({exc})") from None
-    streams, tuples = set(episode.streams), episode.tuples
-    if isinstance(tuples, SyncedColumns):  # its ticks share one set of stream ids
-        if len(tuples):
-            _check_streams(tuples.streams, streams, InvalidInputError, f"{path}: tick {tuples.ticks.item(0)}")
-    else:
-        for tup in tuples:
-            _check_streams(tup.members, streams, InvalidInputError, f"{path}: tick {tup.tick_time_us}")
-        tuples = SyncedColumns.of(tuples, sorted(streams))
+    tuples = _synced_columns(episode, f"{path}: ")
     try:
         with _replacing(path) as fh:
             fh.write(_EPISODE_HEAD.pack(EPISODE_MAGIC, EPISODE_VERSION, len(header)))
@@ -706,6 +762,19 @@ def write_episode(episode: Episode, path) -> None:
             _write_records(fh, tuples)
     except InvalidInputError as exc:
         raise InvalidInputError(f"{path}: {exc}") from None
+
+
+def _synced_columns(episode: Episode, where: str) -> SyncedColumns:
+    """episode.tuples as a SyncedColumns, a list turned into columns once. A tuple whose stream ids
+    are not the episode's streams is an InvalidInputError whose message starts with where."""
+    streams, tuples = set(episode.streams), episode.tuples
+    if isinstance(tuples, SyncedColumns):  # its ticks share one set of stream ids
+        if len(tuples):
+            _check_streams(tuples.streams, streams, InvalidInputError, f"{where}tick {tuples.ticks.item(0)}")
+        return tuples
+    for tup in tuples:
+        _check_streams(tup.members, streams, InvalidInputError, f"{where}tick {tup.tick_time_us}")
+    return SyncedColumns.of(tuples, sorted(streams))
 
 
 def _check_streams(sids: dict, streams: set, error: type, where: str) -> None:
@@ -804,9 +873,9 @@ def _read_record(r: _Reader, keep=None, run=None) -> SyncedTuple:
 
 
 def _read_block(r: _FileReader, run: _Run, keep, most: int):
-    """The tuples of up to most of the records next in the file, read as one block while they
-    hold run's fixed bytes: [] when the next record does not, and None, with the block's bytes
-    given back, when a record of the block fails its CRC32 or a check."""
+    """Up to most of the records next in the file as a SyncedColumns, read as one block while
+    they hold run's fixed bytes: [] when the next record does not, and None, with the block's
+    bytes given back, when a record of the block fails its CRC32 or a check."""
     k = min(most, run.most, r.left // run.size)
     if not k:
         return []
@@ -834,6 +903,11 @@ def read_episode(path, keep=None) -> Episode:
     Records are read a block at a time (see _Run), with the values and errors of a read record
     by record: a block in which a record fails is read again record by record, and so is the
     rest of the file. Memory holds one block plus the payloads built.
+
+    The episode's tuples are a SyncedColumns: a tick column, and per stream a timestamp column
+    and its payloads, which a block holds as FrameColumns (raw tactile frames), JointColumns, or
+    a list (other payloads, and None for each payload skipped). A SyncedTuple is built only when
+    it is read, and only the first record of each run, which the walker reads, is built on load.
     """
     with open(path, "rb") as fh:
         if fh.read(len(EPISODE_MAGIC)) != EPISODE_MAGIC:
@@ -850,21 +924,26 @@ def read_episode(path, keep=None) -> Episode:
             raise EpisodeLoadError(f"{path}: header lacks {exc}") from None
         except (TypeError, ValueError, OverflowError) as exc:  # InvalidInputError is a ValueError
             raise EpisodeLoadError(f"{path}: bad header ({exc})") from None
-        tuples, wanted, run, blocks = [], set(streams), None, r.left < math.inf  # a pipe gives nothing back
-        while len(tuples) < tuple_count:
-            r.context = f"{path} record {len(tuples)}"
+        parts, count, sids, wanted = [], 0, streams, set(streams)
+        run, blocks = None, r.left < math.inf  # a pipe gives nothing back
+        while count < tuple_count:
+            r.context = f"{path} record {count}"
             if run is not None:
-                block = _read_block(r, run, keep, tuple_count - len(tuples))
+                block = _read_block(r, run, keep, tuple_count - count)
                 if block:
-                    tuples += block
+                    parts.append(block)
+                    count += len(block)
                     continue
                 blocks = block is not None
             run = _Run() if blocks else None
-            tuples.append(_read_record(r, keep, run))
-            _check_streams(tuples[-1].members, wanted, EpisodeLoadError, r.context)
+            tup = _read_record(r, keep, run)
+            _check_streams(tup.members, wanted, EpisodeLoadError, r.context)
+            sids = sids if parts else list(tup.members)  # members keep the order of the file's first record
+            parts.append(SyncedColumns.of([tup], sids))
+            count += 1
         if fh.read(1):
             raise EpisodeLoadError(f"{path}: bytes after the last of its {tuple_count} records")
-    return Episode(rate_hz, tolerance_us, streams, tuples, metadata)
+    return Episode(rate_hz, tolerance_us, streams, SyncedColumns.concat(parts, sids), metadata)
 
 
 def cpus() -> int:

@@ -368,7 +368,7 @@ def test_criterion_8_sync_and_episode_roundtrip(tmp_path):
         streams[sid] = [TimedSample(sid, int(t), None) for t in ts]
     tuples, report = align(streams, rate_hz=10.0, tolerance_us=50_000)
     assert not report.dropped, f"{len(report.dropped)} ticks dropped"
-    max_skew = max(t.max_skew_us() for t in tuples)
+    max_skew = max(abs(s.timestamp_us - t.tick_time_us) for t in tuples for s in t.members.values())
     assert max_skew <= 20_000
     assert len(tuples) >= 598
 

@@ -667,15 +667,32 @@ def test_tick_grid_longer_than_the_bound_is_one_error_line(tmp_path, capsys, goo
     assert not out.exists()
 
 
-# (rate, first and last tick): a grid far past the bound, and one of 2**64 ticks, past len()
-@pytest.mark.parametrize("rate, ticks", [(50.0, (0, _FAR_US)), (1e6, (-(2**63), 2**63 - 1))])
-def test_stats_counts_a_grid_longer_than_the_bound(tmp_path, capsys, rate, ticks):
-    members = {JOINTS_STREAM: TimedSample(JOINTS_STREAM, 0, JointState([0.0], 0))}
+# (rate, first and last tick, member timestamp, largest skew): a grid far past the bound, and one of
+# 2**64 ticks, past len(), whose largest skew is 2**63, past int64, or 2**64 - 1, the most two int64s differ by
+@pytest.mark.parametrize("rate, ticks, stamp, skew", [(50.0, (0, _FAR_US), 0, _FAR_US),
+                                                      (1e6, (-(2**63), 2**63 - 1), 0, 2**63),
+                                                      (1e6, (-(2**63), 2**63 - 1), 2**63 - 1, 2**64 - 1)],
+                         ids=["50.0-ticks0", "1000000.0-ticks1", "1000000.0-ticks1-last-stamp"])
+def test_stats_counts_a_grid_longer_than_the_bound(tmp_path, capsys, rate, ticks, stamp, skew):
+    members = {JOINTS_STREAM: TimedSample(JOINTS_STREAM, stamp, JointState([0.0], 0))}
     path = tmp_path / "far.vtep"
     write_episode(Episode(rate, 0, [JOINTS_STREAM], [SyncedTuple(t, members) for t in ticks]), path)
     report = run_json(capsys, ["stats", "--episode", str(path)])
     n = (ticks[1] - ticks[0]) // round(1e6 / rate) + 1
     assert (report["expected_ticks"], report["dropped_ticks"]) == (n, n - 2)
+    assert report["max_skew_us"] == skew
+
+
+# ticks that repeat, go backwards or lie off the 10 Hz grid, and the tick refused
+@pytest.mark.parametrize("ticks, refused", [((0, 0, 0), 0), ((200_000, 100_000, 0), 100_000), ((1, 2, 3), 1)],
+                         ids=["repeat", "backwards", "off-grid"])
+def test_stats_refuses_a_tick_that_does_not_follow_on_the_grid(tmp_path, capsys, ticks, refused):
+    members = {JOINTS_STREAM: TimedSample(JOINTS_STREAM, 0, JointState([0.0], 0))}
+    path = tmp_path / "bad.vtep"
+    write_episode(Episode(10.0, 0, [JOINTS_STREAM], [SyncedTuple(t, members) for t in ticks]), path)
+    assert main(["stats", "--episode", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: tick {refused}: each tick must lie on the 100000 us grid, after the tick before it\n")
 
 
 def test_simulate_with_no_object_points_writes_nothing(tmp_path, capsys, good_inputs):
@@ -1091,3 +1108,13 @@ def test_text_report_mode(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "tuples: 3" in out
+
+
+@pytest.mark.parametrize("rev", ["no-such-rev", "HEAD^{tree}"])
+def test_bench_pairs_refuses_a_revision_that_names_no_commit(tmp_path, rev):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+    proc = subprocess.run([sys.executable, str(script), "--against", rev, "--workload", "ingest_noisy",
+                           "--scratch", str(tmp_path / "scratch")], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: --against {rev!r} names no commit\n"
+    assert not (tmp_path / "scratch").exists()

@@ -6,6 +6,7 @@ import struct
 import tracemalloc
 import zlib
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from vitac.pointcloud import CloudXYZF, FusedCloud
 from vitac.sensor_model import TactileFrame
 from vitac.stream_sync import (
     JOINTS_STREAM,
+    TACTILE_PREFIX,
     Episode,
     SyncedTuple,
     TimedSample,
@@ -46,6 +48,10 @@ def _samples(sid, timestamps):
     return [TimedSample(sid, int(t), ("payload", sid, int(t))) for t in timestamps]
 
 
+def _max_skew(tup):
+    return max((abs(s.timestamp_us - tup.tick_time_us) for s in tup.members.values()), default=0)
+
+
 def make_streams(n_ticks, jitter_us=0, rng=None, start=0):
     streams = {}
     for sid in (tactile_stream(0), camera_stream(0), JOINTS_STREAM):
@@ -62,7 +68,7 @@ def test_align_exact_ticks():
     tuples, report = align(streams, rate_hz=10.0, tolerance_us=50_000)
     assert len(tuples) == 20
     assert not report.dropped
-    assert all(t.max_skew_us() == 0 for t in tuples)
+    assert all(_max_skew(t) == 0 for t in tuples)
     spacing = np.diff([t.tick_time_us for t in tuples])
     assert np.all(spacing == TICK)
 
@@ -73,7 +79,7 @@ def test_align_jittered_within_tolerance():
     tuples, report = align(streams, rate_hz=10.0, tolerance_us=50_000)
     assert not report.dropped
     for t in tuples:
-        assert t.max_skew_us() <= 20_000
+        assert _max_skew(t) <= 20_000
 
 
 def test_align_silent_camera_drops_attributed():
@@ -248,7 +254,7 @@ def test_episode_empty(tmp_path):
     path = tmp_path / "empty.vtep"
     write_episode(ep, path)
     back = read_episode(path)
-    assert back.tuples == []
+    assert len(back.tuples) == 0
 
 
 def test_episode_truncation(tmp_path):
@@ -547,6 +553,50 @@ def test_episode_stats_with_drops():
     assert stats.drop_rate == pytest.approx(0.2)
 
 
+def _stats_episode(rng) -> Episode:
+    """An episode on the 10 Hz grid, anywhere in int64, with dropped ticks, runs of records whose
+    joint count and tactile kind change, and now and then a member timestamp at an int64 end."""
+    n = int(rng.integers(1, 200))
+    start = TICK * int(rng.integers(-(2**63) // TICK, (2**63 - 1) // TICK - 400))
+    ticks = start + TICK * np.sort(rng.choice(400, n, replace=False))
+    tuples, k = [], 0
+    while k < n:
+        joints, normalized = int(rng.integers(0, 4)), bool(rng.integers(2))
+        for tick in ticks[k : k + int(rng.integers(1, 90))].tolist():
+            stamps = np.clip(tick + rng.integers(-60_000, 60_001, 3), -(2**63), 2**63 - 1).tolist()
+            if rng.random() < 0.05:
+                stamps[int(rng.integers(3))] = [-(2**63), 2**63 - 1][int(rng.integers(2))]
+            readings = rng.uniform(0, 1, (16, 16)) if normalized else rng.integers(0, 1024, (16, 16))
+            payloads = {camera_stream(0): CloudXYZF(rng.normal(size=(2, 4)), "base"),
+                        JOINTS_STREAM: JointState(rng.normal(size=joints), stamps[1]),
+                        tactile_stream(0): TactileFrame(0, stamps[2], readings, normalized)}
+            tuples.append(SyncedTuple(tick, {sid: TimedSample(sid, stamp, payload)
+                                             for stamp, (sid, payload) in zip(stamps, payloads.items())}))
+            k += 1
+    return Episode(10.0, 50_000, sorted(tuples[0].members), tuples)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_episode_stats_of_a_read_are_those_of_the_tuples_written(tmp_path, seed):
+    ep = _stats_episode(np.random.default_rng([seed, 31]))
+    path = tmp_path / "s.vtep"
+    write_episode(ep, path)
+    stats = episode_stats(ep)
+    for keep in (None, (), (TACTILE_PREFIX, JOINTS_STREAM)):
+        assert episode_stats(read_episode(path, keep=keep)) == stats
+    ticks = [t.tick_time_us for t in ep.tuples]
+    assert stats.max_skew_us == max(_max_skew(t) for t in ep.tuples)
+    assert (stats.tuple_count, stats.expected_ticks) == (len(ticks), (ticks[-1] - ticks[0]) // TICK + 1)
+
+
+def test_episode_stats_of_timestamps_past_int64():
+    # a list whose timestamps do not fit int64 is held as Python ints, and so is its largest skew
+    members = [{"a": TimedSample("a", stamp, None)} for stamp in (2**64, -(2**64))]
+    ep = Episode(10.0, 0, ["a"], [SyncedTuple(tick, m) for tick, m in zip((0, 2 * TICK), members)])
+    stats = episode_stats(ep)
+    assert (stats.max_skew_us, stats.expected_ticks, stats.dropped_ticks) == (2**64 + 2 * TICK, 3, 1)
+
+
 def test_episode_stats_jitter_skew():
     rng = np.random.default_rng(5)
     streams = make_streams(40, jitter_us=20_000, rng=rng)
@@ -760,6 +810,20 @@ def test_blocks_write_and_read_what_records_one_by_one_do(tmp_path_factory, ep):
     kept = read_episode(path, keep=(JOINTS_STREAM,)).tuples
     assert [t.members[JOINTS_STREAM].payload.positions.tobytes() for t in kept] == [
         t.members[JOINTS_STREAM].payload.positions.tobytes() for t in ep.tuples]
+
+
+@settings(derandomize=True, database=None, max_examples=10, deadline=None)
+@given(layout_changing_episodes())
+def test_an_episode_read_as_columns_writes_the_same_bytes(tmp_path_factory, ep):
+    # the payloads of a read lie in one piece per block, or per record when every record is read alone
+    path, again = (tmp_path_factory.getbasetemp() / name for name in ("first.vtep", "again.vtep"))
+    write_episode(ep, path)
+    for blocks in (True, False):
+        with mock.patch.object(stream_sync, "_read_block", stream_sync._read_block if blocks else lambda *a: None):
+            back = read_episode(path)
+        write_episode(back, again)
+        assert again.read_bytes() == path.read_bytes()
+        assert _values(back.tuples[1:][1::2]) == _values(ep.tuples[1:][1::2])  # the slices that map_ticks takes
 
 
 def test_kept_payloads_share_one_read_only_copy_of_their_block_column(tmp_path):

@@ -303,3 +303,33 @@ def test_sync_builds_objects_only_for_the_first_record_of_each_run(tmp_path, mon
     monkeypatch.undo()
     counts = [len(t.members["joints"].payload.positions) for t in ss.read_episode(out).tuples]
     assert len(counts) == n_tuples > 100 and counts == sorted(counts, reverse=True) and set(counts) == {3, 4}
+
+
+def test_stats_builds_objects_only_for_the_first_record_of_each_run(tmp_path, monkeypatch, capsys):
+    """stats reads an episode as columns: the walker builds the first record of each .vtep run as
+    a SyncedTuple, and no payload or other record is built."""
+    rng = np.random.default_rng(33)
+    frames, joints, out = tmp_path / "frames.jsonl", tmp_path / "joints.jsonl", tmp_path / "ep.vtep"
+    write_frames(frames, [(p, int(t)) for t in _grid(200) for p in range(4)], rng)
+    counts = np.where(np.arange(400) < 150, 4, 3)  # one joint count change: two runs
+    write_joints(joints, [(int(t), int(c)) for t, c in zip(_grid(400, 40_000) // 2, counts)], rng)
+    assert cli.main(["sync", "--tactile", str(frames), "--joints", str(joints), "--rate", "100",
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    built = {cls: 0 for cls in (TactileFrame, JointState, TimedSample, SyncedTuple)}
+    for cls in built:
+        init = cls.__init__
+
+        def counted(self, *args, _init=init, _cls=cls, **kwargs):
+            built[_cls] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    assert cli.main(["--json", "stats", "--episode", str(out)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    runs, members = 2, 5
+    assert built == {TactileFrame: 0, JointState: 0, TimedSample: members * runs, SyncedTuple: runs}
+    monkeypatch.undo()
+    episode = ss.read_episode(out)
+    episode.tuples = list(episode.tuples)  # the stats of the tuples one by one, turned into columns
+    assert report == jsonio.fields_to(ss.episode_stats(episode)) and report["tuples"] > 100
