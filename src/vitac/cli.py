@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, frame_codec, jsonio
-from .errors import InvalidInputError, VitacError, check_range
+from .errors import InvalidInputError, VitacError, check_range, check_time
 from .frame_codec import StreamDecoder
 from .kinematics import load_chain_file, read_joint_lines, tactile_point_cloud
 from .pointcloud import (
@@ -153,7 +153,8 @@ def _read_tactile_jsonl(path) -> dict:
 
 def _read_cloud_dir(path) -> dict:
     """PLY files named {cam}_{timestamp_us}.ply (or {timestamp_us}.ply for cam 0): cam in ASCII
-    digits, timestamp_us in ASCII digits after an optional "-", no two naming one camera and time."""
+    digits, timestamp_us a time in ASCII digits after an optional "-", no two naming one camera
+    and time."""
     streams, names = {}, {}
     for ply in sorted(Path(path).glob("*.ply")):
         stem = ply.stem
@@ -163,7 +164,7 @@ def _read_cloud_dir(path) -> dict:
             cam_s, ts_s = "0", stem
         if not all(s.isascii() and s.isdigit() for s in (cam_s, ts_s.removeprefix("-"))):
             raise InvalidInputError(f"{ply.name}: cloud files must be named <cam>_<timestamp_us>.ply")
-        cam, ts = int(cam_s), int(ts_s)
+        cam, ts = int(cam_s), check_time(f"{ply.name}: timestamp_us", int(ts_s))
         if (cam, ts) in names:
             raise InvalidInputError(f"{ply.name}: camera {cam} at {ts} us is also in {names[cam, ts]}")
         names[cam, ts] = ply.name

@@ -1,6 +1,7 @@
-"""Exception types shared across the toolkit, and the one check of a number's range."""
+"""Exception types shared across the toolkit, and the one check of a number's range and of a time."""
 
 import math
+import numbers
 
 
 class VitacError(Exception):
@@ -34,6 +35,15 @@ def check_range(name: str, value, lo=-math.inf, hi=math.inf, unit: str = "", end
     else:
         span = "must be finite"
     raise InvalidInputError(f"{name} {span}{' ' + unit if unit else ''}, got {value}")
+
+
+def check_time(name: str, value) -> int:
+    """value as an int when it is a time: an integer in [-2**63, 2**63 - 1] us, the int64 that a
+    .vtep holds for every tick and timestamp. Else InvalidInputError("<name> must be an integer
+    in [-2**63, 2**63 - 1] us, got <value>"). frozen.int_column states the rule for a column."""
+    if isinstance(value, numbers.Integral) and -(2**63) <= value < 2**63:
+        return int(value)
+    raise InvalidInputError(f"{name} must be an integer in [-2**63, 2**63 - 1] us, got {value!r}")
 
 
 class SaturatedReadingError(VitacError):

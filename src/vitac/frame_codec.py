@@ -285,7 +285,8 @@ _SEP_WORDS = np.frombuffer(b"".join(b"\0" * 4 + sep.ljust(4, b"\0") for sep in _
 # A line is read in one pass when deleting its digits leaves _SKELETON, its pad_id and readings
 # are the canonical digits of values <= MAX_PAD_ID and <= MAX_READING, its seq and timestamp_us
 # are 1 to 20 digits without a leading zero (a u64; a longer number goes through jsonio.loads),
-# and no other digit is left over; such a line is exactly frame_lines' line for its frame.
+# its timestamp_us fits an int64 (errors.check_time; a larger one is the line-by-line error), and
+# no other digit is left over; such a line is exactly frame_lines' line for its frame.
 _TEMPLATE = _LINE_HEAD % (0, 0, 0) + b"".join(b"0" + sep for sep in _SEPS)  # every number one digit
 _SKELETON = _TEMPLATE.replace(b"0", b"")
 # the gap holding each number, gap g lying between non-digits g and g + 1: pad_id and the
@@ -304,7 +305,7 @@ _LONG_BY_SIZE = (np.arange(23) >= 2) & (np.arange(23) <= 21)
 _BACK = np.arange(-20, 0)  # a long number's 20 digit places, from the separator after it
 _TENS = 10 ** np.arange(9, -1, -1)  # a 10-digit half of a long number
 _ZEROS = ord("0") * int(_TENS.sum())  # what the half's places hold in text that reads 0
-_HIGH_HALF_MAX = (2**63 - 1) // 10**10  # a long number below this high half times 10**10 fits an int64
+_HIGH_HALF_MAX, _LOW_HALF_MAX = divmod(2**63 - 1, 10**10)  # the halves of the largest timestamp, which fits an int64
 
 
 def frame_lines(frames) -> bytes:
@@ -324,8 +325,8 @@ def frame_lines(frames) -> bytes:
 
 @dataclass(frozen=True, eq=False)
 class FrameColumns(Sequence):
-    """Raw tactile frames as columns: their pad ids, their timestamps (int64, or objects when one
-    does not fit), and their readings as one read-only (n, 16, 16) uint16 array.
+    """Raw tactile frames as columns: their pad ids, their timestamps as an int64 column, and their
+    readings as one read-only (n, 16, 16) uint16 array.
 
     As a sequence its items are TactileFrames, each built when it is read.
     """
@@ -347,7 +348,7 @@ class FrameColumns(Sequence):
     @staticmethod
     def of(frames) -> "FrameColumns":
         """The columns of a sequence of raw TactileFrames."""
-        return FrameColumns([f.pad_id for f in frames], int_column([f.timestamp_us for f in frames]),
+        return FrameColumns([f.pad_id for f in frames], [f.timestamp_us for f in frames],
                             owned(np.array([f.readings for f in frames], np.uint16).reshape(-1, *PAD_SHAPE)))
 
     @staticmethod
@@ -408,14 +409,11 @@ class FrameColumns(Sequence):
         ok &= (_LONG_BY_SIZE.take(long, mode="clip") & ~leading_zero).all(axis=1)
         # the timestamp's digits in 20 places before the separator after it, '0' before them
         places = np.where(_BACK >= 1 - long[:, -1:], text[at[:, _GAPS[-1] + 1, None] + _BACK], ord("0"))
-        high, low = (places[ok, :10] @ _TENS - _ZEROS), (places[ok, 10:] @ _TENS - _ZEROS)
-        if (high < _HIGH_HALF_MAX).all():
-            timestamps = owned(high * 10**10 + low)
-        else:
-            timestamps = int_column((high.astype(object) * 10**10 + low.astype(object)).tolist())
+        high, low = places[:, :10] @ _TENS - _ZEROS, places[:, 10:] @ _TENS - _ZEROS
+        ok &= (high < _HIGH_HALF_MAX) | ((high == _HIGH_HALF_MAX) & (low <= _LOW_HALF_MAX))  # else not a time
         read[found[ok]] = True
         readings = owned(words[ok, 1:].astype(np.uint16).reshape(-1, *PAD_SHAPE))
-        return FrameColumns(words[ok, 0], timestamps, readings), read
+        return FrameColumns(words[ok, 0], owned(high[ok] * 10**10 + low[ok]), readings), read
 
     def __len__(self) -> int:
         return len(self.pad_ids)

@@ -4,7 +4,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_time
 
 
 def read_only(value, dtype=np.float64, shape=None) -> np.ndarray:
@@ -32,16 +32,15 @@ def owned(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def int_column(values) -> np.ndarray:
-    """values, a sequence of integers, as a read-only column: int64 when numpy reads every one as
-    an int64, else an object array of the values as they are (such as a timestamp past 2**63). An
-    int64 or object array is kept as it is."""
-    if isinstance(values, np.ndarray) and values.dtype in (np.int64, object):
-        return read_only(values, values.dtype, -1)
+def int_column(values, name: str = "timestamp_us") -> np.ndarray:
+    """values, a sequence of times, as a read-only int64 column; an int64 array is kept as it is.
+    A value that is not a time (errors.check_time), such as a float or an integer past int64, is
+    its InvalidInputError, the first such value named as name."""
+    if isinstance(values, np.ndarray) and values.dtype == np.int64:
+        return read_only(values, np.int64, -1)
     arr = np.array(values) if len(values) else np.zeros(0, np.int64)
     if arr.dtype != np.int64 or arr.ndim != 1:
-        arr = np.empty(len(values), object)
-        arr[:] = list(values)
+        arr = np.array([check_time(name, value) for value in values], np.int64)
     return owned(arr)
 
 

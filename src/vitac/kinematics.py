@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jsonio
-from .errors import InvalidInputError, check_range
+from .errors import InvalidInputError, check_range, check_time
 from .frozen import freeze, int_column, owned
 from .pointcloud import BASE_FRAME, CloudXYZF
 from .se3 import MAX_LENGTH_M, UNIT_TOL, PoseSE3
@@ -65,7 +65,7 @@ class JointState:
 
     def __post_init__(self):
         self.check(freeze(self, "positions", -1))
-        object.__setattr__(self, "timestamp_us", int(self.timestamp_us))
+        object.__setattr__(self, "timestamp_us", check_time("timestamp_us", self.timestamp_us))
 
     @staticmethod
     def check(positions: np.ndarray) -> None:
@@ -74,9 +74,9 @@ class JointState:
 
 
 # The canonical joint line is json.dumps({"timestamp_us": T, "positions": [x, ...]}) and "\n":
-# T an integer, each x a JSON number. Such lines are read in blocks, each x as json and then
-# jsonio.numbers read it: float(x), which for an integer is float(int(x)) (both round to the
-# nearest float) except for "-0", which json reads as the int 0, so as 0.0, never -0.0.
+# T a time (errors.check_time), each x a JSON number. Such lines are read in blocks, each x as
+# json and then jsonio.numbers read it: float(x), which for an integer is float(int(x)) (both
+# round to the nearest float) except for "-0", which json reads as the int 0, so as 0.0, never -0.0.
 _JSON_NUMBER = rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
 _JOINT_LINE = re.compile(rb'\{"timestamp_us": (-?(?:0|[1-9][0-9]{0,18})), "positions": \[(%s(?:, %s)*)\]\}\n?'
                          % (_JSON_NUMBER, _JSON_NUMBER))
@@ -84,9 +84,9 @@ _JOINT_LINE = re.compile(rb'\{"timestamp_us": (-?(?:0|[1-9][0-9]{0,18})), "posit
 
 @dataclass(frozen=True, eq=False)
 class JointColumns(Sequence):
-    """Joint states as columns: their timestamps (int64, or objects when one does not fit), and
-    all their positions one after another in one read-only float64 array, state i's at
-    values[starts[i] : starts[i + 1]], so that states may hold different joint counts.
+    """Joint states as columns: their timestamps as an int64 column, and all their positions one
+    after another in one read-only float64 array, state i's at values[starts[i] : starts[i + 1]],
+    so that states may hold different joint counts.
 
     As a sequence its items are JointStates, each built when it is read.
     """
@@ -106,7 +106,7 @@ class JointColumns(Sequence):
     @staticmethod
     def of(states) -> "JointColumns":
         """The columns of a sequence of JointStates."""
-        return JointColumns(int_column([s.timestamp_us for s in states]),
+        return JointColumns([s.timestamp_us for s in states],
                             owned(np.concatenate([s.positions for s in states])) if states else np.zeros(0),
                             np.cumsum([0, *(len(s.positions) for s in states)]))
 
@@ -130,9 +130,9 @@ class JointColumns(Sequence):
         found, stamps, tokens, ends = [], [], [], []
         for i, line in enumerate(lines):
             m = _JOINT_LINE.fullmatch(line)
-            if m:
+            if m and -(2**63) <= (stamp := int(m[1])) < 2**63:  # else not a time: the line-by-line error
                 found.append(i)
-                stamps.append(int(m[1]))
+                stamps.append(stamp)
                 tokens += m[2].split(b", ")
                 ends.append(len(tokens))
         read = np.zeros(len(lines), bool)
@@ -147,7 +147,7 @@ class JointColumns(Sequence):
             values, counts = values[np.repeat(finite, counts)], counts[finite]
             stamps = [stamp for stamp, ok in zip(stamps, finite) if ok]
         read[np.array(found)[finite]] = True
-        return JointColumns(int_column(stamps), owned(values), np.cumsum([0, *counts])), read
+        return JointColumns(stamps, owned(values), np.cumsum([0, *counts])), read
 
     def counts(self, rows) -> np.ndarray:
         """The joint count of each state at rows, an index array."""

@@ -20,6 +20,7 @@ from .errors import (
     InvalidInputError,
     SaturatedReadingError,
     check_range,
+    check_time,
 )
 from .frozen import freeze
 
@@ -189,7 +190,7 @@ class TactileFrame:
         else:
             self.check(self.pad_id, r, False)
             freeze(self, "readings", PAD_SHAPE, np.uint16)
-        object.__setattr__(self, "timestamp_us", int(self.timestamp_us))
+        object.__setattr__(self, "timestamp_us", check_time("timestamp_us", self.timestamp_us))
 
     @staticmethod
     def check(pad_id: int, readings: np.ndarray, normalized: bool) -> None:

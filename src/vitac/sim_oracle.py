@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jsonio
-from .errors import InvalidInputError, check_range
+from .errors import InvalidInputError, check_range, check_time
 from .frozen import freeze_mapping, read_only
 from .kinematics import (
     PRISMATIC,
@@ -290,11 +290,10 @@ class ContactSnapshot:
         freeze_mapping(self, "frames")
 
 
-def simulate_contact(scene: SceneSpec, t: float) -> ContactSnapshot:
-    """Penetration-spring contact at time t: forces and noisy ADC frames."""
-    pose_obj = scene.object_pose_at(t)
-    gap = scene.aperture_at(t)
-    t_us = int(round(t * 1e6))
+def simulate_contact(scene: SceneSpec, t_us: int) -> ContactSnapshot:
+    """Penetration-spring contact at t_us microseconds: forces and noisy ADC frames, each stamped t_us."""
+    pose_obj = scene.object_pose_at(t_us / 1e6)
+    gap = scene.aperture_at(t_us / 1e6)
     joints = joints_for_aperture(gap, t_us)
     chain, mounts = scene.chain_and_mounts()
     inv_obj = pose_obj.inverse()
@@ -321,6 +320,7 @@ class GroundTruthTick:
     forces: dict = field(default_factory=dict)  # pad_id -> (rows, cols) float Newtons
 
     def __post_init__(self):
+        object.__setattr__(self, "t_us", check_time("t_us", self.t_us))
         for pad_id in self.forces:
             check_range("pad_id", pad_id, 0, MAX_PAD_ID)
         freeze_mapping(self, "forces", read_only)
@@ -380,7 +380,7 @@ def render_episode(scene: SceneSpec, rate_hz: float, duration_s: float):
             "shorten the run or lower n_camera_points"
         )
     for k, tick in enumerate(ticks):
-        snap = simulate_contact(scene, tick / 1e6)
+        snap = simulate_contact(scene, tick)
         cam_seed = int(np.random.default_rng([scene.seed, 7, k]).integers(2**63))
         local = sample_object_cloud(scene.obj, scene.n_camera_points, cam_seed)
         world = snap.object_pose.apply(local)

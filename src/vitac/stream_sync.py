@@ -19,7 +19,6 @@ import stat
 import struct
 import threading
 import zlib
-from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable
@@ -69,9 +68,9 @@ class TimedSample:
 
 @dataclass(frozen=True, eq=False)
 class SampleColumns(Sequence):
-    """A stream's samples as columns: sample i lies at timestamps[i] (int64, or objects when one
-    does not fit) and holds payloads[rows[i]]. payloads is any sequence of payloads, such as the
-    FrameColumns and JointColumns that the line readers give, or a list.
+    """A stream's samples as columns: sample i lies at timestamps[i], an int64 column, and holds
+    payloads[rows[i]]. payloads is any sequence of payloads, such as the FrameColumns and
+    JointColumns that the line readers give, or a list.
 
     As a sequence its items are TimedSamples, each built when it is read.
     """
@@ -81,11 +80,14 @@ class SampleColumns(Sequence):
     payloads: Sequence
     rows: np.ndarray
 
+    def __post_init__(self):
+        object.__setattr__(self, "timestamps", int_column(self.timestamps, f"stream {self.stream_id!r} timestamp_us"))
+
     @staticmethod
     def of(stream_id: str, samples) -> "SampleColumns":
         """The columns of a sequence of TimedSamples."""
-        return SampleColumns(stream_id, int_column([s.timestamp_us for s in samples]),
-                             [s.payload for s in samples], np.arange(len(samples)))
+        return SampleColumns(stream_id, [s.timestamp_us for s in samples], [s.payload for s in samples],
+                             np.arange(len(samples)))
 
     def sorted(self) -> "SampleColumns":
         """The samples in time order, samples of one time in the order they had."""
@@ -161,11 +163,11 @@ def tick_grid(rate_hz: float, start_us: int, end_us: int) -> range:
 
     This is the one place where a rate becomes ticks: they sit on the
     multiples of a period of round(1e6 / rate_hz) whole microseconds. A rate
-    whose period rounds to 0 (2 MHz and above) or overflows has no grid.
+    whose period rounds to 0 (2 MHz and above) or is not a time has no grid.
     """
     check_range("rate", rate_hz, 0, unit="Hz", ends="(]")
-    if not (0.5 < 1e6 / rate_hz < np.inf):  # round() gives 0 for the one and fails on the other
-        raise InvalidInputError(f"rate {rate_hz} Hz has no finite tick period of 1 us or more")
+    if not (0.5 < 1e6 / rate_hz < 2**63):  # the period rounds to 1 us or more, and fits an int64
+        raise InvalidInputError(f"rate {rate_hz} Hz has no tick period in [1, 2**63 - 1] us")
     period_us = round(1e6 / rate_hz)
     return range(-(-start_us // period_us) * period_us, end_us + 1, period_us)
 
@@ -213,20 +215,15 @@ def align(streams, rate_hz: float = DEFAULT_RATE_HZ, tolerance_us: int = DEFAULT
         columns[sid] = samples
     window_start = max(c.timestamps.item(0) for c in columns.values())
     window_end = min(c.timestamps.item(-1) for c in columns.values())
-    ticks = limit_ticks(tick_grid(rate_hz, window_start, window_end))
-    # int64 holds every difference of a tick and a sample when each stream spans less than 2**63
-    wide = any(c.timestamps.dtype != np.int64 or c.timestamps.item(-1) - c.timestamps.item(0) >= 2**63
-               for c in columns.values())
-    grid = np.array(ticks, object if wide else np.int64)
-    tolerance = tolerance_us if wide else min(math.floor(tolerance_us), 2**63 - 1)
+    grid = np.array(limit_ticks(tick_grid(rate_hz, window_start, window_end)), np.int64)
+    tolerance = np.uint64(min(math.floor(tolerance_us), 2**64 - 1))
     kept, nearest, within = np.ones(len(grid), bool), {}, {}
     for sid, c in columns.items():
-        ts = c.timestamps.astype(object) if wide else c.timestamps
-        i = np.searchsorted(ts, grid)  # each tick is at most the stream's last timestamp
+        i = np.searchsorted(c.timestamps, grid)  # each tick is at most the stream's last timestamp
         before = np.maximum(i - 1, 0)
-        i = np.where((i > 0) & (grid - ts[before] <= ts[i] - grid), before, i)
-        within[sid] = np.abs(ts[i] - grid) <= tolerance
-        nearest[sid] = i
+        after, earlier = _distance(c.timestamps[i], grid), _distance(c.timestamps[before], grid)
+        nearest[sid] = np.where(earlier <= after, before, i)
+        within[sid] = np.minimum(earlier, after) <= tolerance
         kept &= within[sid]
     report = DropReport(len(grid), per_stream={sid: int(np.count_nonzero(~ok)) for sid, ok in within.items()})
     for k in np.flatnonzero(~kept).tolist():
@@ -245,6 +242,9 @@ class SyncedColumns(Sequence):
     ticks: np.ndarray
     streams: dict
 
+    def __post_init__(self):
+        object.__setattr__(self, "ticks", int_column(self.ticks, "tick"))
+
     def __len__(self) -> int:
         return len(self.ticks)
 
@@ -258,7 +258,7 @@ class SyncedColumns(Sequence):
     def of(tuples, sids) -> "SyncedColumns":
         """The columns of a sequence of SyncedTuples that each hold the streams sids."""
         rows = np.arange(len(tuples))
-        return SyncedColumns(int_column([t.tick_time_us for t in tuples]),
+        return SyncedColumns([t.tick_time_us for t in tuples],
                              {sid: (SampleColumns.of(sid, [t.members[sid] for t in tuples]), rows) for sid in sids})
 
     @staticmethod
@@ -348,7 +348,8 @@ def episode_stats(episode: Episode) -> EpisodeStats:
                                 "after the tick before it")
     first, last = (ticks.item(0), ticks.item(-1)) if len(ticks) else (0, 0)
     expected = (last - first) // period + 1 if len(ticks) else 0
-    skews = [_largest_gap(samples.timestamps[indices], ticks) for samples, indices in tuples.streams.values()]
+    skews = [_distance(samples.timestamps[indices], ticks).max() for samples, indices in tuples.streams.values()
+             if len(ticks)]
     drops = episode.metadata.get("drop_report", {})
     if isinstance(drops, dict):
         drops = drops.get("drops_by_stream", {})
@@ -360,20 +361,16 @@ def episode_stats(episode: Episode) -> EpisodeStats:
         expected_ticks=expected,
         dropped_ticks=expected - len(ticks),
         drop_rate=(expected - len(ticks)) / expected if expected else 0.0,
-        max_skew_us=max(skews, default=0),
+        max_skew_us=int(max(skews, default=0)),
         drops_by_stream=dict(drops),
     )
 
 
-def _largest_gap(a: np.ndarray, b: np.ndarray) -> int:
-    """The largest |a[i] - b[i]| of two integer columns, exact for any values: two int64 columns
-    are compared as uint64 with their sign bits flipped, which keeps their order and cannot wrap."""
-    if not len(a):
-        return 0
-    if a.dtype == b.dtype == np.int64:
-        a, b = (column.view(np.uint64) ^ np.uint64(1 << 63) for column in (a, b))
-        return int((np.maximum(a, b) - np.minimum(a, b)).max())
-    return int(np.abs(a.astype(object) - b.astype(object)).max())
+def _distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a - b| of two int64 columns as uint64, exact for any values: flipping their sign bits maps
+    them onto uint64 in order, where max - min cannot wrap."""
+    a, b = (column.view(np.uint64) ^ np.uint64(1 << 63) for column in (a, b))
+    return np.maximum(a, b) - np.minimum(a, b)
 
 
 # The record formats. A record is a u32 length, the tuple, then the tuple's CRC32 as a u32.
@@ -621,7 +618,8 @@ class _Run:
         crcs = rows[:, -_U32.size :].view("<u4")[:, 0].tolist()
         if any(zlib.crc32(row) != crc for row, crc in zip(rows[:, _U32.size : -_U32.size], crcs)):
             return None
-        ints, at_rows, streams = np.ascontiguousarray(rows[:, self.int_bytes]).view(_I8), np.arange(len(rows)), {}
+        ints = owned(np.ascontiguousarray(rows[:, self.int_bytes]).view(_I8))
+        at_rows, streams = np.arange(len(rows)), {}
         try:
             for (sid, layout, frame, head, at), body in zip(self.members, self._columns(rows)):
                 if keep is None or sid.startswith(keep):
@@ -635,11 +633,12 @@ class _Run:
             return None
         return SyncedColumns(ints[:, 0], streams)
 
-    def encode(self, ticks, members):
-        """(n, block): the first n of the records given have the run's layout, and block holds their
-        records as _write_record writes each, or is None when a value does not fit its field. The
-        records are given as their ticks and, per member of the run, the (timestamps, payloads,
-        rows) of their samples, the sample of record i holding payloads[rows[i]]."""
+    def encode(self, ticks, members) -> np.ndarray:
+        """The records of the leading records given that have the run's layout, as one (records,
+        bytes) block of what _write_record writes for each. The records are given as their ticks
+        and, per member of the run, the (timestamps, payloads, rows) of their samples, the sample
+        of record i holding payloads[rows[i]]. Every head field fits an int64: the tick and the
+        timestamps are times (errors.check_time), the other fields pad ids, flags and counts."""
         k, heads, bodies = len(ticks), [ticks], []
         for (_, layout, frame, _, _), (stamps, payloads, rows) in zip(self.members, members):
             head, body = _gather(layout, frame, payloads, rows)
@@ -647,33 +646,20 @@ class _Run:
             heads += (stamps, *head)
             bodies.append(body)
         if not k:
-            return 0, None
-        try:
-            heads = np.column_stack([_int64s(column[:k]) for column in heads])
-        except (OverflowError, TypeError):
-            return k, None
+            return np.empty((0, self.size), np.uint8)
+        heads = np.column_stack([np.asarray(column[:k], np.int64) for column in heads])
         same = (heads[:, self.fixed_heads] == self.fixed_values).all(axis=1)
         n = k if same.all() else int(same.argmin())
-        if not n:
-            return 0, None
         block = np.empty((n, self.size), np.uint8)
+        if not n:
+            return block
         block[:] = self.row
         block[:, self.int_bytes] = np.ascontiguousarray(heads[:n, self.vary], _I8).view(np.uint8)
         for column, body in zip(self._columns(block), bodies):
             column[...] = body[:n]
         crcs = [zlib.crc32(row) for row in block[:, _U32.size : -_U32.size]]
         block[:, -_U32.size :] = np.array(crcs, "<u4").view(np.uint8).reshape(n, -1)
-        return n, block
-
-
-def _int64s(values) -> np.ndarray:
-    """values, a sequence of integers, as int64. array takes what struct takes, through __index__,
-    and refuses the rest with an OverflowError or TypeError."""
-    if isinstance(values, np.ndarray):
-        if values.dtype == np.int64:
-            return values
-        values = values.tolist()
-    return np.frombuffer(array("q", values), np.int64)
+        return block
 
 
 def _gather(layout: _PayloadLayout, frame, payloads, rows) -> tuple:
@@ -766,7 +752,8 @@ def write_episode(episode: Episode, path) -> None:
 
 def _synced_columns(episode: Episode, where: str) -> SyncedColumns:
     """episode.tuples as a SyncedColumns, a list turned into columns once. A tuple whose stream ids
-    are not the episode's streams is an InvalidInputError whose message starts with where."""
+    are not the episode's streams, or a tick or member timestamp that is not a time, is an
+    InvalidInputError whose message starts with where."""
     streams, tuples = set(episode.streams), episode.tuples
     if isinstance(tuples, SyncedColumns):  # its ticks share one set of stream ids
         if len(tuples):
@@ -774,7 +761,10 @@ def _synced_columns(episode: Episode, where: str) -> SyncedColumns:
         return tuples
     for tup in tuples:
         _check_streams(tup.members, streams, InvalidInputError, f"{where}tick {tup.tick_time_us}")
-    return SyncedColumns.of(tuples, sorted(streams))
+    try:
+        return SyncedColumns.of(tuples, sorted(streams))
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{where}{exc}") from None
 
 
 def _check_streams(sids: dict, streams: set, error: type, where: str) -> None:
@@ -798,9 +788,7 @@ def _write_record(fh, tup: SyncedTuple) -> bytes:
 
 def _write_records(fh, tuples: SyncedColumns) -> None:
     """tuples as records on fh, the bytes that _write_record writes for each. The first record
-    of a run is written alone, and the rest of the run a block at a time, from columns; a block in
-    which a value does not fit is written record by record, which raises the error of the first
-    record that holds one."""
+    of a run is written alone, and the rest of the run a block at a time, from columns."""
     i = 0
     while i < len(tuples):
         run, record = _Run(), _write_record(fh, tuples[i])
@@ -809,15 +797,11 @@ def _write_records(fh, tuples: SyncedColumns) -> None:
         sids = [member[0] for member in run.members]
         i += 1
         while run.most and i < len(tuples):
-            n, block = run.encode(*tuples.columns(sids, slice(i, i + run.most)))
-            if not n:
+            block = run.encode(*tuples.columns(sids, slice(i, i + run.most)))
+            if not len(block):
                 break
-            if block is None:
-                for k in range(i, i + n):
-                    _write_record(fh, tuples[k])
-            else:
-                fh.write(block)
-            i += n
+            fh.write(block)
+            i += len(block)
 
 
 class _FileReader(_Reader):

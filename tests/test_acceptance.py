@@ -214,7 +214,7 @@ def _episode_contacts(scene, n_ticks, rate_hz=10.0):
     calibs = {i: PadCalibration(pad_id=i) for i in (0, 1)}
     out = []
     for k in range(n_ticks):
-        snap = simulate_contact(scene, k / rate_hz)
+        snap = simulate_contact(scene, round(k * 1e6 / rate_hz))
         frames = {i: normalize_frame(calibs[i], f) for i, f in snap.frames.items()}
         cloud = tactile_point_cloud(frames, chain, snap.joints, mounts)
         out.append((ContactSet.from_tactile_cloud(cloud, 0.05), snap.object_pose))

@@ -613,15 +613,16 @@ def test_every_number_a_file_holds_refuses_a_bool_or_a_string(tmp_path, capsys, 
 BAD_NUMBER_FLAGS = {
     "sync-rate-nan": ("--joints", ["--rate", "nan"], "rate must be > 0 Hz, got nan"),
     "sync-rate-inf": ("--joints", ["--rate", "inf"], "rate must be > 0 Hz, got inf"),
-    "sync-rate-3mhz": ("--joints", ["--rate", "3e6"], "no finite tick period of 1 us or more"),
-    "sync-rate-denormal": ("--joints", ["--rate", "1e-320"], "no finite tick period"),
+    "sync-rate-3mhz": ("--joints", ["--rate", "3e6"], "has no tick period in [1, 2**63 - 1] us"),
+    "sync-rate-denormal": ("--joints", ["--rate", "1e-320"], "has no tick period in"),
+    "sync-rate-3.3e-17": ("--joints", ["--rate", "3.3e-17"], "rate 3.3e-17 Hz has no tick period in [1, 2**63 - 1] us"),
     "sync-tol-nan": ("--joints", ["--tol-ms", "nan"], "--tol-ms must lie in [0, 9.22337e+15] ms, got nan"),
     "sync-tol-inf": ("--joints", ["--tol-ms", "inf"], "--tol-ms must lie in [0, 9.22337e+15] ms, got inf"),
     "sync-tol-1e308": ("--joints", ["--tol-ms", "1e308"], "--tol-ms must lie in [0, 9.22337e+15] ms, got 1e+308"),
     "sync-tol-negative": ("--joints", ["--tol-ms", "-1"], "--tol-ms must lie in [0, 9.22337e+15] ms, got -1.0"),
     "simulate-rate-nan": ("--scene", ["--rate", "nan"], "rate must be > 0 Hz, got nan"),
     "simulate-rate-3mhz": ("--scene", ["--rate", "3e6", "--dur", "1e-5"],
-                           "no finite tick period of 1 us or more"),
+                           "has no tick period in [1, 2**63 - 1] us"),
     "simulate-dur-nan": ("--scene", ["--dur", "nan"], "duration must be > 0 s, got nan"),
     "simulate-dur-inf": ("--scene", ["--dur", "inf"], "duration must be > 0 s, got inf"),
     "simulate-object-points-0": ("--scene", ["--object-points", "0"],
@@ -769,15 +770,16 @@ def test_stats_bad_header_is_one_error_line(tmp_path, capsys, header):
     assert err.startswith("error: ") and "header" in err and err.count("\n") == 1
 
 
-def test_stats_rate_without_tick_grid_is_one_error_line(tmp_path, capsys, good_inputs):
+@pytest.mark.parametrize("rate", [1e-320, 3.3e-17])
+def test_stats_rate_without_tick_grid_is_one_error_line(tmp_path, capsys, good_inputs, rate):
     data = good_inputs["--episode"].read_bytes()  # the writer refuses this rate, so patch its header
     (n,) = struct.unpack("<I", data[6:10])
-    header = json.dumps({**json.loads(data[10 : 10 + n]), "rate_hz": 1e-320}).encode()
+    header = json.dumps({**json.loads(data[10 : 10 + n]), "rate_hz": rate}).encode()
     path = tmp_path / "slow.vtep"
     path.write_bytes(data[:6] + struct.pack("<I", len(header)) + header + data[10 + n :])
     assert main(["stats", "--episode", str(path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "no finite tick period" in err and err.count("\n") == 1
+    assert err.startswith("error: ") and f"rate {rate} Hz has no tick period in" in err and err.count("\n") == 1
     assert str(path) in err
 
 
@@ -950,6 +952,15 @@ def test_sync_cloud_name_that_is_not_decimal_is_one_error_line(tmp_path, capsys,
     assert capsys.readouterr().err == f"error: {name}: cloud files must be named <cam>_<timestamp_us>.ply\n"
 
 
+@pytest.mark.parametrize("stamp", [2**63, -(2**63) - 1])
+def test_sync_cloud_name_past_int64_is_one_error_line(tmp_path, capsys, stamp):
+    d = _clouds(tmp_path, ["0_0.ply", f"0_{stamp}.ply"])
+    assert main(["sync", "--cloud", str(d), "--out", str(tmp_path / "ep.vtep")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: 0_{stamp}.ply: timestamp_us must be an integer in [-2**63, 2**63 - 1] us, got {stamp}\n")
+    assert not (tmp_path / "ep.vtep").exists()
+
+
 def test_sync_cloud_names_of_one_camera_and_time_are_one_error_line(tmp_path, capsys):
     d = _clouds(tmp_path, ["1_0.ply", "01_0.ply"])
     assert main(["sync", "--cloud", str(d), "--out", str(tmp_path / "ep.vtep")]) == 1
@@ -1069,7 +1080,7 @@ def test_log_level_names_any_case(monkeypatch, capsys, good_inputs):
 
 @pytest.mark.parametrize("old", [None, b"an older episode"], ids=["no-out", "old-out"])
 def test_sync_that_fails_while_writing_leaves_out_as_it_was(tmp_path, capsys, old):
-    # the 50 Hz tick after 9223372036854760000 passes 2**63 - 1 us, where the first record is written
+    # the frame on line 3 lies past 2**63 - 1 us, which no time may, so its line is the error
     frames = tmp_path / "frames.jsonl"
     frames.write_text("".join(json.dumps({**_FRAME, "seq": i, "timestamp_us": 2**63 - 30_000 + i * 20_000}) + "\n"
                               for i in range(4)))
@@ -1078,10 +1089,36 @@ def test_sync_that_fails_while_writing_leaves_out_as_it_was(tmp_path, capsys, ol
         out.write_bytes(old)
     assert main(["sync", "--tactile", str(frames), "--rate", "50", "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    tick = 9223372036854780000
-    assert err == f"error: {out}: tick {tick}: a value does not fit the episode format (argument out of range)\n"
+    stamp = 2**63 + 10_000
+    assert err == f"error: {frames}:3: timestamp_us must be an integer in [-2**63, 2**63 - 1] us, got {stamp}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == (["ep.vtep"] if old else []) + ["frames.jsonl"]
     assert old is None or out.read_bytes() == old
+
+
+def test_sync_of_a_frame_past_int64_is_the_error_of_its_line(tmp_path, capsys):
+    # five good frames and a sixth at 2**63 us, past every time, against joints that end at 400,000 us
+    frames, joints, out = tmp_path / "frames.jsonl", tmp_path / "joints.jsonl", tmp_path / "ep.vtep"
+    frames.write_text("".join(json.dumps({**_FRAME, "seq": i, "timestamp_us": t}) + "\n"
+                              for i, t in enumerate([0, 100_000, 200_000, 300_000, 400_000, 2**63])))
+    joints.write_text("".join(json.dumps({"timestamp_us": t, "positions": [0.0]}) + "\n"
+                              for t in range(0, 400_001, 100_000)))
+    assert main(["sync", "--tactile", str(frames), "--joints", str(joints), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {frames}:6: timestamp_us must be an integer in [-2**63, 2**63 - 1] us, got {2**63}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["frames.jsonl", "joints.jsonl"]
+
+
+def test_simulate_at_a_long_period_writes_ticks_on_its_grid(tmp_path, capsys, good_inputs):
+    # a period of 123456790123456800 us, where tick / 1e6 seconds and back would leave the grid
+    out = tmp_path / "slow.vtep"
+    argv = ["--json", "simulate", "--scene", str(good_inputs["--scene"]), "--rate", "8.1e-12", "--dur", "1e12"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["tuples"] == 8
+    assert main(["--json", "stats", "--episode", str(out)]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    assert (stats["tuples"], stats["expected_ticks"], stats["dropped_ticks"]) == (8, 8, 0)
+    ticks = [t.tick_time_us for t in read_episode(out).tuples]
+    assert ticks == list(range(0, 8 * 123456790123456800, 123456790123456800))
 
 
 def test_log_level_debug_logs_one_line_per_command(monkeypatch, capsys, good_inputs):

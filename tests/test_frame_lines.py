@@ -4,6 +4,7 @@ A canonical line is exactly json.dumps of the frame's document; every other line
 through jsonio.loads, so both readers must give the same frames or the same error.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -103,10 +104,15 @@ def outcome(read, path):
     return [(f.pad_id, f.timestamp_us, f.readings.dtype.str, f.readings.tobytes()) for f in frames]
 
 
+def _largest_time_frame() -> WireFrame:
+    """The edge frame of the largest values, at the largest time a line may hold, 2**63 - 1."""
+    return dataclasses.replace(edge_frames()[1], timestamp_us=2**63 - 1)
+
+
 def _canonical_text(n=5) -> list:
     rng = np.random.default_rng(5)
     frames = [WireFrame(i % 4, i, 10_000 * i, rng.integers(0, MAX_READING + 1, (16, 16))) for i in range(n)]
-    frames[1] = edge_frames()[1]
+    frames[1] = _largest_time_frame()
     return frame_lines(frames).decode().splitlines()
 
 
@@ -132,6 +138,8 @@ LINE_MUTATIONS = {
     "pad_id-negative": lambda line: line.replace('"pad_id": 2', '"pad_id": -2'),
     "pad_id-256": lambda line: line.replace('"pad_id": 2', '"pad_id": 256'),
     "timestamp-float": lambda line: line.replace(', "readings"', '.0, "readings"'),
+    "timestamp-2**63": lambda line: line.replace('"timestamp_us": 20000', f'"timestamp_us": {2**63}'),
+    "timestamp-2**64-1": lambda line: line.replace('"timestamp_us": 20000', f'"timestamp_us": {2**64 - 1}'),
     "value-07": lambda line: _set_first_reading(line, "07"),
     "value-1024": lambda line: _set_first_reading(line, "1024"),
     "value-65535": lambda line: _set_first_reading(line, "65535"),
@@ -166,6 +174,16 @@ def test_mutated_line_reads_as_line_by_line(tmp_path, kind):
     assert outcome(read_frame_lines, path) == outcome(per_line, path)
 
 
+@pytest.mark.parametrize("kind, stamp", [("timestamp-2**63", 2**63), ("timestamp-2**64-1", 2**64 - 1)])
+def test_a_timestamp_past_int64_is_the_error_of_its_line(tmp_path, kind, stamp):
+    lines = _canonical_text()
+    lines[2] = LINE_MUTATIONS[kind](lines[2])
+    path = tmp_path / "frames.jsonl"
+    _write(path, lines)
+    error = f"{path}:3: timestamp_us must be an integer in [-2**63, 2**63 - 1] us, got {stamp}"
+    assert outcome(read_frame_lines, path) == error
+
+
 @pytest.mark.parametrize("kind", ["canonical", "crlf", "no-final-newline", "blank-lines"])
 def test_line_endings_read_as_line_by_line(tmp_path, kind):
     lines = _canonical_text()
@@ -178,7 +196,7 @@ def test_line_endings_read_as_line_by_line(tmp_path, kind):
     assert len(read_frame_lines(path)) == 5
 
 
-EDGE_LINE = frame_lines(edge_frames()[1:2])
+EDGE_LINE = frame_lines([_largest_time_frame()])
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)

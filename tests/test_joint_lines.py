@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from vitac import jsonio
 from vitac.cli import main
 from vitac.errors import InvalidInputError
-from vitac.kinematics import JointColumns, _joint_from_doc, read_joint_lines
+from vitac.kinematics import _JOINT_LINE, JointColumns, _joint_from_doc, read_joint_lines
 
 
 def per_line(path) -> list:
@@ -77,6 +77,8 @@ LINE_MUTATIONS = {
     "timestamp-minus-zero": lambda line: line.replace('"timestamp_us": 20000', '"timestamp_us": -0', 1),
     "timestamp-negative": lambda line: line.replace('"timestamp_us": ', '"timestamp_us": -', 1),
     "timestamp-20-digits": lambda line: line.replace('"timestamp_us": 20000', '"timestamp_us": ' + "9" * 20, 1),
+    "timestamp-past-int64": lambda line: line.replace('"timestamp_us": 20000', f'"timestamp_us": {2**63}', 1),
+    "timestamp-before-int64": lambda line: line.replace('"timestamp_us": 20000', f'"timestamp_us": {-(2**63) - 1}', 1),
     "timestamp-true": lambda line: line.replace('"timestamp_us": 20000', '"timestamp_us": true', 1),
     "trailing-space": lambda line: line + " ",
     "unclosed": lambda line: line[:-1],
@@ -113,6 +115,18 @@ def test_a_slice_of_the_columns_holds_its_states(tmp_path):
     assert outcome(lambda _: states[2:5], path) == outcome(read_joint_lines, path)[2:5]
     with pytest.raises(ValueError, match="step 1 only"):
         states[::2]
+
+
+@pytest.mark.parametrize("kind, stamp", [("timestamp-past-int64", 2**63), ("timestamp-before-int64", -(2**63) - 1)])
+def test_a_timestamp_past_int64_is_the_error_of_its_line(tmp_path, kind, stamp):
+    lines = _lines()
+    lines[2] = LINE_MUTATIONS[kind](lines[2])
+    assert _JOINT_LINE.fullmatch(lines[2].encode())  # the batch's pattern takes it, and its stamp check refuses it
+    path = tmp_path / "joints.jsonl"
+    _write(path, lines)
+    assert JointColumns.canonical([lines[2].encode()])[1].tolist() == [False]
+    error = f"{path}:3: timestamp_us must be an integer in [-2**63, 2**63 - 1] us, got {stamp}"
+    assert outcome(read_joint_lines, path) == error
 
 
 def test_first_bad_line_is_named(tmp_path):

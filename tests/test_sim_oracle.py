@@ -189,7 +189,7 @@ def test_two_finger_gripper_geometry():
 
 def test_open_pads_no_contact():
     scene = grip_scene(gap=0.2)
-    snap = simulate_contact(scene, 0.0)
+    snap = simulate_contact(scene, 0)
     for pad in (0, 1):
         assert np.all(snap.forces[pad] == 0.0)
         assert np.all(snap.frames[pad].readings == 0)
@@ -197,7 +197,7 @@ def test_open_pads_no_contact():
 
 def test_open_pads_noise_only_readings():
     scene = grip_scene(gap=0.2, noise=3.0, seed=5)
-    snap = simulate_contact(scene, 0.0)
+    snap = simulate_contact(scene, 0)
     readings = snap.frames[0].readings.astype(float)
     assert np.all(snap.forces[0] == 0.0)
     assert readings.max() <= 12  # a few counts of noise, clamped at zero below
@@ -207,7 +207,7 @@ def test_open_pads_noise_only_readings():
 def test_penetration_force_value():
     # 2 mm penetration at k = 2000 N/m -> 4 N on the deepest taxels
     scene = grip_scene(gap=0.076)
-    snap = simulate_contact(scene, 0.0)
+    snap = simulate_contact(scene, 0)
     assert snap.forces[0].max() == pytest.approx(4.0, rel=1e-9)
     assert snap.forces[1].max() == pytest.approx(4.0, rel=1e-9)
 
@@ -215,7 +215,7 @@ def test_penetration_force_value():
 def test_deep_penetration_saturates_reading():
     # 6 mm penetration -> 12 N, reads identically to 9 N
     scene = grip_scene(gap=0.068)
-    snap = simulate_contact(scene, 0.0)
+    snap = simulate_contact(scene, 0)
     assert snap.forces[0].max() == pytest.approx(12.0, rel=1e-9)
     r9 = int(round(force_to_reading(scene.sensor, 9.0)))
     deep = snap.forces[0] >= 12.0 - 1e-9
@@ -229,7 +229,7 @@ def test_force_mirror_symmetry_and_balance():
         Primitive.sphere(0.04),
     ):
         scene = grip_scene(obj=obj)
-        snap = simulate_contact(scene, 0.0)
+        snap = simulate_contact(scene, 0)
         f0, f1 = snap.forces[0], snap.forces[1]
         assert f0.sum() > 0
         assert abs(f0.sum() - f1.sum()) < 1e-9
@@ -251,17 +251,17 @@ def test_contact_outside_span_rejected():
         trajectory=((0.0, PoseSE3.identity()), (1.0, PoseSE3(t=[0, 0, 0.01])))
     )
     with pytest.raises(InvalidInputError):
-        simulate_contact(scene, 2.0)
-    snap = simulate_contact(scene, 0.5)
+        simulate_contact(scene, 2_000_000)
+    snap = simulate_contact(scene, 500_000)
     assert np.allclose(snap.object_pose.t, [0, 0, 0.005], atol=1e-12)
 
 
 def test_noise_deterministic_per_seed_and_time():
     scene = grip_scene(noise=2.0, seed=9)
-    a = simulate_contact(scene, 0.0)
-    b = simulate_contact(scene, 0.0)
+    a = simulate_contact(scene, 0)
+    b = simulate_contact(scene, 0)
     assert np.array_equal(a.frames[0].readings, b.frames[0].readings)
-    c = simulate_contact(scene, 0.1)
+    c = simulate_contact(scene, 100_000)
     assert not np.array_equal(a.frames[0].readings, c.frames[0].readings)
 
 
@@ -411,8 +411,8 @@ def test_scene_json_roundtrip(tmp_path):
     assert back.noise_sigma == 2.5
     assert back.grid.pitch == scene.grid.pitch
     assert back.obj.kind == "box"
-    snap_a = simulate_contact(scene, 0.0)
-    snap_b = simulate_contact(back, 0.0)
+    snap_a = simulate_contact(scene, 0)
+    snap_b = simulate_contact(back, 0)
     assert np.array_equal(snap_a.frames[0].readings, snap_b.frames[0].readings)
 
 
@@ -437,13 +437,13 @@ def test_scene_file_with_only_required_keys_takes_the_defaults(tmp_path):
 def test_multi_key_aperture_trajectory_interpolates():
     scene = dataclasses.replace(grip_scene(), aperture_trajectory=((0.0, 0.08), (1.0, 0.076), (2.0, 0.076)))
     assert scene.aperture_at(0.5) == pytest.approx(0.078, abs=1e-15)
-    assert simulate_contact(scene, 1.5).aperture == pytest.approx(0.076, abs=1e-15)
+    assert simulate_contact(scene, 1_500_000).aperture == pytest.approx(0.076, abs=1e-15)
 
 
 def test_consistency_stats_uniform_load_from_simulator():
     # wide flat box squeezed uniformly: every taxel carries 5 N (2.5 mm penetration)
     scene = grip_scene(obj=Primitive.box(0.2, 0.2, 0.08), gap=0.075, noise=2.0, seed=11)
-    snap = simulate_contact(scene, 0.0)
+    snap = simulate_contact(scene, 0)
     assert np.allclose(snap.forces[0], 5.0, atol=1e-9)
     from vitac.sensor_model import consistency_stats
 

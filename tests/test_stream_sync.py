@@ -42,6 +42,7 @@ from vitac.stream_sync import (
 )
 
 TICK = 100_000  # 10 Hz in microseconds
+TIME_RULE = "must be an integer in [-2**63, 2**63 - 1] us"  # errors.check_time
 
 
 def _samples(sid, timestamps):
@@ -484,10 +485,13 @@ def test_member_that_does_not_fit_its_stream_is_invalid(kind):
 
 
 def test_write_episode_timestamp_out_of_range(tmp_path):
-    member = TimedSample(JOINTS_STREAM, 0, JointState([0.0], 2**63))
-    ep = Episode(10.0, 0, [JOINTS_STREAM], [SyncedTuple(0, {JOINTS_STREAM: member})])
+    # a payload's own stamp past int64 is refused where the payload is built
+    with pytest.raises(InvalidInputError, match=re.escape(f"timestamp_us {TIME_RULE}, got {2**63}")):
+        JointState([0.0], 2**63)
+    member = TimedSample(JOINTS_STREAM, 0, JointState([0.0], 0))
+    ep = Episode(10.0, 0, [JOINTS_STREAM], [SyncedTuple(2**63, {JOINTS_STREAM: member})])
     path = tmp_path / "big.vtep"
-    with pytest.raises(InvalidInputError, match="tick 0"):
+    with pytest.raises(InvalidInputError, match=re.escape(f"{path}: tick {TIME_RULE}, got {2**63}")):
         write_episode(ep, path)
     assert not path.exists()
 
@@ -590,11 +594,19 @@ def test_episode_stats_of_a_read_are_those_of_the_tuples_written(tmp_path, seed)
 
 
 def test_episode_stats_of_timestamps_past_int64():
-    # a list whose timestamps do not fit int64 is held as Python ints, and so is its largest skew
+    # a list whose timestamps do not fit int64 is refused when it becomes columns, naming the first
     members = [{"a": TimedSample("a", stamp, None)} for stamp in (2**64, -(2**64))]
     ep = Episode(10.0, 0, ["a"], [SyncedTuple(tick, m) for tick, m in zip((0, 2 * TICK), members)])
+    with pytest.raises(InvalidInputError, match=re.escape(f"stream 'a' timestamp_us {TIME_RULE}, got {2**64}")):
+        episode_stats(ep)
+
+
+def test_episode_stats_of_timestamps_at_the_int64_ends():
+    # |timestamp - tick| reaches 2**64 - 1 and is exact
+    members = [{"a": TimedSample("a", stamp, None)} for stamp in (2**63 - 1, -(2**63))]
+    ep = Episode(1e-12, 0, ["a"], [SyncedTuple(tick, m) for tick, m in zip((-(10**18), 10**18), members)])
     stats = episode_stats(ep)
-    assert (stats.max_skew_us, stats.expected_ticks, stats.dropped_ticks) == (2**64 + 2 * TICK, 3, 1)
+    assert (stats.max_skew_us, stats.expected_ticks, stats.dropped_ticks) == (2**63 + 10**18, 3, 1)
 
 
 def test_episode_stats_jitter_skew():
@@ -698,6 +710,31 @@ def test_payload_formats_are_written_once():
         assert text.count(fmt) == 1, fmt
     # every pack and unpack goes through those Struct objects
     assert not re.search(r"struct\.(pack|unpack|unpack_from|calcsize|iter_unpack)\(", text)
+
+
+def _is_object_dtype(arg, keyword=None) -> bool:
+    """Whether a call's argument is the object dtype: object, np.object_, "O", or "object" given as
+    dtype=, either branch of a conditional included."""
+    if isinstance(arg, ast.IfExp):
+        return _is_object_dtype(arg.body, keyword) or _is_object_dtype(arg.orelse, keyword)
+    return ((isinstance(arg, ast.Name) and arg.id == "object")
+            or (isinstance(arg, ast.Attribute) and arg.attr == "object_")
+            or (isinstance(arg, ast.Constant) and (arg.value == "O" or (keyword == "dtype" and arg.value == "object"))))
+
+
+def _object_dtypes(tree) -> list:
+    """The lines of the calls in tree that pass the object dtype."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and (any(map(_is_object_dtype, node.args)) or any(_is_object_dtype(k.value, k.arg) for k in node.keywords))]
+
+
+def test_no_module_makes_an_object_array():
+    """Every time is an int64 from the reader on (errors.check_time), so no array needs the object
+    dtype; a second, object-dtype path for times past int64 fails here."""
+    caught = "np.array(v, object)\na.astype(dtype=np.object_)\nnp.empty(3, 'O')\nnp.array(v, object if w else int)\n"
+    assert _object_dtypes(ast.parse(caught + "np.zeros(3, dtype='object')\nf('object')")) == [1, 2, 3, 4, 5]
+    for path in sorted(Path(vitac.__file__).parent.glob("*.py")):
+        assert _object_dtypes(ast.parse(path.read_text())) == [], path.name
 
 
 def test_no_module_level_name_is_bound_twice():
@@ -842,11 +879,12 @@ def test_kept_payloads_share_one_read_only_copy_of_their_block_column(tmp_path):
 @pytest.mark.parametrize("at", [0, 1, stream_sync.BLOCK_RECORDS + 3])
 @pytest.mark.parametrize("value", [2**63, -(2**63) - 1, 1.5])
 def test_a_member_timestamp_that_does_not_fit_is_the_records_error(tmp_path, at, value):
+    # the list becomes columns before the file opens, and the first timestamp that is not a time is the error
     joints = JointState([0.0], 0)
     tuples = [SyncedTuple(k, {JOINTS_STREAM: TimedSample(JOINTS_STREAM, value if k == at else k, joints)})
               for k in range(2 * stream_sync.BLOCK_RECORDS)]
     path = tmp_path / "big.vtep"
-    error = f"{path}: tick {at}: a value does not fit the episode format"
+    error = f"{path}: stream 'joints' timestamp_us {TIME_RULE}, got {value!r}"
     with pytest.raises(InvalidInputError, match=re.escape(error)):
         write_episode(Episode(10.0, 0, [JOINTS_STREAM], tuples), path)
     assert not path.exists() and list(tmp_path.iterdir()) == []
@@ -855,9 +893,12 @@ def test_a_member_timestamp_that_does_not_fit_is_the_records_error(tmp_path, at,
 def test_a_failed_write_leaves_the_file_it_would_replace(tmp_path):
     path = tmp_path / "ep.vtep"
     path.write_bytes(b"old")
-    bad = SyncedTuple(0, {JOINTS_STREAM: TimedSample(JOINTS_STREAM, 2**63, JointState([0.0], 0))})
-    with pytest.raises(InvalidInputError):
-        write_episode(Episode(10.0, 0, [JOINTS_STREAM], [bad]), path)
+    ep = make_episode(3)  # the frame name of tick 2's cloud cannot be written, which fails inside the open file
+    last, cloud = ep.tuples[2], ep.tuples[2].members[camera_stream(0)]
+    bad = TimedSample(camera_stream(0), cloud.timestamp_us, CloudXYZF(cloud.payload.points, "a\ud800"))
+    ep.tuples[2] = SyncedTuple(last.tick_time_us, {**last.members, camera_stream(0): bad})
+    with pytest.raises(InvalidInputError, match=re.escape(f"{path}: tick {2 * TICK}: a stream id or frame name")):
+        write_episode(ep, path)
     assert path.read_bytes() == b"old" and list(tmp_path.iterdir()) == [path]
     write_episode(make_episode(3), path)
     assert path.read_bytes() == _episode_file(make_episode(3))

@@ -7,6 +7,7 @@ list of SyncedTuples. The object-count guard fails when a per-frame or per-tick 
 
 import bisect
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ import pytest
 from vitac import cli, jsonio
 from vitac import stream_sync as ss
 from vitac.errors import InvalidInputError, StreamStarvedError, VitacError, check_range
-from vitac.frame_codec import WireFrame, _frame_from_doc, frame_lines
-from vitac.kinematics import JointState, _joint_from_doc
+from vitac.frame_codec import FrameColumns, WireFrame, _frame_from_doc, frame_lines, read_frame_lines
+from vitac.kinematics import JointColumns, JointState, _joint_from_doc, read_joint_lines
 from vitac.pointcloud import CloudXYZF
 from vitac.sensor_model import TactileFrame
 from vitac.stream_sync import (
@@ -140,6 +141,7 @@ def write_joints(path, rows, rng):
 
 
 PERIOD = 10_000  # 100 Hz
+TIME_RULE = "must be an integer in [-2**63, 2**63 - 1] us"  # errors.check_time
 
 
 def _grid(n, start=50_000):
@@ -178,24 +180,31 @@ def joint_count_changes(rng):
 
 def non_canonical(rng):
     pads, joints, rate, tol = jittered(rng)
-    pads += [(1, -1), (0, 2**63 - 1), (2, 2**63)]  # never canonical, and past every int64 tick
+    pads += [(1, -1), (0, 2**63 - 1)]  # never canonical, and the largest time
     return pads, joints, rate, tol
 
 
 def stamp_edges(rng):
-    # -1, 2**63 - 1 and 2**63 in one stream: it spans past int64, and the one tick, 2**63 - 1, fits
+    # -1, 2**63 - 1 and 2**63 in one stream: 2**63, on frame line 5, is not a time and is that line's error
     pads = [(0, -1), (0, 0), (0, 2**63 - 1), (1, 2**63 - 1), (1, 2**63)]
     return pads, [(-1, 2), (2**63 - 1, 2), (2**63, 2)], 1e6, 0.0
 
 
 def past_int64(rng):
-    # ticks that int64 cannot hold: the first record is the error
+    # times that int64 cannot hold: frame line 1 is the error
     return [(0, 2**63 + k) for k in range(5)], [(2**63 + k, 2) for k in range(5)], 1e6, 0.0
 
 
 def one_int64_tick(rng):
-    # a window of one tick that fits int64 while a stream reaches past it
+    # a window of one tick that fits int64 while the joints reach past it: joint line 3 is the error
     return [(0, 2**63 - 1)], [(-1, 2), (2**63 - 1, 2), (2**63 + 5, 2)], 1e6, 0.0
+
+
+def int64_ends(rng):
+    # streams from the least to the largest time, ticks 10**18 us apart: a tick's samples on either
+    # side can be more than 2**63 us away
+    pads = [(0, -(2**63)), (0, 0), (0, 2**63 - 1), (1, -(2**63)), (1, 5 * 10**18), (1, 2**63 - 1)]
+    return pads, [(-(2**63), 2), (-(10**18), 2), (2**63 - 1, 2)], 1e-12, 2**63 / 1000
 
 
 def starved(rng):
@@ -203,7 +212,10 @@ def starved(rng):
 
 
 CASES = {f.__name__: f for f in (jittered, duplicates, half_period, joint_count_changes, non_canonical,
-                                 stamp_edges, past_int64, one_int64_tick, starved)}
+                                 stamp_edges, past_int64, one_int64_tick, int64_ends, starved)}
+# the cases whose inputs hold a stamp that is not a time: file:line -> the stamp
+REFUSED = {"stamp_edges": ("frames.jsonl:5", 2**63), "past_int64": ("frames.jsonl:1", 2**63),
+           "one_int64_tick": ("joints.jsonl:3", 2**63 + 5)}
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -215,6 +227,11 @@ def test_sync_writes_what_a_per_object_sync_writes(tmp_path, name):
     inputs = ([str(tmp_path / "frames.jsonl")], str(tmp_path / "joints.jsonl"), rate, tol)
     want = outcome(per_object_sync, tmp_path, "want.vtep", *inputs)
     assert outcome(columnar_sync, tmp_path, "got.vtep", *inputs) == want
+    if name in REFUSED:
+        line, stamp = REFUSED[name]
+        assert want == (InvalidInputError, f"{tmp_path / line}: timestamp_us {TIME_RULE}, got {stamp}")
+    else:
+        assert isinstance(want[0], dict) or name == "starved"
 
 
 def _seeded_stamps(rng, n, period) -> np.ndarray:
@@ -256,13 +273,39 @@ def aligned(align, streams, rate_hz, tolerance_us):
 
 
 def test_align_of_lists_matches_the_bisect_loop():
-    # float, int64 and huge timestamps, and payloads of any type, given as lists of TimedSamples
-    for stamps in ([0, 5, 5, 10, 15.5, 20], [0, 2**70, 2**71], [-(2**70), 0, 2**70], list(np.arange(0, 100, 7)),
-                   [3, 1], []):
-        other = [TimedSample("b", t, ("p", t)) for t in (0, 9, 20, 2**72)]
-        streams = {"a": [TimedSample("a", t, object()) for t in stamps], "b": other}
-        for rate, tol in ((1e5, 3), (2e5, 0), (1e5, 2.5), (1e-9, 2**80)):
-            assert aligned(ss.align, streams, rate, tol) == aligned(bisect_align, streams, rate, tol)
+    # int64 timestamps out to both ends, and payloads of any type, given as lists of TimedSamples
+    ends = [-(2**63), -1, 0, 2**63 - 1]
+    for stamps in ([0, 5, 5, 10, 15, 20], ends, [-(2**63), 2**63 - 1], [-(2**62), 0, 2**62],
+                   list(np.arange(0, 100, 7)), [3, 1], []):
+        for others in ([0, 9, 20, 2**63 - 1], ends):
+            streams = {"a": [TimedSample("a", t, object()) for t in stamps],
+                       "b": [TimedSample("b", t, ("p", t)) for t in others]}
+            for rate, tol in ((1e5, 3), (2e5, 0), (1e5, 2.5), (1e-9, 2**80), (1e-12, 2**63 - 1), (1e-12, 10**18)):
+                assert aligned(ss.align, streams, rate, tol) == aligned(bisect_align, streams, rate, tol)
+
+
+INT64_EDGES = np.array([-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1])
+
+
+def test_align_matches_the_bisect_loop_at_the_int64_ends():
+    rng = np.random.default_rng(32)
+    for _ in range(300):
+        streams = {}
+        for sid in "ab":
+            n = int(rng.integers(1, 6))
+            stamps = np.where(rng.random(n) < 0.5, rng.choice(INT64_EDGES, n),
+                              rng.integers(-(2**63), 2**63 - 1, n, endpoint=True))
+            streams[sid] = [TimedSample(sid, t, None) for t in sorted(stamps.tolist())]
+        rate = 1e6 / float(rng.choice([10**17, 10**18, 3 * 10**18, 2**62]))
+        tol = int(rng.choice([0, 10**17, 2**62, 2**63 - 1, int(rng.integers(0, 2**63 - 1))]))
+        assert aligned(ss.align, streams, rate, tol) == aligned(bisect_align, streams, rate, tol)
+
+
+@pytest.mark.parametrize("stamp", [15.5, 2**63, -(2**63) - 1, 2**70])
+def test_align_refuses_a_list_whose_timestamp_is_not_a_time(stamp):
+    streams = {"a": [TimedSample("a", t, None) for t in (0, stamp)], "b": [TimedSample("b", 0, None)]}
+    with pytest.raises(InvalidInputError, match=re.escape(f"stream 'a' timestamp_us {TIME_RULE}, got {stamp!r}")):
+        ss.align(streams, 1e5, 3)
 
 
 def test_a_stream_id_or_frame_name_that_is_not_utf8_is_the_records_error(tmp_path):
@@ -333,3 +376,35 @@ def test_stats_builds_objects_only_for_the_first_record_of_each_run(tmp_path, mo
     episode = ss.read_episode(out)
     episode.tuples = list(episode.tuples)  # the stats of the tuples one by one, turned into columns
     assert report == jsonio.fields_to(ss.episode_stats(episode)) and report["tuples"] > 100
+
+
+def test_every_time_column_of_a_sync_is_int64(tmp_path, monkeypatch, capsys):
+    """The readers' columns, align's ticks and the columns read back from the episode, of canonical
+    and other lines and of times from -1 to 2**63 - 1, hold every time as an int64."""
+    rng = np.random.default_rng(34)
+    pads, joints, rate, tol = non_canonical(rng)
+    frames, joints_path, out = tmp_path / "frames.jsonl", tmp_path / "joints.jsonl", tmp_path / "ep.vtep"
+    write_frames(frames, pads, rng, odd_share=0.05)
+    write_joints(joints_path, joints, rng)
+    read = {"frames": read_frame_lines(frames), "joints": read_joint_lines(joints_path)}
+    aligned_ticks = []
+
+    def spied(*args, **kwargs):
+        tuples, report = ss.align(*args, **kwargs)
+        aligned_ticks.append(tuples.ticks)
+        return tuples, report
+
+    monkeypatch.setattr(cli, "align", spied)
+    assert cli.main(["sync", "--tactile", str(frames), "--joints", str(joints_path), "--rate", str(rate),
+                     "--tol-ms", str(tol), "--out", str(out)]) == 0
+    columns, kinds = [read["frames"].timestamps, read["joints"].timestamps, *aligned_ticks], set()
+    for keep in (None, ()):
+        tuples = ss.read_episode(out, keep=keep).tuples
+        columns += [tuples.ticks, *(samples.timestamps for samples, _ in tuples.streams.values())]
+        pieces = [piece for samples, _ in tuples.streams.values()
+                  for piece in getattr(samples.payloads, "pieces", [samples.payloads])]
+        kinds |= {type(piece) for piece in pieces}
+        columns += [piece.timestamps for piece in pieces if isinstance(piece, (FrameColumns, JointColumns))]
+    assert len(aligned_ticks) == 1 and {FrameColumns, JointColumns} <= kinds
+    assert [c.dtype for c in columns] == [np.dtype(np.int64)] * len(columns)
+    assert read["frames"].timestamps.max() == 2**63 - 1 and read["frames"].timestamps.min() == -1
