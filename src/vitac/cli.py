@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__, frame_codec, jsonio
 from .errors import InvalidInputError, VitacError, check_range, check_time
 from .frame_codec import StreamDecoder
+from .frozen import owned
 from .kinematics import load_chain_file, read_joint_lines, tactile_point_cloud
 from .pointcloud import (
     AABB,
@@ -147,7 +148,7 @@ def _read_tactile_jsonl(path) -> dict:
     streams = {}
     for rows in sorted(groups, key=lambda rows: rows[0]):
         sid = tactile_stream(frames.pad_ids.item(rows[0]))
-        streams[sid] = SampleColumns(sid, frames.timestamps[rows], frames, rows)
+        streams[sid] = SampleColumns(sid, owned(frames.timestamps[rows]), frames, rows)
     return streams
 
 

@@ -37,11 +37,13 @@ def check_range(name: str, value, lo=-math.inf, hi=math.inf, unit: str = "", end
     raise InvalidInputError(f"{name} {span}{' ' + unit if unit else ''}, got {value}")
 
 
+TIME_MIN, TIME_MAX = -(2**63), 2**63 - 1  # the times, in us: the int64 that a .vtep holds for every tick and timestamp
+
+
 def check_time(name: str, value) -> int:
-    """value as an int when it is a time: an integer in [-2**63, 2**63 - 1] us, the int64 that a
-    .vtep holds for every tick and timestamp. Else InvalidInputError("<name> must be an integer
-    in [-2**63, 2**63 - 1] us, got <value>"). frozen.int_column states the rule for a column."""
-    if isinstance(value, numbers.Integral) and -(2**63) <= value < 2**63:
+    """value as an int when it is a time, an integer in [TIME_MIN, TIME_MAX] us; else InvalidInputError
+    ("<name> must be an integer in [-2**63, 2**63 - 1] us, got <value>"). int_column checks a column."""
+    if isinstance(value, numbers.Integral) and TIME_MIN <= value <= TIME_MAX:
         return int(value)
     raise InvalidInputError(f"{name} must be an integer in [-2**63, 2**63 - 1] us, got {value!r}")
 

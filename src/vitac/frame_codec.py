@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsonio
-from .errors import InvalidInputError, VitacError, check_range
+from .errors import TIME_MAX, InvalidInputError, VitacError, check_range
 from .frozen import freeze, int_column, owned
 from .sensor_model import (
     MAX_PAD_ID,
@@ -305,7 +305,7 @@ _LONG_BY_SIZE = (np.arange(23) >= 2) & (np.arange(23) <= 21)
 _BACK = np.arange(-20, 0)  # a long number's 20 digit places, from the separator after it
 _TENS = 10 ** np.arange(9, -1, -1)  # a 10-digit half of a long number
 _ZEROS = ord("0") * int(_TENS.sum())  # what the half's places hold in text that reads 0
-_HIGH_HALF_MAX, _LOW_HALF_MAX = divmod(2**63 - 1, 10**10)  # the halves of the largest timestamp, which fits an int64
+_HIGH_HALF_MAX, _LOW_HALF_MAX = divmod(TIME_MAX, 10**10)  # the halves of the largest time
 
 
 def frame_lines(frames) -> bytes:

@@ -37,7 +37,7 @@ def int_column(values, name: str = "timestamp_us") -> np.ndarray:
     A value that is not a time (errors.check_time), such as a float or an integer past int64, is
     its InvalidInputError, the first such value named as name."""
     if isinstance(values, np.ndarray) and values.dtype == np.int64:
-        return read_only(values, np.int64, -1)
+        return values if values.ndim == 1 and not values.flags.writeable else read_only(values, np.int64, -1)
     arr = np.array(values) if len(values) else np.zeros(0, np.int64)
     if arr.dtype != np.int64 or arr.ndim != 1:
         arr = np.array([check_time(name, value) for value in values], np.int64)

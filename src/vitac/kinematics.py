@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jsonio
-from .errors import InvalidInputError, check_range, check_time
+from .errors import TIME_MAX, TIME_MIN, InvalidInputError, check_range, check_time
 from .frozen import freeze, int_column, owned
 from .pointcloud import BASE_FRAME, CloudXYZF
 from .se3 import MAX_LENGTH_M, UNIT_TOL, PoseSE3
@@ -120,7 +120,7 @@ class JointColumns(Sequence):
         values = [c.values[c.starts[0] : c.starts[-1]] for c in chunks]
         offsets = np.cumsum([0, *map(len, values)])
         starts = [c.starts[1:] - c.starts[0] + offset for c, offset in zip(chunks, offsets)]
-        return JointColumns(np.concatenate([c.timestamps for c in chunks]), owned(np.concatenate(values)),
+        return JointColumns(owned(np.concatenate([c.timestamps for c in chunks])), owned(np.concatenate(values)),
                             np.concatenate([[0], *starts]))
 
     @staticmethod
@@ -130,7 +130,7 @@ class JointColumns(Sequence):
         found, stamps, tokens, ends = [], [], [], []
         for i, line in enumerate(lines):
             m = _JOINT_LINE.fullmatch(line)
-            if m and -(2**63) <= (stamp := int(m[1])) < 2**63:  # else not a time: the line-by-line error
+            if m and TIME_MIN <= (stamp := int(m[1])) <= TIME_MAX:  # else not a time: the line-by-line error
                 found.append(i)
                 stamps.append(stamp)
                 tokens += m[2].split(b", ")

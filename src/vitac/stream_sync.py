@@ -27,6 +27,7 @@ import numpy as np
 
 from . import jsonio
 from .errors import (
+    TIME_MAX,
     ChecksumError,
     EpisodeLoadError,
     EpisodeVersionError,
@@ -81,18 +82,18 @@ class SampleColumns(Sequence):
     rows: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "timestamps", int_column(self.timestamps, f"stream {self.stream_id!r} timestamp_us"))
+        object.__setattr__(self, "timestamps", int_column(self.timestamps))
 
     @staticmethod
     def of(stream_id: str, samples) -> "SampleColumns":
         """The columns of a sequence of TimedSamples."""
-        return SampleColumns(stream_id, [s.timestamp_us for s in samples], [s.payload for s in samples],
-                             np.arange(len(samples)))
+        stamps = int_column([s.timestamp_us for s in samples], f"stream {stream_id!r} timestamp_us")
+        return SampleColumns(stream_id, stamps, [s.payload for s in samples], np.arange(len(samples)))
 
     def sorted(self) -> "SampleColumns":
         """The samples in time order, samples of one time in the order they had."""
         order = np.argsort(self.timestamps, kind="stable")
-        return SampleColumns(self.stream_id, self.timestamps[order], self.payloads, self.rows[order])
+        return SampleColumns(self.stream_id, owned(self.timestamps[order]), self.payloads, self.rows[order])
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -166,7 +167,7 @@ def tick_grid(rate_hz: float, start_us: int, end_us: int) -> range:
     whose period rounds to 0 (2 MHz and above) or is not a time has no grid.
     """
     check_range("rate", rate_hz, 0, unit="Hz", ends="(]")
-    if not (0.5 < 1e6 / rate_hz < 2**63):  # the period rounds to 1 us or more, and fits an int64
+    if not (0.5 < 1e6 / rate_hz <= TIME_MAX):  # the period rounds to 1 us or more, and is a time
         raise InvalidInputError(f"rate {rate_hz} Hz has no tick period in [1, 2**63 - 1] us")
     period_us = round(1e6 / rate_hz)
     return range(-(-start_us // period_us) * period_us, end_us + 1, period_us)
@@ -228,7 +229,7 @@ def align(streams, rate_hz: float = DEFAULT_RATE_HZ, tolerance_us: int = DEFAULT
     report = DropReport(len(grid), per_stream={sid: int(np.count_nonzero(~ok)) for sid, ok in within.items()})
     for k in np.flatnonzero(~kept).tolist():
         report.dropped.append(DroppedTick(grid.item(k), tuple(sid for sid, ok in within.items() if not ok[k])))
-    return SyncedColumns(grid[kept], {sid: (columns[sid], nearest[sid][kept]) for sid in columns}), report
+    return SyncedColumns(owned(grid[kept]), {sid: (columns[sid], nearest[sid][kept]) for sid in columns}), report
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,3 +1,4 @@
+import errno
 import inspect
 import json
 import os
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import vitac
+from vitac import stream_sync
 from vitac.cli import build_parser, main
 from vitac.frame_codec import encode_frame
 from vitac.kinematics import JointState, TaxelGrid, save_chain_file
@@ -1079,7 +1081,28 @@ def test_log_level_names_any_case(monkeypatch, capsys, good_inputs):
 
 
 @pytest.mark.parametrize("old", [None, b"an older episode"], ids=["no-out", "old-out"])
-def test_sync_that_fails_while_writing_leaves_out_as_it_was(tmp_path, capsys, old):
+def test_sync_that_fails_while_writing_leaves_out_as_it_was(tmp_path, capsys, monkeypatch, old):
+    # every record is written, then the disk is full: the file beside --out is removed, --out kept
+    def write_then_fail(fh, tuples):
+        write_records(fh, tuples)
+        assert fh.tell() > 0
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    write_records = stream_sync._write_records
+    monkeypatch.setattr(stream_sync, "_write_records", write_then_fail)
+    frames = tmp_path / "frames.jsonl"
+    frames.write_text("".join(json.dumps({**_FRAME, "seq": i, "timestamp_us": i * 20_000}) + "\n" for i in range(4)))
+    out = tmp_path / "ep.vtep"
+    if old is not None:
+        out.write_bytes(old)
+    assert main(["sync", "--tactile", str(frames), "--rate", "50", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["ep.vtep"] if old else []) + ["frames.jsonl"]
+    assert old is None or out.read_bytes() == old
+
+
+@pytest.mark.parametrize("old", [None, b"an older episode"], ids=["no-out", "old-out"])
+def test_sync_that_fails_reading_leaves_out_as_it_was(tmp_path, capsys, old):
     # the frame on line 3 lies past 2**63 - 1 us, which no time may, so its line is the error
     frames = tmp_path / "frames.jsonl"
     frames.write_text("".join(json.dumps({**_FRAME, "seq": i, "timestamp_us": 2**63 - 30_000 + i * 20_000}) + "\n"
