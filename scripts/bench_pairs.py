@@ -13,8 +13,10 @@ as long as BENCHMARK.json's `run_seconds`. Each pair runs both trees on the
 same seed, one after the other; an even seed runs REV first
 and an odd seed the working tree first. It prints each pair's metrics, each
 side's median and quartiles, how many pairs the working tree won by each
-metric's direction in BENCHMARK.json, and the reference-task times that
-`run.py` prints. Neither `perfbench/` nor `BENCHMARK.json` is changed.
+metric's direction in BENCHMARK.json, the pairs in which either tree had a
+failed operation or an INCORRECT result (they stay in the medians and the win
+counts), and the reference-task times that `run.py` prints. Neither
+`perfbench/` nor `BENCHMARK.json` is changed.
 """
 
 from __future__ import annotations
@@ -79,12 +81,16 @@ def spread(values: list) -> str:
     return f"median {median:.4g}, quartiles {q1:.4g}-{q3:.4g} (distance {q3 - q1:.4g})"
 
 
+def checks(pair: dict, sep: str = " ") -> str:
+    """Each side's failed operations of the pair, and whether its result was INCORRECT."""
+    return sep.join(f"{side} {pair[side]['failed']}/{pair[side]['attempted']} failed"
+                    f"{'' if pair[side]['correct'] else ', INCORRECT'}" for side in ("parent", "change"))
+
+
 def report_pair(pair: dict, seed: int, order: tuple) -> None:
     values = "; ".join(f"{k} {pair['parent']['metrics'][k]:.4g} -> {pair['change']['metrics'][k]:.4g}"
                        for k in pair["parent"]["metrics"])
-    checks = " ".join(f"{side} {pair[side]['failed']}/{pair[side]['attempted']} failed"
-                      f"{'' if pair[side]['correct'] else ', INCORRECT'}" for side in ("parent", "change"))
-    print(f"seed {seed} ({order[0]} first): {values} [{checks}]", flush=True)
+    print(f"seed {seed} ({order[0]} first): {values} [{checks(pair)}]", flush=True)
     for side in ("parent", "change"):
         times = pair[side]["reference_s"]
         if times:
@@ -111,26 +117,37 @@ def main(argv=None) -> int:
     trees = {"parent": export(commit, scratch), "change": ROOT}
     print(f"{args.workload}: {args.against} (parent) against the working tree (change), "
           f"{args.pairs} pairs of {spec['run_seconds']:g} s runs")
-    pairs = []
+    pairs = {}
     try:
         for seed in range(args.first_seed, args.first_seed + args.pairs):
             order = ("parent", "change") if seed % 2 == 0 else ("change", "parent")
-            pairs.append({side: run(trees[side], args.workload, seed, spec["run_seconds"]) for side in order})
-            report_pair(pairs[-1], seed, order)
+            pairs[seed] = {side: run(trees[side], args.workload, seed, spec["run_seconds"]) for side in order}
+            report_pair(pairs[seed], seed, order)
     finally:
         shutil.rmtree(trees["parent"])
+    summarize(pairs, better)
+    return 0
+
+
+def summarize(pairs: dict, better: dict) -> None:
+    """Print the summary of pairs, seed -> {"parent": run, "change": run} as run gives them, with
+    better the direction, "higher" or "lower", of each metric."""
     print("summary:")
-    for metric in pairs[0]["parent"]["metrics"]:
-        sides = {side: [p[side]["metrics"][metric] for p in pairs] for side in ("parent", "change")}
+    runs = list(pairs.values())
+    for metric in runs[0]["parent"]["metrics"]:
+        sides = {side: [p[side]["metrics"][metric] for p in runs] for side in ("parent", "change")}
         sign = 1 if better.get(metric) == "higher" else -1
         wins = sum(sign * (c - p) > 0 for p, c in zip(sides["parent"], sides["change"]))
         print(f"  {metric}: parent {spread(sides['parent'])}; change {spread(sides['change'])}; "
-              f"change better in {wins} of {len(pairs)} pairs ({better.get(metric, '?')} is better)")
-    reference = {side: [s for p in pairs for s in p[side]["reference_s"]] for side in ("parent", "change")}
+              f"change better in {wins} of {len(runs)} pairs ({better.get(metric, '?')} is better)")
+    failed = [seed for seed, p in pairs.items() if any(p[side]["failed"] or not p[side]["correct"] for side in p)]
+    print(f"  pairs with a failed operation or an INCORRECT result, kept above: {len(failed)} of {len(runs)}")
+    for seed in failed:
+        print(f"    seed {seed}: {checks(pairs[seed], '; ')}")
+    reference = {side: [s for p in runs for s in p[side]["reference_s"]] for side in ("parent", "change")}
     for side, times in reference.items():
         if times:
             print(f"  reference task s, {side}: {spread(times)}, range {min(times):.3f}-{max(times):.3f}")
-    return 0
 
 
 if __name__ == "__main__":

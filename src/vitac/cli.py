@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import logging
 import os
@@ -82,6 +83,15 @@ def _require_dir(path: str) -> Path:
     return p
 
 
+def _refuse_one_file(paths: dict) -> None:
+    """InvalidInputError when two of paths, flag -> path, name one regular file or one new file."""
+    files = [(flag, p) for flag, p in paths.items() if p and (os.path.isfile(p) or not os.path.exists(p))]
+    for (a, path_a), (b, path_b) in itertools.combinations(files, 2):
+        both = os.path.exists(path_a) and os.path.exists(path_b)
+        if os.path.realpath(path_a) == os.path.realpath(path_b) or both and os.path.samefile(path_a, path_b):
+            raise InvalidInputError(f"{a} {path_a} and {b} {path_b} name one file")
+
+
 def _load_calibrations(paths) -> dict:
     """pad_id -> PadCalibration of the --calib files, at most one file per pad."""
     calibs, sources = {}, {}
@@ -133,7 +143,8 @@ def cmd_calibrate(args) -> dict:
 
 def cmd_decode(args) -> dict:
     decoder = StreamDecoder()
-    with open(_require_file(args.infile), "rb") as fin, open(args.out, "wb") as fout:
+    _refuse_one_file({"--in": _require_file(args.infile), "--out": args.out})
+    with open(args.infile, "rb") as fin, open(args.out, "wb") as fout:
         for chunk in iter(lambda: fin.read(65536), b""):
             fout.write(frame_codec.frame_lines(decoder.feed(chunk)))
     return {"out": args.out, **decoder.diagnostics.to_dict()}
@@ -217,6 +228,7 @@ def cmd_sync(args) -> dict:
 
 def cmd_simulate(args) -> dict:
     check_range("--object-points", args.object_points, 1, MAX_OBJECT_POINTS)
+    _refuse_one_file({"--out": args.out, "--truth": args.truth, "--object-out": args.object_out})
     scene = SceneSpec.load(_require_file(args.scene))
     if args.seed is not None and args.seed != scene.seed:
         scene = replace(scene, seed=_seed(args))

@@ -9,8 +9,8 @@ bit-exact.
 
 from __future__ import annotations
 
-import bisect
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -73,7 +73,8 @@ class SampleColumns(Sequence):
     payloads[rows[i]]. payloads is any sequence of payloads, such as the FrameColumns and
     JointColumns that the line readers give, or a list.
 
-    As a sequence its items are TimedSamples, each built when it is read.
+    As a sequence its items are TimedSamples, each built when it is read, and a slice or an index
+    array gives its samples as columns.
     """
 
     stream_id: str
@@ -92,13 +93,14 @@ class SampleColumns(Sequence):
 
     def sorted(self) -> "SampleColumns":
         """The samples in time order, samples of one time in the order they had."""
-        order = np.argsort(self.timestamps, kind="stable")
-        return SampleColumns(self.stream_id, owned(self.timestamps[order]), self.payloads, self.rows[order])
+        return self[np.argsort(self.timestamps, kind="stable")]
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __getitem__(self, i: int) -> TimedSample:
+    def __getitem__(self, i):
+        if isinstance(i, (slice, np.ndarray)):
+            return SampleColumns(self.stream_id, owned(self.timestamps[i]), self.payloads, self.rows[i])
         return TimedSample(self.stream_id, self.timestamps.item(i), self.payloads[self.rows.item(i)])
 
 
@@ -229,13 +231,13 @@ def align(streams, rate_hz: float = DEFAULT_RATE_HZ, tolerance_us: int = DEFAULT
     report = DropReport(len(grid), per_stream={sid: int(np.count_nonzero(~ok)) for sid, ok in within.items()})
     for k in np.flatnonzero(~kept).tolist():
         report.dropped.append(DroppedTick(grid.item(k), tuple(sid for sid, ok in within.items() if not ok[k])))
-    return SyncedColumns(owned(grid[kept]), {sid: (columns[sid], nearest[sid][kept]) for sid in columns}), report
+    return SyncedColumns(owned(grid[kept]), {sid: columns[sid][nearest[sid][kept]] for sid in columns}), report
 
 
 @dataclass(frozen=True, eq=False)
 class SyncedColumns(Sequence):
-    """Synchronized ticks as columns: tick i is at ticks[i] and holds, of each stream, the sample
-    samples[indices[i]] for (samples, indices) = streams[stream_id]; samples is a SampleColumns.
+    """Synchronized ticks as columns: tick i is at ticks[i] and holds, of each stream, sample i of
+    streams[stream_id], a SampleColumns as long as ticks.
 
     As a sequence its items are SyncedTuples, each built when it is read.
     """
@@ -251,65 +253,30 @@ class SyncedColumns(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return SyncedColumns(self.ticks[i], {sid: (samples, at[i]) for sid, (samples, at) in self.streams.items()})
-        members = {sid: samples[indices.item(i)] for sid, (samples, indices) in self.streams.items()}
-        return SyncedTuple(self.ticks.item(i), members)
+            return SyncedColumns(self.ticks[i], {sid: samples[i] for sid, samples in self.streams.items()})
+        return SyncedTuple(self.ticks.item(i), {sid: samples[i] for sid, samples in self.streams.items()})
 
     @staticmethod
     def of(tuples, sids) -> "SyncedColumns":
         """The columns of a sequence of SyncedTuples that each hold the streams sids."""
-        rows = np.arange(len(tuples))
         return SyncedColumns([t.tick_time_us for t in tuples],
-                             {sid: (SampleColumns.of(sid, [t.members[sid] for t in tuples]), rows) for sid in sids})
+                             {sid: SampleColumns.of(sid, [t.members[sid] for t in tuples]) for sid in sids})
 
     @staticmethod
     def concat(parts: list, sids) -> "SyncedColumns":
-        """The ticks of parts, one after another: SyncedColumns of the streams sids, in each of which
-        tick i holds sample i and payload i, as SyncedColumns.of and _Run.decode give them. No
-        payload is copied: a stream's payloads are those of each part in turn."""
-        starts = np.cumsum([0, *map(len, parts)]).tolist()
-        rows, streams = np.arange(starts[-1]), {}
+        """The ticks of parts, one after another: parts are SyncedColumns of the streams sids with list
+        payloads, as SyncedColumns.of and _Run.decode give them, and each stream's lists become one."""
+        rows, streams = np.arange(sum(map(len, parts))), {}
         for sid in sids:
-            samples = [part.streams[sid][0] for part in parts]
-            payloads = samples[0].payloads if len(parts) == 1 else _Chain([s.payloads for s in samples], starts)
-            streams[sid] = (SampleColumns(sid, _joined([s.timestamps for s in samples]), payloads, rows), rows)
+            samples = [part.streams[sid] for part in parts]
+            payloads = list(itertools.chain.from_iterable(s.payloads for s in samples))
+            streams[sid] = SampleColumns(sid, _joined([s.timestamps for s in samples]), payloads, rows)
         return SyncedColumns(_joined([part.ticks for part in parts]), streams)
-
-    def columns(self, sids, ticks: slice) -> tuple:
-        """(ticks, members) of the ticks in the slice, as _Run.encode takes them, for the streams sids."""
-        members = []
-        for sid in sids:
-            samples, indices = self.streams[sid]
-            at = indices[ticks]
-            members.append((samples.timestamps[at], samples.payloads, samples.rows[at]))
-        return self.ticks[ticks], members
 
 
 def _joined(columns: list) -> np.ndarray:
     """columns, integer columns, one after another as one read-only column."""
     return owned(np.concatenate(columns)) if columns else np.zeros(0, np.int64)
-
-
-class _Chain(Sequence):
-    """The items of pieces, sequences of which piece k starts at item starts[k], one after another."""
-
-    def __init__(self, pieces: list, starts: list):
-        self.pieces = pieces
-        self.starts = starts
-
-    def __len__(self) -> int:
-        return self.starts[-1]
-
-    def __getitem__(self, i: int):
-        k = bisect.bisect_right(self.starts, i) - 1
-        return self.pieces[k][i - self.starts[k]]
-
-    def piece(self, rows: np.ndarray) -> tuple:
-        """(piece, at): the piece that holds item rows[0], and where in it lie the leading rows it holds."""
-        k = bisect.bisect_right(self.starts, rows[0]) - 1
-        inside = (rows >= self.starts[k]) & (rows < self.starts[k + 1])
-        n = len(rows) if inside.all() else int(inside.argmin())
-        return self.pieces[k], rows[:n] - self.starts[k]
 
 
 @dataclass
@@ -349,8 +316,7 @@ def episode_stats(episode: Episode) -> EpisodeStats:
                                 "after the tick before it")
     first, last = (ticks.item(0), ticks.item(-1)) if len(ticks) else (0, 0)
     expected = (last - first) // period + 1 if len(ticks) else 0
-    skews = [_distance(samples.timestamps[indices], ticks).max() for samples, indices in tuples.streams.values()
-             if len(ticks)]
+    skews = [_distance(samples.timestamps, ticks).max() for samples in tuples.streams.values() if len(ticks)]
     drops = episode.metadata.get("drop_report", {})
     if isinstance(drops, dict):
         drops = drops.get("drops_by_stream", {})
@@ -400,12 +366,10 @@ class _PayloadLayout:
     type from (head, frame, body), check runs its checks on the body, or on the bodies of many
     records stacked along its first axis, without making it, and split gives the (head, body)
     of a value to encode. stamp is the index in the head of the payload's own timestamp, the
-    one head field that differs between the records of a run. build_block(head, frame, stamps,
-    bodies) gives the values of a block of a run's records, as a sequence: head is the first
-    record's, stamps their stamps as a column (None without a stamp), and bodies their bodies,
-    stacked and read-only. columns, when given, is the type that holds many such values as
-    columns, and gather(columns, rows) gives their heads as one column per field and their
-    bodies stacked, of the leading rows whose bodies share a shape.
+    one head field that differs between the records of a run. columns, when given, is the type
+    that holds many such values as columns (a line reader's), and gather(columns, rows) gives
+    their heads as one column per field and their bodies stacked, of the leading rows whose
+    bodies share a shape.
     """
 
     cls: type
@@ -416,7 +380,6 @@ class _PayloadLayout:
     build: Callable
     check: Callable
     split: Callable
-    build_block: Callable
     columns: type | None = None
     gather: Callable | None = None
 
@@ -428,15 +391,7 @@ def _cloud_layout(cls) -> _PayloadLayout:
         build=lambda head, frame, body: cls(body, frame),
         check=lambda head, body: cls.check(body),
         split=lambda cloud: ((len(cloud),), cloud.points),
-        build_block=lambda head, frame, stamps, bodies: [cls(body, frame) for body in bodies],
     )
-
-
-def _tactile_block(head, frame, stamps, bodies):
-    """A block's raw frames as FrameColumns, and its normalized frames as a list."""
-    if head[1]:
-        return [TactileFrame(head[0], stamp, body, normalized=True) for stamp, body in zip(stamps.tolist(), bodies)]
-    return FrameColumns(np.full(len(bodies), head[0]), stamps, bodies)
 
 
 _PAYLOADS = {
@@ -446,7 +401,6 @@ _PAYLOADS = {
         build=lambda head, frame, body: TactileFrame(head[0], head[2], body, normalized=bool(head[1])),
         check=lambda head, body: TactileFrame.check(head[0], body, bool(head[1])),
         split=lambda f: ((f.pad_id, int(f.normalized), f.timestamp_us), f.readings),
-        build_block=_tactile_block,
         columns=FrameColumns,  # raw frames only, so normalized is 0
         gather=lambda c, rows: ((c.pad_ids[rows], np.zeros(len(rows), np.int64), c.timestamps[rows]), c.readings[rows]),
     ),
@@ -457,8 +411,6 @@ _PAYLOADS = {
         build=lambda head, frame, body: JointState(body, head[0]),
         check=lambda head, body: JointState.check(body),
         split=lambda joints: ((joints.timestamp_us, len(joints.positions)), joints.positions),
-        build_block=lambda head, frame, stamps, bodies: JointColumns(
-            stamps, bodies.reshape(-1), np.arange(len(bodies) + 1) * head[1]),
         columns=JointColumns,
         gather=lambda c, rows: ((c.timestamps[rows], c.counts(rows)), c.positions(rows)),
     ),
@@ -614,8 +566,8 @@ class _Run:
     def decode(self, rows: np.ndarray, keep):
         """The records of rows, records of the run that hold its fixed bytes, as a SyncedColumns
         with the values and checks of _read_record; None when one fails its CRC32 or a payload
-        check. A payload skipped is checked once for all rows, and the payloads kept are built
-        from one read-only copy of their column (layout.build_block)."""
+        check. A payload skipped is checked once for all rows and held as None; each payload kept
+        is built by layout.build from its row of one read-only copy of the block's body column."""
         crcs = rows[:, -_U32.size :].view("<u4")[:, 0].tolist()
         if any(zlib.crc32(row) != crc for row, crc in zip(rows[:, _U32.size : -_U32.size], crcs)):
             return None
@@ -624,27 +576,28 @@ class _Run:
         try:
             for (sid, layout, frame, head, at), body in zip(self.members, self._columns(rows)):
                 if keep is None or sid.startswith(keep):
-                    stamps = ints[:, at + 1] if layout.stamp is not None else None  # the stamp follows the timestamp
-                    payloads = layout.build_block(head, frame, stamps, owned(body.copy()))
+                    heads = [head] * len(rows)
+                    if layout.stamp is not None:  # the stamp follows the timestamp in ints
+                        s = layout.stamp
+                        heads = [(*head[:s], stamp, *head[s + 1 :]) for stamp in ints[:, at + 1].tolist()]
+                    payloads = [layout.build(h, frame, b) for h, b in zip(heads, owned(body.copy()))]
                 else:
                     layout.check(head, body.reshape(-1, *body.shape[2:]))
                     payloads = [None] * len(rows)
-                streams[sid] = (SampleColumns(sid, ints[:, at], payloads, at_rows), at_rows)
+                streams[sid] = SampleColumns(sid, ints[:, at], payloads, at_rows)
         except InvalidInputError:
             return None
         return SyncedColumns(ints[:, 0], streams)
 
-    def encode(self, ticks, members) -> np.ndarray:
-        """The records of the leading records given that have the run's layout, as one (records,
-        bytes) block of what _write_record writes for each. The records are given as their ticks
-        and, per member of the run, the (timestamps, payloads, rows) of their samples, the sample
-        of record i holding payloads[rows[i]]. Every head field fits an int64: the tick and the
-        timestamps are times (errors.check_time), the other fields pad ids, flags and counts."""
-        k, heads, bodies = len(ticks), [ticks], []
-        for (_, layout, frame, _, _), (stamps, payloads, rows) in zip(self.members, members):
-            head, body = _gather(layout, frame, payloads, rows)
+    def encode(self, tuples: SyncedColumns) -> np.ndarray:
+        """The records of the leading tuples that have the run's layout, as one (records, bytes)
+        block of what _write_record writes for each. Every head field fits an int64: the tick and
+        the timestamps are times (errors.check_time), the other fields pad ids, flags and counts."""
+        k, heads, bodies = len(tuples), [tuples.ticks], []
+        for sid, layout, frame, _, _ in self.members:
+            head, body = _gather(layout, frame, tuples.streams[sid])
             k = min(k, len(body))
-            heads += (stamps, *head)
+            heads += (tuples.streams[sid].timestamps, *head)
             bodies.append(body)
         if not k:
             return np.empty((0, self.size), np.uint8)
@@ -663,18 +616,14 @@ class _Run:
         return block
 
 
-def _gather(layout: _PayloadLayout, frame, payloads, rows) -> tuple:
-    """(heads, bodies) of payloads[rows] as layout.split gives them, heads as one column per head
-    field, for the leading rows whose payloads have layout's type and frame name."""
-    if isinstance(payloads, _Chain):  # the leading rows in one piece of columns, or the items one by one
-        piece, at = payloads.piece(rows)
-        if not isinstance(piece, list):
-            payloads, rows = piece, at
-    if layout.columns is not None and isinstance(payloads, layout.columns):
-        return layout.gather(payloads, rows)
+def _gather(layout: _PayloadLayout, frame, samples: SampleColumns) -> tuple:
+    """(heads, bodies) of the payloads of samples as layout.split gives them, heads as one column
+    per head field, for the leading samples whose payloads have layout's type and frame name."""
+    if layout.columns is not None and isinstance(samples.payloads, layout.columns):
+        return layout.gather(samples.payloads, samples.rows)
     heads, bodies = [], []
-    for row in rows:
-        payload = payloads[row]
+    for row in samples.rows:
+        payload = samples.payloads[row]
         if type(payload) is not layout.cls or (layout.named and payload.frame != frame):
             break
         head, body = layout.split(payload)
@@ -795,10 +744,9 @@ def _write_records(fh, tuples: SyncedColumns) -> None:
         run, record = _Run(), _write_record(fh, tuples[i])
         _decode_tuple(memoryview(record)[_U32.size : -_U32.size], "", (), run)
         run.seal(record)
-        sids = [member[0] for member in run.members]
         i += 1
         while run.most and i < len(tuples):
-            block = run.encode(*tuples.columns(sids, slice(i, i + run.most)))
+            block = run.encode(tuples[i : i + run.most])
             if not len(block):
                 break
             fh.write(block)
@@ -890,9 +838,9 @@ def read_episode(path, keep=None) -> Episode:
     rest of the file. Memory holds one block plus the payloads built.
 
     The episode's tuples are a SyncedColumns: a tick column, and per stream a timestamp column
-    and its payloads, which a block holds as FrameColumns (raw tactile frames), JointColumns, or
-    a list (other payloads, and None for each payload skipped). A SyncedTuple is built only when
-    it is read, and only the first record of each run, which the walker reads, is built on load.
+    and one list of its payloads (None for each payload skipped), each payload built once, on
+    load. A SyncedTuple is built only when it is read, and only the first record of each run,
+    which the walker reads, is built on load.
     """
     with open(path, "rb") as fh:
         if fh.read(len(EPISODE_MAGIC)) != EPISODE_MAGIC:
@@ -948,7 +896,7 @@ def _received(r: _FileReader, context: str):
         return None
 
 
-def map_ticks(tick: Callable, tuples: list) -> list:
+def map_ticks(tick: Callable, tuples: Sequence) -> list:
     """[tick(t) for t in tuples], with the ticks split between this process and one forked worker.
 
     tick maps a SyncedTuple to a SyncedTuple that write_episode takes and must change nothing

@@ -708,6 +708,36 @@ def test_simulate_with_no_object_points_writes_nothing(tmp_path, capsys, good_in
     assert not any(p.exists() for p in outs)
 
 
+SIMULATE = ["simulate", "--scene", "s.json", "--dur", "0.3"]
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["decode", "--in", "raw.bin", "--out", "raw.bin"], "--in raw.bin and --out raw.bin"),
+    (["decode", "--in", "link.bin", "--out", "raw.bin"], "--in link.bin and --out raw.bin"),
+    ([*SIMULATE, "--out", "same.out", "--truth", "same.out"], "--out same.out and --truth same.out"),
+    ([*SIMULATE, "--out", "ep.vtep", "--truth", "t.jsonl", "--object-out", "./t.jsonl"],
+     "--truth t.jsonl and --object-out ./t.jsonl"),
+], ids=["decode", "decode-symlink", "simulate", "simulate-object-out"])
+def test_an_output_that_names_an_input_or_another_output_is_refused(tmp_path, capsys, monkeypatch, argv, flags):
+    # before anything is opened for writing: the capture keeps its bytes and no output is written
+    monkeypatch.chdir(tmp_path)
+    Path("raw.bin").write_bytes(b"".join(encode_frame(TactileFrame(0, 1000 * i, np.zeros((16, 16), int)), i)
+                                         for i in range(3)))
+    Path("link.bin").symlink_to("raw.bin")
+    write_scene(Path("s.json"))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {flags} name one file\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_outputs_that_are_not_regular_files_may_be_one_file(tmp_path, capsys, good_inputs):
+    argv = ["simulate", "--scene", str(good_inputs["--scene"]), "--dur", "0.2", "--out", str(tmp_path / "ep.vtep"),
+            "--truth", os.devnull, "--object-out", os.devnull]
+    assert main(argv) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["ep.vtep"]
+
+
 @pytest.mark.parametrize("change", ["n_camera_points", "rows", "run"])
 def test_scene_past_a_size_bound_is_one_error_line_and_writes_nothing(tmp_path, capsys, good_inputs, change):
     from vitac.sim_oracle import MAX_CAMERA_POINTS
@@ -1178,3 +1208,30 @@ def test_bench_pairs_refuses_a_revision_that_names_no_commit(tmp_path, rev):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == f"error: --against {rev!r} names no commit\n"
     assert not (tmp_path / "scratch").exists()
+
+
+def test_bench_pairs_summary_names_the_pairs_in_which_a_run_failed(capsys):
+    import importlib.util
+
+    script = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", script)
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+
+    def side(rate, failed=0, correct=True):
+        return {"correct": correct, "failed": failed, "attempted": 4, "metrics": {"ticks_per_s": rate},
+                "reference_s": []}
+
+    pairs = {51: {"parent": side(12.0), "change": side(12.5)},
+             52: {"parent": side(12.0), "change": side(11.0, failed=1)},
+             53: {"parent": side(6.0, 2, False), "change": side(6.5, 2, False)}}
+    bench_pairs.summarize(pairs, {"ticks_per_s": "higher"})
+    assert capsys.readouterr().out.splitlines() == [
+        "summary:",
+        # seed 53 stays in the medians and the win count
+        "  ticks_per_s: parent median 12, quartiles 9-12 (distance 3); change median 11, quartiles 8.75-11.75 "
+        "(distance 3); change better in 2 of 3 pairs (higher is better)",
+        "  pairs with a failed operation or an INCORRECT result, kept above: 2 of 3",
+        "    seed 52: parent 0/4 failed; change 1/4 failed",
+        "    seed 53: parent 2/4 failed, INCORRECT; change 2/4 failed, INCORRECT",
+    ]

@@ -15,8 +15,8 @@ import pytest
 from vitac import cli, jsonio
 from vitac import stream_sync as ss
 from vitac.errors import InvalidInputError, StreamStarvedError, VitacError, check_range
-from vitac.frame_codec import FrameColumns, WireFrame, _frame_from_doc, frame_lines, read_frame_lines
-from vitac.kinematics import JointColumns, JointState, _joint_from_doc, read_joint_lines
+from vitac.frame_codec import WireFrame, _frame_from_doc, frame_lines, read_frame_lines
+from vitac.kinematics import JointState, _joint_from_doc, read_joint_lines
 from vitac.pointcloud import CloudXYZF
 from vitac.sensor_model import TactileFrame
 from vitac.stream_sync import (
@@ -378,6 +378,34 @@ def test_stats_builds_objects_only_for_the_first_record_of_each_run(tmp_path, mo
     assert report == jsonio.fields_to(ss.episode_stats(episode)) and report["tuples"] > 100
 
 
+def test_a_read_builds_each_payload_once(tmp_path, monkeypatch, capsys):
+    """read_episode builds every kept payload as it loads, each once, into one list per stream, so
+    reading the tuples again builds none."""
+    rng = np.random.default_rng(35)
+    frames, joints, out = tmp_path / "frames.jsonl", tmp_path / "joints.jsonl", tmp_path / "ep.vtep"
+    write_frames(frames, [(p, int(t)) for t in _grid(200) for p in range(4)], rng)
+    counts = np.where(np.arange(400) < 150, 4, 3)  # one joint count change: two runs
+    write_joints(joints, [(int(t), int(c)) for t, c in zip(_grid(400, 40_000) // 2, counts)], rng)
+    assert cli.main(["sync", "--tactile", str(frames), "--joints", str(joints), "--rate", "100",
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    built = {cls: 0 for cls in (TactileFrame, JointState)}
+    for cls in built:
+        init = cls.__init__
+
+        def counted(self, *args, _init=init, _cls=cls, **kwargs):
+            built[_cls] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    tuples = ss.read_episode(out).tuples
+    for _ in range(2):
+        for tup in tuples:
+            assert len(tup.tactile_frames()) == 4 and tup.joint_state() is not None
+    assert len(tuples) > ss.BLOCK_RECORDS and built == {TactileFrame: 4 * len(tuples), JointState: len(tuples)}
+    assert all(type(samples.payloads) is list and len(samples) == len(tuples) for samples in tuples.streams.values())
+
+
 def test_every_time_column_of_a_sync_is_int64(tmp_path, monkeypatch, capsys):
     """The readers' columns, align's ticks and the columns read back from the episode, of canonical
     and other lines and of times from -1 to 2**63 - 1, hold every time as an int64."""
@@ -397,14 +425,10 @@ def test_every_time_column_of_a_sync_is_int64(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "align", spied)
     assert cli.main(["sync", "--tactile", str(frames), "--joints", str(joints_path), "--rate", str(rate),
                      "--tol-ms", str(tol), "--out", str(out)]) == 0
-    columns, kinds = [read["frames"].timestamps, read["joints"].timestamps, *aligned_ticks], set()
+    columns = [read["frames"].timestamps, read["joints"].timestamps, *aligned_ticks]
     for keep in (None, ()):
         tuples = ss.read_episode(out, keep=keep).tuples
-        columns += [tuples.ticks, *(samples.timestamps for samples, _ in tuples.streams.values())]
-        pieces = [piece for samples, _ in tuples.streams.values()
-                  for piece in getattr(samples.payloads, "pieces", [samples.payloads])]
-        kinds |= {type(piece) for piece in pieces}
-        columns += [piece.timestamps for piece in pieces if isinstance(piece, (FrameColumns, JointColumns))]
-    assert len(aligned_ticks) == 1 and {FrameColumns, JointColumns} <= kinds
+        columns += [tuples.ticks, *(samples.timestamps for samples in tuples.streams.values())]
+    assert len(aligned_ticks) == 1
     assert [c.dtype for c in columns] == [np.dtype(np.int64)] * len(columns)
     assert read["frames"].timestamps.max() == 2**63 - 1 and read["frames"].timestamps.min() == -1
