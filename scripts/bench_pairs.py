@@ -15,8 +15,9 @@ and an odd seed the working tree first. It prints each pair's metrics, each
 side's median and quartiles, how many pairs the working tree won by each
 metric's direction in BENCHMARK.json, the pairs in which either tree had a
 failed operation or an INCORRECT result (they stay in the medians and the win
-counts), and the reference-task times that `run.py` prints. Neither
-`perfbench/` nor `BENCHMARK.json` is changed.
+counts), and two more things that `run.py` prints: each run's median raw
+ticks/s, the rate before any scaling by the reference task, and the
+reference-task times. Neither `perfbench/` nor `BENCHMARK.json` is changed.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE_LINE = "reference task s (nominal "
+RAW_RATE_LINE = "ticks/s per round, raw "
 
 
 def resolve(rev: str) -> str:
@@ -61,17 +63,28 @@ def export(commit: str, scratch: Path) -> Path:
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result of one run.py run of tree, with the reference-task times it printed."""
+    """The result of one run.py run of tree, as parse gives it."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
+    if proc.returncode != 0 or not proc.stdout.strip():
         raise SystemExit(f"{tree}: {' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+    return parse(proc.stdout)
+
+
+def parse(stdout: str) -> dict:
+    """The result on run.py's last line, with the per-round raw ticks/s and the reference-task times it printed."""
+    lines = stdout.strip().splitlines()
     result = json.loads(lines[-1])
+    raw = [ast.literal_eval(line[len(RAW_RATE_LINE):]) for line in lines if line.startswith(RAW_RATE_LINE)]
     reference = [ast.literal_eval(line.split(") ", 1)[1]) for line in lines if line.startswith(REFERENCE_LINE)]
     return {"correct": result["correct"], "failed": result["failed"], "attempted": result["attempted"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()},
-            "reference_s": reference[0] if reference else []}
+            "raw_ticks_per_s": raw[0] if raw else [], "reference_s": reference[0] if reference else []}
+
+
+def raw_rate(run: dict) -> float:
+    """The median of a run's per-round raw ticks/s."""
+    return statistics.median(run["raw_ticks_per_s"])
 
 
 def spread(values: list) -> str:
@@ -90,6 +103,8 @@ def checks(pair: dict, sep: str = " ") -> str:
 def report_pair(pair: dict, seed: int, order: tuple) -> None:
     values = "; ".join(f"{k} {pair['parent']['metrics'][k]:.4g} -> {pair['change']['metrics'][k]:.4g}"
                        for k in pair["parent"]["metrics"])
+    if all(pair[side]["raw_ticks_per_s"] for side in pair):
+        values += f"; raw ticks/s {raw_rate(pair['parent']):.4g} -> {raw_rate(pair['change']):.4g}"
     print(f"seed {seed} ({order[0]} first): {values} [{checks(pair)}]", flush=True)
     for side in ("parent", "change"):
         times = pair[side]["reference_s"]
@@ -140,6 +155,11 @@ def summarize(pairs: dict, better: dict) -> None:
         wins = sum(sign * (c - p) > 0 for p, c in zip(sides["parent"], sides["change"]))
         print(f"  {metric}: parent {spread(sides['parent'])}; change {spread(sides['change'])}; "
               f"change better in {wins} of {len(runs)} pairs ({better.get(metric, '?')} is better)")
+    if all(p[side]["raw_ticks_per_s"] for p in runs for side in p):
+        sides = {side: [raw_rate(p[side]) for p in runs] for side in ("parent", "change")}
+        wins = sum(c > p for p, c in zip(sides["parent"], sides["change"]))
+        print(f"  raw ticks/s, each run's median round: parent {spread(sides['parent'])}; "
+              f"change {spread(sides['change'])}; change higher in {wins} of {len(runs)} pairs")
     failed = [seed for seed, p in pairs.items() if any(p[side]["failed"] or not p[side]["correct"] for side in p)]
     print(f"  pairs with a failed operation or an INCORRECT result, kept above: {len(failed)} of {len(runs)}")
     for seed in failed:

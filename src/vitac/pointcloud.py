@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,28 +124,37 @@ def merge(clouds) -> CloudXYZF:
 
 def crop_aabb(cloud: CloudXYZF, box: AABB) -> CloudXYZF:
     """Keep points with lo <= p <= hi componentwise (boundary inclusive), stable order."""
-    xyz = cloud.xyz
-    mask = np.all((xyz >= box.lo) & (xyz <= box.hi), axis=1)
-    return CloudXYZF(cloud.points[mask], cloud.frame)
+    # Column by column, and compress rather than points[mask]: numpy reduces an
+    # (N, 3) mask, and indexes the rows of a 2-D array by a mask, several times slower.
+    mask = np.ones(len(cloud), dtype=bool)
+    for col, lo, hi in zip(cloud.xyz.T, box.lo, box.hi):
+        mask &= (col >= lo) & (col <= hi)
+    return CloudXYZF(cloud.points.compress(mask, axis=0), cloud.frame)
 
 
 def fps_indices(xyz: np.ndarray, k: int, seed: int, start: int | None = None) -> np.ndarray:
-    """Greedy farthest-point selection over finite xyz rows.
+    """Greedy farthest-point selection over the rows of an (N, 3) array of finite xyz.
 
-    The start index is a seeded uniform pick unless forced. Each later pick
-    maximizes the minimum squared distance to the selected set; ties break
-    to the lowest index. Returns min(k, N) unique indices in pick order.
+    The start index is a seeded uniform pick unless forced; k and start are
+    integers. Each later pick maximizes the minimum squared distance to the
+    selected set; ties break to the lowest index. Returns min(k, N) unique
+    indices in pick order.
     """
-    xyz = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
+    xyz = np.asarray(xyz, dtype=np.float64)
+    if xyz.ndim != 2 or xyz.shape[1] != 3:
+        raise InvalidInputError(f"xyz must be an (N, 3) array, got shape {xyz.shape}")
     n = xyz.shape[0]
-    check_range("k", k, 1)
     if n == 0:
         raise InvalidInputError("cannot sample from an empty cloud")
     if not np.all(np.isfinite(xyz)):
         raise InvalidInputError("cannot sample from a cloud with non-finite coordinates")
     if start is None:
         start = int(np.random.default_rng(seed).integers(n))
-    check_range("start index", start, 0, n - 1)
+    for name, value in (("k", k), ("start", start)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    check_range("k", k, 1)
+    check_range("start", start, 0, n - 1)
     count = min(k, n)
     # The points are sorted along their widest axis, and each pick updates
     # only the slab |key - key[p]| <= r, r = sqrt(m) padded so that r*r > m
@@ -152,10 +162,12 @@ def fps_indices(xyz: np.ndarray, k: int, seed: int, start: int | None = None) ->
     # every point left out strictly beyond kp -+ r, so its rounded dx*dx is
     # already >= m >= dmin; adding nonnegative squares cannot lower a rounded
     # sum, so updating every point would leave those unchanged: the picks are
-    # those of the full update.
-    axis = int(np.argmax(np.ptp(xyz, axis=0)))
-    order = np.argsort(xyz[:, axis], kind="stable")
-    cols = np.ascontiguousarray(xyz[order].T)
+    # those of the full update. The sort need not be stable: a pick depends
+    # only on which points hold the largest dmin, and equal ones go to the
+    # lowest input index, so the order of equal keys cannot change the picks.
+    axis = int(np.argmax([np.ptp(c) for c in xyz.T]))
+    order = np.argsort(xyz[:, axis])
+    cols = np.take(xyz.T, order, axis=1)  # C-contiguous rows x, y, z in key order
     key = cols[axis]
     dmin = np.full(n, np.inf)
     sq = np.empty((3, n))
@@ -163,10 +175,10 @@ def fps_indices(xyz: np.ndarray, k: int, seed: int, start: int | None = None) ->
     p, lo, hi = int(np.flatnonzero(order == start)[0]), 0, n
     for i in range(count):
         if i:
-            m = dmin.max()
-            ties = np.flatnonzero(dmin == m)
-            p = int(ties[0])
-            if ties.size > 1:  # equal distances go to the lowest input index
+            p = int(dmin.argmax())  # the first maximum in sorted order
+            m = dmin[p]
+            if p + 1 < n and dmin[p + 1 :].max() == m:  # equal distances go to the lowest input index
+                ties = np.flatnonzero(dmin == m)
                 p = int(ties[np.argmin(order[ties])])
             r = math.sqrt(m) * (1.0 + 1e-12)
             kp = float(key[p])

@@ -1210,28 +1210,59 @@ def test_bench_pairs_refuses_a_revision_that_names_no_commit(tmp_path, rev):
     assert not (tmp_path / "scratch").exists()
 
 
-def test_bench_pairs_summary_names_the_pairs_in_which_a_run_failed(capsys):
+def _bench_pairs():
     import importlib.util
 
     script = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
     spec = importlib.util.spec_from_file_location("bench_pairs", script)
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
+    return bench_pairs
 
-    def side(rate, failed=0, correct=True):
+
+def test_bench_pairs_summary_names_the_pairs_in_which_a_run_failed(capsys):
+    def side(rate, raw, failed=0, correct=True):
         return {"correct": correct, "failed": failed, "attempted": 4, "metrics": {"ticks_per_s": rate},
-                "reference_s": []}
+                "raw_ticks_per_s": raw, "reference_s": []}
 
-    pairs = {51: {"parent": side(12.0), "change": side(12.5)},
-             52: {"parent": side(12.0), "change": side(11.0, failed=1)},
-             53: {"parent": side(6.0, 2, False), "change": side(6.5, 2, False)}}
-    bench_pairs.summarize(pairs, {"ticks_per_s": "higher"})
+    pairs = {51: {"parent": side(12.0, [10.0, 11.0, 12.0]), "change": side(12.5, [13.0, 14.0, 15.0])},
+             52: {"parent": side(12.0, [11.0]), "change": side(11.0, [10.0, 10.0], failed=1)},
+             53: {"parent": side(6.0, [5.0, 6.0], 2, False), "change": side(6.5, [7.0], 2, False)}}
+    _bench_pairs().summarize(pairs, {"ticks_per_s": "higher"})
     assert capsys.readouterr().out.splitlines() == [
         "summary:",
         # seed 53 stays in the medians and the win count
         "  ticks_per_s: parent median 12, quartiles 9-12 (distance 3); change median 11, quartiles 8.75-11.75 "
         "(distance 3); change better in 2 of 3 pairs (higher is better)",
+        # each run's median round: parent 11, 11, 5.5; change 14, 10, 7
+        "  raw ticks/s, each run's median round: parent median 11, quartiles 8.25-11 (distance 2.75); "
+        "change median 10, quartiles 8.5-12 (distance 3.5); change higher in 2 of 3 pairs",
         "  pairs with a failed operation or an INCORRECT result, kept above: 2 of 3",
         "    seed 52: parent 0/4 failed; change 1/4 failed",
         "    seed 53: parent 2/4 failed, INCORRECT; change 2/4 failed, INCORRECT",
     ]
+
+
+def test_bench_pairs_reads_the_raw_ticks_per_s_beside_the_scaled_metric(capsys):
+    bench_pairs = _bench_pairs()
+
+    def stdout(raw, scaled):
+        metrics = {"setup_s": {"value": 0.3, "unit": "s"}, "ticks_per_s": {"value": scaled, "unit": "ticks/s"}}
+        return "\n".join([
+            "fuse_dense: 3 rounds, 3 commands, 0 failed",
+            f"ticks/s per round, raw {raw}",
+            f"ticks/s per round, scaled {[scaled] * len(raw)}",
+            "set-up s, raw [0.29, 0.31]",
+            "set-up s, scaled [0.3, 0.3]",
+            "reference task s (nominal 0.125) [0.101, 0.085]",
+            json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}),
+        ]) + "\n"
+
+    parent = bench_pairs.parse(stdout([44.73, 46.2, 40.0], 46.2))
+    assert parent == {"correct": True, "failed": 0, "attempted": 3, "metrics": {"setup_s": 0.3, "ticks_per_s": 46.2},
+                      "raw_ticks_per_s": [44.73, 46.2, 40.0], "reference_s": [0.101, 0.085]}
+    change = bench_pairs.parse(stdout([58.4, 57.0], 58.4))
+    bench_pairs.report_pair({"change": change, "parent": parent}, 81, ("change", "parent"))
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "seed 81 (change first): setup_s 0.3 -> 0.3; ticks_per_s 46.2 -> 58.4; raw ticks/s 44.73 -> 57.7 "
+        "[parent 0/3 failed change 0/3 failed]")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,6 +108,31 @@ def test_crop_inclusive_boundary():
     assert np.array_equal(crop_aabb(cloud, everything).points, pts)
     disjoint = AABB([5, 5, 5], [6, 6, 6])
     assert len(crop_aabb(cloud, disjoint)) == 0
+
+
+def test_crop_keeps_every_face_and_drops_one_step_past_it_on_every_axis():
+    rng = np.random.default_rng(15)
+    lo, hi = rng.uniform(-1.0, 0.0, 3), rng.uniform(0.5, 2.0, 3)
+    box = AABB(lo, hi)
+    rows, kept = [], []
+    for axis in range(3):
+        for face, past in ((lo[axis], np.nextafter(lo[axis], -np.inf)), (hi[axis], np.nextafter(hi[axis], np.inf))):
+            for value, inside in ((face, True), (past, False)):
+                xyz = rng.uniform(lo, hi, size=(4, 3))
+                xyz[:, axis] = value
+                rows.append(xyz)
+                kept += [inside] * 4
+    rows.append(rng.uniform(lo - 1.0, hi + 1.0, size=(200, 3)))
+    xyz = np.concatenate(rows)
+    points = np.column_stack([xyz, rng.uniform(size=len(xyz))])
+    reference = np.all((xyz >= lo) & (xyz <= hi), axis=1)  # the (N, 3) mask reduced over its rows
+    assert np.array_equal(reference[: len(kept)], kept)
+    assert 0 < np.count_nonzero(reference[len(kept) :]) < 200
+    shuffle = rng.permutation(len(points))
+    cropped = crop_aabb(CloudXYZF(points[shuffle], "base"), box)
+    assert np.array_equal(cropped.points, points[shuffle][reference[shuffle]]) and cropped.frame == "base"
+    empty = crop_aabb(CloudXYZF.empty("cam"), box)
+    assert empty.points.shape == (0, 4) and empty.frame == "cam"
 
 
 def test_box_refuses_a_min_corner_above_its_max():
@@ -225,6 +252,33 @@ def test_fps_rejects_non_finite_points(bad):
     xyz[2, 1] = bad
     with pytest.raises(InvalidInputError, match="non-finite"):
         fps_indices(xyz, 2, seed=0)
+
+
+@pytest.mark.parametrize(
+    "xyz, shape",
+    [(np.zeros((3, 4)), "(3, 4)"), (np.zeros((5, 4)), "(5, 4)"), (np.zeros((5, 2)), "(5, 2)"),
+     (np.zeros(3), "(3,)"), (np.zeros((2, 2, 3)), "(2, 2, 3)")],
+)
+def test_fps_refuses_xyz_that_is_not_n_by_3(xyz, shape):
+    with pytest.raises(InvalidInputError, match=re.escape(f"xyz must be an (N, 3) array, got shape {shape}")):
+        fps_indices(xyz, 2, seed=0)
+
+
+@pytest.mark.parametrize(
+    "k, start, message",
+    [(2.0, None, "k must be an integer, got 2.0"), ("2", 0, "k must be an integer, got '2'"),
+     (True, 0, "k must be an integer, got True"), (None, 0, "k must be an integer, got None"),
+     (2, 1.0, "start must be an integer, got 1.0"), (2, np.float64(1.0), f"start must be an integer, got {np.float64(1.0)!r}"),
+     (2, False, "start must be an integer, got False"), (2, 4, "start must lie in [0, 3], got 4")],
+)
+def test_fps_refuses_k_or_start_that_is_not_an_integer_in_range(k, start, message):
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        fps_indices(np.arange(12.0).reshape(4, 3), k, seed=0, start=start)
+
+
+def test_fps_takes_numpy_integers():
+    xyz = np.arange(12.0).reshape(4, 3)
+    assert list(fps_indices(xyz, np.int64(2), seed=0, start=np.int32(1))) == [1, 3]
 
 
 def test_fps_deterministic_and_subset():
